@@ -168,7 +168,7 @@ def _cmd_ridge_path(ns) -> tuple[dict, int]:
 
 def _cmd_dual(ns) -> tuple[dict, int]:
     p = load_polytope(ns.file)
-    dual = polar_dual(p)
+    dual, _ = polar_dual(p)
     if ns.out:
         save_polytope(dual, ns.out)
     return {
@@ -330,6 +330,9 @@ def run(argv: list[str]) -> CommandResult:
             error=str(exc),
             exit_code=2,
         )
+    if ns.command_name == "verify-theorem":
+        # Every k runs unless --k picks one, so echo what actually runs.
+        ns.all_k = ns.k is None
     inputs = {
         _INPUT_KEY_RENAMES.get(key, key): value
         for key, value in vars(ns).items()

@@ -15,8 +15,6 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -140,10 +138,6 @@ class Hyperplane:
         if g > 1:
             ints = [v // g for v in ints]
         return Hyperplane(QVector.of(ints[:-1]), Fraction(ints[-1]))
-
-
-def side(h: Hyperplane, p: QVector) -> int:
-    return h.side(p)
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:

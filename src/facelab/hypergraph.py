@@ -21,16 +21,12 @@ from .polytope import (
     dual_face_map,
     face_lattice,
     parse_face_id,
-    polar_dual_with_incidence,
+    polar_dual,
 )
 
 
 class HypergraphError(ValueError):
     """Invalid hypergraph request."""
-
-
-def _id_sort_key(fid: str) -> tuple[int, ...]:
-    return parse_face_id(fid)
 
 
 @dataclass(frozen=True)
@@ -44,9 +40,6 @@ class FaceHypergraph:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def edges_of(self, node: str) -> list[str]:
-        return [eid for eid, members in self.hyperedges if node in members]
 
 
 @dataclass(frozen=True)
@@ -83,7 +76,7 @@ def build_hypergraph(lattice: FaceLattice, k: int) -> FaceHypergraph:
     """H_k of the lattice; at k = d-1 the single hyperedge is the full face."""
     if k < 0 or k > lattice.dim - 1:
         raise HypergraphError(f"k={k} out of range [0, {lattice.dim - 1}]")
-    nodes = sorted((f.id for f in lattice.faces_of_dim(k)), key=_id_sort_key)
+    nodes = sorted((f.id for f in lattice.faces_of_dim(k)), key=parse_face_id)
     node_set = {lattice.face(n).vertex_set: n for n in nodes}
     hyperedges = []
     for e in sorted(lattice.faces_of_dim(k + 1), key=lambda f: f.vertex_set):
@@ -183,12 +176,19 @@ def _scan_chunk(
 
 
 def default_workers() -> int:
-    """Worker count from FACELAB_THREADS; 1 (sequential) when unset or bad."""
+    """Worker count from FACELAB_THREADS, capped at the CPU count; 1 when unset or bad."""
     raw = os.environ.get("FACELAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        requested = max(1, int(raw))
     except ValueError:
         return 1
+    return min(requested, os.cpu_count() or 1)
+
+
+def _chunks(subsets: list, workers: int) -> list[list]:
+    """Contiguous slices of subsets, at most one per worker."""
+    step = (len(subsets) + workers - 1) // workers
+    return [subsets[i : i + step] for i in range(0, len(subsets), step)]
 
 
 def _first_disconnecting_subset(
@@ -200,9 +200,8 @@ def _first_disconnecting_subset(
     subsets = list(combinations(range(n_nodes), size))
     if workers <= 1 or len(subsets) < 64:
         return _scan_chunk(n_nodes, edge_members, subsets)
-    step = (len(subsets) + workers - 1) // workers
-    chunks = [subsets[i : i + step] for i in range(0, len(subsets), step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    chunks = _chunks(subsets, workers)
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         results = list(
             pool.map(_scan_chunk, [n_nodes] * len(chunks), [edge_members] * len(chunks), chunks)
         )
@@ -267,7 +266,7 @@ def find_isolating_set(hg: FaceHypergraph, node: str) -> tuple[str, ...] | None:
             continue
         if picks & others:
             continue
-        picks.add(min(others, key=_id_sort_key))
+        picks.add(min(others, key=parse_face_id))
     if not picks:
         return None
     if len(picks) >= hg.n_nodes - 1:
@@ -275,7 +274,7 @@ def find_isolating_set(hg: FaceHypergraph, node: str) -> tuple[str, ...] | None:
     for _, members in hg.hyperedges:
         if node in members and len(members) > 1 and not (picks & members):
             return None
-    return tuple(sorted(picks, key=_id_sort_key))
+    return tuple(sorted(picks, key=parse_face_id))
 
 
 def check_duality_equivalence(
@@ -300,7 +299,7 @@ def check_duality_equivalence(
         raise HypergraphError(f"k={k} out of range [0, {d - 1}]")
     hg = build_hypergraph(lattice, k)
     if dual_data is None:
-        dual, facet_faces = polar_dual_with_incidence(p)
+        dual, facet_faces = polar_dual(p)
         dual_lattice = face_lattice(dual)
     else:
         facet_faces, dual_lattice = dual_data

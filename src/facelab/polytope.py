@@ -282,7 +282,13 @@ def face_lattice(p: VPolytope) -> FaceLattice:
     return FaceLattice.from_vertex_sets(p.vertices, sets)
 
 
-def _dual_data(p: VPolytope) -> tuple[VPolytope, list[Face]]:
+def polar_dual(p: VPolytope) -> tuple[VPolytope, list[Face]]:
+    """Polar dual after translating the vertex barycenter to the origin.
+
+    Vertex j of the dual corresponds to the j-th facet of p in canonical
+    order; the face lattices are anti-isomorphic.  Returns the dual and the
+    facet faces of p aligned with the dual's vertex order.
+    """
     d = p.ambient_dim
     if p.dim != d:
         raise PolytopeError("polar dual needs a full-dimensional polytope")
@@ -298,22 +304,7 @@ def _dual_data(p: VPolytope) -> tuple[VPolytope, list[Face]]:
             raise PolytopeError("unexpected non-positive facet offset after centering")
         dual_points.append(h.normal.scaled(Fraction(1) / h.offset))
         facet_faces.append(face)
-    dual = VPolytope.from_points(dual_points)
-    return dual, facet_faces
-
-
-def polar_dual(p: VPolytope) -> VPolytope:
-    """Polar dual after translating the vertex barycenter to the origin.
-
-    Vertex j of the result corresponds to the j-th facet of p in canonical
-    order; the face lattices are anti-isomorphic.
-    """
-    return _dual_data(p)[0]
-
-
-def polar_dual_with_incidence(p: VPolytope) -> tuple[VPolytope, list[Face]]:
-    """Polar dual plus the facet faces of p aligned with the dual's vertex order."""
-    return _dual_data(p)
+    return VPolytope.from_points(dual_points), facet_faces
 
 
 def dual_face_map(facet_faces: Sequence[Face]):
@@ -336,7 +327,7 @@ def lattice_anti_isomorphic(p: VPolytope) -> bool:
     and that containment flips direction.  Intended for desk-scale duals.
     """
     lattice = face_lattice(p)
-    dual, facet_faces = polar_dual_with_incidence(p)
+    dual, facet_faces = polar_dual(p)
     dual_lattice = face_lattice(dual)
     delta = dual_face_map(facet_faces)
     images: dict[str, tuple[int, ...]] = {}

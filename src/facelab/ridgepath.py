@@ -3,9 +3,10 @@
 The solver realizes an inductive construction: pick a blocked face R, find a
 hyperplane through relative-interior points of the endpoints that misses R and
 every vertex, slice, solve the smaller problem in the slice, and lift the
-answer back.  Each recursion level drops both k and the blocked budget by one,
-so a blocked set of size at most k always bottoms out in a plain graph search.
-A standalone verifier re-checks any claimed path against the lattice alone.
+answer back.  Each recursion level drops both k and the number of blocked
+faces by one, so a blocked set of size at most k always bottoms out in a plain
+graph search.  A standalone verifier re-checks any claimed path against the
+lattice alone.
 """
 
 from __future__ import annotations
@@ -28,19 +29,12 @@ from .polytope import (
 )
 from .section import section
 
-DEFAULT_BUDGET = 10_000
-
-# Coefficient ranges tried in order while sampling normals; the budget is
-# split evenly across them.
-ESCALATION = (3, 10, 100)
+# Nudge directions drawn before the search gives up on a grazing plane.
+_NUDGE_DRAWS = 200
 
 
 class RidgePathError(ValueError):
-    """Unsolvable request, malformed inputs, or an exhausted search budget."""
-
-
-def _id_key(fid: str) -> tuple[int, ...]:
-    return parse_face_id(fid)
+    """Unsolvable request, malformed inputs, or no cutting hyperplane found."""
 
 
 @dataclass(frozen=True)
@@ -78,13 +72,15 @@ class RidgePathResult:
 
 
 def _feasible_orthogonal_normal(
-    p: VPolytope, bf: QVector, w: QVector, r: Face, sign: int
+    p: VPolytope, bf: QVector, w: QVector, r: Face
 ) -> QVector | None:
     """A normal a with a.w = 0 putting every vertex of r strictly on one side.
 
     Exact feasibility solve: split a into nonnegative parts and require
-    sign * a.(v - bf) >= 1 per vertex of r (scale-invariant normalization of
-    strictness), which a phase-1 simplex settles deterministically.
+    a.(v - bf) >= 1 per vertex of r (scale-invariant normalization of
+    strictness), which a phase-1 simplex settles deterministically.  The
+    other side needs no second solve: -a satisfies it exactly when a
+    satisfies this one.
     """
     d = p.ambient_dim
     r_points = p.points_of(r.vertex_set)
@@ -98,11 +94,7 @@ def _feasible_orthogonal_normal(
         diff = v - bf
         slack = [Fraction(0)] * n_slack
         slack[idx] = Fraction(-1)
-        rows.append(
-            [sign * c for c in diff.coords]
-            + [-sign * c for c in diff.coords]
-            + slack
-        )
+        rows.append(list(diff.coords) + [-c for c in diff.coords] + slack)
         rhs.append(Fraction(1))
     x = solve_nonnegative(rows, rhs)
     if x is None:
@@ -113,19 +105,21 @@ def _feasible_orthogonal_normal(
 
 def _clear_grazed_vertices(
     p: VPolytope, bf: QVector, w: QVector, a: QVector, rng: random.Random
-) -> QVector | None:
+) -> tuple[QVector | None, int]:
     """Nudge a within the w-orthogonal space until no vertex lies on the plane.
 
     The step size is chosen strictly below every sign-flip threshold, so all
-    existing strict side assignments survive the nudge exactly.
+    existing strict side assignments survive the nudge exactly.  Returns the
+    nudged normal (None if every direction tried grazed an offender) and the
+    number of directions drawn.
     """
     diffs = [v - bf for v in p.vertices]
     values = [a.dot(diff) for diff in diffs]
     offenders = [i for i, val in enumerate(values) if val == 0]
     if not offenders:
-        return a
+        return a, 0
     ww = w.dot(w)
-    for _ in range(200):
+    for draws in range(1, _NUDGE_DRAWS + 1):
         u0 = QVector.of([Fraction(rng.randint(-9, 9)) for _ in range(p.ambient_dim)])
         u = u0 if ww == 0 else u0.scaled(ww) - w.scaled(u0.dot(w))
         if u.is_zero():
@@ -138,8 +132,8 @@ def _clear_grazed_vertices(
             for val, q in zip(values, pair)
             if val != 0
         )
-        return a + u.scaled(step)
-    return None
+        return a + u.scaled(step), draws
+    return None, _NUDGE_DRAWS
 
 
 def search_cutting_hyperplane(
@@ -149,19 +143,17 @@ def search_cutting_hyperplane(
     g: Face,
     r: Face,
     seed: int,
-    budget: int = DEFAULT_BUDGET,
 ) -> tuple[Hyperplane, int]:
     """A hyperplane through the barycenters of f and g, missing r and all vertices.
 
-    Samples integer normals orthogonal to the barycenter difference (so both
-    barycenters lie on the plane by construction) and accepts on exact sign
-    tests.  Valid normals form a full-dimensional open cone, but the cone can
-    be extremely thin when vertex coordinates are badly skewed (moment-curve
-    instances), so once sampling exhausts its budget a targeted phase solves
-    for a feasible normal exactly and nudges it off any vertex it grazes.
-    Returns the plane and the number of candidates tried.
+    Normals orthogonal to the barycenter difference keep both barycenters on
+    the plane.  One exact phase-1 solve finds such a normal with every vertex
+    of r strictly on one side; if the plane still grazes other vertices, a
+    nudge along seeded directions in the same orthogonal space moves it off
+    them without flipping any strict side.  Exact sign tests confirm the
+    result.  Returns the plane and the number of candidates tried: the solve
+    plus each nudge direction drawn.
     """
-    d = p.ambient_dim
     k = f.dim
     if len({f.id, g.id, r.id}) != 3:
         raise RidgePathError("f, g, r must be three distinct faces")
@@ -170,63 +162,22 @@ def search_cutting_hyperplane(
     if not (1 <= k <= lattice.dim - 1):
         raise RidgePathError(f"face dimension {k} out of range [1, {lattice.dim - 1}]")
     bf = p.face_barycenter(f)
-    bg = p.face_barycenter(g)
-    w = bg - bf
-    ww = w.dot(w)
-    rng = random.Random(seed)
-    attempts = 0
-    sample_budget = budget - min(2, budget)
-    per_phase = sample_budget // len(ESCALATION)
-    for phase, bound in enumerate(ESCALATION):
-        phase_budget = per_phase if phase < len(ESCALATION) - 1 else sample_budget - attempts
-        for _ in range(phase_budget):
-            attempts += 1
-            u = QVector.of([rng.randint(-bound, bound) for _ in range(d)])
-            a = u if ww == 0 else u.scaled(ww) - w.scaled(u.dot(w))
-            if a.is_zero():
-                continue
-            h = Hyperplane(a, a.dot(bf)).canonical()
-            sides = [h.side(v) for v in p.vertices]
-            if any(s == 0 for s in sides):
-                continue
-            r_sides = {sides[i] for i in r.vertex_set}
-            if len(r_sides) != 1:
-                continue
-            return h, attempts
-    for sign in (1, -1):
-        if attempts >= budget:
-            break
-        attempts += 1
-        a = _feasible_orthogonal_normal(p, bf, w, r, sign)
-        if a is None:
-            continue
-        a = _clear_grazed_vertices(p, bf, w, a, rng)
-        if a is None:
-            continue
+    w = p.face_barycenter(g) - bf
+    attempts = 1
+    a = _feasible_orthogonal_normal(p, bf, w, r)
+    if a is not None:
+        a, draws = _clear_grazed_vertices(p, bf, w, a, random.Random(seed))
+        attempts += draws
+    if a is not None:
         h = Hyperplane(a, a.dot(bf)).canonical()
         sides = [h.side(v) for v in p.vertices]
-        if any(s == 0 for s in sides):
-            continue
-        if len({sides[i] for i in r.vertex_set}) != 1:
-            continue
-        return h, attempts
+        if all(sides) and len({sides[i] for i in r.vertex_set}) == 1:
+            return h, attempts
     raise RidgePathError(
         f"no cutting hyperplane found for f={f.id}, g={g.id}, r={r.id}: "
-        f"{budget} samples plus the exact feasibility solve all failed; "
+        "the exact feasibility solve and the vertex nudge failed; "
         "either the line through the two barycenters meets r or this is a bug"
     )
-
-
-def find_cutting_hyperplane(
-    p: VPolytope,
-    lattice: FaceLattice,
-    f: Face,
-    g: Face,
-    r: Face,
-    seed: int,
-    budget: int = DEFAULT_BUDGET,
-) -> Hyperplane:
-    return search_cutting_hyperplane(p, lattice, f, g, r, seed, budget)[0]
 
 
 def _ridge_ok(ridge: Face, blocked_faces: list[Face]) -> bool:
@@ -246,7 +197,7 @@ def _bfs_ridge_path(
     blocked_faces = [lattice.face(b) for b in blocked_ids]
     nodes = sorted(
         (f.id for f in lattice.faces_of_dim(k) if f.id not in blocked_ids),
-        key=_id_key,
+        key=parse_face_id,
     )
     parent: dict[str, tuple[str, str] | None] = {f_id: None}
     queue = deque([f_id])
@@ -292,7 +243,6 @@ def _solve(
     f_id: str,
     g_id: str,
     seed: int,
-    budget: int,
 ) -> _Solution:
     if f_id == g_id:
         return _Solution((f_id,), (), 0, ())
@@ -309,9 +259,9 @@ def _solve(
             )
         return _Solution(found[0], found[1], 0, ())
 
-    r_id = min(blocked_ids, key=_id_key)
+    r_id = min(blocked_ids, key=parse_face_id)
     h, _ = search_cutting_hyperplane(
-        p, lattice, lattice.face(f_id), lattice.face(g_id), lattice.face(r_id), seed, budget
+        p, lattice, lattice.face(f_id), lattice.face(g_id), lattice.face(r_id), seed
     )
     smap = section(p, lattice, h)
     f_slice = smap.map_face(f_id)
@@ -331,7 +281,6 @@ def _solve(
         f_slice,
         g_slice,
         seed + 1,
-        budget,
     )
     return _Solution(
         tuple(smap.lift(x) for x in sub.faces),
@@ -348,7 +297,7 @@ def _validate_request(
         raise RidgePathError(f"k={k} out of range [0, {lattice.dim - 1}]")
     if b.k != k:
         raise RidgePathError(f"blocked set is for k={b.k}, request is for k={k}")
-    for fid in sorted(b.face_ids, key=_id_key) + [f_id, g_id]:
+    for fid in sorted(b.face_ids, key=parse_face_id) + [f_id, g_id]:
         try:
             face = lattice.face(fid)
         except PolytopeError as exc:
@@ -359,22 +308,6 @@ def _validate_request(
         raise RidgePathError("endpoints may not be blocked")
 
 
-def find_ridge_path(
-    p: VPolytope,
-    lattice: FaceLattice,
-    k: int,
-    b: BlockedSet,
-    f_id: str,
-    g_id: str,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> RidgePath:
-    """A path of k-faces from f to g through (k-1)-ridges avoiding b."""
-    _validate_request(lattice, k, b, f_id, g_id)
-    solution = _solve(p, lattice, k, b.face_ids, f_id, g_id, seed, budget)
-    return RidgePath(solution.faces, solution.ridges)
-
-
 def solve_ridge_path(
     p: VPolytope,
     lattice: FaceLattice,
@@ -383,12 +316,15 @@ def solve_ridge_path(
     f_id: str,
     g_id: str,
     seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
     verify: bool = False,
 ) -> RidgePathResult:
-    """find_ridge_path plus recursion metadata and an optional verifier pass."""
+    """A path of k-faces from f to g through (k-1)-ridges avoiding b.
+
+    The result also carries the recursion depth, the cutting hyperplanes used
+    (outermost first) and, with verify, the verifier's verdict on the path.
+    """
     _validate_request(lattice, k, b, f_id, g_id)
-    solution = _solve(p, lattice, k, b.face_ids, f_id, g_id, seed, budget)
+    solution = _solve(p, lattice, k, b.face_ids, f_id, g_id, seed)
     path = RidgePath(solution.faces, solution.ridges)
     verified = (
         verify_ridge_path(lattice, k, b, path, f_id, g_id) if verify else None

@@ -192,6 +192,11 @@ class TestVerifyTheorem:
         doc, code = invoke("verify-theorem", cube3_file)
         assert len(doc["output"]["results"]) == 3
 
+    def test_all_k_echo_matches_the_ks_run(self, cube3_file):
+        for argv, all_k in [((), True), (("--all-k",), True), (("--k", "1"), False)]:
+            doc, _ = invoke("verify-theorem", cube3_file, *argv)
+            assert doc["inputs"]["all_k"] is all_k, argv
+
 
 class TestEnvelope:
     def test_reruns_are_byte_identical(self, cube3_file):

@@ -1,5 +1,6 @@
 """Face hypergraphs: removal connectivity, witnesses, and dual structure."""
 
+import os
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from facelab.generators import random_polytope
 from facelab.hypergraph import (
     FaceHypergraph,
     HypergraphError,
+    _chunks,
     build_hypergraph,
     check_duality_equivalence,
     default_workers,
@@ -15,7 +17,7 @@ from facelab.hypergraph import (
     is_connected_after_removal,
     strong_connectivity,
 )
-from facelab.polytope import face_lattice, polar_dual_with_incidence
+from facelab.polytope import face_lattice, polar_dual
 from instances import instance, lattice_of
 from oracles import connected_after_removal_oracle
 
@@ -58,7 +60,7 @@ class TestBuild:
             for k in range(lat.dim):
                 hg = build_hypergraph(lat, k)
                 for node in hg.nodes:
-                    assert hg.edges_of(node)
+                    assert any(node in members for _, members in hg.hyperedges)
 
     def test_k_out_of_range(self):
         lat = lattice_of("cube", 3)
@@ -163,11 +165,20 @@ class TestStrongConnectivity:
 
     def test_default_workers_reads_env(self, monkeypatch):
         monkeypatch.setenv("FACELAB_THREADS", "3")
-        assert default_workers() == 3
+        assert default_workers() == min(3, os.cpu_count())
         monkeypatch.setenv("FACELAB_THREADS", "bogus")
         assert default_workers() == 1
         monkeypatch.delenv("FACELAB_THREADS")
         assert default_workers() == 1
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        # Only the computed sizes are checked; no pool is started.
+        monkeypatch.setenv("FACELAB_THREADS", "1000000")
+        assert default_workers() == os.cpu_count()
+        subsets = list(range(64))
+        assert len(_chunks(subsets, 40)) == 32
+        assert len(_chunks(subsets, 1_000_000)) == 64
+        assert [x for chunk in _chunks(subsets, 3) for x in chunk] == subsets
 
 
 class TestIsolatingSet:
@@ -202,7 +213,7 @@ class TestDualityEquivalence:
     def test_random_3_polytope(self):
         p = random_polytope(3, 7, seed=2)
         lat = face_lattice(p)
-        dual, facet_faces = polar_dual_with_incidence(p)
+        dual, facet_faces = polar_dual(p)
         dual_data = (facet_faces, face_lattice(dual))
         for k in range(3):
             assert check_duality_equivalence(p, k, lattice=lat, dual_data=dual_data)

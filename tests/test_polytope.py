@@ -22,7 +22,6 @@ from facelab.polytope import (
     parse_face_id,
     parse_polytope,
     polar_dual,
-    polar_dual_with_incidence,
 )
 from instances import instance, lattice_of
 from oracles import gale_evenness_facets
@@ -191,7 +190,7 @@ class TestFaceLattice:
 
 class TestPolarDual:
     def test_cube3_dual_is_octahedron(self):
-        d = polar_dual(cube(3))
+        d, _ = polar_dual(cube(3))
         assert lattice_of_dual(d).f_vector == (6, 12, 8)
         coords = {v.coords for v in d.vertices}
         assert coords == {
@@ -201,13 +200,13 @@ class TestPolarDual:
         }
 
     def test_triangle_dual_is_triangle(self):
-        d = polar_dual(simplex(2))
+        d, _ = polar_dual(simplex(2))
         assert d.n_vertices == 3
         assert lattice_of_dual(d).f_vector == (3, 3)
 
     def test_dual_face_map_reverses_inclusion(self):
         p = cube(3)
-        _, facet_faces = polar_dual_with_incidence(p)
+        _, facet_faces = polar_dual(p)
         delta = dual_face_map(facet_faces)
         lat = face_lattice(p)
         assert set(delta(lat.face("v0"))) == {0, 1, 2}
@@ -221,7 +220,7 @@ class TestPolarDual:
     def test_anti_isomorphism_random_3_polytope(self):
         p = random_polytope(3, 7, seed=5)
         lat = face_lattice(p)
-        d, facet_faces = polar_dual_with_incidence(p)
+        d, facet_faces = polar_dual(p)
         dlat = face_lattice(d)
         delta = dual_face_map(facet_faces)
         # image sets must be exactly the dual faces, counted once each
