@@ -11,8 +11,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .geometry import QVector, affine_rank, barycenter, point_in_hull
-from .polytope import VPolytope
+from .geometry import QVector, affine_rank, barycenter
+from .polytope import PolytopeError, VPolytope
 
 
 class GeneratorError(ValueError):
@@ -145,12 +145,10 @@ def random_polytope(d: int, n: int, seed: int, bound: int = 10) -> VPolytope:
             continue
         if not _in_general_position(points, d):
             continue
-        if any(
-            point_in_hull(points[:i] + points[i + 1 :], p)
-            for i, p in enumerate(points)
-        ):
+        try:
+            return VPolytope.from_points(points)
+        except PolytopeError:
             continue
-        return VPolytope.from_points(points, validate=False)
     raise GeneratorError(
         f"no valid sample after 1000 attempts (d={d}, n={n}, bound={bound}); "
         "try a larger bound or fewer points"

@@ -149,14 +149,19 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _integer_rank(rows: list[list[int]]) -> int:
-    """Matrix rank by fraction-free (Bareiss) elimination over the integers."""
+def pivot_columns(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of fraction-free (Bareiss) elimination over the integers.
+
+    Their count is the rank; they are the lexicographically first columns
+    that span the column space.
+    """
     mat = [row[:] for row in rows]
     n_rows = len(mat)
     n_cols = len(mat[0]) if mat else 0
-    rank = 0
+    pivots: list[int] = []
     prev = 1
     for col in range(n_cols):
+        rank = len(pivots)
         if rank == n_rows:
             break
         pivot_row = next((r for r in range(rank, n_rows) if mat[r][col]), None)
@@ -174,19 +179,28 @@ def _integer_rank(rows: list[list[int]]) -> int:
                     raise AssertionError("fraction-free elimination lost exactness")
                 row[c] = quotient
         prev = pivot
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def affine_chart(points: Sequence[QVector]) -> list[int]:
+    """Coordinates that chart the affine hull: its difference matrix's pivot columns.
+
+    Projecting onto them is an affine bijection from the hull onto a space of
+    len(result) coordinates, so it preserves convexity, faces and vertices.
+    """
+    if len(points) < 2:
+        return []
+    base = points[0]
+    diffs = [[p.coords[j] - base.coords[j] for j in range(base.dim)] for p in points[1:]]
+    return pivot_columns(_integer_rows(diffs))
 
 
 def affine_rank(points: Sequence[QVector]) -> int:
     """Dimension of the affine hull; -1 for the empty set, 0 for a point."""
     if not points:
         return -1
-    base = points[0]
-    diffs = [[p.coords[j] - base.coords[j] for j in range(base.dim)] for p in points[1:]]
-    if not diffs:
-        return 0
-    return _integer_rank(_integer_rows(diffs))
+    return len(affine_chart(points))
 
 
 def barycenter(points: Sequence[QVector]) -> QVector:

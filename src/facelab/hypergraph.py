@@ -76,17 +76,12 @@ def build_hypergraph(lattice: FaceLattice, k: int) -> FaceHypergraph:
     """H_k of the lattice; at k = d-1 the single hyperedge is the full face."""
     if k < 0 or k > lattice.dim - 1:
         raise HypergraphError(f"k={k} out of range [0, {lattice.dim - 1}]")
-    nodes = sorted((f.id for f in lattice.faces_of_dim(k)), key=parse_face_id)
-    node_set = {lattice.face(n).vertex_set: n for n in nodes}
-    hyperedges = []
-    for e in sorted(lattice.faces_of_dim(k + 1), key=lambda f: f.vertex_set):
-        members = frozenset(
-            n
-            for vs, n in node_set.items()
-            if set(vs) <= set(e.vertex_set)
-        )
-        hyperedges.append((e.id, members))
-    return FaceHypergraph(k, tuple(nodes), tuple(hyperedges))
+    nodes = tuple(f.id for f in lattice.faces_of_dim(k))
+    hyperedges = tuple(
+        (e.id, frozenset(c.id for c in lattice.children(e)))
+        for e in lattice.faces_of_dim(k + 1)
+    )
+    return FaceHypergraph(k, nodes, hyperedges)
 
 
 def _survivors_connected(
@@ -221,11 +216,13 @@ def strong_connectivity(
     Scans removal sets in canonical order by increasing size.  The first
     disconnecting set found fixes alpha = its size; if none exists below cap,
     alpha = cap with the capped flag set (nothing larger was examined).
+    At most os.cpu_count() worker processes run, whatever `workers` asks for.
     """
     if cap < 1:
         raise HypergraphError("cap must be >= 1")
     if workers is None:
         workers = default_workers()
+    workers = min(workers, os.cpu_count() or 1)
     _, edge_members = _encode(hg)
     n = hg.n_nodes
     for size in range(0, min(cap, n + 1)):

@@ -1,8 +1,9 @@
 """V-representation polytopes, facet enumeration, face lattices, polar duality.
 
 Faces are identified combinatorially by the set of polytope vertices lying on
-them; the face lattice is the intersection closure of the facet vertex sets
-together with the empty and full faces.  All geometry is exact.
+them.  Facets come from one exact double-description pass over integer rows;
+the face lattice and its cover relation are built top-down from the facet
+vertex sets alone.  All geometry is exact.
 """
 
 from __future__ import annotations
@@ -11,19 +12,20 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .geometry import (
     GeometryError,
     Hyperplane,
     QVector,
+    affine_chart,
     affine_rank,
     barycenter,
     format_rational,
     hyperplane_through,
     parse_rational,
-    point_in_hull,
+    pivot_columns,
 )
 
 
@@ -75,6 +77,87 @@ class Face:
         return set(other.vertex_set) <= set(self.vertex_set)
 
 
+def _mask(indices: Iterable[int]) -> int:
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _primitive(vector: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*vector)
+    return tuple(x // g for x in vector) if g > 1 else tuple(vector)
+
+
+def _initial_cone(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The first len(rows[0]) linearly independent rows, in input order, and
+    the extreme rays of the simplicial cone they cut out.
+
+    Ray j is the primitive normal of the hyperplane through the origin and
+    every chosen row but row j, oriented to be positive on row j.
+    """
+    chosen = pivot_columns([list(column) for column in zip(*rows)])
+    origin = QVector.of([0] * len(rows[0]))
+    rays = []
+    for j in chosen:
+        others = [QVector.of(rows[i]) for i in chosen if i != j]
+        normal = hyperplane_through([origin] + others).normal
+        if normal.dot(QVector.of(rows[j])) < 0:
+            normal = -normal
+        rays.append(tuple(int(x) for x in normal.coords))
+    return chosen, rays
+
+
+def _double_description(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...]]]:
+    """Extreme rays of the pointed cone {x : row . x >= 0 for every row}.
+
+    Rows must span their space.  Starting from a simplicial cone on the first
+    independent rows, each remaining row is added in input order: rays on its
+    nonnegative side stay, and each (+, -) pair of adjacent rays is combined
+    into a new ray on the row's hyperplane.  Adjacency is the combinatorial
+    test: the pair's common zero set has at least size-2 rows and no other
+    ray's zero set contains it.  Returns (zero-set bitmask over row indices,
+    primitive integer ray) pairs.
+    """
+    chosen, rays = _initial_cone(rows)
+    size = len(rows[0])
+    masks = [_mask(i for i in chosen if i != j) for j in chosen]
+    skip = set(chosen)
+    for i, row in enumerate(rows):
+        if i in skip:
+            continue
+        bit = 1 << i
+        values = [sum(a * x for a, x in zip(row, ray)) for ray in rays]
+        positive = [k for k, v in enumerate(values) if v > 0]
+        negative = [k for k, v in enumerate(values) if v < 0]
+        new_rays = [ray for ray, v in zip(rays, values) if v >= 0]
+        new_masks = [m | bit if v == 0 else m for m, v in zip(masks, values) if v >= 0]
+        for a in positive:
+            for b in negative:
+                common = masks[a] & masks[b]
+                if common.bit_count() < size - 2:
+                    continue
+                # Only a and b themselves may have zero sets containing it.
+                if sum(1 for m in masks if common & m == common) > 2:
+                    continue
+                va, vb = values[a], -values[b]
+                new_rays.append(
+                    _primitive([va * y + vb * x for x, y in zip(rays[a], rays[b])])
+                )
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    return list(zip(masks, rays))
+
+
 @dataclass(frozen=True)
 class VPolytope:
     """Polytope given by its vertex list; dim is the rank of the affine hull."""
@@ -93,14 +176,41 @@ class VPolytope:
             raise PolytopeError("all vertices must share the ambient dimension")
         if len(set(pts)) != len(pts):
             raise PolytopeError("duplicate vertices in input")
+        polytope = cls(pts, ambient, affine_rank(pts))
         if validate:
-            for i, p in enumerate(pts):
-                others = pts[:i] + pts[i + 1 :]
-                if others and point_in_hull(others, p):
-                    raise PolytopeError(
-                        f"input point {i} is not a vertex (inside the hull of the rest)"
-                    )
-        return cls(pts, ambient, affine_rank(pts))
+            polytope._check_vertices()
+        return polytope
+
+    @cached_property
+    def _facet_rays(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The facets in the hull's affine chart, by double description.
+
+        Each point becomes the integer row (1, v) over the chart coordinates,
+        scaled by the lcm of its denominators.  A returned (mask, ray) pair is
+        a facet c - a.v >= 0 with ray = (c, -a) and mask the set of points on
+        it.
+        """
+        chart = affine_chart(self.vertices)
+        rows = []
+        for v in self.vertices:
+            coords = [Fraction(1)] + [v.coords[j] for j in chart]
+            scale = lcm(*(x.denominator for x in coords))
+            rows.append([int(x * scale) for x in coords])
+        return _double_description(rows)
+
+    def _check_vertices(self) -> None:
+        """Point i is a vertex iff the facets through it meet in {i} alone."""
+        everything = (1 << self.n_vertices) - 1
+        masks = [mask for mask, _ in self._facet_rays]
+        for i in range(self.n_vertices):
+            tight = everything
+            for mask in masks:
+                if mask >> i & 1:
+                    tight &= mask
+            if tight != 1 << i:
+                raise PolytopeError(
+                    f"input point {i} is not a vertex (inside the hull of the rest)"
+                )
 
     @property
     def n_vertices(self) -> int:
@@ -116,8 +226,7 @@ class VPolytope:
 def facets(p: VPolytope) -> list[tuple[Face, Hyperplane]]:
     """All (d-1)-faces with supporting hyperplanes oriented so a.v <= c holds.
 
-    Brute force over affinely independent d-subsets of vertices with exact
-    one-sidedness tests; fine at desk scale and easy to audit.
+    Read off the double-description rays; sorted by vertex set.
     """
     d = p.ambient_dim
     if p.dim != d:
@@ -125,30 +234,27 @@ def facets(p: VPolytope) -> list[tuple[Face, Hyperplane]]:
             f"facet enumeration needs a full-dimensional polytope "
             f"(dim {p.dim} in ambient {d})"
         )
-    found: dict[tuple[int, ...], Hyperplane] = {}
-    for subset in combinations(range(p.n_vertices), d):
-        h = hyperplane_through(p.points_of(subset))
-        if h is None:
-            continue
-        sides = [h.side(v) for v in p.vertices]
-        if any(s > 0 for s in sides) and any(s < 0 for s in sides):
-            continue
-        if any(s > 0 for s in sides):
-            h = h.flipped().canonical()
-            sides = [-s for s in sides]
-        on_set = tuple(i for i, s in enumerate(sides) if s == 0)
-        found.setdefault(on_set, h)
     out = []
-    for on_set in sorted(found):
-        pts = p.points_of(on_set)
-        out.append((Face(on_set, affine_rank(pts)), found[on_set]))
+    for mask, ray in p._facet_rays:
+        h = Hyperplane(QVector.of(-x for x in ray[1:]), Fraction(ray[0])).canonical()
+        out.append((Face(_indices(mask), d - 1), h))
+    out.sort(key=lambda pair: pair[0].vertex_set)
     return out
 
 
 class FaceLattice:
-    """The graded lattice of all faces, from the empty face up to the polytope."""
+    """The graded lattice of all faces, from the empty face up to the polytope.
 
-    def __init__(self, dim: int, faces: Sequence[Face]):
+    Built from the faces with their dimensions and the cover relation, given
+    as (child vertex set, parent vertex set) pairs.
+    """
+
+    def __init__(
+        self,
+        dim: int,
+        faces: Sequence[Face],
+        covers: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
+    ):
         self.dim = dim
         self.faces = tuple(sorted(faces, key=lambda f: (f.dim, f.vertex_set)))
         self._by_id = {f.id: f for f in self.faces}
@@ -158,17 +264,23 @@ class FaceLattice:
         for k in (-1, dim):
             if len(self.faces_of_dim(k)) != 1:
                 raise PolytopeError(f"lattice must have exactly one face of dim {k}")
-
-    @classmethod
-    def from_vertex_sets(
-        cls, points: Sequence[QVector], vertex_sets: Iterable[Iterable[int]]
-    ) -> FaceLattice:
-        """Build a lattice from vertex-index sets, computing dims by affine rank."""
-        sets = {tuple(sorted(s)) for s in vertex_sets}
-        sets.add(())
-        faces = [Face(s, affine_rank([points[i] for i in s])) for s in sets]
-        dim = max(f.dim for f in faces)
-        return cls(dim, faces)
+        self._children: dict[tuple[int, ...], list[Face]] = {}
+        self._parents: dict[tuple[int, ...], list[Face]] = {}
+        for f in self.faces:
+            self._children[f.vertex_set] = []
+            self._parents[f.vertex_set] = []
+        for child_set, parent_set in covers:
+            child = self._by_set.get(child_set)
+            parent = self._by_set.get(parent_set)
+            if child is None or parent is None or child.dim + 1 != parent.dim:
+                raise PolytopeError(
+                    f"malformed cover {face_id(child_set)!r} < {face_id(parent_set)!r}"
+                )
+            self._children[parent_set].append(child)
+            self._parents[child_set].append(parent)
+        for group in (self._children, self._parents):
+            for related in group.values():
+                related.sort(key=lambda f: f.vertex_set)
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -217,33 +329,25 @@ class FaceLattice:
             )
         return face
 
-    def smallest_face_containing(self, a: Face, b: Face) -> Face:
-        """The inclusion-minimal face containing both vertex sets (lattice join)."""
-        union = set(a.vertex_set) | set(b.vertex_set)
-        candidates = [f for f in self.faces if union <= set(f.vertex_set)]
-        best = min(candidates, key=lambda f: (f.dim, len(f.vertex_set)))
-        for f in candidates:
-            if not f.contains(best):
-                raise PolytopeError("join is not unique; lattice is malformed")
-        return best
-
     @cached_property
     def covering_pairs(self) -> list[tuple[str, str]]:
-        """(child id, parent id) pairs with dim(parent) = dim(child) + 1."""
-        pairs = []
-        by_dim = {k: self.faces_of_dim(k) for k in range(-1, self.dim + 1)}
-        for k in range(-1, self.dim):
-            for child in by_dim[k]:
-                for parent in by_dim[k + 1]:
-                    if parent.contains(child):
-                        pairs.append((child.id, parent.id))
-        return pairs
+        """(child id, parent id) pairs with dim(parent) = dim(child) + 1,
+        ordered by child (dim, vertex set), then parent vertex set."""
+        return [(c.id, q.id) for c in self.faces for q in self._parents[c.vertex_set]]
+
+    def _related(self, group: dict[tuple[int, ...], list[Face]], face: Face) -> list[Face]:
+        try:
+            return list(group[face.vertex_set])
+        except KeyError:
+            raise PolytopeError(f"unknown face {face.id!r}") from None
 
     def parents(self, face: Face) -> list[Face]:
         """Faces of dimension dim+1 containing the given face."""
-        if face.dim >= self.dim:
-            return []
-        return [g for g in self.faces_of_dim(face.dim + 1) if g.contains(face)]
+        return self._related(self._parents, face)
+
+    def children(self, face: Face) -> list[Face]:
+        """Faces of dimension dim-1 contained in the given face."""
+        return self._related(self._children, face)
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,25 +365,42 @@ class FaceLattice:
         return total == 1 - (-1) ** self.dim
 
 
-def face_lattice(p: VPolytope) -> FaceLattice:
-    """Full face lattice: intersection closure of facet vertex sets.
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal members of a set of bitmasks."""
+    kept: list[int] = []
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if all(mask & k != mask for k in kept):
+            kept.append(mask)
+    return kept
 
-    Every proper face is the intersection of the facets containing it, so the
-    closure of the facet sets plus the full vertex set yields all faces.
+
+def face_lattice(p: VPolytope) -> FaceLattice:
+    """Full face lattice with its covers, top-down from the facet vertex sets.
+
+    The faces a face F covers are the inclusion-maximal sets among F & G over
+    the facets G not containing F (Kaibel & Pfetsch 2002), so one sweep down
+    from the polytope finds every face, its dimension (the level) and its
+    covers.
     """
-    facet_list = facets(p)
-    sets: set[tuple[int, ...]] = {tuple(range(p.n_vertices))}
-    sets.update(f.vertex_set for f, _ in facet_list)
-    while True:
-        fresh = set()
-        for a, b in combinations(sets, 2):
-            cut = tuple(sorted(set(a) & set(b)))
-            if cut not in sets:
-                fresh.add(cut)
-        if not fresh:
-            break
-        sets.update(fresh)
-    return FaceLattice.from_vertex_sets(p.vertices, sets)
+    facet_masks = [_mask(face.vertex_set) for face, _ in facets(p)]
+    top = (1 << p.n_vertices) - 1
+    dims = {top: p.dim}
+    covers: list[tuple[int, int]] = []
+    level = {top}
+    for dim in range(p.dim - 1, -2, -1):
+        below: set[int] = set()
+        for face in level:
+            for child in _maximal({face & g for g in facet_masks if face & ~g}):
+                covers.append((child, face))
+                below.add(child)
+        dims.update(dict.fromkeys(below, dim))
+        level = below
+    sets = {mask: _indices(mask) for mask in dims}
+    return FaceLattice(
+        p.dim,
+        [Face(sets[mask], dim) for mask, dim in dims.items()],
+        [(sets[child], sets[parent]) for child, parent in covers],
+    )
 
 
 def polar_dual(p: VPolytope) -> tuple[VPolytope, list[Face]]:

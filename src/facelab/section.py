@@ -116,10 +116,12 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
         slice_points.append(
             segment_hyperplane_intersection(p.vertices[a], p.vertices[b], h)
         )
-    edge_to_index = {e.vertex_set: i for i, e in enumerate(crossed)}
 
+    # Slice faces in bijection with the cut base faces, one dimension down;
+    # the crossed edges inside a cut face are its slice face's vertices.
     to_slice: dict[str, str] = {}
-    slice_sets: list[tuple[int, ...]] = []
+    cut: dict[Face, tuple[int, ...]] = {}
+    slice_faces = [Face((), -1)]
     for f in lattice.faces:
         if f.dim < 1:
             continue
@@ -129,9 +131,7 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
         ):
             continue
         cut_edges = tuple(
-            idx
-            for e, idx in edge_to_index.items()
-            if members.issuperset(e)
+            idx for idx, e in enumerate(crossed) if members.issuperset(e.vertex_set)
         )
         if not cut_edges:
             raise SectionError(
@@ -139,13 +139,20 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
                 "base lattice is inconsistent"
             )
         to_slice[f.id] = face_id(cut_edges)
-        slice_sets.append(tuple(sorted(cut_edges)))
+        cut[f] = cut_edges
+        slice_faces.append(Face(cut_edges, f.dim - 1))
 
-    if len(set(slice_sets)) != len(slice_sets):
+    if len(set(cut.values())) != len(cut):
         raise SectionError("two cut faces produced the same slice face; degenerate cut")
 
+    # A face containing a cut face is cut too, so the base covers among cut
+    # faces are all of the slice's covers above its vertices.
+    covers = [((), (i,)) for i in range(len(crossed))]
+    for f, slice_set in cut.items():
+        covers += [(slice_set, cut[parent]) for parent in lattice.parents(f)]
+
     slice_polytope = VPolytope.from_points(slice_points, validate=False)
-    slice_lattice = FaceLattice.from_vertex_sets(slice_points, slice_sets)
+    slice_lattice = FaceLattice(lattice.dim - 1, slice_faces, covers)
     to_base = {slice_id: base_id for base_id, slice_id in to_slice.items()}
     return SectionMap(
         base_polytope=p,

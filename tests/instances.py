@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 from facelab.generators import GeneratorSpec, generate
 from facelab.polytope import FaceLattice, VPolytope, face_lattice
+
+# The standard grid: all fixed families at desk scale.
+FAMILY_GRID = (
+    [("simplex", d, None) for d in (2, 3, 4)]
+    + [("cube", d, None) for d in (2, 3, 4)]
+    + [("cross", d, None) for d in (2, 3, 4)]
+    + [("cyclic", 3, 6), ("cyclic", 4, 7)]
+)
 
 
 @lru_cache(maxsize=None)
@@ -44,3 +53,16 @@ def random_cutting_plane(p: VPolytope, rng, max_tries: int = 500):
             continue
         return h
     raise RuntimeError("no cutting plane found; loosen the sampler")
+
+
+def section_battery():
+    """The 100 seeded (polytope, lattice, cutting plane) triples of acceptance
+    criterion 3: 60 random 3-polytopes and 40 random 4-polytopes."""
+    rng = random.Random(2026)
+    for trial in range(100):
+        if trial < 60:
+            d, n = 3, 6 + trial % 3
+        else:
+            d, n = 4, 6 + trial % 2
+        p = polytope("random", d, n=n, seed=trial)
+        yield p, lattice_of("random", d, n=n, seed=trial), random_cutting_plane(p, rng)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from facelab.geometry import QVector
+from facelab.geometry import Hyperplane, QVector, hyperplane_through
 from facelab.polytope import FaceLattice, VPolytope, face_lattice
 
 
@@ -123,6 +123,64 @@ def gale_evenness_facets(n: int, d: int) -> set[frozenset[int]]:
         if ok:
             out.add(frozenset(s))
     return out
+
+
+def brute_force_facets(p: VPolytope) -> list[tuple[tuple[int, ...], Hyperplane]]:
+    """(vertex set, hyperplane a.v <= c) per facet, sorted by vertex set.
+
+    Tries every d-subset of the points: an affinely independent one spans a
+    hyperplane, which supports a facet when no point lies strictly on each
+    side.  This was the library's own route before double description.
+    """
+    d = p.ambient_dim
+    found: dict[tuple[int, ...], Hyperplane] = {}
+    for subset in combinations(range(p.n_vertices), d):
+        h = hyperplane_through([p.vertices[i] for i in subset])
+        if h is None:
+            continue
+        sides = [h.side(v) for v in p.vertices]
+        if 1 in sides and -1 in sides:
+            continue
+        if 1 in sides:
+            h = h.flipped().canonical()
+            sides = [-s for s in sides]
+        found.setdefault(tuple(i for i, s in enumerate(sides) if s == 0), h)
+    return sorted(found.items())
+
+
+def closure_lattice(
+    p: VPolytope,
+) -> tuple[dict[tuple[int, ...], int], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Faces with their dims, and the covers, from pairwise facet intersections.
+
+    Closes the brute-force facet sets plus the full set under pairwise
+    intersection until nothing new appears, takes each dim as the affine rank
+    by minors, and lists the covers in (child dim, child set, parent set)
+    order by scanning every pair of adjacent levels.
+    """
+    sets = {frozenset(range(p.n_vertices))}
+    sets.update(frozenset(vs) for vs, _ in brute_force_facets(p))
+    while True:
+        fresh = {a & b for a, b in combinations(sets, 2)} - sets
+        if not fresh:
+            break
+        sets |= fresh
+    sets.add(frozenset())
+    dims = {
+        tuple(sorted(s)): affine_rank_oracle([p.vertices[i] for i in sorted(s)])
+        for s in sets
+    }
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for vs in sorted(dims):
+        by_dim.setdefault(dims[vs], []).append(vs)
+    covers = [
+        (child, parent)
+        for k in sorted(by_dim)[:-1]
+        for child in by_dim[k]
+        for parent in by_dim[k + 1]
+        if set(child) <= set(parent)
+    ]
+    return dims, covers
 
 
 def chart_lattice(points: list[QVector], normal: QVector) -> FaceLattice:

@@ -34,19 +34,11 @@ from facelab.ridgepath import (
     verify_ridge_path,
 )
 from facelab.section import section
-from instances import instance, lattice_of, polytope, random_cutting_plane
+from instances import FAMILY_GRID, instance, lattice_of, polytope, section_battery
 from oracles import (
     assert_section_isomorphism,
     bfs_ridge_path_oracle,
     hyperplane_conditions_oracle,
-)
-
-# the standard grid: all fixed families at desk scale
-FAMILY_GRID = (
-    [("simplex", d, None) for d in (2, 3, 4)]
-    + [("cube", d, None) for d in (2, 3, 4)]
-    + [("cross", d, None) for d in (2, 3, 4)]
-    + [("cyclic", 3, 6), ("cyclic", 4, 7)]
 )
 
 SIMPLE_FAMILIES = {"simplex", "cube"}
@@ -108,16 +100,8 @@ def test_criterion_2_cube_tightness(capsys):
 def test_criterion_3_section_battery(capsys):
     """100 random slices all pass the poset-isomorphism battery."""
     with criterion(capsys, 3, "section poset isomorphism, 100 random pairs"):
-        rng = random.Random(2026)
         checked = 0
-        for trial in range(100):
-            if trial < 60:
-                d, n = 3, 6 + trial % 3
-            else:
-                d, n = 4, 6 + trial % 2
-            p = polytope("random", d, n=n, seed=trial)
-            lat = lattice_of("random", d, n=n, seed=trial)
-            h = random_cutting_plane(p, rng)
+        for p, lat, h in section_battery():
             smap = section(p, lat, h)
             assert_section_isomorphism(p, lat, smap)
             checked += 1

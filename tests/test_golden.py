@@ -1,0 +1,101 @@
+"""Byte-for-byte CLI outputs against recorded golden files.
+
+Deterministic commands are the behaviour contract: their stdout must not
+change unless a change says so.  Each case runs `facelab.cli.main` with the
+working directory set to `tests/golden/`, so the file names echoed under
+`inputs` are the relative names stored there.
+
+To record the files with some version of facelab, run this module as a
+script with that version's sources first on the path:
+
+    PYTHONPATH=<checkout>/src python tests/test_golden.py
+
+It writes the input polytopes and one `<case>.out` file of stdout per case.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Input files: generator family arguments, or literal file text.
+INPUTS = {
+    "cube3.poly": ("cube", 3, None),
+    "cross4.poly": ("cross", 4, None),
+    "cyclic4_8.poly": ("cyclic", 4, 8),
+    # Point 2 is an edge midpoint and point 4 lies on the hypotenuse.
+    "nonvertex.poly": "polytope 2 5\n0 0\n2 0\n1 0\n0 2\n1 1\n",
+    # Collinear in 3-space: point 2 is the midpoint of the other two.
+    "flat_nonvertex.poly": "polytope 3 3\n0 0 0\n2 4 6\n1 2 3\n",
+}
+
+# Per polytope: section plane and a ridge-path query with |B| = k = 2.
+QUERIES = {
+    "cube3": ("1,0,0;1/2", "v0-v1-v4-v5,v2-v3-v6-v7", "v0-v1-v2-v3", "v4-v5-v6-v7"),
+    "cross4": ("1,1,1,1;1/2", "v0-v2-v5,v0-v2-v6", "v0-v2-v4", "v3-v5-v7"),
+    "cyclic4_8": ("1,0,0,0;9/2", "v0-v1-v3,v0-v1-v4", "v0-v1-v2", "v5-v6-v7"),
+}
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for stem, (plane, blocked, start, goal) in QUERIES.items():
+        f = f"{stem}.poly"
+        cases[f"{stem}.lattice"] = ["lattice", f]
+        cases[f"{stem}.hypergraph"] = ["hypergraph", f, "--k", "1"]
+        cases[f"{stem}.connectivity"] = ["connectivity", f, "--k", "1", "--witness"]
+        cases[f"{stem}.dual"] = ["dual", f]
+        cases[f"{stem}.section"] = ["section", f, "--plane", plane]
+        cases[f"{stem}.ridge_path"] = [
+            "ridge-path", f, "--k", "2", "--blocked", blocked,
+            "--from", start, "--to", goal, "--verify",
+        ]
+        cases[f"{stem}.verify_theorem"] = ["verify-theorem", f]
+    cases["nonvertex.lattice"] = ["lattice", "nonvertex.poly"]
+    cases["flat_nonvertex.lattice"] = ["lattice", "flat_nonvertex.poly"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _stdout(argv: list[str]) -> str:
+    from facelab.cli import main
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        main(argv)
+    return buffer.getvalue()
+
+
+def record() -> None:
+    from facelab.generators import GeneratorSpec, generate
+    from facelab.polytope import save_polytope
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, source in INPUTS.items():
+        if isinstance(source, str):
+            (GOLDEN / name).write_text(source, encoding="utf-8")
+        else:
+            family, dim, n = source
+            save_polytope(generate(GeneratorSpec(family, dim, n)), str(GOLDEN / name))
+    os.chdir(GOLDEN)
+    for case, argv in CASES.items():
+        (GOLDEN / f"{case}.out").write_text(_stdout(argv), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden(case, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert _stdout(CASES[case]) == expected
+
+
+if __name__ == "__main__":
+    record()

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from facelab import hypergraph
 from facelab.generators import random_polytope
 from facelab.hypergraph import (
     FaceHypergraph,
@@ -179,6 +180,31 @@ class TestStrongConnectivity:
         assert len(_chunks(subsets, 40)) == 32
         assert len(_chunks(subsets, 1_000_000)) == 64
         assert [x for chunk in _chunks(subsets, 3) for x in chunk] == subsets
+
+    def test_explicit_worker_count_is_clamped(self, monkeypatch):
+        # The pool is replaced by an in-process stand-in that records its size.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+        monkeypatch.setattr(hypergraph, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 3)
+        hg = build_hypergraph(lattice_of("cube", 4), 1)
+        clamped = strong_connectivity(hg, cap=3, workers=100_000)
+        assert sizes and all(size == 3 for size in sizes)
+        sequential = strong_connectivity(hg, cap=3, workers=1)
+        assert clamped.to_json_dict() == sequential.to_json_dict()
 
 
 class TestIsolatingSet:

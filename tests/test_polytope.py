@@ -1,12 +1,17 @@
 """Face lattice construction, polar duality, and the text file format."""
 
+import json
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from facelab.cli import run
 from facelab.generators import cross_polytope, cube, cyclic, random_polytope, simplex
-from facelab.geometry import QVector
+from facelab.geometry import QVector, affine_rank, barycenter
 from facelab.polytope import (
     EMPTY_FACE_ID,
     Face,
@@ -22,9 +27,15 @@ from facelab.polytope import (
     parse_face_id,
     parse_polytope,
     polar_dual,
+    save_polytope,
 )
-from instances import instance, lattice_of
-from oracles import gale_evenness_facets
+from instances import FAMILY_GRID, instance, lattice_of, polytope
+from oracles import (
+    brute_force_facets,
+    closure_lattice,
+    gale_evenness_facets,
+    hull_membership_oracle,
+)
 
 F = Fraction
 Q = QVector.of
@@ -137,15 +148,6 @@ class TestFaceLattice:
         opposite = lat.face("v4-v5-v6-v7")
         assert lat.meet(a, opposite).id == EMPTY_FACE_ID
 
-    def test_smallest_face_containing(self):
-        lat = lattice_of("cube", 3)
-        v0, v1 = lat.face("v0"), lat.face("v1")
-        assert lat.smallest_face_containing(v0, v1).id == "v0-v1"
-        v3 = lat.face("v3")
-        assert lat.smallest_face_containing(v0, v3).id == "v0-v1-v2-v3"
-        v7 = lat.face("v7")
-        assert lat.smallest_face_containing(v0, v7).dim == 3
-
     def test_covering_pairs_cube3(self):
         lat = lattice_of("cube", 3)
         pairs = lat.covering_pairs
@@ -185,7 +187,186 @@ class TestFaceLattice:
     def test_duplicate_ids_rejected(self):
         v = Face((0,), 0)
         with pytest.raises(PolytopeError):
-            FaceLattice(1, [Face((), -1), v, v, Face((0, 1), 1)])
+            FaceLattice(1, [Face((), -1), v, v, Face((0, 1), 1)], [])
+
+    def test_malformed_cover_rejected(self):
+        faces = [Face((), -1), Face((0,), 0), Face((1,), 0), Face((0, 1), 1)]
+        for cover in [((), (0, 1)), ((0,), (2,))]:
+            with pytest.raises(PolytopeError):
+                FaceLattice(1, faces, [cover])
+
+
+def assert_matches_brute_force(p: VPolytope) -> None:
+    """Facets with hyperplanes, faces with dims, and covers in order."""
+    found = facets(p)
+    assert [(f.vertex_set, h) for f, h in found] == brute_force_facets(p)
+    assert all(f.dim == p.dim - 1 for f, _ in found)
+    lat = face_lattice(p)
+    dims, covers = closure_lattice(p)
+    assert {f.vertex_set: f.dim for f in lat.faces} == dims
+    assert lat.covering_pairs == [(face_id(c), face_id(q)) for c, q in covers]
+
+
+coords = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def full_dimensional_points(draw) -> list[QVector]:
+    """Integer point sets in d = 2..5 with up to d+7 points, some of them not
+    vertices: free points in a small box, pyramids and prisms over such a
+    base, or 0/1 points, which in d = 5 often need the full adjacency test
+    (a zero-set count alone would admit non-adjacent ray pairs)."""
+    shape = draw(st.sampled_from(["points", "pyramid", "prism", "zero_one"]))
+    d = 5 if shape == "zero_one" else draw(st.integers(min_value=2, max_value=5))
+    base_dim = d if shape in ("points", "zero_one") else d - 1
+    most = {"points": d + 7, "zero_one": d + 7, "pyramid": d + 6, "prism": (d + 7) // 2}
+    entries = st.integers(min_value=0, max_value=1) if shape == "zero_one" else coords
+    base = draw(
+        st.lists(
+            st.tuples(*[entries] * base_dim),
+            min_size=base_dim + 1,
+            max_size=most[shape],
+            unique=True,
+        )
+    )
+    points = [Q(b) for b in base]
+    assume(affine_rank(points) == base_dim)
+    height = draw(st.integers(min_value=1, max_value=3))
+    if shape == "pyramid":
+        apex = draw(st.tuples(*[coords] * base_dim))
+        points = [Q(list(b) + [0]) for b in base] + [Q(list(apex) + [height])]
+    elif shape == "prism":
+        points = [Q(list(b) + [h]) for h in (0, height) for b in base]
+    return points
+
+
+@st.composite
+def candidate_vertex_sets(draw) -> list[QVector]:
+    """Distinct points in d = 1..3 whose hull may be lower-dimensional, mixed
+    with edge or diagonal midpoints and barycenters, in shuffled order."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=d))
+    base = draw(st.lists(st.tuples(*[coords] * m), min_size=1, max_size=6, unique=True))
+    points = [Q(b) for b in base]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(base) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(base) - 1))
+        points.append((points[i] + points[j]).scaled(F(1, 2)))
+    if draw(st.booleans()):
+        points.append(barycenter(points[: draw(st.integers(1, len(points)))]))
+    # Embed the m-dimensional set affinely into R^d.
+    rows = [
+        draw(st.lists(coords, min_size=m + 1, max_size=m + 1)) for _ in range(d - m)
+    ]
+    embedded = [
+        Q(list(v.coords) + [sum((c * x for c, x in zip(r, v.coords)), F(r[-1])) for r in rows])
+        for v in points
+    ]
+    shuffled = draw(st.permutations(embedded))
+    return list(dict.fromkeys(shuffled))
+
+
+class TestAgainstBruteForce:
+    """Double-description facets and the top-down lattice against the C(n,d)
+    scan and the pairwise-closure lattice."""
+
+    @pytest.mark.parametrize(
+        "family,dim,n,seed",
+        [(f, d, n, None) for f, d, n in FAMILY_GRID]
+        + [
+            ("pyramid", 3, None, None), ("pyramid", 4, None, None),
+            ("prism", 3, None, None), ("prism", 4, None, None),
+            ("cross", 5, None, None), ("cyclic", 4, 8, None), ("cyclic", 5, 8, None),
+            ("random", 3, 7, 0), ("random", 4, 8, 1),
+        ],
+    )
+    def test_grid(self, family, dim, n, seed):
+        assert_matches_brute_force(polytope(family, dim, n, seed))
+
+    @given(full_dimensional_points())
+    @settings(max_examples=50, deadline=None)
+    def test_drawn_point_sets(self, points):
+        assert_matches_brute_force(VPolytope.from_points(points, validate=False))
+
+    @given(candidate_vertex_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_vertex_check_matches_hull_membership(self, points):
+        inside = [
+            i for i, v in enumerate(points)
+            if hull_membership_oracle(points[:i] + points[i + 1 :], v)
+        ]
+        if not inside:
+            assert VPolytope.from_points(points).n_vertices == len(points)
+            return
+        message = f"input point {inside[0]} is not a vertex (inside the hull of the rest)"
+        with pytest.raises(PolytopeError) as caught:
+            VPolytope.from_points(points)
+        assert str(caught.value) == message
+
+
+def assert_diamond(lat: FaceLattice) -> None:
+    """Every interval of length two holds exactly two faces strictly inside."""
+    for f in lat.faces:
+        above = Counter(h.vertex_set for g in lat.parents(f) for h in lat.parents(g))
+        assert set(above.values()) <= {2}, f.id
+
+
+LARGE = [
+    ("cube", 5, None), ("cube", 6, None), ("cross", 6, None), ("cyclic", 5, 12), ("cyclic", 6, 10),
+]
+
+
+class TestLargeLattices:
+    """Sizes that the C(n,d) facet scan could not reach in a test run."""
+
+    @pytest.mark.parametrize(
+        "dim,f_vector",
+        [(5, [32, 80, 80, 40, 10]), (6, [64, 192, 240, 160, 60, 12])],
+    )
+    def test_cube_lattice_command(self, tmp_path, dim, f_vector):
+        path = str(tmp_path / f"cube{dim}.poly")
+        save_polytope(cube(dim), path)
+        doc = json.loads(run(["lattice", path]).render())
+        assert doc["output"]["f_vector"] == f_vector
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_cube_facets_closed_form(self, d):
+        # x_j >= 0 holds with equality on the vertices whose bit j is 0.
+        expected = []
+        for j in range(d):
+            for value, sign in ((0, -1), (1, 1)):
+                on = tuple(i for i in range(2**d) if (i >> (d - 1 - j)) & 1 == value)
+                normal = tuple(F(sign if c == j else 0) for c in range(d))
+                expected.append((on, normal, F(value)))
+        found = [(f.vertex_set, h.normal.coords, h.offset) for f, h in facets(cube(d))]
+        assert found == sorted(expected)
+
+    def test_cross6_facets_closed_form(self):
+        # One facet per sign vector s: s.x <= 1, through the vertices s_j e_j.
+        expected = sorted(
+            (
+                tuple(2 * j + (s[j] < 0) for j in range(6)),
+                tuple(F(x) for x in s),
+                F(1),
+            )
+            for s in product((1, -1), repeat=6)
+        )
+        found = [(f.vertex_set, h.normal.coords, h.offset) for f, h in facets(cross_polytope(6))]
+        assert found == expected
+
+    def test_cross6_f_vector(self):
+        assert lattice_of("cross", 6).f_vector == (12, 60, 160, 240, 192, 64)
+
+    @pytest.mark.parametrize("d,n", [(5, 12), (6, 10)])
+    def test_cyclic_facets_match_evenness(self, d, n):
+        found = {frozenset(f.vertex_set) for f, _ in facets(polytope("cyclic", d, n))}
+        assert found == gale_evenness_facets(n, d)
+
+    @pytest.mark.parametrize("family,dim,n", LARGE)
+    def test_euler_and_diamond(self, family, dim, n):
+        lat = lattice_of(family, dim, n)
+        assert lat.euler_characteristic_holds()
+        assert_diamond(lat)
 
 
 class TestPolarDual:

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from facelab.generators import cube, random_polytope, simplex
-from facelab.geometry import Hyperplane, QVector
+from facelab.geometry import Hyperplane, QVector, affine_rank
 from facelab.polytope import face_lattice
 from facelab.section import SectionError, cuts_face, parse_hyperplane, section
-from instances import instance, random_cutting_plane
+from instances import instance, random_cutting_plane, section_battery
 from oracles import assert_section_isomorphism
 
 F = Fraction
@@ -109,6 +109,15 @@ class TestSection:
             for _ in range(3):
                 h = random_cutting_plane(p, rng)
                 assert_section_isomorphism(p, lat, section(p, lat, h))
+
+    def test_slice_dims_equal_affine_rank(self):
+        # The slice lattice takes each dim from its base face; check it
+        # against the affine rank of the slice points.
+        for p, lat, h in section_battery():
+            smap = section(p, lat, h)
+            points = smap.slice_polytope.vertices
+            for f in smap.slice_lattice.faces:
+                assert f.dim == affine_rank([points[i] for i in f.vertex_set]), f.id
 
     def test_section_of_a_section(self):
         p, lat = instance("cube", 4)
