@@ -1,133 +1,22 @@
-"""Exact polytope face lattices, face-hypergraph connectivity, ridge paths."""
+"""Exact polytope face lattices, face-hypergraph connectivity, ridge paths.
 
-from .geometry import (
-    GeometryError,
-    Hyperplane,
-    QVector,
-    affine_rank,
-    barycenter,
-    convex_combination,
-    format_rational,
-    hyperplane_through,
-    parse_rational,
-    point_in_hull,
-    segment_hyperplane_intersection,
-)
-from .generators import (
-    FAMILIES,
-    GeneratorError,
-    GeneratorSpec,
-    cross_polytope,
-    cube,
-    cyclic,
-    generate,
-    prism,
-    prism_over,
-    pyramid,
-    pyramid_over,
-    random_polytope,
-    simplex,
-)
-from .hypergraph import (
-    ConnectivityReport,
-    DisconnectionWitness,
-    FaceHypergraph,
-    HypergraphError,
-    build_hypergraph,
-    check_duality_equivalence,
-    find_isolating_set,
-    is_connected_after_removal,
-    strong_connectivity,
-)
-from .polytope import (
-    EMPTY_FACE_ID,
-    Face,
-    FaceLattice,
-    PolytopeError,
-    VPolytope,
-    face_id,
-    face_lattice,
-    facets,
-    format_polytope,
-    lattice_anti_isomorphic,
-    load_polytope,
-    parse_face_id,
-    parse_polytope,
-    polar_dual,
-    save_polytope,
-)
-from .ridgepath import (
-    BlockedSet,
-    RidgePath,
-    RidgePathError,
-    RidgePathResult,
-    search_cutting_hyperplane,
-    solve_ridge_path,
-    verify_ridge_path,
-)
-from .section import SectionError, SectionMap, cuts_face, parse_hyperplane, section
+The package root re-exports the names the README's library example uses;
+everything else is imported from its module.
+"""
+
+from .generators import GeneratorSpec, generate
+from .hypergraph import build_hypergraph, strong_connectivity
+from .polytope import face_lattice
+from .ridgepath import BlockedSet, solve_ridge_path
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockedSet",
-    "ConnectivityReport",
-    "DisconnectionWitness",
-    "EMPTY_FACE_ID",
-    "FAMILIES",
-    "Face",
-    "FaceHypergraph",
-    "FaceLattice",
-    "GeneratorError",
     "GeneratorSpec",
-    "GeometryError",
-    "Hyperplane",
-    "HypergraphError",
-    "PolytopeError",
-    "QVector",
-    "RidgePath",
-    "RidgePathError",
-    "RidgePathResult",
-    "SectionError",
-    "SectionMap",
-    "VPolytope",
-    "affine_rank",
-    "barycenter",
     "build_hypergraph",
-    "check_duality_equivalence",
-    "convex_combination",
-    "cross_polytope",
-    "cube",
-    "cuts_face",
-    "cyclic",
-    "face_id",
     "face_lattice",
-    "facets",
-    "find_isolating_set",
-    "format_polytope",
-    "format_rational",
     "generate",
-    "hyperplane_through",
-    "is_connected_after_removal",
-    "lattice_anti_isomorphic",
-    "load_polytope",
-    "parse_face_id",
-    "parse_hyperplane",
-    "parse_polytope",
-    "parse_rational",
-    "point_in_hull",
-    "polar_dual",
-    "prism",
-    "prism_over",
-    "pyramid",
-    "pyramid_over",
-    "random_polytope",
-    "save_polytope",
-    "search_cutting_hyperplane",
-    "section",
-    "segment_hyperplane_intersection",
-    "simplex",
     "solve_ridge_path",
     "strong_connectivity",
-    "verify_ridge_path",
 ]

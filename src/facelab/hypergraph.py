@@ -13,6 +13,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .polytope import (
@@ -20,7 +21,8 @@ from .polytope import (
     VPolytope,
     dual_face_map,
     face_lattice,
-    parse_face_id,
+    indices_of,
+    mask_of,
     polar_dual,
 )
 
@@ -31,7 +33,8 @@ class HypergraphError(ValueError):
 
 @dataclass(frozen=True)
 class FaceHypergraph:
-    """Nodes are k-face ids; each hyperedge is a (k+1)-face with its node set."""
+    """Nodes are k-face ids in lattice order; each hyperedge is a (k+1)-face
+    with its node set."""
 
     k: int
     nodes: tuple[str, ...]
@@ -76,96 +79,66 @@ def build_hypergraph(lattice: FaceLattice, k: int) -> FaceHypergraph:
     """H_k of the lattice; at k = d-1 the single hyperedge is the full face."""
     if k < 0 or k > lattice.dim - 1:
         raise HypergraphError(f"k={k} out of range [0, {lattice.dim - 1}]")
-    nodes = tuple(f.id for f in lattice.faces_of_dim(k))
+    ids = {f.mask: f.id for f in lattice.faces_of_dim(k)}
     hyperedges = tuple(
-        (e.id, frozenset(c.id for c in lattice.children(e)))
+        (e.id, frozenset(ids[c.mask] for c in lattice.children(e)))
         for e in lattice.faces_of_dim(k + 1)
     )
-    return FaceHypergraph(k, nodes, hyperedges)
+    return FaceHypergraph(k, tuple(ids.values()), hyperedges)
 
 
-def _survivors_connected(
-    n_nodes: int, edge_members: Sequence[frozenset[int]], removed: frozenset[int]
-) -> bool:
-    survivors = [i for i in range(n_nodes) if i not in removed]
-    if len(survivors) <= 1:
-        return True
-    live_edges = [m for m in edge_members if not (m & removed)]
-    incident: dict[int, list[int]] = {i: [] for i in survivors}
-    for idx, members in enumerate(live_edges):
-        for node in members:
-            incident[node].append(idx)
-    seen_nodes = {survivors[0]}
-    seen_edges: set[int] = set()
-    stack = [survivors[0]]
-    while stack:
-        node = stack.pop()
-        for idx in incident[node]:
-            if idx in seen_edges:
-                continue
-            seen_edges.add(idx)
-            for other in live_edges[idx]:
-                if other not in seen_nodes:
-                    seen_nodes.add(other)
-                    stack.append(other)
-    return len(seen_nodes) == len(survivors)
+def _components(n_nodes: int, edge_masks: Sequence[int], removed: int) -> list[int]:
+    """Node masks of the survivors' components, in order of their lowest node.
 
-
-def _components(
-    n_nodes: int, edge_members: Sequence[frozenset[int]], removed: frozenset[int]
-) -> list[list[int]]:
-    survivors = [i for i in range(n_nodes) if i not in removed]
-    live_edges = [m for m in edge_members if not (m & removed)]
-    incident: dict[int, list[int]] = {i: [] for i in survivors}
-    for idx, members in enumerate(live_edges):
-        for node in members:
-            incident[node].append(idx)
+    A component grows from its lowest unseen node by absorbing every live
+    hyperedge (one missing the removed nodes) that touches it, until a pass
+    over the remaining hyperedges absorbs nothing new.  Passes alternate
+    direction, so a chain of hyperedges is absorbed in one or two passes
+    whichever way it runs.
+    """
+    live = [m for m in edge_masks if not m & removed]
+    unseen = ((1 << n_nodes) - 1) & ~removed
     out = []
-    unseen = set(survivors)
-    for start in survivors:
-        if start not in unseen:
-            continue
-        comp = {start}
-        unseen.discard(start)
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for idx in incident[node]:
-                for other in live_edges[idx]:
-                    if other in unseen:
-                        unseen.discard(other)
-                        comp.add(other)
-                        stack.append(other)
-        out.append(sorted(comp))
+    while unseen:
+        comp = unseen & -unseen
+        grown = None
+        while grown != comp:
+            grown = comp
+            rest = []
+            for m in live:
+                if m & comp:
+                    comp |= m
+                else:
+                    rest.append(m)
+            live = rest[::-1]
+        out.append(comp)
+        unseen &= ~comp
     return out
 
 
-def _encode(hg: FaceHypergraph) -> tuple[dict[str, int], list[frozenset[int]]]:
+def _encode(hg: FaceHypergraph) -> tuple[dict[str, int], list[int]]:
+    """Node indices by id, and each hyperedge as a mask over node indices."""
     index = {n: i for i, n in enumerate(hg.nodes)}
-    edge_members = [
-        frozenset(index[n] for n in members) for _, members in hg.hyperedges
-    ]
-    return index, edge_members
+    edge_masks = [mask_of(index[n] for n in members) for _, members in hg.hyperedges]
+    return index, edge_masks
 
 
 def is_connected_after_removal(hg: FaceHypergraph, removed: Iterable[str]) -> bool:
     """Connectivity of survivors after deleting nodes and their hyperedges."""
     removed_ids = list(removed)
-    index, edge_members = _encode(hg)
+    index, edge_masks = _encode(hg)
     for r in removed_ids:
         if r not in index:
             raise HypergraphError(f"unknown node id {r!r}")
-    removed_set = frozenset(index[r] for r in removed_ids)
-    return _survivors_connected(hg.n_nodes, edge_members, removed_set)
+    removed_mask = mask_of(index[r] for r in removed_ids)
+    return len(_components(hg.n_nodes, edge_masks, removed_mask)) <= 1
 
 
 def _scan_chunk(
-    n_nodes: int,
-    edge_members: list[frozenset[int]],
-    subsets: list[tuple[int, ...]],
+    n_nodes: int, edge_masks: list[int], subsets: Iterable[tuple[int, ...]]
 ) -> tuple[int, ...] | None:
     for subset in subsets:
-        if not _survivors_connected(n_nodes, edge_members, frozenset(subset)):
+        if len(_components(n_nodes, edge_masks, mask_of(subset))) > 1:
             return subset
     return None
 
@@ -187,18 +160,16 @@ def _chunks(subsets: list, workers: int) -> list[list]:
 
 
 def _first_disconnecting_subset(
-    n_nodes: int,
-    edge_members: list[frozenset[int]],
-    size: int,
-    workers: int,
+    n_nodes: int, edge_masks: list[int], size: int, workers: int
 ) -> tuple[int, ...] | None:
-    subsets = list(combinations(range(n_nodes), size))
-    if workers <= 1 or len(subsets) < 64:
-        return _scan_chunk(n_nodes, edge_members, subsets)
-    chunks = _chunks(subsets, workers)
+    subsets = combinations(range(n_nodes), size)
+    if workers <= 1 or comb(n_nodes, size) < 64:
+        # Lazily, so a sequential scan never holds the subset list.
+        return _scan_chunk(n_nodes, edge_masks, subsets)
+    chunks = _chunks(list(subsets), workers)
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         results = list(
-            pool.map(_scan_chunk, [n_nodes] * len(chunks), [edge_members] * len(chunks), chunks)
+            pool.map(_scan_chunk, [n_nodes] * len(chunks), [edge_masks] * len(chunks), chunks)
         )
     # Chunks are contiguous slices in canonical order, so the first hit
     # across them is the globally first witness.
@@ -223,25 +194,24 @@ def strong_connectivity(
     if workers is None:
         workers = default_workers()
     workers = min(workers, os.cpu_count() or 1)
-    _, edge_members = _encode(hg)
+    _, edge_masks = _encode(hg)
     n = hg.n_nodes
     for size in range(0, min(cap, n + 1)):
-        hit = _first_disconnecting_subset(n, edge_members, size, workers)
+        hit = _first_disconnecting_subset(n, edge_masks, size, workers)
         if hit is None:
             continue
-        removed = frozenset(hit)
-        comps = _components(n, edge_members, removed)
-        first = min(comps, key=lambda c: c[0])
-        rest = sorted(i for comp in comps for i in comp if i not in set(first))
+        removed = mask_of(hit)
+        first = _components(n, edge_masks, removed)[0]
+        rest = ((1 << n) - 1) & ~removed & ~first
+
+        def ids(mask: int) -> tuple[str, ...]:
+            return tuple(hg.nodes[i] for i in indices_of(mask))
+
         return ConnectivityReport(
             k=hg.k,
             alpha=size,
             capped=False,
-            witness=DisconnectionWitness(
-                removed=tuple(hg.nodes[i] for i in hit),
-                component_a=tuple(hg.nodes[i] for i in first),
-                component_b=tuple(hg.nodes[i] for i in rest),
-            ),
+            witness=DisconnectionWitness(ids(removed), ids(first), ids(rest)),
         )
     return ConnectivityReport(k=hg.k, alpha=cap, capped=True, witness=None)
 
@@ -249,29 +219,25 @@ def strong_connectivity(
 def find_isolating_set(hg: FaceHypergraph, node: str) -> tuple[str, ...] | None:
     """Greedy picks, one per hyperedge containing the node, that isolate it.
 
-    Returns the picked set when removing it leaves the node with no surviving
-    incident hyperedge while at least one other node survives; None otherwise.
+    Each hyperedge through the node not yet hit contributes its first other
+    node.  Returns the picked set when removing it leaves the node with no
+    surviving incident hyperedge while at least one other node survives;
+    None otherwise.
     """
-    if node not in hg.nodes:
+    index, edge_masks = _encode(hg)
+    if node not in index:
         raise HypergraphError(f"unknown node id {node!r}")
-    picks: set[str] = set()
-    for _, members in hg.hyperedges:
-        if node not in members:
-            continue
-        others = members - {node}
-        if not others:
-            continue
-        if picks & others:
-            continue
-        picks.add(min(others, key=parse_face_id))
-    if not picks:
+    bit = 1 << index[node]
+    picks = 0
+    for m in edge_masks:
+        others = m & ~bit
+        if m & bit and others and not picks & others:
+            picks |= others & -others
+    if not picks or picks.bit_count() >= hg.n_nodes - 1:
         return None
-    if len(picks) >= hg.n_nodes - 1:
+    if any(m & bit and m != bit and not m & picks for m in edge_masks):
         return None
-    for _, members in hg.hyperedges:
-        if node in members and len(members) > 1 and not (picks & members):
-            return None
-    return tuple(sorted(picks, key=parse_face_id))
+    return tuple(hg.nodes[i] for i in indices_of(picks))
 
 
 def check_duality_equivalence(
@@ -294,7 +260,6 @@ def check_duality_equivalence(
     d = lattice.dim
     if k < 0 or k > d - 1:
         raise HypergraphError(f"k={k} out of range [0, {d - 1}]")
-    hg = build_hypergraph(lattice, k)
     if dual_data is None:
         dual, facet_faces = polar_dual(p)
         dual_lattice = face_lattice(dual)
@@ -302,10 +267,8 @@ def check_duality_equivalence(
         facet_faces, dual_lattice = dual_data
     delta = dual_face_map(facet_faces)
 
-    def image_of(dim: int) -> dict[str, tuple[int, ...]] | None:
-        images = {}
-        for f in lattice.faces_of_dim(dim):
-            images[f.id] = delta(f)
+    def image_of(dim: int) -> dict[int, int] | None:
+        images = {f.mask: mask_of(delta(f)) for f in lattice.faces_of_dim(dim)}
         if len(set(images.values())) != len(images):
             return None
         return images
@@ -314,17 +277,17 @@ def check_duality_equivalence(
     edge_images = image_of(k + 1)
     if node_images is None or edge_images is None:
         return False
-    skeleton_max = {f.vertex_set for f in dual_lattice.faces_of_dim(d - k - 1)}
-    skeleton_ridges = {f.vertex_set for f in dual_lattice.faces_of_dim(d - k - 2)}
+    skeleton_max = {f.mask for f in dual_lattice.faces_of_dim(d - k - 1)}
+    skeleton_ridges = {f.mask for f in dual_lattice.faces_of_dim(d - k - 2)}
     if set(node_images.values()) != skeleton_max:
         return False
     if set(edge_images.values()) != skeleton_ridges:
         return False
-    for eid, members in hg.hyperedges:
-        e_img = set(edge_images[eid])
-        for n in hg.nodes:
-            forward = n in members
-            reversed_containment = e_img <= set(node_images[n])
-            if forward != reversed_containment:
+    # H_k's hyperedge e holds exactly the k-faces that e covers.
+    for e in lattice.faces_of_dim(k + 1):
+        members = {c.mask for c in lattice.children(e)}
+        e_img = edge_images[e.mask]
+        for n, n_img in node_images.items():
+            if (n in members) != (e_img & ~n_img == 0):
                 return False
     return True

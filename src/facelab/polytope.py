@@ -1,9 +1,11 @@
 """V-representation polytopes, facet enumeration, face lattices, polar duality.
 
-Faces are identified combinatorially by the set of polytope vertices lying on
-them.  Facets come from one exact double-description pass over integer rows;
-the face lattice and its cover relation are built top-down from the facet
-vertex sets alone.  All geometry is exact.
+A face is the bitmask of the polytope vertices lying on it, plus its
+dimension; containment and intersection are mask operations, and face ids
+('v0-v2-v5') are parsed and printed only at the edges.  Facets come from one
+exact double-description pass over integer rows; the face lattice and its
+cover relation are built top-down from the facet vertex sets alone.  All
+geometry is exact.
 """
 
 from __future__ import annotations
@@ -58,39 +60,41 @@ def parse_face_id(text: str) -> tuple[int, ...]:
     return indices
 
 
-@dataclass(frozen=True)
-class Face:
-    """A face of a polytope, identified by the vertices lying on it."""
-
-    vertex_set: tuple[int, ...]
-    dim: int
-
-    def __post_init__(self) -> None:
-        if list(self.vertex_set) != sorted(set(self.vertex_set)):
-            raise PolytopeError("face vertex_set must be sorted and duplicate-free")
-
-    @property
-    def id(self) -> str:
-        return face_id(self.vertex_set)
-
-    def contains(self, other: Face) -> bool:
-        return set(other.vertex_set) <= set(self.vertex_set)
-
-
-def _mask(indices: Iterable[int]) -> int:
+def mask_of(indices: Iterable[int]) -> int:
+    """The bitmask with bit i set for each index i."""
     out = 0
     for i in indices:
         out |= 1 << i
     return out
 
 
-def _indices(mask: int) -> tuple[int, ...]:
+def indices_of(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+@dataclass(frozen=True, slots=True)
+class Face:
+    """A face of a polytope: the bitmask of the vertices on it, and its dimension."""
+
+    mask: int
+    dim: int
+
+    @property
+    def vertex_set(self) -> tuple[int, ...]:
+        return indices_of(self.mask)
+
+    @property
+    def id(self) -> str:
+        return face_id(self.vertex_set)
+
+    def contains(self, other: Face) -> bool:
+        return other.mask & ~self.mask == 0
 
 
 def _primitive(vector: Sequence[int]) -> tuple[int, ...]:
@@ -130,7 +134,7 @@ def _double_description(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...
     """
     chosen, rays = _initial_cone(rows)
     size = len(rows[0])
-    masks = [_mask(i for i in chosen if i != j) for j in chosen]
+    masks = [mask_of(i for i in chosen if i != j) for j in chosen]
     skip = set(chosen)
     for i, row in enumerate(rows):
         if i in skip:
@@ -237,7 +241,7 @@ def facets(p: VPolytope) -> list[tuple[Face, Hyperplane]]:
     out = []
     for mask, ray in p._facet_rays:
         h = Hyperplane(QVector.of(-x for x in ray[1:]), Fraction(ray[0])).canonical()
-        out.append((Face(_indices(mask), d - 1), h))
+        out.append((Face(mask, d - 1), h))
     out.sort(key=lambda pair: pair[0].vertex_set)
     return out
 
@@ -246,56 +250,63 @@ class FaceLattice:
     """The graded lattice of all faces, from the empty face up to the polytope.
 
     Built from the faces with their dimensions and the cover relation, given
-    as (child vertex set, parent vertex set) pairs.
+    as (child mask, parent mask) pairs.  Faces are ordered by dimension, then
+    by vertex set.
     """
 
     def __init__(
-        self,
-        dim: int,
-        faces: Sequence[Face],
-        covers: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
+        self, dim: int, faces: Sequence[Face], covers: Iterable[tuple[int, int]]
     ):
         self.dim = dim
         self.faces = tuple(sorted(faces, key=lambda f: (f.dim, f.vertex_set)))
-        self._by_id = {f.id: f for f in self.faces}
-        self._by_set = {f.vertex_set: f for f in self.faces}
-        if len(self._by_id) != len(self.faces):
+        self._by_mask = {f.mask: f for f in self.faces}
+        if len(self._by_mask) != len(self.faces):
             raise PolytopeError("duplicate faces in lattice")
         for k in (-1, dim):
             if len(self.faces_of_dim(k)) != 1:
                 raise PolytopeError(f"lattice must have exactly one face of dim {k}")
-        self._children: dict[tuple[int, ...], list[Face]] = {}
-        self._parents: dict[tuple[int, ...], list[Face]] = {}
-        for f in self.faces:
-            self._children[f.vertex_set] = []
-            self._parents[f.vertex_set] = []
-        for child_set, parent_set in covers:
-            child = self._by_set.get(child_set)
-            parent = self._by_set.get(parent_set)
+        self.n_vertices = self.full_face.mask.bit_length()
+        self._children: dict[int, list[Face]] = {f.mask: [] for f in self.faces}
+        self._parents: dict[int, list[Face]] = {f.mask: [] for f in self.faces}
+        for child_mask, parent_mask in covers:
+            child = self._by_mask.get(child_mask)
+            parent = self._by_mask.get(parent_mask)
             if child is None or parent is None or child.dim + 1 != parent.dim:
                 raise PolytopeError(
-                    f"malformed cover {face_id(child_set)!r} < {face_id(parent_set)!r}"
+                    f"malformed cover {face_id(indices_of(child_mask))!r} < "
+                    f"{face_id(indices_of(parent_mask))!r}"
                 )
-            self._children[parent_set].append(child)
-            self._parents[child_set].append(parent)
+            self._children[parent_mask].append(child)
+            self._parents[child_mask].append(parent)
+        rank = {f.mask: i for i, f in enumerate(self.faces)}
         for group in (self._children, self._parents):
             for related in group.values():
-                related.sort(key=lambda f: f.vertex_set)
+                related.sort(key=lambda f: rank[f.mask])
 
     def __len__(self) -> int:
         return len(self.faces)
 
     def face(self, fid: str) -> Face:
-        try:
-            return self._by_id[fid]
-        except KeyError:
-            raise PolytopeError(f"unknown face id {fid!r}") from None
+        """The face with the given canonical id.
 
-    def has_face(self, fid: str) -> bool:
-        return fid in self._by_id
+        Indices are bounded by the vertex count before any mask is built, and
+        an id that names a face in any but its canonical spelling is unknown.
+        """
+        tokens = [] if fid == EMPTY_FACE_ID else str(fid).split("-")
+        width = len(str(self.n_vertices))
+        if all(t[:1] == "v" and t[1:].isdecimal() and len(t) <= width + 1 for t in tokens):
+            indices = [int(t[1:]) for t in tokens]
+            if all(i < self.n_vertices for i in indices):
+                face = self._by_mask.get(mask_of(indices))
+                if face is not None and face.id == fid:
+                    return face
+        raise PolytopeError(f"unknown face id {fid!r}")
+
+    def face_of_mask(self, mask: int) -> Face | None:
+        return self._by_mask.get(mask)
 
     def face_of_set(self, vertex_set: Iterable[int]) -> Face | None:
-        return self._by_set.get(tuple(sorted(vertex_set)))
+        return self._by_mask.get(mask_of(vertex_set))
 
     def faces_of_dim(self, k: int) -> list[Face]:
         if k < -1 or k > self.dim:
@@ -320,12 +331,12 @@ class FaceLattice:
 
     def meet(self, a: Face, b: Face) -> Face:
         """The face whose vertex set is the intersection of a's and b's."""
-        common = set(a.vertex_set) & set(b.vertex_set)
-        face = self.face_of_set(common)
+        face = self._by_mask.get(a.mask & b.mask)
         if face is None:
             raise PolytopeError(
                 "lattice is not intersection-closed: "
-                f"{face_id(common)!r} from {a.id!r} and {b.id!r} is missing"
+                f"{face_id(indices_of(a.mask & b.mask))!r} from {a.id!r} and {b.id!r} "
+                "is missing"
             )
         return face
 
@@ -333,11 +344,12 @@ class FaceLattice:
     def covering_pairs(self) -> list[tuple[str, str]]:
         """(child id, parent id) pairs with dim(parent) = dim(child) + 1,
         ordered by child (dim, vertex set), then parent vertex set."""
-        return [(c.id, q.id) for c in self.faces for q in self._parents[c.vertex_set]]
+        ids = {f.mask: f.id for f in self.faces}
+        return [(ids[c.mask], ids[q.mask]) for c in self.faces for q in self._parents[c.mask]]
 
-    def _related(self, group: dict[tuple[int, ...], list[Face]], face: Face) -> list[Face]:
+    def _related(self, group: dict[int, list[Face]], face: Face) -> list[Face]:
         try:
-            return list(group[face.vertex_set])
+            return list(group[face.mask])
         except KeyError:
             raise PolytopeError(f"unknown face {face.id!r}") from None
 
@@ -382,7 +394,7 @@ def face_lattice(p: VPolytope) -> FaceLattice:
     from the polytope finds every face, its dimension (the level) and its
     covers.
     """
-    facet_masks = [_mask(face.vertex_set) for face, _ in facets(p)]
+    facet_masks = [face.mask for face, _ in facets(p)]
     top = (1 << p.n_vertices) - 1
     dims = {top: p.dim}
     covers: list[tuple[int, int]] = []
@@ -395,12 +407,7 @@ def face_lattice(p: VPolytope) -> FaceLattice:
                 below.add(child)
         dims.update(dict.fromkeys(below, dim))
         level = below
-    sets = {mask: _indices(mask) for mask in dims}
-    return FaceLattice(
-        p.dim,
-        [Face(sets[mask], dim) for mask, dim in dims.items()],
-        [(sets[child], sets[parent]) for child, parent in covers],
-    )
+    return FaceLattice(p.dim, [Face(mask, dim) for mask, dim in dims.items()], covers)
 
 
 def polar_dual(p: VPolytope) -> tuple[VPolytope, list[Face]]:
@@ -432,10 +439,7 @@ def dual_face_map(facet_faces: Sequence[Face]):
     """Anti-isomorphism on vertex sets: F maps to {j : F inside facet j}."""
 
     def delta(face: Face) -> tuple[int, ...]:
-        fs = set(face.vertex_set)
-        return tuple(
-            j for j, ff in enumerate(facet_faces) if fs <= set(ff.vertex_set)
-        )
+        return tuple(j for j, facet in enumerate(facet_faces) if facet.contains(face))
 
     return delta
 
@@ -451,24 +455,21 @@ def lattice_anti_isomorphic(p: VPolytope) -> bool:
     dual, facet_faces = polar_dual(p)
     dual_lattice = face_lattice(dual)
     delta = dual_face_map(facet_faces)
-    images: dict[str, tuple[int, ...]] = {}
+    images: dict[Face, Face] = {}
     for f in lattice.faces:
-        img = delta(f)
-        images[f.id] = img
-        dual_face = dual_lattice.face_of_set(img)
+        dual_face = dual_lattice.face_of_set(delta(f))
         if dual_face is None or dual_face.dim != lattice.dim - 1 - f.dim:
             return False
+        images[f] = dual_face
     if len(set(images.values())) != len(lattice.faces):
         return False
     if len(lattice.faces) != len(dual_lattice.faces):
         return False
-    for a in lattice.faces:
-        for b in lattice.faces:
-            forward = set(a.vertex_set) <= set(b.vertex_set)
-            backward = set(images[b.id]) <= set(images[a.id])
-            if forward != backward:
-                return False
-    return True
+    return all(
+        b.contains(a) == images[a].contains(images[b])
+        for a in lattice.faces
+        for b in lattice.faces
+    )
 
 
 def format_polytope(p: VPolytope) -> str:

@@ -14,19 +14,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from fractions import Fraction
 
 from .geometry import Hyperplane, QVector, solve_nonnegative
-from .polytope import (
-    EMPTY_FACE_ID,
-    Face,
-    FaceLattice,
-    PolytopeError,
-    VPolytope,
-    parse_face_id,
-)
+from .polytope import Face, FaceLattice, PolytopeError, VPolytope
 from .section import section
 
 # Nudge directions drawn before the search gives up on a grazing plane.
@@ -155,7 +148,7 @@ def search_cutting_hyperplane(
     plus each nudge direction drawn.
     """
     k = f.dim
-    if len({f.id, g.id, r.id}) != 3:
+    if len({f, g, r}) != 3:
         raise RidgePathError("f, g, r must be three distinct faces")
     if not (g.dim == k and r.dim == k):
         raise RidgePathError("f, g, r must share one dimension")
@@ -180,57 +173,49 @@ def search_cutting_hyperplane(
     )
 
 
-def _ridge_ok(ridge: Face, blocked_faces: list[Face]) -> bool:
-    return not any(
-        set(ridge.vertex_set) <= set(b.vertex_set) for b in blocked_faces
-    )
+def _ridge_ok(ridge: Face, blocked: Sequence[Face]) -> bool:
+    return not any(b.contains(ridge) for b in blocked)
 
 
 def _bfs_ridge_path(
-    lattice: FaceLattice, k: int, blocked_ids: frozenset[str], f_id: str, g_id: str
-) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    lattice: FaceLattice, k: int, blocked: Sequence[Face], f: Face, g: Face
+) -> tuple[tuple[Face, ...], tuple[Face, ...]] | None:
     """Breadth-first search on the pruned ridge graph of k-faces.
 
-    Nodes are k-faces outside the blocked set; two are adjacent when their
-    lattice meet has dimension k-1 and lies inside no blocked face.
+    Nodes are k-faces outside the blocked set, in lattice order; two are
+    adjacent when their lattice meet has dimension k-1 and lies inside no
+    blocked face.
     """
-    blocked_faces = [lattice.face(b) for b in blocked_ids]
-    nodes = sorted(
-        (f.id for f in lattice.faces_of_dim(k) if f.id not in blocked_ids),
-        key=parse_face_id,
-    )
-    parent: dict[str, tuple[str, str] | None] = {f_id: None}
-    queue = deque([f_id])
+    nodes = [x for x in lattice.faces_of_dim(k) if x not in blocked]
+    parent: dict[int, tuple[Face, Face] | None] = {f.mask: None}
+    queue = deque([f])
     while queue:
         current = queue.popleft()
-        if current == g_id:
+        if current == g:
             faces = [current]
             ridges = []
-            link = parent[current]
+            link = parent[current.mask]
             while link is not None:
                 prev, ridge = link
                 faces.append(prev)
                 ridges.append(ridge)
-                link = parent[prev]
+                link = parent[prev.mask]
             return tuple(reversed(faces)), tuple(reversed(ridges))
-        cur_face = lattice.face(current)
-        for nid in nodes:
-            if nid in parent:
+        for node in nodes:
+            if node.mask in parent:
                 continue
-            ridge = lattice.meet(cur_face, lattice.face(nid))
-            if ridge.dim != k - 1:
+            ridge = lattice.meet(current, node)
+            if ridge.dim != k - 1 or not _ridge_ok(ridge, blocked):
                 continue
-            if not _ridge_ok(ridge, blocked_faces):
-                continue
-            parent[nid] = (current, ridge.id)
-            queue.append(nid)
+            parent[node.mask] = (current, ridge)
+            queue.append(node)
     return None
 
 
 @dataclass(frozen=True)
 class _Solution:
-    faces: tuple[str, ...]
-    ridges: tuple[str, ...]
+    faces: tuple[Face, ...]
+    ridges: tuple[Face, ...]
     depth: int
     hyperplanes: tuple[Hyperplane, ...]
 
@@ -239,36 +224,37 @@ def _solve(
     p: VPolytope,
     lattice: FaceLattice,
     k: int,
-    blocked_ids: frozenset[str],
-    f_id: str,
-    g_id: str,
+    blocked: tuple[Face, ...],
+    f: Face,
+    g: Face,
     seed: int,
 ) -> _Solution:
-    if f_id == g_id:
-        return _Solution((f_id,), (), 0, ())
+    if f == g:
+        return _Solution((f,), (), 0, ())
     if k == 0:
         # Two distinct vertices; their meet is the empty face, which is the
         # (k-1)-ridge this degenerate level admits.
-        return _Solution((f_id, g_id), (EMPTY_FACE_ID,), 0, ())
-    if k == 1 or not blocked_ids:
-        found = _bfs_ridge_path(lattice, k, blocked_ids, f_id, g_id)
+        return _Solution((f, g), (lattice.empty_face,), 0, ())
+    if k == 1 or not blocked:
+        found = _bfs_ridge_path(lattice, k, blocked, f, g)
         if found is None:
             raise RidgePathError(
                 f"ridge graph of {k}-faces is disconnected after removing "
-                f"{sorted(blocked_ids)}; this contradicts the connectivity bound"
+                f"{sorted(b.id for b in blocked)}; this contradicts the connectivity bound"
             )
         return _Solution(found[0], found[1], 0, ())
 
-    r_id = min(blocked_ids, key=parse_face_id)
-    h, _ = search_cutting_hyperplane(
-        p, lattice, lattice.face(f_id), lattice.face(g_id), lattice.face(r_id), seed
-    )
+    r = min(blocked, key=lambda b: b.vertex_set)
+    h, _ = search_cutting_hyperplane(p, lattice, f, g, r, seed)
     smap = section(p, lattice, h)
-    f_slice = smap.map_face(f_id)
-    g_slice = smap.map_face(g_id)
-    blocked_slice = frozenset(
-        smap.to_slice[b] for b in blocked_ids - {r_id} if b in smap.to_slice
-    )
+    phi = smap.phi
+
+    def sliced(x: Face) -> Face:
+        return smap.slice_lattice.face_of_mask(phi[x.mask])
+
+    # The plane passes through both barycenters, so f and g are cut.
+    f_slice, g_slice = sliced(f), sliced(g)
+    blocked_slice = tuple(sliced(b) for b in blocked if b != r and b.mask in phi)
     if f_slice == g_slice or f_slice in blocked_slice or g_slice in blocked_slice:
         raise RidgePathError("section collapsed distinct faces; slicing is degenerate")
     if len(blocked_slice) > k - 1:
@@ -282,30 +268,44 @@ def _solve(
         g_slice,
         seed + 1,
     )
+    lift = {s: b for b, s in phi.items()}
+
+    def lifted(faces: tuple[Face, ...]) -> tuple[Face, ...]:
+        return tuple(lattice.face_of_mask(lift[x.mask]) for x in faces)
+
     return _Solution(
-        tuple(smap.lift(x) for x in sub.faces),
-        tuple(smap.lift(x) for x in sub.ridges),
+        lifted(sub.faces),
+        lifted(sub.ridges),
         sub.depth + 1,
         (h,) + sub.hyperplanes,
     )
 
 
-def _validate_request(
+def _resolve_request(
     lattice: FaceLattice, k: int, b: BlockedSet, f_id: str, g_id: str
-) -> None:
+) -> tuple[tuple[Face, ...], Face, Face]:
+    """The blocked faces and the two endpoints a request names.
+
+    Ids are checked in order, blocked ones sorted first; the first defect is
+    the error.
+    """
     if not (0 <= k <= lattice.dim - 1):
         raise RidgePathError(f"k={k} out of range [0, {lattice.dim - 1}]")
     if b.k != k:
         raise RidgePathError(f"blocked set is for k={b.k}, request is for k={k}")
-    for fid in sorted(b.face_ids, key=parse_face_id) + [f_id, g_id]:
+    faces = []
+    for fid in sorted(b.face_ids) + [f_id, g_id]:
         try:
             face = lattice.face(fid)
         except PolytopeError as exc:
             raise RidgePathError(str(exc)) from None
         if face.dim != k:
             raise RidgePathError(f"face {fid!r} has dimension {face.dim}, expected {k}")
-    if f_id in b.face_ids or g_id in b.face_ids:
+        faces.append(face)
+    *blocked, f, g = faces
+    if f in blocked or g in blocked:
         raise RidgePathError("endpoints may not be blocked")
+    return tuple(blocked), f, g
 
 
 def solve_ridge_path(
@@ -323,9 +323,11 @@ def solve_ridge_path(
     The result also carries the recursion depth, the cutting hyperplanes used
     (outermost first) and, with verify, the verifier's verdict on the path.
     """
-    _validate_request(lattice, k, b, f_id, g_id)
-    solution = _solve(p, lattice, k, b.face_ids, f_id, g_id, seed)
-    path = RidgePath(solution.faces, solution.ridges)
+    blocked, f, g = _resolve_request(lattice, k, b, f_id, g_id)
+    solution = _solve(p, lattice, k, blocked, f, g, seed)
+    path = RidgePath(
+        tuple(x.id for x in solution.faces), tuple(x.id for x in solution.ridges)
+    )
     verified = (
         verify_ridge_path(lattice, k, b, path, f_id, g_id) if verify else None
     )
@@ -342,31 +344,25 @@ def verify_ridge_path(
 ) -> bool:
     """Independent lattice-only check of a claimed path; False on any defect."""
     try:
-        blocked_faces = [lattice.face(fid) for fid in b.face_ids]
+        blocked = [lattice.face(fid) for fid in b.face_ids]
         if b.k != k or len(b.face_ids) > k:
             return False
-        if any(face.dim != k for face in blocked_faces):
+        if any(face.dim != k for face in blocked):
             return False
         if not path.faces or len(path.ridges) != len(path.faces) - 1:
             return False
         if path.faces[0] != f_id or path.faces[-1] != g_id:
             return False
         faces = [lattice.face(fid) for fid in path.faces]
-        if any(face.dim != k for face in faces):
-            return False
-        if any(fid in b.face_ids for fid in path.faces):
+        if any(face.dim != k or face in blocked for face in faces):
             return False
         for left, right, ridge_id in zip(faces, faces[1:], path.ridges):
-            if left.id == right.id:
+            if left == right:
                 return False
             ridge = lattice.face(ridge_id)
-            if ridge.dim != k - 1:
+            if ridge.dim != k - 1 or lattice.meet(left, right) != ridge:
                 return False
-            if lattice.meet(left, right).id != ridge.id:
-                return False
-            if any(
-                set(ridge.vertex_set) <= set(bl.vertex_set) for bl in blocked_faces
-            ):
+            if not _ridge_ok(ridge, blocked):
                 return False
         return True
     except (PolytopeError, RidgePathError):

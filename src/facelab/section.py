@@ -10,6 +10,7 @@ bijection is available by construction and stays exact under recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .geometry import (
     Hyperplane,
@@ -17,7 +18,7 @@ from .geometry import (
     parse_rational,
     segment_hyperplane_intersection,
 )
-from .polytope import Face, FaceLattice, VPolytope, face_id
+from .polytope import Face, FaceLattice, VPolytope, mask_of
 
 
 class SectionError(ValueError):
@@ -63,7 +64,8 @@ class SectionMap:
 
     Slice vertex i is the crossing point of ``crossed_edges[i]``; slice faces
     keep ambient coordinates (they live on the plane), with the slice's
-    intrinsic dimension one below the base's.
+    intrinsic dimension one below the base's.  ``phi`` maps the mask of each
+    cut base face to the mask of its slice face (a mask over crossed edges).
     """
 
     base_polytope: VPolytope
@@ -72,8 +74,16 @@ class SectionMap:
     slice_polytope: VPolytope
     slice_lattice: FaceLattice
     crossed_edges: tuple[Face, ...]
-    to_slice: dict[str, str] = field(repr=False)
-    to_base: dict[str, str] = field(repr=False)
+    phi: dict[int, int] = field(repr=False)
+
+    @cached_property
+    def to_slice(self) -> dict[str, str]:
+        base, sliced = self.base_lattice.face_of_mask, self.slice_lattice.face_of_mask
+        return {base(b).id: sliced(s).id for b, s in self.phi.items()}
+
+    @cached_property
+    def to_base(self) -> dict[str, str]:
+        return {slice_id: base_id for base_id, slice_id in self.to_slice.items()}
 
     def map_face(self, base_face_id: str) -> str:
         """Slice face id for a base face meeting the plane."""
@@ -102,12 +112,13 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
     for i, s in enumerate(sides):
         if s == 0:
             raise SectionError(f"vertex {i} lies on the hyperplane")
+    negative = mask_of(i for i, s in enumerate(sides) if s < 0)
+    positive = lattice.full_face.mask & ~negative
 
-    crossed = tuple(
-        e
-        for e in lattice.faces_of_dim(1)
-        if sides[e.vertex_set[0]] * sides[e.vertex_set[1]] < 0
-    )
+    def is_cut(f: Face) -> bool:
+        return bool(f.mask & negative and f.mask & positive)
+
+    crossed = tuple(e for e in lattice.faces_of_dim(1) if is_cut(e))
     if not crossed:
         raise SectionError("hyperplane misses the polytope interior")
     slice_points = []
@@ -119,41 +130,30 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
 
     # Slice faces in bijection with the cut base faces, one dimension down;
     # the crossed edges inside a cut face are its slice face's vertices.
-    to_slice: dict[str, str] = {}
-    cut: dict[Face, tuple[int, ...]] = {}
-    slice_faces = [Face((), -1)]
-    for f in lattice.faces:
-        if f.dim < 1:
-            continue
-        members = set(f.vertex_set)
-        if not (
-            any(sides[i] < 0 for i in members) and any(sides[i] > 0 for i in members)
-        ):
-            continue
-        cut_edges = tuple(
-            idx for idx, e in enumerate(crossed) if members.issuperset(e.vertex_set)
-        )
+    phi: dict[int, int] = {}
+    cut_faces = [f for f in lattice.faces if is_cut(f)]
+    slice_faces = [Face(0, -1)]
+    for f in cut_faces:
+        cut_edges = mask_of(idx for idx, e in enumerate(crossed) if f.contains(e))
         if not cut_edges:
             raise SectionError(
                 f"face {f.id!r} is cut but contains no crossed edge; "
                 "base lattice is inconsistent"
             )
-        to_slice[f.id] = face_id(cut_edges)
-        cut[f] = cut_edges
+        phi[f.mask] = cut_edges
         slice_faces.append(Face(cut_edges, f.dim - 1))
 
-    if len(set(cut.values())) != len(cut):
+    if len(set(phi.values())) != len(phi):
         raise SectionError("two cut faces produced the same slice face; degenerate cut")
 
     # A face containing a cut face is cut too, so the base covers among cut
     # faces are all of the slice's covers above its vertices.
-    covers = [((), (i,)) for i in range(len(crossed))]
-    for f, slice_set in cut.items():
-        covers += [(slice_set, cut[parent]) for parent in lattice.parents(f)]
+    covers = [(0, 1 << i) for i in range(len(crossed))]
+    for f in cut_faces:
+        covers += [(phi[f.mask], phi[parent.mask]) for parent in lattice.parents(f)]
 
     slice_polytope = VPolytope.from_points(slice_points, validate=False)
     slice_lattice = FaceLattice(lattice.dim - 1, slice_faces, covers)
-    to_base = {slice_id: base_id for base_id, slice_id in to_slice.items()}
     return SectionMap(
         base_polytope=p,
         base_lattice=lattice,
@@ -161,6 +161,5 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
         slice_polytope=slice_polytope,
         slice_lattice=slice_lattice,
         crossed_edges=crossed,
-        to_slice=to_slice,
-        to_base=to_base,
+        phi=phi,
     )

@@ -59,6 +59,32 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{stem}.verify_theorem"] = ["verify-theorem", f]
     cases["nonvertex.lattice"] = ["lattice", "nonvertex.poly"]
     cases["flat_nonvertex.lattice"] = ["lattice", "flat_nonvertex.poly"]
+    # The id edge: each of these requests is refused with exit code 2.
+    ridge = ["ridge-path", "cube3.poly", "--k", "2"]
+    square = ["--to", "v0-v1-v2-v3"]
+    cases["cube3.ridge_path_huge_index"] = ridge + ["--from", "v99999999999"] + square
+    cases["cube3.ridge_path_unsorted_id"] = ridge + ["--from", "v1-v0"] + square
+    cases["cube3.ridge_path_wrong_dim"] = (
+        ridge + ["--blocked", "v0-v1", "--from", "v0-v1-v4-v5"] + square
+    )
+    cases["cube3.ridge_path_blocked_endpoint"] = ridge + [
+        "--blocked", "v0-v1-v2-v3", "--from", "v0-v1-v2-v3", "--to", "v4-v5-v6-v7",
+    ]
+    cases["cube3.hypergraph_k_out_of_range"] = ["hypergraph", "cube3.poly", "--k", "3"]
+    cases["cube3.connectivity_cap_zero"] = [
+        "connectivity", "cube3.poly", "--k", "1", "--cap", "0",
+    ]
+    # Depth-2 ridge paths: the solver slices twice before its BFS.
+    cases["cross4.ridge_path_depth2"] = [
+        "ridge-path", "cross4.poly", "--k", "3",
+        "--blocked", "v0-v2-v4-v6,v0-v2-v4-v7,v0-v2-v5-v6",
+        "--from", "v0-v2-v5-v7", "--to", "v1-v3-v5-v7", "--verify",
+    ]
+    cases["cyclic4_8.ridge_path_depth2"] = [
+        "ridge-path", "cyclic4_8.poly", "--k", "3",
+        "--blocked", "v0-v1-v2-v3,v0-v1-v2-v7,v0-v1-v3-v4",
+        "--from", "v0-v1-v4-v5", "--to", "v4-v5-v6-v7", "--verify",
+    ]
     return cases
 
 

@@ -2,6 +2,7 @@
 
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -124,6 +125,25 @@ class TestStrongConnectivity:
         assert set(w.component_a) | set(w.component_b) | set(w.removed) == set(hg.nodes)
         # the witness really is a disconnection
         assert is_connected_after_removal(hg, w.removed) is False
+
+    def test_sequential_scan_holds_no_subset_list(self):
+        # v1 lies only on {v0, v1} and {v1, v2}; v0 and v2 are hubs with an
+        # edge to every other node.  No single removal disconnects, and the
+        # second pair in canonical order, (v0, v2), cuts v1 off.  The list of
+        # all C(300, 2) pairs would take about 3 MB.
+        nodes = tuple(f"v{i}" for i in range(300))
+        edges = [("a", frozenset(nodes[:2])), ("b", frozenset(nodes[1:3]))]
+        edges += [(f"{h}-{v}", frozenset({h, v})) for h in ("v0", "v2") for v in nodes[3:]]
+        hg = FaceHypergraph(k=0, nodes=nodes, hyperedges=tuple(edges))
+        tracemalloc.start()
+        try:
+            report = strong_connectivity(hg, cap=3, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.alpha == 2 and report.witness.removed == ("v0", "v2")
+        assert report.witness.component_a == ("v1",)
+        assert peak < 1_000_000
 
     def test_single_node_is_never_disconnected(self):
         lat = lattice_of("simplex", 3)

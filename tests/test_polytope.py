@@ -52,6 +52,17 @@ class TestFaceIds:
         with pytest.raises(PolytopeError):
             parse_face_id(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["v1-v0", "v01", "v1-v1", " v1", "v1\n", "v8", "v99999999999", "v" + "9" * 5000, "", "x3"],
+    )
+    def test_lattice_lookup_takes_only_canonical_ids(self, text):
+        lat = lattice_of("cube", 3)
+        with pytest.raises(PolytopeError, match="^unknown face id "):
+            lat.face(text)
+        assert lat.face("v0-v1").vertex_set == (0, 1)
+        assert lat.face(EMPTY_FACE_ID) is lat.empty_face
+
 
 class TestVPolytope:
     def test_rejects_duplicates(self):
@@ -185,13 +196,13 @@ class TestFaceLattice:
             assert child in ids and parent in ids
 
     def test_duplicate_ids_rejected(self):
-        v = Face((0,), 0)
+        v = Face(0b1, 0)
         with pytest.raises(PolytopeError):
-            FaceLattice(1, [Face((), -1), v, v, Face((0, 1), 1)], [])
+            FaceLattice(1, [Face(0, -1), v, v, Face(0b11, 1)], [])
 
     def test_malformed_cover_rejected(self):
-        faces = [Face((), -1), Face((0,), 0), Face((1,), 0), Face((0, 1), 1)]
-        for cover in [((), (0, 1)), ((0,), (2,))]:
+        faces = [Face(0, -1), Face(0b1, 0), Face(0b10, 0), Face(0b11, 1)]
+        for cover in [(0, 0b11), (0b1, 0b100)]:
             with pytest.raises(PolytopeError):
                 FaceLattice(1, faces, [cover])
 

@@ -149,6 +149,17 @@ class TestSolver:
         with pytest.raises(RidgePathError):
             solve_ridge_path(p, lat, 2, BlockedSet.of(1, []), "v0-v1", "v2-v3")
 
+    def test_malformed_blocked_ids_are_unknown(self):
+        # Blocked ids are looked up in sorted order, so the error does not
+        # depend on set iteration order, and no index is converted unbounded.
+        p, lat = instance("cube", 3)
+        huge = "v" + "9" * 5000
+        for blocked, bad in ((["x3", "v1-v0"], "v1-v0"), ([huge], huge)):
+            b = BlockedSet.of(2, blocked)
+            with pytest.raises(RidgePathError) as exc:
+                solve_ridge_path(p, lat, 2, b, "v0-v1-v4-v5", "v0-v1-v2-v3")
+            assert str(exc.value) == f"unknown face id {bad!r}"
+
     def test_blocked_set_size_limit(self):
         with pytest.raises(RidgePathError):
             BlockedSet.of(1, ["v0-v1", "v2-v3"])
