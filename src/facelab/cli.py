@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .generators import FAMILIES, GeneratorError, GeneratorSpec, generate
 from .geometry import GeometryError, Hyperplane, format_rational
@@ -54,15 +54,14 @@ _INPUT_KEY_RENAMES = {"from_id": "from", "to_id": "to"}
 _INPUT_SKIP_KEYS = ("handler", "command_name", "pretty")
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     command: str | None
     inputs: dict
     output: dict | None
     status: str
     error: str | None = None
     exit_code: int = 0
-    pretty: bool = field(default=False, repr=False)
+    pretty: bool = False
 
     def to_json_dict(self) -> dict:
         if self.status == "ok":

@@ -8,8 +8,8 @@ Python's Mersenne Twister (`random.Random`) seeded as documented on
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .geometry import QVector, affine_rank, barycenter
 from .polytope import PolytopeError, VPolytope
@@ -25,15 +25,28 @@ FAMILIES = ("simplex", "cube", "cross", "cyclic", "random", "pyramid", "prism")
 _FIXED_SIZE_FAMILIES = ("simplex", "cube", "cross", "pyramid", "prism")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class _GeneratorSpecFields(NamedTuple):
     family: str
     dim: int
-    n: int | None = None
-    seed: int | None = None
-    bound: int | None = None
+    n: int | None
+    seed: int | None
+    bound: int | None
 
-    def __post_init__(self) -> None:
+
+class GeneratorSpec(_GeneratorSpecFields):
+    """A generator family with its parameters, checked when constructed."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        family: str,
+        dim: int,
+        n: int | None = None,
+        seed: int | None = None,
+        bound: int | None = None,
+    ) -> GeneratorSpec:
+        self = super().__new__(cls, family, dim, n, seed, bound)
         if self.family not in FAMILIES:
             raise GeneratorError(
                 f"unknown family {self.family!r}; choose one of {', '.join(FAMILIES)}"
@@ -54,6 +67,12 @@ class GeneratorSpec:
             raise GeneratorError("seed and bound apply to the random family only")
         if self.family in ("pyramid", "prism") and self.dim < 2:
             raise GeneratorError(f"family {self.family!r} needs dimension >= 2")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the checks too.
+        return cls(*iterable)
 
 
 def generate(spec: GeneratorSpec) -> VPolytope:

@@ -9,11 +9,9 @@ relies on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,11 +41,33 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
 class QVector:
-    """Point or direction with exact rational coordinates."""
+    """Point or direction with exact rational coordinates; immutable."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QVector is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("QVector is immutable")
+
+    def __reduce__(self):
+        return QVector, (self.coords,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
+
+    def __repr__(self) -> str:
+        return f"QVector(coords={self.coords!r})"
 
     @classmethod
     def of(cls, values: Iterable) -> QVector:
@@ -98,16 +118,25 @@ class QVector:
         return all(a == 0 for a in self.coords)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """The set ``{x : normal . x = offset}``; ``normal`` must be nonzero."""
-
+class _HyperplaneFields(NamedTuple):
     normal: QVector
     offset: Fraction
 
-    def __post_init__(self) -> None:
-        if self.normal.is_zero():
+
+class Hyperplane(_HyperplaneFields):
+    """The set ``{x : normal . x = offset}``; ``normal`` must be nonzero."""
+
+    __slots__ = ()
+
+    def __new__(cls, normal: QVector, offset: Fraction) -> Hyperplane:
+        if normal.is_zero():
             raise GeometryError("hyperplane normal must be nonzero")
+        return super().__new__(cls, normal, offset)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the checks too.
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:

@@ -10,11 +10,9 @@ the nonstandard removal rule exact.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .polytope import (
     FaceLattice,
@@ -31,8 +29,7 @@ class HypergraphError(ValueError):
     """Invalid hypergraph request."""
 
 
-@dataclass(frozen=True)
-class FaceHypergraph:
+class FaceHypergraph(NamedTuple):
     """Nodes are k-face ids in lattice order; each hyperedge is a (k+1)-face
     with its node set."""
 
@@ -45,8 +42,7 @@ class FaceHypergraph:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class DisconnectionWitness:
+class DisconnectionWitness(NamedTuple):
     removed: tuple[str, ...]
     component_a: tuple[str, ...]
     component_b: tuple[str, ...]
@@ -59,8 +55,7 @@ class DisconnectionWitness:
         }
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     k: int
     alpha: int
     capped: bool
@@ -166,6 +161,10 @@ def _first_disconnecting_subset(
     if workers <= 1 or comb(n_nodes, size) < 64:
         # Lazily, so a sequential scan never holds the subset list.
         return _scan_chunk(n_nodes, edge_masks, subsets)
+    # Imported here, not at module level: the pool brings multiprocessing,
+    # pickle and socket, which every CLI process would otherwise load.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = _chunks(list(subsets), workers)
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         results = list(

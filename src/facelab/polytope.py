@@ -11,11 +11,10 @@ geometry is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import (
     GeometryError,
@@ -78,8 +77,7 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Face:
+class Face(NamedTuple):
     """A face of a polytope: the bitmask of the vertices on it, and its dimension."""
 
     mask: int
@@ -162,13 +160,34 @@ def _double_description(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...
     return list(zip(masks, rays))
 
 
-@dataclass(frozen=True)
 class VPolytope:
-    """Polytope given by its vertex list; dim is the rank of the affine hull."""
+    """Polytope given by its vertex list; dim is the rank of the affine hull.
 
-    vertices: tuple[QVector, ...]
-    ambient_dim: int
-    dim: int
+    Immutable; equal and hashed by (vertices, ambient_dim, dim).
+    """
+
+    def __init__(self, vertices: tuple[QVector, ...], ambient_dim: int, dim: int) -> None:
+        state = self.__dict__
+        state["vertices"] = vertices
+        state["ambient_dim"] = ambient_dim
+        state["dim"] = dim
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VPolytope is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("VPolytope is immutable")
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.ambient_dim, self.dim)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def from_points(cls, points: Sequence[QVector], validate: bool = True) -> VPolytope:

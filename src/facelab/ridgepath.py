@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from fractions import Fraction
 
@@ -30,34 +29,41 @@ class RidgePathError(ValueError):
     """Unsolvable request, malformed inputs, or no cutting hyperplane found."""
 
 
-@dataclass(frozen=True)
-class BlockedSet:
-    """The k-faces a path must avoid; at most k of them."""
-
+class _BlockedSetFields(NamedTuple):
     k: int
     face_ids: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if len(self.face_ids) > self.k:
+
+class BlockedSet(_BlockedSetFields):
+    """The k-faces a path must avoid; at most k of them."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, face_ids: frozenset[str]) -> BlockedSet:
+        if len(face_ids) > k:
             raise RidgePathError(
-                f"blocked set of size {len(self.face_ids)} exceeds the budget k={self.k}"
+                f"blocked set of size {len(face_ids)} exceeds the budget k={k}"
             )
+        return super().__new__(cls, k, face_ids)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the checks too.
+        return cls(*iterable)
 
     @classmethod
     def of(cls, k: int, ids: Iterable[str]) -> BlockedSet:
         return cls(k, frozenset(ids))
 
 
-@dataclass(frozen=True)
-class RidgePath:
+class RidgePath(NamedTuple):
     """Face ids G_1..G_l plus the (k-1)-face ids where neighbors meet."""
 
     faces: tuple[str, ...]
     ridges: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RidgePathResult:
+class RidgePathResult(NamedTuple):
     path: RidgePath
     verified: bool | None
     depth: int
@@ -212,8 +218,7 @@ def _bfs_ridge_path(
     return None
 
 
-@dataclass(frozen=True)
-class _Solution:
+class _Solution(NamedTuple):
     faces: tuple[Face, ...]
     ridges: tuple[Face, ...]
     depth: int

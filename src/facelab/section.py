@@ -9,7 +9,6 @@ bijection is available by construction and stays exact under recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .geometry import (
@@ -58,7 +57,6 @@ def cuts_face(h: Hyperplane, f: Face, p: VPolytope) -> bool:
     return has_neg and has_pos
 
 
-@dataclass
 class SectionMap:
     """A sliced polytope plus the face bijection with its base.
 
@@ -68,13 +66,39 @@ class SectionMap:
     cut base face to the mask of its slice face (a mask over crossed edges).
     """
 
-    base_polytope: VPolytope
-    base_lattice: FaceLattice
-    plane: Hyperplane
-    slice_polytope: VPolytope
-    slice_lattice: FaceLattice
-    crossed_edges: tuple[Face, ...]
-    phi: dict[int, int] = field(repr=False)
+    def __init__(
+        self,
+        base_polytope: VPolytope,
+        base_lattice: FaceLattice,
+        plane: Hyperplane,
+        slice_polytope: VPolytope,
+        slice_lattice: FaceLattice,
+        crossed_edges: tuple[Face, ...],
+        phi: dict[int, int],
+    ) -> None:
+        self.base_polytope = base_polytope
+        self.base_lattice = base_lattice
+        self.plane = plane
+        self.slice_polytope = slice_polytope
+        self.slice_lattice = slice_lattice
+        self.crossed_edges = crossed_edges
+        self.phi = phi
+
+    def _key(self) -> tuple:
+        return (
+            self.base_polytope,
+            self.base_lattice,
+            self.plane,
+            self.slice_polytope,
+            self.slice_lattice,
+            self.crossed_edges,
+            self.phi,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     @cached_property
     def to_slice(self) -> dict[str, str]:

@@ -125,8 +125,9 @@ class TestGeneratorSpec:
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
+        # The constructor itself refuses the spec; generate is never reached.
         with pytest.raises(GeneratorError):
-            generate(GeneratorSpec(**kwargs))
+            GeneratorSpec(**kwargs)
 
     def test_prism_and_pyramid_dims(self):
         assert pyramid(3).dim == 3

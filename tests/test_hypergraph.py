@@ -1,5 +1,6 @@
 """Face hypergraphs: removal connectivity, witnesses, and dual structure."""
 
+import concurrent.futures
 import os
 import random
 import tracemalloc
@@ -218,7 +219,9 @@ class TestStrongConnectivity:
             def map(self, fn, *iterables):
                 return list(map(fn, *iterables))
 
-        monkeypatch.setattr(hypergraph, "ProcessPoolExecutor", InlinePool)
+        # The scan imports the pool class only when it fans out, so the
+        # stand-in replaces it where that import finds it.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 3)
         hg = build_hypergraph(lattice_of("cube", 4), 1)
         clamped = strong_connectivity(hg, cap=3, workers=100_000)

@@ -1,0 +1,113 @@
+"""Result records: immutable, picklable, deep-copyable, validated on construction."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from facelab.generators import GeneratorError, GeneratorSpec
+from facelab.geometry import GeometryError, Hyperplane, QVector
+from facelab.hypergraph import build_hypergraph, strong_connectivity
+from facelab.polytope import VPolytope
+from facelab.ridgepath import BlockedSet, RidgePathError, solve_ridge_path
+from instances import instance
+
+
+def records() -> dict:
+    p, lat = instance("cube", 3)
+    hg = build_hypergraph(lat, 1)
+    report = strong_connectivity(hg, cap=3, workers=1)
+    blocked = BlockedSet.of(2, ["v0-v1-v4-v5", "v2-v3-v6-v7"])
+    result = solve_ridge_path(p, lat, 2, blocked, "v0-v1-v2-v3", "v4-v5-v6-v7", verify=True)
+    return {
+        "QVector": QVector.of([F(1, 2), -3]),
+        "Hyperplane": result.hyperplanes[0],
+        "Face": lat.faces_of_dim(1)[3],
+        "VPolytope": p,
+        "VPolytope, facets not yet computed": VPolytope(p.vertices, 3, 3),
+        "FaceHypergraph": hg,
+        "ConnectivityReport": report,
+        "BlockedSet": blocked,
+        "RidgePath": result.path,
+        "RidgePathResult": result,
+        "GeneratorSpec": GeneratorSpec("random", 4, n=9, seed=2, bound=5),
+    }
+
+
+RECORDS = records()
+
+
+def test_the_cases_carry_what_they_name():
+    assert RECORDS["ConnectivityReport"].witness is not None
+    assert RECORDS["RidgePathResult"].depth == 1
+    assert "_facet_rays" in vars(RECORDS["VPolytope"])
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+@pytest.mark.parametrize(
+    "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_round_trip_keeps_value_and_hash(name, clone):
+    record = RECORDS[name]
+    twin = clone(record)
+    assert type(twin) is type(record)
+    assert twin == record
+    assert hash(twin) == hash(record)
+
+
+def test_fields_cannot_be_assigned():
+    for record, field in (
+        (RECORDS["QVector"], "coords"),
+        (RECORDS["VPolytope"], "dim"),
+        (RECORDS["Hyperplane"], "offset"),
+        (RECORDS["Face"], "mask"),
+        (RECORDS["ConnectivityReport"], "alpha"),
+        (RECORDS["GeneratorSpec"], "dim"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_validated_records_raise_from_the_constructor():
+    with pytest.raises(GeometryError, match="hyperplane normal must be nonzero"):
+        Hyperplane(QVector.of([0, 0]), F(1))
+    with pytest.raises(RidgePathError, match="blocked set of size 2 exceeds the budget k=1"):
+        BlockedSet(1, frozenset({"v0", "v1"}))
+    with pytest.raises(GeneratorError, match="needs a vertex count"):
+        GeneratorSpec("cyclic", 3)
+
+
+def test_replace_runs_the_constructor_checks():
+    with pytest.raises(GeometryError):
+        RECORDS["Hyperplane"]._replace(normal=QVector.of([0, 0, 0]))
+    with pytest.raises(RidgePathError):
+        RECORDS["BlockedSet"]._replace(k=1)
+    with pytest.raises(GeneratorError):
+        RECORDS["GeneratorSpec"]._replace(dim=0)
+    assert RECORDS["GeneratorSpec"]._replace(seed=3).seed == 3
+
+
+def test_cli_import_leaves_out_the_pool_and_dataclasses():
+    # A fresh interpreter, so modules other tests imported do not count.
+    traced = ["geometry", "polytope", "hypergraph", "ridgepath", "section"]
+    heavy = ["dataclasses", "inspect", "concurrent.futures", "multiprocessing"]
+    probe = (
+        "import sys, facelab.cli\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        f"print([m for m in {traced!r} if 'facelab.' + m not in sys.modules])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines() == ["[]", "[]"]
+
