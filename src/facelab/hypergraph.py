@@ -4,13 +4,14 @@ The hypergraph at level k has the k-faces as nodes and the (k+1)-faces as
 hyperedges.  Removing a node kills every hyperedge containing it; survivors
 are adjacent when they share a surviving hyperedge.  Connectivity is certified
 by exhaustive removal-set enumeration, which also yields witnesses and keeps
-the nonstandard removal rule exact.
+the nonstandard removal rule exact; per-node detours (see
+`strong_connectivity`) accept most sets without a component search.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -82,33 +83,94 @@ def build_hypergraph(lattice: FaceLattice, k: int) -> FaceHypergraph:
     return FaceHypergraph(k, tuple(ids.values()), hyperedges)
 
 
-def _components(n_nodes: int, edge_masks: Sequence[int], removed: int) -> list[int]:
-    """Node masks of the survivors' components, in order of their lowest node.
+def _first_component(n_nodes: int, edge_masks: Sequence[int], removed: int) -> int:
+    """Node mask of the lowest survivor's component; 0 when none survives.
 
-    A component grows from its lowest unseen node by absorbing every live
-    hyperedge (one missing the removed nodes) that touches it, until a pass
-    over the remaining hyperedges absorbs nothing new.  Passes alternate
-    direction, so a chain of hyperedges is absorbed in one or two passes
-    whichever way it runs.
+    The component grows by absorbing every live hyperedge (one missing the
+    removed nodes) that touches it, until a pass over the remaining
+    hyperedges absorbs nothing new.  The first pass drops the killed
+    hyperedges.  Passes alternate direction, so a chain of hyperedges is
+    absorbed in one or two passes whichever way it runs, and the search
+    stops as soon as the component holds every survivor.
     """
-    live = [m for m in edge_masks if not m & removed]
-    unseen = ((1 << n_nodes) - 1) & ~removed
-    out = []
-    while unseen:
-        comp = unseen & -unseen
-        grown = None
-        while grown != comp:
-            grown = comp
-            rest = []
-            for m in live:
-                if m & comp:
-                    comp |= m
-                else:
-                    rest.append(m)
-            live = rest[::-1]
-        out.append(comp)
-        unseen &= ~comp
-    return out
+    survivors = ((1 << n_nodes) - 1) & ~removed
+    comp = survivors & -survivors
+    grown = None
+    while grown != comp:
+        grown = comp
+        rest = []
+        for m in edge_masks:
+            if m & removed:
+                continue
+            if m & comp:
+                comp |= m
+                if comp == survivors:
+                    return comp
+            else:
+                rest.append(m)
+        edge_masks = rest[::-1]
+    return comp
+
+
+def _detour(edge_masks: Sequence[int], y: int) -> int | None:
+    """Footprint of a hyperedge tree joining y's neighbours in H - y.
+
+    The neighbours are the other nodes of y's hyperedges.  A breadth-first
+    search over the hyperedges missing y starts at the lowest neighbour and
+    runs until it has reached them all; the hyperedges on the search-tree
+    paths back from the neighbours form the tree.  Returns the neighbours
+    plus every node of those hyperedges (never y itself), or None when the
+    neighbours are not all joined, that is, when removing y disconnects a
+    connected hypergraph.
+    """
+    bit = 1 << y
+    near = 0
+    live = []
+    for m in edge_masks:
+        if m & bit:
+            near |= m
+        else:
+            live.append(m)
+    near &= ~bit
+    start = reached = frontier = near & -near
+    via: dict[int, tuple[int, int]] = {}  # node bit -> (hyperedge, parent bit)
+    missing = near & ~start
+    while missing:
+        if not frontier:
+            return None
+        layer = 0
+        rest = []
+        for m in live:
+            touch = m & frontier
+            if not touch:
+                rest.append(m)
+                continue
+            fresh = m & ~reached
+            if not fresh:
+                continue
+            reached |= fresh
+            layer |= fresh
+            entry = (m, touch & -touch)
+            missing &= ~fresh
+            while fresh:
+                low = fresh & -fresh
+                via[low] = entry
+                fresh ^= low
+            if not missing:
+                break
+        frontier = layer
+        live = rest
+    footprint = near
+    traced = start
+    pending = near & ~start
+    while pending:
+        node = pending & -pending
+        pending ^= node
+        while not node & traced:
+            traced |= node
+            m, node = via[node]
+            footprint |= m
+    return footprint
 
 
 def _encode(hg: FaceHypergraph) -> tuple[dict[str, int], list[int]]:
@@ -126,15 +188,37 @@ def is_connected_after_removal(hg: FaceHypergraph, removed: Iterable[str]) -> bo
         if r not in index:
             raise HypergraphError(f"unknown node id {r!r}")
     removed_mask = mask_of(index[r] for r in removed_ids)
-    return len(_components(hg.n_nodes, edge_masks, removed_mask)) <= 1
+    survivors = ((1 << hg.n_nodes) - 1) & ~removed_mask
+    return _first_component(hg.n_nodes, edge_masks, removed_mask) == survivors
 
 
-def _scan_chunk(
-    n_nodes: int, edge_masks: list[int], subsets: Iterable[tuple[int, ...]]
+def _scan_range(
+    n_nodes: int, edge_masks: list[int], detours: list[int], size: int, lo: int, hi: int
 ) -> tuple[int, ...] | None:
-    for subset in subsets:
-        if len(_components(n_nodes, edge_masks, mask_of(subset))) > 1:
-            return subset
+    """The first disconnecting set of `size` >= 1 nodes, in canonical order,
+    among those whose lowest node lies in [lo, hi); None if there is none.
+
+    A set is accepted unsearched when some member y has `removed & detours[y]
+    == 0`: its detour misses every other removed node (see
+    `strong_connectivity`).  Only the other sets get the exact check.
+    """
+    bits = [1 << i for i in range(n_nodes)]
+    full = (1 << n_nodes) - 1
+    for first in range(lo, hi):
+        head = bits[first]
+        head_detour = detours[first]
+        for rest in combinations(range(first + 1, n_nodes), size - 1):
+            removed = head
+            for i in rest:
+                removed |= bits[i]
+            if not removed & head_detour:
+                continue
+            for i in rest:
+                if not removed & detours[i]:
+                    break
+            else:
+                if _first_component(n_nodes, edge_masks, removed) != full & ~removed:
+                    return (first, *rest)
     return None
 
 
@@ -148,30 +232,50 @@ def default_workers() -> int:
     return min(requested, os.cpu_count() or 1)
 
 
-def _chunks(subsets: list, workers: int) -> list[list]:
-    """Contiguous slices of subsets, at most one per worker."""
-    step = (len(subsets) + workers - 1) // workers
-    return [subsets[i : i + step] for i in range(0, len(subsets), step)]
+def _first_node_ranges(n_nodes: int, size: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ranges of lowest nodes, at most one per worker, that split
+    the size-subsets about evenly: lowest node f leads C(n_nodes-1-f, size-1)
+    of them.  Nodes past the last range lead none."""
+    total = comb(n_nodes, size)
+    ranges: list[tuple[int, int]] = []
+    lo = done = 0
+    for first in range(n_nodes):
+        done += comb(n_nodes - 1 - first, size - 1)
+        if done * workers >= total * (len(ranges) + 1):
+            ranges.append((lo, first + 1))
+            lo = first + 1
+        if done == total:
+            break
+    return ranges
 
 
 def _first_disconnecting_subset(
-    n_nodes: int, edge_masks: list[int], size: int, workers: int
+    n_nodes: int, edge_masks: list[int], detours: list[int], size: int, workers: int
 ) -> tuple[int, ...] | None:
-    subsets = combinations(range(n_nodes), size)
+    if size == 0:
+        full = (1 << n_nodes) - 1
+        return None if _first_component(n_nodes, edge_masks, 0) == full else ()
     if workers <= 1 or comb(n_nodes, size) < 64:
-        # Lazily, so a sequential scan never holds the subset list.
-        return _scan_chunk(n_nodes, edge_masks, subsets)
+        return _scan_range(n_nodes, edge_masks, detours, size, 0, n_nodes)
     # Imported here, not at module level: the pool brings multiprocessing,
     # pickle and socket, which every CLI process would otherwise load.
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = _chunks(list(subsets), workers)
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    ranges = _first_node_ranges(n_nodes, size, workers)
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         results = list(
-            pool.map(_scan_chunk, [n_nodes] * len(chunks), [edge_masks] * len(chunks), chunks)
+            pool.map(
+                _scan_range,
+                repeat(n_nodes),
+                repeat(edge_masks),
+                repeat(detours),
+                repeat(size),
+                [lo for lo, _ in ranges],
+                [hi for _, hi in ranges],
+            )
         )
-    # Chunks are contiguous slices in canonical order, so the first hit
-    # across them is the globally first witness.
+    # Each worker generates its own contiguous run of the canonical order,
+    # so the first hit across them is the globally first witness.
     for hit in results:
         if hit is not None:
             return hit
@@ -187,6 +291,13 @@ def strong_connectivity(
     disconnecting set found fixes alpha = its size; if none exists below cap,
     alpha = cap with the capped flag set (nothing larger was examined).
     At most os.cpu_count() worker processes run, whatever `workers` asks for.
+
+    From size 2 on, detours accept most sets without a search.  When every
+    smaller removal leaves H connected and y is in S, each component of
+    H - S holds a neighbour of y: the last node before y on a shortest path
+    in H - (S - y).  So if the detour of y (a hyperedge tree joining y's
+    neighbours without y) meets no other node of S, H - S is connected.
+    A set that no member's detour accepts gets the exact check.
     """
     if cap < 1:
         raise HypergraphError("cap must be >= 1")
@@ -195,12 +306,19 @@ def strong_connectivity(
     workers = min(workers, os.cpu_count() or 1)
     _, edge_masks = _encode(hg)
     n = hg.n_nodes
+    # A detour never holds its own node, so the full mask accepts nothing:
+    # it stands in while the lemma does not apply yet, and for a node with
+    # no detour (None; an empty one cannot occur once H is connected).
+    full = (1 << n) - 1
+    detours = [full] * n
     for size in range(0, min(cap, n + 1)):
-        hit = _first_disconnecting_subset(n, edge_masks, size, workers)
+        if size == 2:
+            detours = [_detour(edge_masks, y) or full for y in range(n)]
+        hit = _first_disconnecting_subset(n, edge_masks, detours, size, workers)
         if hit is None:
             continue
         removed = mask_of(hit)
-        first = _components(n, edge_masks, removed)[0]
+        first = _first_component(n, edge_masks, removed)
         rest = ((1 << n) - 1) & ~removed & ~first
 
         def ids(mask: int) -> tuple[str, ...]:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from facelab.geometry import Hyperplane, QVector, hyperplane_through
+from facelab.hypergraph import ConnectivityReport, DisconnectionWitness, FaceHypergraph
 from facelab.polytope import FaceLattice, VPolytope, face_lattice
 
 
@@ -272,13 +273,42 @@ def connected_after_removal_oracle(
             parent[rx] = ry
 
     for _, members in hyperedges:
-        if members & removed:
+        if not members.isdisjoint(removed):
             continue
-        alive = sorted(members)
-        for a, b in zip(alive, alive[1:]):
-            union(a, b)
+        first, *others = members
+        for other in others:
+            union(first, other)
     roots = {find(n) for n in survivors}
     return len(roots) == 1
+
+
+def first_disconnecting_set_oracle(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
+    """The report of a plain scan: every removal set of size below cap, in
+    `combinations` order by size, through the union-find oracle.  The
+    witness splits the survivors into the component of the first one and
+    the rest, each in node order."""
+    nodes = list(hg.nodes)
+    hyperedges = list(hg.hyperedges)
+    for size in range(min(cap, len(nodes) + 1)):
+        for removed in combinations(nodes, size):
+            if connected_after_removal_oracle(nodes, hyperedges, set(removed)):
+                continue
+            survivors = [n for n in nodes if n not in removed]
+            component = {survivors[0]}
+            grew = True
+            while grew:
+                grew = False
+                for _, members in hyperedges:
+                    if members & component and not members & set(removed):
+                        grew |= not members <= component
+                        component |= members
+            witness = DisconnectionWitness(
+                removed,
+                tuple(n for n in survivors if n in component),
+                tuple(n for n in survivors if n not in component),
+            )
+            return ConnectivityReport(hg.k, size, False, witness)
+    return ConnectivityReport(hg.k, cap, True, None)
 
 
 def bfs_ridge_path_oracle(

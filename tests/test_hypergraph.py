@@ -4,15 +4,20 @@ import concurrent.futures
 import os
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from facelab import hypergraph
 from facelab.generators import random_polytope
 from facelab.hypergraph import (
     FaceHypergraph,
     HypergraphError,
-    _chunks,
+    _detour,
+    _encode,
+    _first_node_ranges,
     build_hypergraph,
     check_duality_equivalence,
     default_workers,
@@ -20,9 +25,9 @@ from facelab.hypergraph import (
     is_connected_after_removal,
     strong_connectivity,
 )
-from facelab.polytope import face_lattice, polar_dual
-from instances import instance, lattice_of
-from oracles import connected_after_removal_oracle
+from facelab.polytope import face_lattice, indices_of, polar_dual
+from instances import FAMILY_GRID, instance, lattice_of
+from oracles import connected_after_removal_oracle, first_disconnecting_set_oracle
 
 
 def toy_path() -> FaceHypergraph:
@@ -35,6 +40,52 @@ def toy_path() -> FaceHypergraph:
             ("v2-v3", frozenset({"v2", "v3"})),
         ),
     )
+
+
+def hub_hypergraph() -> FaceHypergraph:
+    """v1 lies only on {v0, v1} and {v1, v2}; v0 and v2 are hubs with an edge
+    to every other node.  No single removal disconnects, and the second pair
+    in canonical order, (v0, v2), cuts v1 off.  The list of all C(300, 2)
+    pairs would take about 3 MB."""
+    nodes = tuple(f"v{i}" for i in range(300))
+    edges = [("a", frozenset(nodes[:2])), ("b", frozenset(nodes[1:3]))]
+    edges += [(f"{h}-{v}", frozenset({h, v})) for h in ("v0", "v2") for v in nodes[3:]]
+    return FaceHypergraph(k=0, nodes=nodes, hyperedges=tuple(edges))
+
+
+def use_inline_pool(mp: pytest.MonkeyPatch, cpus: int) -> list[int]:
+    """Replace the process pool by an in-process stand-in on a machine with
+    `cpus` CPUs; returns the list the stand-in appends each pool size to."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    # The scan imports the pool class only when it fans out, so the
+    # stand-in replaces it where that import finds it.
+    mp.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    mp.setattr(hypergraph.os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+@st.composite
+def abstract_hypergraphs(draw) -> FaceHypergraph:
+    """3-14 nodes and n-3n hyperedges of 1-4 nodes each."""
+    n = draw(st.integers(min_value=3, max_value=14))
+    nodes = tuple(f"n{i}" for i in range(n))
+    members = st.frozensets(st.sampled_from(nodes), min_size=1, max_size=4)
+    edges = draw(st.lists(members, min_size=n, max_size=3 * n))
+    return FaceHypergraph(0, nodes, tuple((f"e{j}", m) for j, m in enumerate(edges)))
 
 
 class TestBuild:
@@ -128,20 +179,29 @@ class TestStrongConnectivity:
         assert is_connected_after_removal(hg, w.removed) is False
 
     def test_sequential_scan_holds_no_subset_list(self):
-        # v1 lies only on {v0, v1} and {v1, v2}; v0 and v2 are hubs with an
-        # edge to every other node.  No single removal disconnects, and the
-        # second pair in canonical order, (v0, v2), cuts v1 off.  The list of
-        # all C(300, 2) pairs would take about 3 MB.
-        nodes = tuple(f"v{i}" for i in range(300))
-        edges = [("a", frozenset(nodes[:2])), ("b", frozenset(nodes[1:3]))]
-        edges += [(f"{h}-{v}", frozenset({h, v})) for h in ("v0", "v2") for v in nodes[3:]]
-        hg = FaceHypergraph(k=0, nodes=nodes, hyperedges=tuple(edges))
+        hg = hub_hypergraph()
         tracemalloc.start()
         try:
             report = strong_connectivity(hg, cap=3, workers=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert report.alpha == 2 and report.witness.removed == ("v0", "v2")
+        assert report.witness.component_a == ("v1",)
+        assert peak < 1_000_000
+
+    def test_pool_scan_holds_no_subset_list(self, monkeypatch):
+        # Each worker generates its own range of subsets, so the parent
+        # sends ranges, not lists.
+        sizes = use_inline_pool(monkeypatch, cpus=2)
+        hg = hub_hypergraph()
+        tracemalloc.start()
+        try:
+            report = strong_connectivity(hg, cap=3, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sizes == [2, 2]
         assert report.alpha == 2 and report.witness.removed == ("v0", "v2")
         assert report.witness.component_a == ("v1",)
         assert peak < 1_000_000
@@ -197,37 +257,126 @@ class TestStrongConnectivity:
         # Only the computed sizes are checked; no pool is started.
         monkeypatch.setenv("FACELAB_THREADS", "1000000")
         assert default_workers() == os.cpu_count()
-        subsets = list(range(64))
-        assert len(_chunks(subsets, 40)) == 32
-        assert len(_chunks(subsets, 1_000_000)) == 64
-        assert [x for chunk in _chunks(subsets, 3) for x in chunk] == subsets
+        assert len(_first_node_ranges(64, 1, 40)) == 40
+        assert len(_first_node_ranges(64, 1, 1_000_000)) == 64
+        for n, size, workers in [(64, 1, 3), (12, 2, 5), (10, 3, 1_000_000), (9, 9, 4)]:
+            ranges = _first_node_ranges(n, size, workers)
+            assert len(ranges) <= workers
+            # The ranges concatenate to the canonical order.
+            assert [
+                (first, *rest)
+                for lo, hi in ranges
+                for first in range(lo, hi)
+                for rest in combinations(range(first + 1, n), size - 1)
+            ] == list(combinations(range(n), size))
 
     def test_explicit_worker_count_is_clamped(self, monkeypatch):
-        # The pool is replaced by an in-process stand-in that records its size.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return list(map(fn, *iterables))
-
-        # The scan imports the pool class only when it fans out, so the
-        # stand-in replaces it where that import finds it.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 3)
+        sizes = use_inline_pool(monkeypatch, cpus=3)
         hg = build_hypergraph(lattice_of("cube", 4), 1)
         clamped = strong_connectivity(hg, cap=3, workers=100_000)
         assert sizes and all(size == 3 for size in sizes)
         sequential = strong_connectivity(hg, cap=3, workers=1)
         assert clamped.to_json_dict() == sequential.to_json_dict()
+
+
+def assert_detour_is_sound(hg: FaceHypergraph, y: int) -> None:
+    """`_detour` against the union-find oracle on a connected hypergraph."""
+    nodes, hyperedges = list(hg.nodes), list(hg.hyperedges)
+    _, edge_masks = _encode(hg)
+    mask = _detour(edge_masks, y)
+    cut = not connected_after_removal_oracle(nodes, hyperedges, {nodes[y]})
+    assert (mask is None) == cut
+    if mask is None:
+        return
+    bit = 1 << y
+    neighbours = 0
+    for m in edge_masks:
+        if m & bit:
+            neighbours |= m & ~bit
+    assert not mask & bit
+    assert neighbours & ~mask == 0
+    # The hyperedges inside the mask join all of it, neighbours included.
+    inside = [nodes[i] for i in indices_of(mask)]
+    inside_edges = [(e, m) for e, m in hyperedges if m <= set(inside)]
+    assert connected_after_removal_oracle(inside, inside_edges, set())
+
+
+class TestDetour:
+    def test_standard_grid(self):
+        for family, d, n in FAMILY_GRID:
+            lat = lattice_of(family, d, n)
+            for k in range(d):
+                hg = build_hypergraph(lat, k)
+                for y in range(hg.n_nodes):
+                    assert_detour_is_sound(hg, y)
+
+    def test_cut_node_has_none(self):
+        _, edge_masks = _encode(toy_path())
+        assert _detour(edge_masks, 1) is None
+        assert _detour(edge_masks, 0) == 0b010
+
+    @given(abstract_hypergraphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_abstract_hypergraphs(self, hg, data):
+        assume(connected_after_removal_oracle(list(hg.nodes), list(hg.hyperedges), set()))
+        assert_detour_is_sound(hg, data.draw(st.integers(0, hg.n_nodes - 1)))
+
+    def test_certificate_skips_exact_checks(self, monkeypatch):
+        # The 4-cube's edge hypergraph at cap 3: sizes 0 and 1 take 33 exact
+        # checks, and the detours accept 230 of the 496 pairs unsearched.
+        checks = []
+        exact = hypergraph._first_component
+
+        def counted(*args):
+            checks.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(hypergraph, "_first_component", counted)
+        hg = build_hypergraph(lattice_of("cube", 4), 1)
+        report = strong_connectivity(hg, cap=3, workers=1)
+        assert report.capped and report.alpha == 3
+        assert len(checks) == 33 + 266
+
+
+# Higher caps scan 85k to 760k removal sets on these H_k, which takes the
+# union-find oracle from seconds to minutes (cross5 at k=1 and cap 6: about
+# 155 s), so they stop lower.
+ORACLE_CAP_LIMITS = {("cube", 5, 1): 3, ("cross", 5, 1): 4, ("cross", 5, 2): 3}
+
+
+def oracle_reports(hg: FaceHypergraph, top_cap: int) -> dict[int, object]:
+    """The oracle's report for every cap from 1 to top_cap, from one scan:
+    below the first disconnecting size a scan ends capped at its cap."""
+    top = first_disconnecting_set_oracle(hg, top_cap)
+    return {
+        cap: top
+        if not top.capped and top.alpha < cap
+        else top._replace(alpha=cap, capped=True, witness=None)
+        for cap in range(1, top_cap + 1)
+    }
+
+
+class TestScanAgainstOracle:
+    @pytest.mark.parametrize(
+        "family, d, n",
+        FAMILY_GRID + [("cube", 5, None), ("cross", 5, None), ("prism", 5, None), ("cyclic", 5, 9)],
+    )
+    def test_polytopes(self, family, d, n):
+        lat = lattice_of(family, d, n)
+        for k in range(d):
+            hg = build_hypergraph(lat, k)
+            top_cap = ORACLE_CAP_LIMITS.get((family, d, k), d - k + 2)
+            for cap, expected in oracle_reports(hg, top_cap).items():
+                assert strong_connectivity(hg, cap, workers=1) == expected
+
+    @given(abstract_hypergraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_abstract_hypergraphs(self, hg):
+        expected = first_disconnecting_set_oracle(hg, 5)
+        assert strong_connectivity(hg, 5, workers=1) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            use_inline_pool(mp, cpus=2)
+            assert strong_connectivity(hg, 5, workers=2) == expected
 
 
 class TestIsolatingSet:
