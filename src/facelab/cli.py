@@ -27,7 +27,6 @@ from .polytope import (
     VPolytope,
     face_lattice,
     load_polytope,
-    parse_face_id,
     polar_dual,
     save_polytope,
 )
@@ -129,7 +128,7 @@ def _cmd_hypergraph(ns) -> tuple[dict, int]:
         "k": hg.k,
         "nodes": list(hg.nodes),
         "hyperedges": [
-            {"id": eid, "nodes": sorted(members, key=parse_face_id)}
+            {"id": eid, "nodes": sorted(members, key=lambda n: lattice.face(n).vertex_set)}
             for eid, members in hg.hyperedges
         ],
     }, 0
@@ -167,7 +166,7 @@ def _cmd_ridge_path(ns) -> tuple[dict, int]:
 
 def _cmd_dual(ns) -> tuple[dict, int]:
     p = load_polytope(ns.file)
-    dual, _ = polar_dual(p)
+    dual = polar_dual(p)
     if ns.out:
         save_polytope(dual, ns.out)
     return {
@@ -182,7 +181,7 @@ def _cmd_section(ns) -> tuple[dict, int]:
     p, lattice = _load_with_lattice(ns.file)
     h = parse_hyperplane(ns.plane)
     smap = section(p, lattice, h)
-    phi_pairs = sorted(smap.to_slice.items(), key=lambda kv: parse_face_id(kv[0]))
+    phi_pairs = sorted(smap.to_slice.items(), key=lambda kv: lattice.face(kv[0]).vertex_set)
     return {
         "plane": _hyperplane_json(smap.plane),
         "slice": {

@@ -1,8 +1,8 @@
 """Exact rational geometry primitives: points, hyperplanes, ranks, feasibility.
 
 Every scalar is an arbitrary-precision :class:`fractions.Fraction`; nothing in
-this package touches floating point.  All predicates (sidedness, rank, hull
-membership) are therefore exact sign tests, which the rest of the library
+this package touches floating point.  All predicates (sidedness, rank,
+feasibility) are therefore exact sign tests, which the rest of the library
 relies on.
 """
 
@@ -151,9 +151,6 @@ class Hyperplane(_HyperplaneFields):
             )
         value = self.normal.dot(point) - self.offset
         return (value > 0) - (value < 0)
-
-    def flipped(self) -> Hyperplane:
-        return Hyperplane(-self.normal, -self.offset)
 
     def canonical(self) -> Hyperplane:
         """Scale by a positive rational so all entries are coprime integers.
@@ -377,20 +374,3 @@ def solve_nonnegative(
             solution[var] = tableau[i][-1]
     return solution
 
-
-def convex_combination(points: Sequence[QVector], target: QVector) -> list[Fraction] | None:
-    """Nonnegative weights summing to one that express target, or None."""
-    if not points:
-        raise GeometryError("convex combination over an empty point list")
-    d = points[0].dim
-    if target.dim != d or any(p.dim != d for p in points):
-        raise GeometryError("dimension mismatch in convex combination")
-    rows = [[p.coords[j] for p in points] for j in range(d)]
-    rows.append([_ONE] * len(points))
-    rhs = list(target.coords) + [_ONE]
-    return solve_nonnegative(rows, rhs)
-
-
-def point_in_hull(points: Sequence[QVector], p: QVector) -> bool:
-    """Exact convex-hull membership, decided by rational LP feasibility."""
-    return convex_combination(points, p) is not None

@@ -13,17 +13,9 @@ from __future__ import annotations
 import os
 from itertools import combinations, repeat
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .polytope import (
-    FaceLattice,
-    VPolytope,
-    dual_face_map,
-    face_lattice,
-    indices_of,
-    mask_of,
-    polar_dual,
-)
+from .polytope import FaceLattice, indices_of, mask_of
 
 
 class HypergraphError(ValueError):
@@ -180,18 +172,6 @@ def _encode(hg: FaceHypergraph) -> tuple[dict[str, int], list[int]]:
     return index, edge_masks
 
 
-def is_connected_after_removal(hg: FaceHypergraph, removed: Iterable[str]) -> bool:
-    """Connectivity of survivors after deleting nodes and their hyperedges."""
-    removed_ids = list(removed)
-    index, edge_masks = _encode(hg)
-    for r in removed_ids:
-        if r not in index:
-            raise HypergraphError(f"unknown node id {r!r}")
-    removed_mask = mask_of(index[r] for r in removed_ids)
-    survivors = ((1 << hg.n_nodes) - 1) & ~removed_mask
-    return _first_component(hg.n_nodes, edge_masks, removed_mask) == survivors
-
-
 def _scan_range(
     n_nodes: int, edge_masks: list[int], detours: list[int], size: int, lo: int, hi: int
 ) -> tuple[int, ...] | None:
@@ -331,80 +311,3 @@ def strong_connectivity(
             witness=DisconnectionWitness(ids(removed), ids(first), ids(rest)),
         )
     return ConnectivityReport(k=hg.k, alpha=cap, capped=True, witness=None)
-
-
-def find_isolating_set(hg: FaceHypergraph, node: str) -> tuple[str, ...] | None:
-    """Greedy picks, one per hyperedge containing the node, that isolate it.
-
-    Each hyperedge through the node not yet hit contributes its first other
-    node.  Returns the picked set when removing it leaves the node with no
-    surviving incident hyperedge while at least one other node survives;
-    None otherwise.
-    """
-    index, edge_masks = _encode(hg)
-    if node not in index:
-        raise HypergraphError(f"unknown node id {node!r}")
-    bit = 1 << index[node]
-    picks = 0
-    for m in edge_masks:
-        others = m & ~bit
-        if m & bit and others and not picks & others:
-            picks |= others & -others
-    if not picks or picks.bit_count() >= hg.n_nodes - 1:
-        return None
-    if any(m & bit and m != bit and not m & picks for m in edge_masks):
-        return None
-    return tuple(hg.nodes[i] for i in indices_of(picks))
-
-
-def check_duality_equivalence(
-    p: VPolytope,
-    k: int,
-    lattice: FaceLattice | None = None,
-    dual_data: tuple | None = None,
-) -> bool:
-    """Does H_k of p match the ridge structure of the dual's (d-k-1)-skeleton?
-
-    The duality map sends a face to the set of facets containing it.  The
-    check requires it to biject k-faces onto the dual's (d-k-1)-faces and
-    (k+1)-faces onto (d-k-2)-faces, reversing containment.
-
-    Callers sweeping k may pass a precomputed lattice and
-    dual_data=(facet_faces, dual_lattice) to avoid rebuilding both sides.
-    """
-    if lattice is None:
-        lattice = face_lattice(p)
-    d = lattice.dim
-    if k < 0 or k > d - 1:
-        raise HypergraphError(f"k={k} out of range [0, {d - 1}]")
-    if dual_data is None:
-        dual, facet_faces = polar_dual(p)
-        dual_lattice = face_lattice(dual)
-    else:
-        facet_faces, dual_lattice = dual_data
-    delta = dual_face_map(facet_faces)
-
-    def image_of(dim: int) -> dict[int, int] | None:
-        images = {f.mask: mask_of(delta(f)) for f in lattice.faces_of_dim(dim)}
-        if len(set(images.values())) != len(images):
-            return None
-        return images
-
-    node_images = image_of(k)
-    edge_images = image_of(k + 1)
-    if node_images is None or edge_images is None:
-        return False
-    skeleton_max = {f.mask for f in dual_lattice.faces_of_dim(d - k - 1)}
-    skeleton_ridges = {f.mask for f in dual_lattice.faces_of_dim(d - k - 2)}
-    if set(node_images.values()) != skeleton_max:
-        return False
-    if set(edge_images.values()) != skeleton_ridges:
-        return False
-    # H_k's hyperedge e holds exactly the k-faces that e covers.
-    for e in lattice.faces_of_dim(k + 1):
-        members = {c.mask for c in lattice.children(e)}
-        e_img = edge_images[e.mask]
-        for n, n_img in node_images.items():
-            if (n in members) != (e_img & ~n_img == 0):
-                return False
-    return True

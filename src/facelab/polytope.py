@@ -10,7 +10,6 @@ geometry is exact.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -36,8 +35,6 @@ class PolytopeError(ValueError):
 
 EMPTY_FACE_ID = "empty"
 
-_FACE_ID_RE = re.compile(r"^v\d+(?:-v\d+)*$")
-
 
 def face_id(vertex_set: Iterable[int]) -> str:
     """Canonical id for a face: 'v<i>-v<j>-...' over sorted vertex indices."""
@@ -45,18 +42,6 @@ def face_id(vertex_set: Iterable[int]) -> str:
     if not indices:
         return EMPTY_FACE_ID
     return "-".join(f"v{i}" for i in indices)
-
-
-def parse_face_id(text: str) -> tuple[int, ...]:
-    token = text.strip()
-    if token == EMPTY_FACE_ID:
-        return ()
-    if not _FACE_ID_RE.match(token):
-        raise PolytopeError(f"malformed face id {token!r}")
-    indices = tuple(int(part[1:]) for part in token.split("-"))
-    if list(indices) != sorted(set(indices)):
-        raise PolytopeError(f"face id {token!r} is not sorted and duplicate-free")
-    return indices
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -391,10 +376,6 @@ class FaceLattice:
             "inclusions": [list(pair) for pair in self.covering_pairs],
         }
 
-    def euler_characteristic_holds(self) -> bool:
-        total = sum((-1) ** k * fk for k, fk in enumerate(self.f_vector))
-        return total == 1 - (-1) ** self.dim
-
 
 def _maximal(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal members of a set of bitmasks."""
@@ -429,12 +410,12 @@ def face_lattice(p: VPolytope) -> FaceLattice:
     return FaceLattice(p.dim, [Face(mask, dim) for mask, dim in dims.items()], covers)
 
 
-def polar_dual(p: VPolytope) -> tuple[VPolytope, list[Face]]:
+def polar_dual(p: VPolytope) -> VPolytope:
     """Polar dual after translating the vertex barycenter to the origin.
 
     Vertex j of the dual corresponds to the j-th facet of p in canonical
-    order; the face lattices are anti-isomorphic.  Returns the dual and the
-    facet faces of p aligned with the dual's vertex order.
+    order (`facets(p)`; a translation keeps every facet's vertex set); the
+    face lattices are anti-isomorphic.
     """
     d = p.ambient_dim
     if p.dim != d:
@@ -444,51 +425,12 @@ def polar_dual(p: VPolytope) -> tuple[VPolytope, list[Face]]:
         [v - center for v in p.vertices], validate=False
     )
     dual_points = []
-    facet_faces = []
-    for face, h in facets(shifted):
+    for _, h in facets(shifted):
         # Origin is interior, so the a.x <= c orientation forces c > 0.
         if h.offset <= 0:
             raise PolytopeError("unexpected non-positive facet offset after centering")
         dual_points.append(h.normal.scaled(Fraction(1) / h.offset))
-        facet_faces.append(face)
-    return VPolytope.from_points(dual_points), facet_faces
-
-
-def dual_face_map(facet_faces: Sequence[Face]):
-    """Anti-isomorphism on vertex sets: F maps to {j : F inside facet j}."""
-
-    def delta(face: Face) -> tuple[int, ...]:
-        return tuple(j for j, facet in enumerate(facet_faces) if facet.contains(face))
-
-    return delta
-
-
-def lattice_anti_isomorphic(p: VPolytope) -> bool:
-    """Does the facet-incidence map give an inclusion-reversing lattice bijection?
-
-    Checks, exhaustively, that F maps to a dual face of dimension
-    dim(p) - 1 - dim(F), that the map is a bijection onto the dual lattice,
-    and that containment flips direction.  Intended for desk-scale duals.
-    """
-    lattice = face_lattice(p)
-    dual, facet_faces = polar_dual(p)
-    dual_lattice = face_lattice(dual)
-    delta = dual_face_map(facet_faces)
-    images: dict[Face, Face] = {}
-    for f in lattice.faces:
-        dual_face = dual_lattice.face_of_set(delta(f))
-        if dual_face is None or dual_face.dim != lattice.dim - 1 - f.dim:
-            return False
-        images[f] = dual_face
-    if len(set(images.values())) != len(lattice.faces):
-        return False
-    if len(lattice.faces) != len(dual_lattice.faces):
-        return False
-    return all(
-        b.contains(a) == images[a].contains(images[b])
-        for a in lattice.faces
-        for b in lattice.faces
-    )
+    return VPolytope.from_points(dual_points)
 
 
 def format_polytope(p: VPolytope) -> str:

@@ -184,15 +184,16 @@ def _ridge_ok(ridge: Face, blocked: Sequence[Face]) -> bool:
 
 
 def _bfs_ridge_path(
-    lattice: FaceLattice, k: int, blocked: Sequence[Face], f: Face, g: Face
+    lattice: FaceLattice, blocked: Sequence[Face], f: Face, g: Face
 ) -> tuple[tuple[Face, ...], tuple[Face, ...]] | None:
     """Breadth-first search on the pruned ridge graph of k-faces.
 
-    Nodes are k-faces outside the blocked set, in lattice order; two are
-    adjacent when their lattice meet has dimension k-1 and lies inside no
-    blocked face.
+    Nodes are k-faces outside the blocked set; two are adjacent when their
+    lattice meet has dimension k-1 and lies inside no blocked face.  So a
+    face's neighbours are the other parents of its children that pass
+    `_ridge_ok`; each is reached through one ridge, their meet, and they are
+    queued in lattice order.
     """
-    nodes = [x for x in lattice.faces_of_dim(k) if x not in blocked]
     parent: dict[int, tuple[Face, Face] | None] = {f.mask: None}
     queue = deque([f])
     while queue:
@@ -207,14 +208,15 @@ def _bfs_ridge_path(
                 ridges.append(ridge)
                 link = parent[prev.mask]
             return tuple(reversed(faces)), tuple(reversed(ridges))
-        for node in nodes:
-            if node.mask in parent:
+        fresh = []
+        for ridge in lattice.children(current):
+            if not _ridge_ok(ridge, blocked):
                 continue
-            ridge = lattice.meet(current, node)
-            if ridge.dim != k - 1 or not _ridge_ok(ridge, blocked):
-                continue
-            parent[node.mask] = (current, ridge)
-            queue.append(node)
+            for node in lattice.parents(ridge):
+                if node.mask not in parent and node not in blocked:
+                    parent[node.mask] = (current, ridge)
+                    fresh.append(node)
+        queue.extend(sorted(fresh, key=lambda x: x.vertex_set))
     return None
 
 
@@ -241,7 +243,7 @@ def _solve(
         # (k-1)-ridge this degenerate level admits.
         return _Solution((f, g), (lattice.empty_face,), 0, ())
     if k == 1 or not blocked:
-        found = _bfs_ridge_path(lattice, k, blocked, f, g)
+        found = _bfs_ridge_path(lattice, blocked, f, g)
         if found is None:
             raise RidgePathError(
                 f"ridge graph of {k}-faces is disconnected after removing "

@@ -39,24 +39,6 @@ def parse_hyperplane(text: str) -> Hyperplane:
         raise SectionError(f"malformed hyperplane {text!r}: {exc}") from None
 
 
-def cuts_face(h: Hyperplane, f: Face, p: VPolytope) -> bool:
-    """True iff f has vertices strictly on both sides of h.
-
-    Given no vertex on h this is equivalent to h meeting f.  A face vertex on
-    h makes the query ill-posed and raises.
-    """
-    has_neg = has_pos = False
-    for i in f.vertex_set:
-        s = h.side(p.vertices[i])
-        if s == 0:
-            raise SectionError(f"vertex {i} lies on the hyperplane")
-        if s > 0:
-            has_pos = True
-        else:
-            has_neg = True
-    return has_neg and has_pos
-
-
 class SectionMap:
     """A sliced polytope plus the face bijection with its base.
 
@@ -68,7 +50,6 @@ class SectionMap:
 
     def __init__(
         self,
-        base_polytope: VPolytope,
         base_lattice: FaceLattice,
         plane: Hyperplane,
         slice_polytope: VPolytope,
@@ -76,7 +57,6 @@ class SectionMap:
         crossed_edges: tuple[Face, ...],
         phi: dict[int, int],
     ) -> None:
-        self.base_polytope = base_polytope
         self.base_lattice = base_lattice
         self.plane = plane
         self.slice_polytope = slice_polytope
@@ -84,46 +64,10 @@ class SectionMap:
         self.crossed_edges = crossed_edges
         self.phi = phi
 
-    def _key(self) -> tuple:
-        return (
-            self.base_polytope,
-            self.base_lattice,
-            self.plane,
-            self.slice_polytope,
-            self.slice_lattice,
-            self.crossed_edges,
-            self.phi,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
     @cached_property
     def to_slice(self) -> dict[str, str]:
         base, sliced = self.base_lattice.face_of_mask, self.slice_lattice.face_of_mask
         return {base(b).id: sliced(s).id for b, s in self.phi.items()}
-
-    @cached_property
-    def to_base(self) -> dict[str, str]:
-        return {slice_id: base_id for base_id, slice_id in self.to_slice.items()}
-
-    def map_face(self, base_face_id: str) -> str:
-        """Slice face id for a base face meeting the plane."""
-        try:
-            return self.to_slice[base_face_id]
-        except KeyError:
-            raise SectionError(
-                f"face {base_face_id!r} does not meet the plane (or is unknown)"
-            ) from None
-
-    def lift(self, slice_face_id: str) -> str:
-        """The unique base face whose section is the given slice face."""
-        try:
-            return self.to_base[slice_face_id]
-        except KeyError:
-            raise SectionError(f"unknown slice face id {slice_face_id!r}") from None
 
 
 def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
@@ -152,20 +96,25 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
             segment_hyperplane_intersection(p.vertices[a], p.vertices[b], h)
         )
 
-    # Slice faces in bijection with the cut base faces, one dimension down;
-    # the crossed edges inside a cut face are its slice face's vertices.
-    phi: dict[int, int] = {}
+    # Slice faces in bijection with the cut base faces, one dimension down.
+    # Crossed edge idx is slice vertex idx; the slice face of a larger cut
+    # face holds the crossed edges of its cut children, which come before it
+    # in lattice order.
+    phi = {e.mask: 1 << idx for idx, e in enumerate(crossed)}
     cut_faces = [f for f in lattice.faces if is_cut(f)]
     slice_faces = [Face(0, -1)]
     for f in cut_faces:
-        cut_edges = mask_of(idx for idx, e in enumerate(crossed) if f.contains(e))
-        if not cut_edges:
-            raise SectionError(
-                f"face {f.id!r} is cut but contains no crossed edge; "
-                "base lattice is inconsistent"
-            )
-        phi[f.mask] = cut_edges
-        slice_faces.append(Face(cut_edges, f.dim - 1))
+        if f.dim > 1:
+            cut_edges = 0
+            for c in lattice.children(f):
+                cut_edges |= phi.get(c.mask, 0)
+            if not cut_edges:
+                raise SectionError(
+                    f"face {f.id!r} is cut but contains no crossed edge; "
+                    "base lattice is inconsistent"
+                )
+            phi[f.mask] = cut_edges
+        slice_faces.append(Face(phi[f.mask], f.dim - 1))
 
     if len(set(phi.values())) != len(phi):
         raise SectionError("two cut faces produced the same slice face; degenerate cut")
@@ -179,7 +128,6 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
     slice_polytope = VPolytope.from_points(slice_points, validate=False)
     slice_lattice = FaceLattice(lattice.dim - 1, slice_faces, covers)
     return SectionMap(
-        base_polytope=p,
         base_lattice=lattice,
         plane=h,
         slice_polytope=slice_polytope,

@@ -13,8 +13,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from facelab.geometry import Hyperplane, QVector, hyperplane_through
-from facelab.hypergraph import ConnectivityReport, DisconnectionWitness, FaceHypergraph
-from facelab.polytope import FaceLattice, VPolytope, face_lattice
+from facelab.hypergraph import (
+    ConnectivityReport,
+    DisconnectionWitness,
+    FaceHypergraph,
+    build_hypergraph,
+)
+from facelab.polytope import Face, FaceLattice, VPolytope, face_lattice, facets, polar_dual
 
 
 def det(matrix: list[list[Fraction]]) -> Fraction:
@@ -143,7 +148,7 @@ def brute_force_facets(p: VPolytope) -> list[tuple[tuple[int, ...], Hyperplane]]
         if 1 in sides and -1 in sides:
             continue
         if 1 in sides:
-            h = h.flipped().canonical()
+            h = Hyperplane(-h.normal, -h.offset).canonical()
             sides = [-s for s in sides]
         found.setdefault(tuple(i for i, s in enumerate(sides) if s == 0), h)
     return sorted(found.items())
@@ -204,12 +209,10 @@ def assert_section_isomorphism(p: VPolytope, lattice: FaceLattice, smap) -> None
     isomorphism onto the slice lattice, and the slice lattice must equal the
     geometric reconstruction from the slice points alone."""
     to_slice = smap.to_slice
-    to_base = smap.to_base
     slice_lattice = smap.slice_lattice
 
-    # bijectivity between the recorded directions
+    # injectivity: no two cut faces share a slice face
     assert len(set(to_slice.values())) == len(to_slice)
-    assert {v: k for k, v in to_slice.items()} == to_base
 
     # domain is exactly the strictly cut faces, recomputed from raw sides
     h = smap.plane
@@ -247,7 +250,66 @@ def assert_section_isomorphism(p: VPolytope, lattice: FaceLattice, smap) -> None
         f.vertex_set for f in slice_lattice.faces if f.dim >= 0
     }
     assert image == expected
-    assert slice_lattice.euler_characteristic_holds()
+    assert euler_characteristic_holds(slice_lattice)
+
+
+def euler_characteristic_holds(lattice: FaceLattice) -> bool:
+    """Euler-Poincare: the alternating sum of the proper nonempty face counts
+    is 1 - (-1)^d."""
+    total = sum((-1) ** k * fk for k, fk in enumerate(lattice.f_vector))
+    return total == 1 - (-1) ** lattice.dim
+
+
+def anti_isomorphism_oracle(p: VPolytope, lattice: FaceLattice) -> dict[Face, Face] | None:
+    """The facet-incidence map from p's face lattice onto its polar dual's,
+    or None when that map is not an anti-isomorphism.
+
+    F maps to the dual face on {j : F lies in facet j}, with the facets in
+    `facets` order, which is the dual's vertex order.  Checked exhaustively
+    from vertex sets: each image is a dual face of dimension
+    dim(p) - 1 - dim(F), the map is a bijection, containment flips, and the
+    covers map onto the dual's covers, reversed.  H_k is levels k and k+1
+    with their covers, so this also carries its duality with the dual's
+    (d-k-1)-skeleton.  Intended for desk-scale duals.
+    """
+    dual_lattice = face_lattice(polar_dual(p))
+    facet_sets = [set(f.vertex_set) for f, _ in facets(p)]
+    members = {f: set(f.vertex_set) for f in lattice.faces}
+    images = {}
+    for f in lattice.faces:
+        image = dual_lattice.face_of_set(
+            j for j, facet in enumerate(facet_sets) if members[f] <= facet
+        )
+        if image is None or image.dim != lattice.dim - 1 - f.dim:
+            return None
+        images[f] = image
+    if not len(set(images.values())) == len(images) == len(dual_lattice.faces):
+        return None
+    image_members = {f: set(images[f].vertex_set) for f in lattice.faces}
+    for a in lattice.faces:
+        for b in lattice.faces:
+            if (members[a] <= members[b]) != (image_members[b] <= image_members[a]):
+                return None
+    image_ids = {f.id: images[f].id for f in lattice.faces}
+    reversed_covers = {(image_ids[q], image_ids[c]) for c, q in lattice.covering_pairs}
+    if reversed_covers != set(dual_lattice.covering_pairs):
+        return None
+    return images
+
+
+def assert_hypergraphs_are_dual(p: VPolytope, lattice: FaceLattice) -> None:
+    """The lattice is anti-isomorphic to the dual's, and each H_k's
+    incidences are the dual's reversed: a k-face lies in a (k+1)-face
+    exactly when the dual image of the larger lies in that of the smaller."""
+    images = anti_isomorphism_oracle(p, lattice)
+    assert images is not None
+    for k in range(lattice.dim):
+        hg = build_hypergraph(lattice, k)
+        for eid, members in hg.hyperedges:
+            e_image = set(images[lattice.face(eid)].vertex_set)
+            for node in hg.nodes:
+                n_image = set(images[lattice.face(node)].vertex_set)
+                assert (node in members) == (e_image <= n_image), (k, eid, node)
 
 
 def connected_after_removal_oracle(
@@ -311,6 +373,27 @@ def first_disconnecting_set_oracle(hg: FaceHypergraph, cap: int) -> Connectivity
     return ConnectivityReport(hg.k, cap, True, None)
 
 
+def find_isolating_set(hg: FaceHypergraph, node: str) -> tuple[str, ...] | None:
+    """Greedy picks, one per hyperedge containing the node, that isolate it.
+
+    Each hyperedge through the node not yet hit contributes its first other
+    node in node order.  Returns the picks in node order when removing them
+    leaves the node with no surviving incident hyperedge while at least one
+    other node survives; None otherwise.
+    """
+    order = {n: i for i, n in enumerate(hg.nodes)}
+    picks: set[str] = set()
+    for _, members in hg.hyperedges:
+        others = members - {node}
+        if node in members and others and not picks & others:
+            picks.add(min(others, key=order.__getitem__))
+    if not picks or len(picks) >= hg.n_nodes - 1:
+        return None
+    if any(node in m and m != {node} and not m & picks for _, m in hg.hyperedges):
+        return None
+    return tuple(sorted(picks, key=order.__getitem__))
+
+
 def bfs_ridge_path_oracle(
     lattice: FaceLattice,
     k: int,
@@ -322,12 +405,14 @@ def bfs_ridge_path_oracle(
 
     Adjacency computed from raw vertex sets: two surviving k-faces join when
     their vertex-set intersection is a lattice face of dimension k-1 that is
-    not inside any blocked face.
+    not inside any blocked face.  Each face's neighbours are visited in
+    sorted vertex-set order, so among shortest paths this one is the first
+    that a search in lattice order finds.
     """
     faces = {f.id: set(f.vertex_set) for f in lattice.faces_of_dim(k)}
     blocked_sets = [faces[b] for b in blocked]
     by_set = {f.vertex_set: f for f in lattice.faces}
-    alive = sorted(fid for fid in faces if fid not in blocked)
+    alive = sorted((fid for fid in faces if fid not in blocked), key=lambda x: sorted(faces[x]))
 
     def adjacent(a: str, b: str) -> bool:
         cut = tuple(sorted(faces[a] & faces[b]))

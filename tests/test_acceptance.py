@@ -13,19 +13,8 @@ from itertools import combinations
 
 from facelab.cli import run
 from facelab.generators import random_polytope
-from facelab.hypergraph import (
-    build_hypergraph,
-    check_duality_equivalence,
-    find_isolating_set,
-    is_connected_after_removal,
-    strong_connectivity,
-)
-from facelab.polytope import (
-    face_lattice,
-    lattice_anti_isomorphic,
-    polar_dual,
-    save_polytope,
-)
+from facelab.hypergraph import build_hypergraph, strong_connectivity
+from facelab.polytope import save_polytope
 from facelab.ridgepath import (
     BlockedSet,
     RidgePathError,
@@ -36,8 +25,12 @@ from facelab.ridgepath import (
 from facelab.section import section
 from instances import FAMILY_GRID, instance, lattice_of, polytope, section_battery
 from oracles import (
+    assert_hypergraphs_are_dual,
     assert_section_isomorphism,
     bfs_ridge_path_oracle,
+    connected_after_removal_oracle,
+    euler_characteristic_holds,
+    find_isolating_set,
     hyperplane_conditions_oracle,
 )
 
@@ -86,15 +79,17 @@ def test_criterion_2_cube_tightness(capsys):
             lat = lattice_of("cube", d)
             for k in range(0, d - 1):
                 hg = build_hypergraph(lat, k)
+                nodes, hyperedges = list(hg.nodes), list(hg.hyperedges)
                 for node in hg.nodes:
                     picks = find_isolating_set(hg, node)
                     assert picks is not None, (d, k, node)
                     assert len(picks) == d - k, (d, k, node, picks)
                     assert node not in picks
-                    assert is_connected_after_removal(hg, picks) is False
+                    assert not connected_after_removal_oracle(nodes, hyperedges, set(picks))
                 report = strong_connectivity(hg, cap=d - k + 1)
                 assert report.alpha == d - k and report.capped is False
-                assert is_connected_after_removal(hg, report.witness.removed) is False
+                removed = set(report.witness.removed)
+                assert not connected_after_removal_oracle(nodes, hyperedges, removed)
 
 
 def test_criterion_3_section_battery(capsys):
@@ -203,13 +198,7 @@ def test_criterion_6_duality_equivalence(capsys):
     """H_k matches the dual skeleton structure; lattices anti-isomorphic."""
     with criterion(capsys, 6, "duality equivalence on all families"):
         for family, dim, p, lat in grid_instances():
-            dual, facet_faces = polar_dual(p)
-            dual_data = (facet_faces, face_lattice(dual))
-            for k in range(dim):
-                assert check_duality_equivalence(
-                    p, k, lattice=lat, dual_data=dual_data
-                ), (family, dim, k)
-            assert lattice_anti_isomorphic(p), (family, dim)
+            assert_hypergraphs_are_dual(p, lat)
 
 
 def test_criterion_7_structural_invariants(capsys):
@@ -217,7 +206,7 @@ def test_criterion_7_structural_invariants(capsys):
     with criterion(capsys, 7, "structural invariants on every lattice"):
         audited = 0
         for family, dim, p, lat in grid_instances():
-            assert lat.euler_characteristic_holds(), (family, dim)
+            assert euler_characteristic_holds(lat), (family, dim)
 
             sets = {f.vertex_set for f in lat.faces}
             for a, b in combinations(lat.faces, 2):

@@ -14,7 +14,7 @@ from facelab.ridgepath import (
     solve_ridge_path,
     verify_ridge_path,
 )
-from instances import instance
+from instances import FAMILY_GRID, instance
 from oracles import bfs_ridge_path_oracle, hyperplane_conditions_oracle
 
 
@@ -137,6 +137,21 @@ class TestSolver:
                 p, lat, k, BlockedSet.of(k, blocked), f_id, g_id, seed=trial, verify=True
             )
             assert res.verified is True
+
+    def test_plain_search_finds_the_oracle_path(self):
+        # Edge paths and unblocked paths need no section: the solver's
+        # breadth-first search must return exactly the oracle's path.
+        rng = random.Random(59)
+        for family, d, n in FAMILY_GRID:
+            p, lat = instance(family, d, n=n)
+            for k in sorted({1, d - 1}):
+                faces = [f.id for f in lat.faces_of_dim(k)]
+                for _ in range(8):
+                    blocked = rng.sample(faces, 1) if k == 1 and len(faces) > 3 else []
+                    f_id, g_id = rng.sample([x for x in faces if x not in blocked], 2)
+                    expected = bfs_ridge_path_oracle(lat, k, set(blocked), f_id, g_id)
+                    res = solve_ridge_path(p, lat, k, BlockedSet.of(k, blocked), f_id, g_id)
+                    assert list(res.path.faces) == expected, (family, d, k, blocked, f_id, g_id)
 
     def test_request_validation(self):
         p, lat = instance("cube", 3)

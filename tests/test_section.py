@@ -7,10 +7,10 @@ import pytest
 
 from facelab.generators import cube, random_polytope, simplex
 from facelab.geometry import Hyperplane, QVector, affine_rank
-from facelab.polytope import face_lattice
-from facelab.section import SectionError, cuts_face, parse_hyperplane, section
+from facelab.polytope import FaceLattice, face_lattice
+from facelab.section import SectionError, parse_hyperplane, section
 from instances import instance, random_cutting_plane, section_battery
-from oracles import assert_section_isomorphism
+from oracles import assert_section_isomorphism, euler_characteristic_holds
 
 F = Fraction
 Q = QVector.of
@@ -32,16 +32,16 @@ class TestParseHyperplane:
 class TestCutsFace:
     def test_cube_examples(self):
         p, lat = instance("cube", 3)
-        h = parse_hyperplane("1,0,0;1/2")
-        assert cuts_face(h, lat.face("v0-v4"), p) is True
-        assert cuts_face(h, lat.full_face, p) is True
-        assert cuts_face(h, lat.face("v0-v1-v2-v3"), p) is False
+        smap = section(p, lat, parse_hyperplane("1,0,0;1/2"))
+        assert "v0-v4" in smap.to_slice
+        assert lat.full_face.id in smap.to_slice
+        assert "v0-v1-v2-v3" not in smap.to_slice
 
     def test_vertex_on_plane_is_an_error(self):
         p, lat = instance("cube", 3)
         h = parse_hyperplane("1,0,0;0")
-        with pytest.raises(SectionError):
-            cuts_face(h, lat.face("v0-v1-v2-v3"), p)
+        with pytest.raises(SectionError, match="vertex 0 lies on the hyperplane"):
+            section(p, lat, h)
 
     def test_agrees_with_edge_crossing_oracle(self):
         rng = random.Random(31)
@@ -49,6 +49,7 @@ class TestCutsFace:
             p, lat = instance(fam, d)
             for _ in range(10):
                 h = random_cutting_plane(p, rng)
+                to_slice = section(p, lat, h).to_slice
                 edges = lat.faces_of_dim(1)
                 for f in lat.faces:
                     if f.dim < 1:
@@ -60,7 +61,7 @@ class TestCutsFace:
                         == -1
                         for e in edges
                     )
-                    assert cuts_face(h, f, p) == crossing_edge
+                    assert (f.id in to_slice) == crossing_edge
 
 
 class TestSection:
@@ -79,15 +80,13 @@ class TestSection:
     def test_map_face_and_lift(self):
         p, lat = instance("cube", 3)
         smap = section(p, lat, parse_hyperplane("1,0,0;1/2"))
-        image_id = smap.map_face("v0-v1-v4-v5")
+        image_id = smap.to_slice["v0-v1-v4-v5"]
         assert smap.slice_lattice.face(image_id).dim == 1
-        assert smap.lift(image_id) == "v0-v1-v4-v5"
-        with pytest.raises(SectionError):
-            smap.map_face("v0-v1-v2-v3")
-        with pytest.raises(SectionError):
-            smap.map_face("v0")
-        with pytest.raises(SectionError):
-            smap.lift("v99")
+        # The map is injective, so a slice face lifts to one base face.
+        lifts = [base for base, sliced in smap.to_slice.items() if sliced == image_id]
+        assert lifts == ["v0-v1-v4-v5"]
+        assert "v0-v1-v2-v3" not in smap.to_slice
+        assert "v0" not in smap.to_slice
 
     def test_full_battery_on_fixed_slices(self):
         for fam, d, plane in [
@@ -128,7 +127,7 @@ class TestSection:
             parse_hyperplane("0,1,0,0;1/2"),
         )
         assert inner.slice_lattice.dim == 2
-        assert inner.slice_lattice.euler_characteristic_holds()
+        assert euler_characteristic_holds(inner.slice_lattice)
 
     def test_vertex_on_plane_rejected(self):
         p, lat = instance("cube", 3)
@@ -136,6 +135,15 @@ class TestSection:
             section(p, lat, parse_hyperplane("1,0,0;0"))
         with pytest.raises(SectionError):
             section(p, lat, parse_hyperplane("1,1,0;1"))
+
+    def test_inconsistent_lattice_rejected(self):
+        # Without the covers below the square itself, the square is cut but
+        # no cut child hands it a crossed edge.
+        p, lat = instance("cube", 2)
+        covers = [(c.mask, q.mask) for q in lat.faces[:-1] for c in lat.children(q)]
+        broken = FaceLattice(2, lat.faces, covers)
+        with pytest.raises(SectionError, match="contains no crossed edge"):
+            section(p, broken, parse_hyperplane("1,0;1/2"))
 
     def test_plane_missing_polytope_rejected(self):
         p, lat = instance("cube", 3)
