@@ -10,7 +10,8 @@ script with that version's sources first on the path:
 
     PYTHONPATH=<checkout>/src python tests/test_golden.py
 
-It writes the input polytopes and one `<case>.out` file of stdout per case.
+It writes the input polytopes, one `<case>.out` file of stdout per case,
+and the random-polytope pins.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ INPUTS = {
     "cube3.poly": ("cube", 3, None),
     "cross4.poly": ("cross", 4, None),
     "cyclic4_8.poly": ("cyclic", 4, 8),
+    # The apex (1/2, 1/2, 1/2, 1) gives vertex rows with x0 = 2.
+    "pyramid4.poly": ("pyramid", 4, None),
     # Point 2 is an edge midpoint and point 4 lies on the hypotenuse.
     "nonvertex.poly": "polytope 2 5\n0 0\n2 0\n1 0\n0 2\n1 1\n",
     # Collinear in 3-space: point 2 is the midpoint of the other two.
@@ -40,7 +43,17 @@ QUERIES = {
     "cube3": ("1,0,0;1/2", "v0-v1-v4-v5,v2-v3-v6-v7", "v0-v1-v2-v3", "v4-v5-v6-v7"),
     "cross4": ("1,1,1,1;1/2", "v0-v2-v5,v0-v2-v6", "v0-v2-v4", "v3-v5-v7"),
     "cyclic4_8": ("1,0,0,0;9/2", "v0-v1-v3,v0-v1-v4", "v0-v1-v2", "v5-v6-v7"),
+    # Depth 1; the search's first plane grazes a vertex, so it draws a nudge.
+    "pyramid4": ("2,1,1,1;5/2", "v0-v1-v4-v5,v0-v4-v8", "v0-v2-v8", "v1-v3-v8"),
 }
+
+# random_polytope(d, n, seed) texts, pinning its accept/redraw decisions.
+RANDOM_PINS = "random_polytopes.txt"
+RANDOM_SPECS = [
+    (d, n, seed)
+    for d, n in ((4, 10), (4, 11), (5, 8), (5, 9), (5, 10))
+    for seed in range(1, 6)
+]
 
 
 def _cases() -> dict[str, list[str]]:
@@ -85,6 +98,13 @@ def _cases() -> dict[str, list[str]]:
         "--blocked", "v0-v1-v2-v3,v0-v1-v2-v7,v0-v1-v3-v4",
         "--from", "v0-v1-v4-v5", "--to", "v4-v5-v6-v7", "--verify",
     ]
+    cases["pyramid4.ridge_path_depth2"] = [
+        "ridge-path", "pyramid4.poly", "--k", "3",
+        "--blocked", "v0-v1-v4-v5-v8,v1-v3-v5-v7-v8,v2-v3-v6-v7-v8",
+        "--from", "v0-v1-v2-v3-v4-v5-v6-v7", "--to", "v0-v1-v2-v3-v8", "--verify",
+    ]
+    # --seed seeds the nudge direction, and with it the reported plane.
+    cases["pyramid4.ridge_path_seed7"] = cases["pyramid4.ridge_path"] + ["--seed", "7"]
     return cases
 
 
@@ -98,6 +118,17 @@ def _stdout(argv: list[str]) -> str:
     with contextlib.redirect_stdout(buffer):
         main(argv)
     return buffer.getvalue()
+
+
+def _random_pins() -> str:
+    from facelab.generators import random_polytope
+    from facelab.polytope import format_polytope
+
+    return "".join(
+        f"# random_polytope({d}, {n}, seed={seed})\n"
+        + format_polytope(random_polytope(d, n, seed))
+        for d, n, seed in RANDOM_SPECS
+    )
 
 
 def record() -> None:
@@ -114,6 +145,7 @@ def record() -> None:
     os.chdir(GOLDEN)
     for case, argv in CASES.items():
         (GOLDEN / f"{case}.out").write_text(_stdout(argv), encoding="utf-8")
+    (GOLDEN / RANDOM_PINS).write_text(_random_pins(), encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -121,6 +153,10 @@ def test_stdout_matches_golden(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert _stdout(CASES[case]) == expected
+
+
+def test_random_polytopes_match_pins():
+    assert _random_pins() == (GOLDEN / RANDOM_PINS).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
