@@ -1,9 +1,12 @@
 """Exact rational geometry primitives: points, hyperplanes, ranks, feasibility.
 
-Every scalar is an arbitrary-precision :class:`fractions.Fraction`; nothing in
-this package touches floating point.  All predicates (sidedness, rank,
-feasibility) are therefore exact sign tests, which the rest of the library
-relies on.
+Points and hyperplanes carry arbitrary-precision :class:`fractions.Fraction`
+coordinates; nothing in this package touches floating point.  The kernels
+that do the work run on integers: a point is also its primitive homogeneous
+row (x0, x) with x0 > 0, and elimination and the simplex are fraction-free
+(Bareiss 1968; Edmonds 1967), so every division is exact.  All predicates
+(sidedness, rank, feasibility) are therefore exact sign tests, which the
+rest of the library relies on.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -44,7 +46,7 @@ def format_rational(value: Fraction) -> str:
 class QVector:
     """Point or direction with exact rational coordinates; immutable."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_row")
 
     def __init__(self, coords: tuple[Fraction, ...]) -> None:
         object.__setattr__(self, "coords", coords)
@@ -117,6 +119,19 @@ class QVector:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
+    def homogeneous(self) -> tuple[int, ...]:
+        """The point as the primitive integer row (x0, x), x0 > 0, self = x / x0.
+
+        x0 is the lcm of the coordinate denominators.  Computed once per vector.
+        """
+        try:
+            return self._row
+        except AttributeError:
+            x0 = lcm(*(a.denominator for a in self.coords))
+            row = (x0, *(a.numerator * (x0 // a.denominator) for a in self.coords))
+            object.__setattr__(self, "_row", row)
+            return row
+
 
 class _HyperplaneFields(NamedTuple):
     normal: QVector
@@ -152,36 +167,45 @@ class Hyperplane(_HyperplaneFields):
         value = self.normal.dot(point) - self.offset
         return (value > 0) - (value < 0)
 
+    def homogeneous(self) -> tuple[int, ...]:
+        """The integer row (-c, a) for a.x = c, scaled by the lcm of its denominators.
+
+        Its dot product with a point's homogeneous row (x0, x) is x0 times a
+        positive multiple of a.x/x0 - c, so its sign is side() of the point.
+        """
+        entries = (-self.offset, *self.normal.coords)
+        scale = lcm(*(e.denominator for e in entries))
+        return tuple(e.numerator * (scale // e.denominator) for e in entries)
+
     def canonical(self) -> Hyperplane:
         """Scale by a positive rational so all entries are coprime integers.
 
         Positive scaling preserves orientation, so side() is unchanged.
         """
-        entries = list(self.normal.coords) + [self.offset]
-        scale = lcm(*(e.denominator for e in entries))
-        ints = [int(e * scale) for e in entries]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        return Hyperplane(QVector.of(ints[:-1]), Fraction(ints[-1]))
+        return _plane_of_row(primitive(self.homogeneous()))
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    # Row scaling by a positive rational does not change the rank.
-    out = []
-    for row in rows:
-        scale = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * scale) for v in row])
-    return out
+def _plane_of_row(row: Sequence[int]) -> Hyperplane:
+    return Hyperplane(QVector.of(row[1:]), Fraction(-row[0]))
 
 
-def pivot_columns(rows: list[list[int]]) -> list[int]:
-    """Pivot columns of fraction-free (Bareiss) elimination over the integers.
+def primitive(vector: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries."""
+    g = gcd(*vector)
+    return tuple(x // g for x in vector) if g > 1 else tuple(vector)
 
-    Their count is the rank; they are the lexicographically first columns
-    that span the column space.
+
+def eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
+
+    Returns the reduced matrix and its pivot columns, the lexicographically
+    first columns that span the column space.  Row r holds pivot r, and each
+    pivot column is zero but for its pivot entry.  Every pivot entry equals
+    the last pivot D, so the matrix over D is the rational reduced row
+    echelon form.  Each step divides by the previous pivot, and the division
+    is exact: every entry stays a minor of the input.
     """
-    mat = [row[:] for row in rows]
+    mat = [list(row) for row in rows]
     n_rows = len(mat)
     n_cols = len(mat[0]) if mat else 0
     pivots: list[int] = []
@@ -194,39 +218,46 @@ def pivot_columns(rows: list[list[int]]) -> list[int]:
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        for r in range(rank + 1, n_rows):
-            factor = mat[r][col]
-            row = mat[r]
-            top = mat[rank]
-            for c in range(col, n_cols):
+        top = mat[rank]
+        pivot = top[col]
+        for r, row in enumerate(mat):
+            if r == rank:
+                continue
+            factor = row[col]
+            # Rows below the pivot are zero left of it.
+            for c in range(0 if r < rank else col, n_cols):
                 quotient, remainder = divmod(pivot * row[c] - factor * top[c], prev)
                 if remainder:
                     raise AssertionError("fraction-free elimination lost exactness")
                 row[c] = quotient
         prev = pivot
         pivots.append(col)
-    return pivots
+    return mat, pivots
 
 
-def affine_chart(points: Sequence[QVector]) -> list[int]:
-    """Coordinates that chart the affine hull: its difference matrix's pivot columns.
+def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Pivot columns of integer rows; their count is the rank."""
+    return eliminate(rows)[1]
 
-    Projecting onto them is an affine bijection from the hull onto a space of
-    len(result) coordinates, so it preserves convexity, faces and vertices.
+
+def affine_chart(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Coordinates that chart the affine hull of points given as homogeneous rows.
+
+    Coordinate j is in the chart when column j + 1 of the rows is a pivot:
+    when it is independent, on the hull, of the constant and the earlier
+    coordinates.  Projecting onto the chart is an affine bijection from the
+    hull onto a space of len(result) coordinates, so it preserves convexity,
+    faces and vertices.
     """
-    if len(points) < 2:
-        return []
-    base = points[0]
-    diffs = [[p.coords[j] - base.coords[j] for j in range(base.dim)] for p in points[1:]]
-    return pivot_columns(_integer_rows(diffs))
+    return [c - 1 for c in pivot_columns(rows)[1:]]
 
 
 def affine_rank(points: Sequence[QVector]) -> int:
-    """Dimension of the affine hull; -1 for the empty set, 0 for a point."""
-    if not points:
-        return -1
-    return len(affine_chart(points))
+    """Dimension of the affine hull; -1 for the empty set, 0 for a point.
+
+    It is the rank of the points' homogeneous rows, less one.
+    """
+    return len(pivot_columns([p.homogeneous() for p in points])) - 1
 
 
 def barycenter(points: Sequence[QVector]) -> QVector:
@@ -244,56 +275,28 @@ def barycenter(points: Sequence[QVector]) -> QVector:
     return QVector(tuple(t / n for t in totals))
 
 
-def segment_hyperplane_intersection(p: QVector, q: QVector, h: Hyperplane) -> QVector:
-    """The unique point of segment [p, q] on h; requires a strict crossing."""
-    sp = h.side(p)
-    sq = h.side(q)
-    if sp * sq != -1:
-        raise GeometryError(
-            f"segment does not strictly cross the hyperplane (sides {sp}, {sq})"
-        )
-    ap = h.normal.dot(p)
-    aq = h.normal.dot(q)
-    t = (h.offset - ap) / (aq - ap)
-    return QVector(tuple(a + t * (b - a) for a, b in zip(p.coords, q.coords)))
-
-
 def hyperplane_through(points: Sequence[QVector]) -> Hyperplane | None:
     """The hyperplane containing the points, when their affine span has codimension one.
 
-    Returns None when the span's codimension is not exactly one.  Solved by
-    exact row reduction of the difference system; the result is canonicalized
-    to a primitive integer normal.
+    Returns None when the span's codimension is not exactly one.  The plane's
+    row (-c, a) spans the null space of the points' homogeneous rows; it is
+    read off their fraction-free reduction, with a positive entry on the one
+    coordinate column that is not a pivot, and canonicalized to a primitive
+    integer normal.
     """
     if not points:
         return None
-    base = points[0]
-    d = base.dim
-    rows = [[p.coords[j] - base.coords[j] for j in range(d)] for p in points[1:]]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(d):
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = _ONE / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    if rank != d - 1:
+    mat, pivots = eliminate([p.homogeneous() for p in points])
+    if len(pivots) != points[0].dim:
         return None
-    free_col = next(c for c in range(d) if c not in pivot_cols)
-    normal = [_ZERO] * d
-    normal[free_col] = _ONE
-    for r, col in enumerate(pivot_cols):
-        normal[col] = -rows[r][free_col]
-    a = QVector(tuple(normal))
-    return Hyperplane(a, a.dot(base)).canonical()
+    free = next(c for c in range(1, len(pivots) + 1) if c not in pivots)
+    last = mat[len(pivots) - 1][pivots[-1]]
+    sign = 1 if last > 0 else -1
+    row = [0] * (len(pivots) + 1)
+    row[free] = sign * last
+    for r, col in enumerate(pivots):
+        row[col] = -sign * mat[r][free]
+    return _plane_of_row(primitive(row))
 
 
 def solve_nonnegative(
@@ -301,76 +304,56 @@ def solve_nonnegative(
 ) -> list[Fraction] | None:
     """Find x >= 0 with rows . x = rhs, or None when the system is infeasible.
 
-    Exact phase-1 simplex over rationals.  Bland's pivoting rule (smallest
-    entering index, smallest basic variable on ratio ties) rules out cycling,
-    so the iteration is finite without any perturbation.
+    Exact phase-1 simplex.  Bland's pivoting rule (smallest entering index,
+    smallest basic variable on ratio ties) rules out cycling, so the
+    iteration is finite without any perturbation.  The system is scaled by
+    the lcm of its denominators, and the tableau holds D times the rational
+    tableau, D > 0 the determinant of the basis: each pivot divides by the
+    previous D exactly (Edmonds 1967).  The artificial columns are not kept:
+    an artificial variable starts basic and never re-enters once it leaves.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        artificial = [_ZERO] * m
-        artificial[i] = _ONE
-        tableau.append(row + artificial + [b])
+    scale = lcm(*(v.denominator for row in rows for v in row), *(b.denominator for b in rhs))
+    tableau: list[list[int]] = []
+    for row, b in zip(rows, rhs):
+        ints = [v.numerator * (scale // v.denominator) for v in (*row, b)]
+        tableau.append([-v for v in ints] if ints[-1] < 0 else ints)
     basis = list(range(n, n + m))
-    # Reduced-cost row for minimizing the artificial sum: the sum of all
-    # constraint rows, with the (basic) artificial columns zeroed out.
-    objective = [sum((tableau[i][j] for i in range(m)), _ZERO) for j in range(n + m + 1)]
-    for j in range(n, n + m):
-        objective[j] = _ZERO
-    banned: set[int] = set()
+    # Reduced costs of minimizing the artificial sum: the sum of all rows.
+    objective = [sum(column) for column in zip(*tableau)] if m else [0]
+    det = 1
     while True:
-        entering = next(
-            (
-                j
-                for j in range(n + m)
-                if j not in banned and j not in basis and objective[j] > 0
-            ),
-            None,
-        )
+        entering = next((j for j in range(n) if objective[j] > 0 and j not in basis), None)
         if entering is None:
             break
         leaving = None
-        best: Fraction | None = None
-        for i in range(m):
-            coeff = tableau[i][entering]
+        for i, row in enumerate(tableau):
+            coeff = row[entering]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
+                if leaving is None:
+                    leaving, best_b, best_coeff = i, row[-1], coeff
+                    continue
+                # Compare the ratios row[-1] / coeff and best_b / best_coeff.
+                here, there = row[-1] * best_coeff, best_b * coeff
+                if here < there or (here == there and basis[i] < basis[leaving]):
+                    leaving, best_b, best_coeff = i, row[-1], coeff
         if leaving is None:
             return None
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot for v in tableau[leaving]]
-        for i in range(m):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [
-                    a - factor * b for a, b in zip(tableau[i], tableau[leaving])
-                ]
-        if objective[entering] != 0:
-            factor = objective[entering]
-            objective = [
-                a - factor * b for a, b in zip(objective, tableau[leaving])
-            ]
-        if basis[leaving] >= n:
-            banned.add(basis[leaving])
+        top = tableau[leaving]
+        pivot = top[entering]
+        for i, row in enumerate(tableau):
+            if i != leaving:
+                factor = row[entering]
+                tableau[i] = [(pivot * a - factor * b) // det for a, b in zip(row, top)]
+        factor = objective[entering]
+        objective = [(pivot * a - factor * b) // det for a, b in zip(objective, top)]
+        det = pivot
         basis[leaving] = entering
     if objective[-1] != 0:
         return None
     solution = [_ZERO] * n
-    for i, var in enumerate(basis):
+    for row, var in zip(tableau, basis):
         if var < n:
-            solution[var] = tableau[i][-1]
+            solution[var] = Fraction(row[-1], det)
     return solution
-

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import (
@@ -20,12 +20,12 @@ from .geometry import (
     Hyperplane,
     QVector,
     affine_chart,
-    affine_rank,
     barycenter,
     format_rational,
     hyperplane_through,
     parse_rational,
     pivot_columns,
+    primitive,
 )
 
 
@@ -80,11 +80,6 @@ class Face(NamedTuple):
         return other.mask & ~self.mask == 0
 
 
-def _primitive(vector: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*vector)
-    return tuple(x // g for x in vector) if g > 1 else tuple(vector)
-
-
 def _initial_cone(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
     """The first len(rows[0]) linearly independent rows, in input order, and
     the extreme rays of the simplicial cone they cut out.
@@ -92,15 +87,15 @@ def _initial_cone(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, ...
     Ray j is the primitive normal of the hyperplane through the origin and
     every chosen row but row j, oriented to be positive on row j.
     """
-    chosen = pivot_columns([list(column) for column in zip(*rows)])
+    chosen = pivot_columns(list(zip(*rows)))
     origin = QVector.of([0] * len(rows[0]))
     rays = []
     for j in chosen:
         others = [QVector.of(rows[i]) for i in chosen if i != j]
-        normal = hyperplane_through([origin] + others).normal
-        if normal.dot(QVector.of(rows[j])) < 0:
-            normal = -normal
-        rays.append(tuple(int(x) for x in normal.coords))
+        ray = [x.numerator for x in hyperplane_through([origin] + others).normal]
+        if sum(map(mul, ray, rows[j])) < 0:
+            ray = [-x for x in ray]
+        rays.append(tuple(ray))
     return chosen, rays
 
 
@@ -138,7 +133,7 @@ def _double_description(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...
                     continue
                 va, vb = values[a], -values[b]
                 new_rays.append(
-                    _primitive([va * y + vb * x for x, y in zip(rays[a], rays[b])])
+                    primitive([va * y + vb * x for x, y in zip(rays[a], rays[b])])
                 )
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
@@ -182,29 +177,57 @@ class VPolytope:
         ambient = pts[0].dim
         if any(p.dim != ambient for p in pts):
             raise PolytopeError("all vertices must share the ambient dimension")
-        if len(set(pts)) != len(pts):
+        return cls._build(pts, tuple(p.homogeneous() for p in pts), validate)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[int, ...]]) -> VPolytope:
+        """The polytope on the points x / x0 of primitive rows (x0 > 0, x), unvalidated."""
+        pts = tuple(QVector(tuple(Fraction(x, row[0]) for x in row[1:])) for row in rows)
+        return cls._build(pts, tuple(rows), validate=False)
+
+    @classmethod
+    def _build(
+        cls, pts: tuple[QVector, ...], rows: tuple[tuple[int, ...], ...], validate: bool
+    ) -> VPolytope:
+        # Primitive rows with x0 > 0 are equal exactly when their points are.
+        if len(set(rows)) != len(rows):
             raise PolytopeError("duplicate vertices in input")
-        polytope = cls(pts, ambient, affine_rank(pts))
+        chart = affine_chart(rows)
+        polytope = cls(pts, len(rows[0]) - 1, len(chart))
+        # Fill the cached properties with the work done here.
+        polytope.__dict__.update(rows=rows, _chart=chart)
         if validate:
             polytope._check_vertices()
         return polytope
 
     @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex as its primitive homogeneous integer row (x0 > 0, x)."""
+        return tuple(v.homogeneous() for v in self.vertices)
+
+    @cached_property
+    def _chart(self) -> list[int]:
+        return affine_chart(self.rows)
+
+    def plane_values(self, h: Hyperplane) -> list[int]:
+        """Per vertex v, a positive multiple of h.normal . v - h.offset.
+
+        Their signs are the vertices' sides of h; a zero is a vertex on h.
+        Each is the dot product of h's homogeneous row with the vertex's row.
+        """
+        form = h.homogeneous()
+        return [sum(map(mul, form, row)) for row in self.rows]
+
+    @cached_property
     def _facet_rays(self) -> list[tuple[int, tuple[int, ...]]]:
         """The facets in the hull's affine chart, by double description.
 
-        Each point becomes the integer row (1, v) over the chart coordinates,
-        scaled by the lcm of its denominators.  A returned (mask, ray) pair is
-        a facet c - a.v >= 0 with ray = (c, -a) and mask the set of points on
-        it.
+        The rows are the vertex rows (x0, x) restricted to x0 and the chart
+        coordinates.  A returned (mask, ray) pair is a facet c - a.v >= 0
+        with ray = (c, -a) and mask the set of points on it.
         """
-        chart = affine_chart(self.vertices)
-        rows = []
-        for v in self.vertices:
-            coords = [Fraction(1)] + [v.coords[j] for j in chart]
-            scale = lcm(*(x.denominator for x in coords))
-            rows.append([int(x * scale) for x in coords])
-        return _double_description(rows)
+        columns = [0] + [1 + j for j in self._chart]
+        return _double_description([[row[c] for c in columns] for row in self.rows])
 
     def _check_vertices(self) -> None:
         """Point i is a vertex iff the facets through it meet in {i} alone."""

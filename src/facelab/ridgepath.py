@@ -112,11 +112,11 @@ def _clear_grazed_vertices(
     nudged normal (None if every direction tried grazed an offender) and the
     number of directions drawn.
     """
+    if all(p.plane_values(Hyperplane(a, a.dot(bf)))):
+        return a, 0
     diffs = [v - bf for v in p.vertices]
     values = [a.dot(diff) for diff in diffs]
     offenders = [i for i, val in enumerate(values) if val == 0]
-    if not offenders:
-        return a, 0
     ww = w.dot(w)
     for draws in range(1, _NUDGE_DRAWS + 1):
         u0 = QVector.of([Fraction(rng.randint(-9, 9)) for _ in range(p.ambient_dim)])
@@ -169,8 +169,8 @@ def search_cutting_hyperplane(
         attempts += draws
     if a is not None:
         h = Hyperplane(a, a.dot(bf)).canonical()
-        sides = [h.side(v) for v in p.vertices]
-        if all(sides) and len({sides[i] for i in r.vertex_set}) == 1:
+        values = p.plane_values(h)
+        if all(values) and len({values[i] > 0 for i in r.vertex_set}) == 1:
             return h, attempts
     raise RidgePathError(
         f"no cutting hyperplane found for f={f.id}, g={g.id}, r={r.id}: "

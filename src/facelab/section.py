@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .geometry import (
-    Hyperplane,
-    QVector,
-    parse_rational,
-    segment_hyperplane_intersection,
-)
+from .geometry import Hyperplane, QVector, parse_rational, primitive
 from .polytope import Face, FaceLattice, VPolytope, mask_of
 
 
@@ -42,10 +37,11 @@ def parse_hyperplane(text: str) -> Hyperplane:
 class SectionMap:
     """A sliced polytope plus the face bijection with its base.
 
-    Slice vertex i is the crossing point of ``crossed_edges[i]``; slice faces
-    keep ambient coordinates (they live on the plane), with the slice's
-    intrinsic dimension one below the base's.  ``phi`` maps the mask of each
-    cut base face to the mask of its slice face (a mask over crossed edges).
+    Slice vertex i is the crossing point of the i-th crossed edge in lattice
+    order; slice faces keep ambient coordinates (they live on the plane),
+    with the slice's intrinsic dimension one below the base's.  ``phi`` maps
+    the mask of each cut base face to the mask of its slice face (a mask
+    over crossed edges).
     """
 
     def __init__(
@@ -54,14 +50,12 @@ class SectionMap:
         plane: Hyperplane,
         slice_polytope: VPolytope,
         slice_lattice: FaceLattice,
-        crossed_edges: tuple[Face, ...],
         phi: dict[int, int],
     ) -> None:
         self.base_lattice = base_lattice
         self.plane = plane
         self.slice_polytope = slice_polytope
         self.slice_lattice = slice_lattice
-        self.crossed_edges = crossed_edges
         self.phi = phi
 
     @cached_property
@@ -76,11 +70,11 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
         raise SectionError(
             f"hyperplane dimension {h.dim} does not match ambient {p.ambient_dim}"
         )
-    sides = [h.side(v) for v in p.vertices]
-    for i, s in enumerate(sides):
-        if s == 0:
+    values = p.plane_values(h)
+    for i, value in enumerate(values):
+        if value == 0:
             raise SectionError(f"vertex {i} lies on the hyperplane")
-    negative = mask_of(i for i, s in enumerate(sides) if s < 0)
+    negative = mask_of(i for i, value in enumerate(values) if value < 0)
     positive = lattice.full_face.mask & ~negative
 
     def is_cut(f: Face) -> bool:
@@ -89,11 +83,15 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
     crossed = tuple(e for e in lattice.faces_of_dim(1) if is_cut(e))
     if not crossed:
         raise SectionError("hyperplane misses the polytope interior")
-    slice_points = []
+    # Edge [P, Q] of vertex rows crosses h at X = (h.Q) P - (h.P) Q, made
+    # primitive; its x0 has the sign of h.Q, so Q is taken on the positive side.
+    slice_rows = []
     for e in crossed:
         a, b = e.vertex_set
-        slice_points.append(
-            segment_hyperplane_intersection(p.vertices[a], p.vertices[b], h)
+        if values[b] < 0:
+            a, b = b, a
+        slice_rows.append(
+            primitive([values[b] * x - values[a] * y for x, y in zip(p.rows[a], p.rows[b])])
         )
 
     # Slice faces in bijection with the cut base faces, one dimension down.
@@ -125,13 +123,12 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
     for f in cut_faces:
         covers += [(phi[f.mask], phi[parent.mask]) for parent in lattice.parents(f)]
 
-    slice_polytope = VPolytope.from_points(slice_points, validate=False)
+    slice_polytope = VPolytope.from_rows(slice_rows)
     slice_lattice = FaceLattice(lattice.dim - 1, slice_faces, covers)
     return SectionMap(
         base_lattice=lattice,
         plane=h,
         slice_polytope=slice_polytope,
         slice_lattice=slice_lattice,
-        crossed_edges=crossed,
         phi=phi,
     )

@@ -4,7 +4,10 @@ Everything here is deliberately written from scratch against the definitions,
 not by calling the code under test: determinant ranks instead of elimination,
 evenness-condition facets instead of hyperplane enumeration, union-find
 connectivity instead of the library's search, and so on.  Keep it that way;
-these are the second route in every two-route check.
+these are the second route in every two-route check.  The Fraction
+routines the library's integer kernels replaced (elimination, the hyperplane
+through points, the segment crossing, the phase-1 simplex) stay here as the
+second route for those kernels.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from facelab.geometry import Hyperplane, QVector, hyperplane_through
+from facelab.geometry import GeometryError, Hyperplane, QVector, hyperplane_through
 from facelab.hypergraph import (
     ConnectivityReport,
     DisconnectionWitness,
@@ -89,6 +92,147 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     solution = [Fraction(0)] * n_cols
     for r, col in pivots:
         solution[col] = aug[r][n_cols]
+    return solution
+
+
+def fraction_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fractions, and its pivot columns."""
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _differences(points: list[QVector]) -> list[list[Fraction]]:
+    base = points[0]
+    return [[a - b for a, b in zip(p.coords, base.coords)] for p in points[1:]]
+
+
+def affine_chart_oracle(points: list[QVector]) -> list[int]:
+    """Pivot columns of the Fraction difference matrix p_i - p_0."""
+    return fraction_reduce(_differences(points))[1] if points else []
+
+
+def in_general_position_oracle(points: list[QVector], d: int) -> bool:
+    """No d+1 of the points affinely dependent, by Fraction elimination."""
+    return all(
+        len(affine_chart_oracle(list(sub))) == d for sub in combinations(points, d + 1)
+    )
+
+
+def hyperplane_through_oracle(points: list[QVector]) -> Hyperplane | None:
+    """The codimension-one hyperplane through the points, from the Fraction
+    reduced difference system: +1 on its free column, minus the reduced
+    entries on the pivot columns.  None when the codimension is not one."""
+    d = points[0].dim
+    rows, pivots = fraction_reduce(_differences(points))
+    if len(pivots) != d - 1:
+        return None
+    free_col = next(c for c in range(d) if c not in pivots)
+    normal = [Fraction(0)] * d
+    normal[free_col] = Fraction(1)
+    for r, col in enumerate(pivots):
+        normal[col] = -rows[r][free_col]
+    a = QVector.of(normal)
+    return Hyperplane(a, a.dot(points[0])).canonical()
+
+
+def segment_hyperplane_intersection(p: QVector, q: QVector, h: Hyperplane) -> QVector:
+    """The unique point of segment [p, q] on h, from the Fraction line
+    parameter; requires a strict crossing."""
+    sp = h.side(p)
+    sq = h.side(q)
+    if sp * sq != -1:
+        raise GeometryError(
+            f"segment does not strictly cross the hyperplane (sides {sp}, {sq})"
+        )
+    ap = h.normal.dot(p)
+    aq = h.normal.dot(q)
+    t = (h.offset - ap) / (aq - ap)
+    return QVector(tuple(a + t * (b - a) for a, b in zip(p.coords, q.coords)))
+
+
+def solve_nonnegative_oracle(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> list[Fraction] | None:
+    """Phase-1 simplex on a Fraction tableau with Bland's rule.
+
+    The pivots of `geometry.solve_nonnegative`, but on the rational tableau
+    itself, with every artificial column kept and banned once it leaves, so
+    the two must return the same basic solution.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    tableau: list[list[Fraction]] = []
+    for i in range(m):
+        row = [Fraction(v) for v in rows[i]]
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        artificial = [zero] * m
+        artificial[i] = one
+        tableau.append(row + artificial + [b])
+    basis = list(range(n, n + m))
+    # Reduced-cost row for minimizing the artificial sum: the sum of all
+    # constraint rows, with the (basic) artificial columns zeroed out.
+    objective = [sum((tableau[i][j] for i in range(m)), zero) for j in range(n + m + 1)]
+    for j in range(n, n + m):
+        objective[j] = zero
+    banned: set[int] = set()
+    while True:
+        entering = next(
+            (
+                j
+                for j in range(n + m)
+                if j not in banned and j not in basis and objective[j] > 0
+            ),
+            None,
+        )
+        if entering is None:
+            break
+        leaving = None
+        best: Fraction | None = None
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return None
+        pivot = tableau[leaving][entering]
+        tableau[leaving] = [v / pivot for v in tableau[leaving]]
+        for i in range(m):
+            if i != leaving and tableau[i][entering] != 0:
+                factor = tableau[i][entering]
+                tableau[i] = [a - factor * b for a, b in zip(tableau[i], tableau[leaving])]
+        if objective[entering] != 0:
+            factor = objective[entering]
+            objective = [a - factor * b for a, b in zip(objective, tableau[leaving])]
+        if basis[leaving] >= n:
+            banned.add(basis[leaving])
+        basis[leaving] = entering
+    if objective[-1] != 0:
+        return None
+    solution = [zero] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = tableau[i][-1]
     return solution
 
 

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from facelab import generators
 from facelab.generators import (
     FAMILIES,
     GeneratorError,
@@ -20,7 +21,7 @@ from facelab.generators import (
 from facelab.geometry import affine_rank
 from facelab.polytope import face_lattice, facets
 from instances import lattice_of
-from oracles import affine_rank_oracle, gale_evenness_facets
+from oracles import affine_rank_oracle, gale_evenness_facets, in_general_position_oracle
 
 
 class TestFixedFamilies:
@@ -84,6 +85,23 @@ class TestRandomPolytopes:
         # second route for a handful of subsets
         for subset in list(combinations(pts, 4))[:10]:
             assert affine_rank_oracle(list(subset)) == 3
+
+    def test_general_position_verdicts_match_fraction_oracle(self, monkeypatch):
+        """Every batch random_polytope draws, judged by integer and Fraction rank."""
+        judge = generators._in_general_position
+        verdicts = []
+
+        def checked(points, d):
+            verdict = judge(points, d)
+            assert verdict == in_general_position_oracle(points, d)
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(generators, "_in_general_position", checked)
+        for seed in range(1, 51):
+            for d, n, bound in ((3, 6, 2), (4, 7, 2), (5, 8, 10)):
+                random_polytope(d, n, seed, bound)
+        assert verdicts.count(False) >= 50 and verdicts.count(True) >= 150
 
     def test_every_point_is_a_vertex(self):
         p = random_polytope(4, 7, seed=3)

@@ -10,15 +10,22 @@ from facelab.geometry import (
     GeometryError,
     Hyperplane,
     QVector,
+    affine_chart,
     affine_rank,
     barycenter,
     format_rational,
     hyperplane_through,
     parse_rational,
-    segment_hyperplane_intersection,
     solve_nonnegative,
 )
-from oracles import affine_rank_oracle, hull_membership_oracle
+from oracles import (
+    affine_chart_oracle,
+    affine_rank_oracle,
+    hull_membership_oracle,
+    hyperplane_through_oracle,
+    segment_hyperplane_intersection,
+    solve_nonnegative_oracle,
+)
 
 import random
 
@@ -204,6 +211,104 @@ class TestHyperplaneThrough:
         assert hyperplane_through([Q([0, 0, 0]), Q([1, 1, 1])]) is None
         # affinely dependent triple spanning only a line
         assert hyperplane_through([Q([0, 0, 0]), Q([1, 0, 0]), Q([2, 0, 0])]) is None
+
+
+def _random_point_set(rng: random.Random, d: int) -> list[QVector]:
+    """d-1 to d+2 points, integer or rational; a third of the sets repeat a
+    point or add an affine combination of two, so some spans are deficient."""
+    rational = rng.random() < 0.5
+
+    def coordinate() -> F:
+        return F(rng.randint(-4, 4), rng.randint(1, 4) if rational else 1)
+
+    points = [Q([coordinate() for _ in range(d)]) for _ in range(rng.randint(d - 1, d + 2))]
+    if len(points) >= 2 and rng.random() < 1 / 3:
+        p, q = rng.sample(points, 2)
+        t = F(rng.randint(-2, 3), rng.randint(1, 2))
+        points.insert(rng.randrange(len(points)), p + (q - p).scaled(t))
+    return points
+
+
+class TestKernelsAgainstFractionOracles:
+    """Integer elimination against Fraction elimination of the differences."""
+
+    def test_rank_chart_and_hyperplane(self):
+        rng = random.Random(29)
+        planes = deficient = 0
+        for trial in range(1200):
+            d = 2 + trial % 6
+            points = _random_point_set(rng, d)
+            chart = affine_chart_oracle(points)
+            assert affine_rank(points) == len(chart)
+            assert affine_chart([p.homogeneous() for p in points]) == chart
+            h = hyperplane_through(points)
+            assert h == hyperplane_through_oracle(points)
+            planes += h is not None
+            deficient += len(chart) < min(d, len(points) - 1)
+        assert planes >= 300 and deficient >= 100
+
+    def test_rank_matches_minors_on_small_sets(self):
+        rng = random.Random(30)
+        for trial in range(200):
+            points = _random_point_set(rng, 2 + trial % 3)
+            assert affine_rank(points) == affine_rank_oracle(points)
+
+
+def _random_system(rng: random.Random) -> tuple[list[list[F]], list[F]]:
+    """A small system; a third are feasible by construction from a sparse
+    x >= 0, and a third repeat or add rows with zero right-hand sides, which
+    makes them degenerate."""
+    m, n = rng.randint(1, 5), rng.randint(1, 7)
+    rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
+    rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+    kind = rng.randrange(3)
+    if kind == 1:
+        x = [F(rng.randint(0, 3), rng.randint(1, 2)) * (rng.random() < 0.5) for _ in range(n)]
+        rhs = [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
+    elif kind == 2:
+        rhs = [F(0) if rng.random() < 0.7 else b for b in rhs]
+        if m >= 2:
+            i, j = rng.sample(range(m), 2)
+            if rng.random() < 0.5:
+                rows[j], rhs[j] = list(rows[i]), rhs[i]
+            else:
+                rows[j] = [a + b for a, b in zip(rows[i], rows[j])]
+                rhs[j] = rhs[i] + rhs[j]
+    return rows, rhs
+
+
+class TestSolveNonnegativeAgainstOracle:
+    """The integer tableau against the Fraction tableau, pivot for pivot."""
+
+    def test_seeded_systems(self):
+        rng = random.Random(31)
+        outcomes = {True: 0, False: 0}
+        for _ in range(2500):
+            rows, rhs = _random_system(rng)
+            x = solve_nonnegative(rows, rhs)
+            assert x == solve_nonnegative_oracle(rows, rhs)
+            outcomes[x is not None] += 1
+            if x is not None:
+                assert all(v >= 0 for v in x)
+                for row, b in zip(rows, rhs):
+                    assert sum((a * v for a, v in zip(row, x)), F(0)) == b
+        assert outcomes[True] >= 500 and outcomes[False] >= 500
+
+    def test_beale_cycling_example(self):
+        # Beale (1955): textbook pivoting cycles on these degenerate rows;
+        # Bland's rule must not.  Slack columns make them equalities.
+        rows = [
+            [F(1, 4), F(-8), F(-1), F(9), F(1), F(0), F(0)],
+            [F(1, 2), F(-12), F(-1, 2), F(3), F(0), F(1), F(0)],
+            [F(0), F(0), F(1), F(0), F(0), F(0), F(1)],
+        ]
+        cost = [F(-3, 4), F(20), F(-1, 2), F(6), F(0), F(0), F(0)]
+        systems = [(rows, [F(0), F(0), F(1)])]
+        for value in (F(-5, 4), F(-1, 20), F(0), F(1), F(-2)):
+            systems.append((rows + [cost], [F(0), F(0), F(1), value]))
+        for rows_, rhs in systems:
+            assert solve_nonnegative(rows_, rhs) == solve_nonnegative_oracle(rows_, rhs)
+        assert solve_nonnegative(*systems[0]) is not None
 
 
 def hull_weights(points, target):

@@ -10,7 +10,11 @@ from facelab.geometry import Hyperplane, QVector, affine_rank
 from facelab.polytope import FaceLattice, face_lattice
 from facelab.section import SectionError, parse_hyperplane, section
 from instances import instance, random_cutting_plane, section_battery
-from oracles import assert_section_isomorphism, euler_characteristic_holds
+from oracles import (
+    assert_section_isomorphism,
+    euler_characteristic_holds,
+    segment_hyperplane_intersection,
+)
 
 F = Fraction
 Q = QVector.of
@@ -69,7 +73,7 @@ class TestSection:
         p, lat = instance("cube", 3)
         smap = section(p, lat, parse_hyperplane("1,0,0;1/2"))
         assert smap.slice_lattice.f_vector == (4, 4)
-        assert len(smap.crossed_edges) == 4
+        assert smap.slice_polytope.n_vertices == 4
         assert all(smap.plane.side(v) == 0 for v in smap.slice_polytope.vertices)
 
     def test_simplex_slice_off_one_vertex_is_triangle(self):
@@ -154,3 +158,20 @@ class TestSection:
         p, lat = instance("cube", 3)
         with pytest.raises(SectionError):
             section(p, lat, Hyperplane(Q([1, 0]), F(1, 2)))
+
+
+class TestSlicePointsAgainstOracle:
+    def test_criterion_3_battery(self):
+        """Homogeneous crossing rows against the Fraction line parameter."""
+        for p, lat, h in section_battery():
+            smap = section(p, lat, h)
+            sliced = smap.slice_polytope
+            assert sliced.dim == lat.dim - 1
+            edges = [(lat.face_of_mask(b), s) for b, s in smap.phi.items() if b.bit_count() == 2]
+            assert sorted(s for _, s in edges) == [1 << i for i in range(sliced.n_vertices)]
+            for edge, mask in edges:
+                i = mask.bit_length() - 1
+                a, b = edge.vertex_set
+                point = segment_hyperplane_intersection(p.vertices[a], p.vertices[b], h)
+                assert sliced.vertices[i] == point
+                assert sliced.rows[i] == point.homogeneous()
