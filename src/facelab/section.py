@@ -85,13 +85,14 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
         raise SectionError("hyperplane misses the polytope interior")
     # Edge [P, Q] of vertex rows crosses h at X = (h.Q) P - (h.P) Q, made
     # primitive; its x0 has the sign of h.Q, so Q is taken on the positive side.
+    rows = p.rows
     slice_rows = []
     for e in crossed:
         a, b = e.vertex_set
         if values[b] < 0:
             a, b = b, a
         slice_rows.append(
-            primitive([values[b] * x - values[a] * y for x, y in zip(p.rows[a], p.rows[b])])
+            primitive([values[b] * x - values[a] * y for x, y in zip(rows[a], rows[b])])
         )
 
     # Slice faces in bijection with the cut base faces, one dimension down.

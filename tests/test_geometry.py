@@ -247,12 +247,6 @@ class TestKernelsAgainstFractionOracles:
             deficient += len(chart) < min(d, len(points) - 1)
         assert planes >= 300 and deficient >= 100
 
-    def test_rank_matches_minors_on_small_sets(self):
-        rng = random.Random(30)
-        for trial in range(200):
-            points = _random_point_set(rng, 2 + trial % 3)
-            assert affine_rank(points) == affine_rank_oracle(points)
-
 
 def _random_system(rng: random.Random) -> tuple[list[list[F]], list[F]]:
     """A small system; a third are feasible by construction from a sparse
