@@ -16,12 +16,7 @@ from typing import NamedTuple
 
 from .generators import FAMILIES, GeneratorError, GeneratorSpec, generate
 from .geometry import GeometryError, Hyperplane, format_rational
-from .hypergraph import (
-    HypergraphError,
-    build_hypergraph,
-    default_workers,
-    strong_connectivity,
-)
+from .hypergraph import HypergraphError, build_hypergraph, strong_connectivity
 from .polytope import (
     PolytopeError,
     VPolytope,
@@ -138,7 +133,7 @@ def _cmd_connectivity(ns) -> tuple[dict, int]:
     _, lattice = _load_with_lattice(ns.file)
     hg = build_hypergraph(lattice, ns.k)
     cap = ns.cap if ns.cap is not None else lattice.dim - ns.k
-    report = strong_connectivity(hg, cap, workers=default_workers())
+    report = strong_connectivity(hg, cap)
     payload = report.to_json_dict()
     payload["cap"] = cap
     if not ns.witness:
@@ -198,14 +193,13 @@ def _cmd_verify_theorem(ns) -> tuple[dict, int]:
     _, lattice = _load_with_lattice(ns.file)
     d = lattice.dim
     ks = [ns.k] if ns.k is not None else list(range(d))
-    workers = default_workers()
     results = []
     all_pass = True
     for k in ks:
         hg = build_hypergraph(lattice, k)
         bound = d - k
         cap = ns.cap_override if ns.cap_override is not None else bound
-        report = strong_connectivity(hg, cap, workers=workers)
+        report = strong_connectivity(hg, cap)
         ok = report.alpha >= bound
         all_pass = all_pass and ok
         results.append(

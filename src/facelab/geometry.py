@@ -157,21 +157,11 @@ class Hyperplane(_HyperplaneFields):
     def dim(self) -> int:
         return self.normal.dim
 
-    def side(self, point: QVector) -> int:
-        """Exact sign of ``normal . point - offset``: -1, 0, or +1."""
-        if point.dim != self.normal.dim:
-            raise GeometryError(
-                f"dimension mismatch: point has {point.dim} coordinates, "
-                f"hyperplane normal has {self.normal.dim}"
-            )
-        value = self.normal.dot(point) - self.offset
-        return (value > 0) - (value < 0)
-
     def homogeneous(self) -> tuple[int, ...]:
         """The integer row (-c, a) for a.x = c, scaled by the lcm of its denominators.
 
         Its dot product with a point's homogeneous row (x0, x) is x0 times a
-        positive multiple of a.x/x0 - c, so its sign is side() of the point.
+        positive multiple of a.x/x0 - c, so its sign is the point's side of h.
         """
         entries = (-self.offset, *self.normal.coords)
         scale = lcm(*(e.denominator for e in entries))
@@ -180,7 +170,7 @@ class Hyperplane(_HyperplaneFields):
     def canonical(self) -> Hyperplane:
         """Scale by a positive rational so all entries are coprime integers.
 
-        Positive scaling preserves orientation, so side() is unchanged.
+        Positive scaling preserves orientation, so every point keeps its side.
         """
         return _plane_of_row(primitive(self.homogeneous()))
 

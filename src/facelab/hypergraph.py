@@ -10,9 +10,7 @@ the nonstandard removal rule exact; per-node detours (see
 
 from __future__ import annotations
 
-import os
-from itertools import combinations, repeat
-from math import comb
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .polytope import FaceLattice, indices_of, mask_of
@@ -172,19 +170,21 @@ def _encode(hg: FaceHypergraph) -> tuple[dict[str, int], list[int]]:
     return index, edge_masks
 
 
-def _scan_range(
-    n_nodes: int, edge_masks: list[int], detours: list[int], size: int, lo: int, hi: int
+def _first_disconnecting_subset(
+    n_nodes: int, edge_masks: list[int], detours: list[int], size: int
 ) -> tuple[int, ...] | None:
-    """The first disconnecting set of `size` >= 1 nodes, in canonical order,
-    among those whose lowest node lies in [lo, hi); None if there is none.
+    """The first disconnecting set of `size` nodes, in canonical order; None
+    if there is none.
 
-    A set is accepted unsearched when some member y has `removed & detours[y]
-    == 0`: its detour misses every other removed node (see
+    A nonempty set is accepted unsearched when some member y has `removed &
+    detours[y] == 0`: its detour misses every other removed node (see
     `strong_connectivity`).  Only the other sets get the exact check.
     """
-    bits = [1 << i for i in range(n_nodes)]
     full = (1 << n_nodes) - 1
-    for first in range(lo, hi):
+    if size == 0:
+        return None if _first_component(n_nodes, edge_masks, 0) == full else ()
+    bits = [1 << i for i in range(n_nodes)]
+    for first in range(n_nodes):
         head = bits[first]
         head_detour = detours[first]
         for rest in combinations(range(first + 1, n_nodes), size - 1):
@@ -202,75 +202,12 @@ def _scan_range(
     return None
 
 
-def default_workers() -> int:
-    """Worker count from FACELAB_THREADS, capped at the CPU count; 1 when unset or bad."""
-    raw = os.environ.get("FACELAB_THREADS", "1")
-    try:
-        requested = max(1, int(raw))
-    except ValueError:
-        return 1
-    return min(requested, os.cpu_count() or 1)
-
-
-def _first_node_ranges(n_nodes: int, size: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ranges of lowest nodes, at most one per worker, that split
-    the size-subsets about evenly: lowest node f leads C(n_nodes-1-f, size-1)
-    of them.  Nodes past the last range lead none."""
-    total = comb(n_nodes, size)
-    ranges: list[tuple[int, int]] = []
-    lo = done = 0
-    for first in range(n_nodes):
-        done += comb(n_nodes - 1 - first, size - 1)
-        if done * workers >= total * (len(ranges) + 1):
-            ranges.append((lo, first + 1))
-            lo = first + 1
-        if done == total:
-            break
-    return ranges
-
-
-def _first_disconnecting_subset(
-    n_nodes: int, edge_masks: list[int], detours: list[int], size: int, workers: int
-) -> tuple[int, ...] | None:
-    if size == 0:
-        full = (1 << n_nodes) - 1
-        return None if _first_component(n_nodes, edge_masks, 0) == full else ()
-    if workers <= 1 or comb(n_nodes, size) < 64:
-        return _scan_range(n_nodes, edge_masks, detours, size, 0, n_nodes)
-    # Imported here, not at module level: the pool brings multiprocessing,
-    # pickle and socket, which every CLI process would otherwise load.
-    from concurrent.futures import ProcessPoolExecutor
-
-    ranges = _first_node_ranges(n_nodes, size, workers)
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        results = list(
-            pool.map(
-                _scan_range,
-                repeat(n_nodes),
-                repeat(edge_masks),
-                repeat(detours),
-                repeat(size),
-                [lo for lo, _ in ranges],
-                [hi for _, hi in ranges],
-            )
-        )
-    # Each worker generates its own contiguous run of the canonical order,
-    # so the first hit across them is the globally first witness.
-    for hit in results:
-        if hit is not None:
-            return hit
-    return None
-
-
-def strong_connectivity(
-    hg: FaceHypergraph, cap: int, workers: int | None = None
-) -> ConnectivityReport:
+def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
     """Exhaustively certify connectivity under all removals of size < cap.
 
     Scans removal sets in canonical order by increasing size.  The first
     disconnecting set found fixes alpha = its size; if none exists below cap,
     alpha = cap with the capped flag set (nothing larger was examined).
-    At most os.cpu_count() worker processes run, whatever `workers` asks for.
 
     From size 2 on, detours accept most sets without a search.  When every
     smaller removal leaves H connected and y is in S, each component of
@@ -281,9 +218,6 @@ def strong_connectivity(
     """
     if cap < 1:
         raise HypergraphError("cap must be >= 1")
-    if workers is None:
-        workers = default_workers()
-    workers = min(workers, os.cpu_count() or 1)
     _, edge_masks = _encode(hg)
     n = hg.n_nodes
     # A detour never holds its own node, so the full mask accepts nothing:
@@ -294,7 +228,7 @@ def strong_connectivity(
     for size in range(0, min(cap, n + 1)):
         if size == 2:
             detours = [_detour(edge_masks, y) or full for y in range(n)]
-        hit = _first_disconnecting_subset(n, edge_masks, detours, size, workers)
+        hit = _first_disconnecting_subset(n, edge_masks, detours, size)
         if hit is None:
             continue
         removed = mask_of(hit)

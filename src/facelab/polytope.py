@@ -444,15 +444,14 @@ def polar_dual(p: VPolytope) -> VPolytope:
     if p.dim != d:
         raise PolytopeError("polar dual needs a full-dimensional polytope")
     center = barycenter(p.vertices)
-    shifted = VPolytope.from_points(
-        [v - center for v in p.vertices], validate=False
-    )
     dual_points = []
-    for _, h in facets(shifted):
-        # Origin is interior, so the a.x <= c orientation forces c > 0.
-        if h.offset <= 0:
+    for _, h in facets(p):
+        # Facet a.x <= c of p is a.x <= c - a.center after the translation.
+        # The center is interior, so that offset is positive.
+        offset = h.offset - h.normal.dot(center)
+        if offset <= 0:
             raise PolytopeError("unexpected non-positive facet offset after centering")
-        dual_points.append(h.normal.scaled(Fraction(1) / h.offset))
+        dual_points.append(h.normal.scaled(Fraction(1) / offset))
     return VPolytope.from_points(dual_points)
 
 

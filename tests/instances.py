@@ -39,6 +39,7 @@ def random_cutting_plane(p: VPolytope, rng, max_tries: int = 500):
     from fractions import Fraction
 
     from facelab.geometry import Hyperplane, QVector
+    from oracles import side
 
     d = p.ambient_dim
     for _ in range(max_tries):
@@ -48,7 +49,7 @@ def random_cutting_plane(p: VPolytope, rng, max_tries: int = 500):
         i, j = rng.sample(range(p.n_vertices), 2)
         mid = (p.vertices[i] + p.vertices[j]).scaled(Fraction(1, 2))
         h = Hyperplane(normal, normal.dot(mid)).canonical()
-        sides = {h.side(v) for v in p.vertices}
+        sides = {side(h, v) for v in p.vertices}
         if 0 in sides or sides != {-1, 1}:
             continue
         return h

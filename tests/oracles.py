@@ -6,8 +6,8 @@ evenness-condition facets instead of hyperplane enumeration, union-find
 connectivity instead of the library's search, and so on.  Keep it that way;
 these are the second route in every two-route check.  The Fraction
 routines the library's integer kernels replaced (elimination, the hyperplane
-through points, the segment crossing, the phase-1 simplex) stay here as the
-second route for those kernels.
+through points, a point's side of a hyperplane, the segment crossing, the
+phase-1 simplex) stay here as the second route for those kernels.
 """
 
 from __future__ import annotations
@@ -149,11 +149,23 @@ def hyperplane_through_oracle(points: list[QVector]) -> Hyperplane | None:
     return Hyperplane(a, a.dot(points[0])).canonical()
 
 
+def side(h: Hyperplane, point: QVector) -> int:
+    """Exact sign of ``h.normal . point - h.offset``: -1, 0, or +1, in
+    Fractions."""
+    if point.dim != h.normal.dim:
+        raise GeometryError(
+            f"dimension mismatch: point has {point.dim} coordinates, "
+            f"hyperplane normal has {h.normal.dim}"
+        )
+    value = h.normal.dot(point) - h.offset
+    return (value > 0) - (value < 0)
+
+
 def segment_hyperplane_intersection(p: QVector, q: QVector, h: Hyperplane) -> QVector:
     """The unique point of segment [p, q] on h, from the Fraction line
     parameter; requires a strict crossing."""
-    sp = h.side(p)
-    sq = h.side(q)
+    sp = side(h, p)
+    sq = side(h, q)
     if sp * sq != -1:
         raise GeometryError(
             f"segment does not strictly cross the hyperplane (sides {sp}, {sq})"
@@ -288,7 +300,7 @@ def brute_force_facets(p: VPolytope) -> list[tuple[tuple[int, ...], Hyperplane]]
         h = hyperplane_through([p.vertices[i] for i in subset])
         if h is None:
             continue
-        sides = [h.side(v) for v in p.vertices]
+        sides = [side(h, v) for v in p.vertices]
         if 1 in sides and -1 in sides:
             continue
         if 1 in sides:
@@ -363,7 +375,7 @@ def assert_section_isomorphism(p: VPolytope, lattice: FaceLattice, smap) -> None
     for f in lattice.faces:
         if f.dim < 1:
             continue
-        signs = {h.side(p.vertices[i]) for i in f.vertex_set}
+        signs = {side(h, p.vertices[i]) for i in f.vertex_set}
         assert 0 not in signs
         assert (f.id in to_slice) == (signs == {-1, 1})
 

@@ -219,12 +219,6 @@ class TestEnvelope:
         doc, code = invoke()
         assert code == 2 and doc["status"] == "error"
 
-    def test_threads_env_does_not_change_bytes(self, cube3_file, monkeypatch):
-        base = run(["connectivity", cube3_file, "--k", "1", "--cap", "3", "--witness"]).render()
-        monkeypatch.setenv("FACELAB_THREADS", "2")
-        again = run(["connectivity", cube3_file, "--k", "1", "--cap", "3", "--witness"]).render()
-        assert base == again
-
     def test_main_prints_and_returns(self, cube3_file, capsys):
         code = main(["lattice", cube3_file])
         captured = capsys.readouterr()

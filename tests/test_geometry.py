@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from facelab.geometry import (
@@ -18,12 +18,14 @@ from facelab.geometry import (
     parse_rational,
     solve_nonnegative,
 )
+from instances import polytope
 from oracles import (
     affine_chart_oracle,
     affine_rank_oracle,
     hull_membership_oracle,
     hyperplane_through_oracle,
     segment_hyperplane_intersection,
+    side,
     solve_nonnegative_oracle,
 )
 
@@ -84,9 +86,11 @@ class TestQVector:
 class TestHyperplane:
     def test_side_signs(self):
         h = Hyperplane(Q([1, 0]), F(1, 2))
-        assert h.side(Q([0, 0])) == -1
-        assert h.side(Q([F(1, 2), 3])) == 0
-        assert h.side(Q([1, -7])) == 1
+        assert side(h, Q([0, 0])) == -1
+        assert side(h, Q([F(1, 2), 3])) == 0
+        assert side(h, Q([1, -7])) == 1
+        with pytest.raises(GeometryError):
+            side(h, Q([1, 2, 3]))
 
     def test_zero_normal_rejected(self):
         with pytest.raises(GeometryError):
@@ -101,7 +105,16 @@ class TestHyperplane:
         h = Hyperplane(Q([2, -3]), F(1, 7))
         g = Hyperplane(h.normal.scaled(F(scale)), h.offset * scale)
         p = Q([x, y])
-        assert h.side(p) == g.side(p)
+        assert side(h, p) == side(g, p)
+
+    @given(st.lists(rationals, min_size=3, max_size=3), rationals)
+    def test_plane_values_have_the_vertex_sides(self, normal, offset):
+        # The library's integer sides against the Fraction reference.
+        assume(any(normal))
+        p = polytope("cyclic", 3, 6)
+        h = Hyperplane(QVector.of(normal), offset)
+        values = p.plane_values(h)
+        assert [(x > 0) - (x < 0) for x in values] == [side(h, v) for v in p.vertices]
 
 
 class TestAffineRank:
@@ -185,10 +198,10 @@ class TestSegmentIntersection:
             return
         offset = data.draw(rationals)
         h = Hyperplane(normal, offset)
-        if h.side(p) * h.side(q) != -1:
+        if side(h, p) * side(h, q) != -1:
             return
         z = segment_hyperplane_intersection(p, q, h)
-        assert h.side(z) == 0
+        assert side(h, z) == 0
         for a, b, c in zip(p.coords, q.coords, z.coords):
             assert min(a, b) <= c <= max(a, b)
 
@@ -197,15 +210,15 @@ class TestHyperplaneThrough:
     def test_square_edge(self):
         h = hyperplane_through([Q([0, 0]), Q([0, 1])])
         assert h is not None
-        assert h.side(Q([1, F(1, 2)])) != 0
-        assert h.side(Q([0, 7])) == 0
+        assert side(h, Q([1, F(1, 2)])) != 0
+        assert side(h, Q([0, 7])) == 0
 
     def test_cube_facet(self):
         pts = [Q([0, 0, 0]), Q([0, 1, 0]), Q([0, 0, 1])]
         h = hyperplane_through(pts)
         assert h is not None
-        assert all(h.side(p) == 0 for p in pts)
-        assert h.side(Q([1, 0, 0])) != 0
+        assert all(side(h, p) == 0 for p in pts)
+        assert side(h, Q([1, 0, 0])) != 0
 
     def test_degenerate_returns_none(self):
         assert hyperplane_through([Q([0, 0, 0]), Q([1, 1, 1])]) is None

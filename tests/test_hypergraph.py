@@ -1,10 +1,7 @@
 """Face hypergraphs: removal connectivity, witnesses, and dual structure."""
 
-import concurrent.futures
-import os
 import random
 import tracemalloc
-from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,9 +15,7 @@ from facelab.hypergraph import (
     _detour,
     _encode,
     _first_component,
-    _first_node_ranges,
     build_hypergraph,
-    default_workers,
     strong_connectivity,
 )
 from facelab.polytope import face_lattice, indices_of, mask_of
@@ -67,31 +62,6 @@ def hub_hypergraph() -> FaceHypergraph:
     edges = [("a", frozenset(nodes[:2])), ("b", frozenset(nodes[1:3]))]
     edges += [(f"{h}-{v}", frozenset({h, v})) for h in ("v0", "v2") for v in nodes[3:]]
     return FaceHypergraph(k=0, nodes=nodes, hyperedges=tuple(edges))
-
-
-def use_inline_pool(mp: pytest.MonkeyPatch, cpus: int) -> list[int]:
-    """Replace the process pool by an in-process stand-in on a machine with
-    `cpus` CPUs; returns the list the stand-in appends each pool size to."""
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return list(map(fn, *iterables))
-
-    # The scan imports the pool class only when it fans out, so the
-    # stand-in replaces it where that import finds it.
-    mp.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    mp.setattr(hypergraph.os, "cpu_count", lambda: cpus)
-    return sizes
 
 
 @st.composite
@@ -191,26 +161,10 @@ class TestStrongConnectivity:
         hg = hub_hypergraph()
         tracemalloc.start()
         try:
-            report = strong_connectivity(hg, cap=3, workers=1)
+            report = strong_connectivity(hg, cap=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.alpha == 2 and report.witness.removed == ("v0", "v2")
-        assert report.witness.component_a == ("v1",)
-        assert peak < 1_000_000
-
-    def test_pool_scan_holds_no_subset_list(self, monkeypatch):
-        # Each worker generates its own range of subsets, so the parent
-        # sends ranges, not lists.
-        sizes = use_inline_pool(monkeypatch, cpus=2)
-        hg = hub_hypergraph()
-        tracemalloc.start()
-        try:
-            report = strong_connectivity(hg, cap=3, workers=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sizes == [2, 2]
         assert report.alpha == 2 and report.witness.removed == ("v0", "v2")
         assert report.witness.component_a == ("v1",)
         assert peak < 1_000_000
@@ -247,45 +201,6 @@ class TestStrongConnectivity:
         doc = strong_connectivity(hg, cap=3).to_json_dict()
         assert doc["k"] == 1 and doc["alpha"] == 2 and doc["capped"] is False
         assert set(doc["witness"]) == {"removed", "component_a", "component_b"}
-
-    def test_parallel_matches_sequential(self):
-        hg = build_hypergraph(lattice_of("cube", 3), 1)
-        seq = strong_connectivity(hg, cap=3, workers=1)
-        par = strong_connectivity(hg, cap=3, workers=2)
-        assert seq.to_json_dict() == par.to_json_dict()
-
-    def test_default_workers_reads_env(self, monkeypatch):
-        monkeypatch.setenv("FACELAB_THREADS", "3")
-        assert default_workers() == min(3, os.cpu_count())
-        monkeypatch.setenv("FACELAB_THREADS", "bogus")
-        assert default_workers() == 1
-        monkeypatch.delenv("FACELAB_THREADS")
-        assert default_workers() == 1
-
-    def test_worker_count_is_clamped(self, monkeypatch):
-        # Only the computed sizes are checked; no pool is started.
-        monkeypatch.setenv("FACELAB_THREADS", "1000000")
-        assert default_workers() == os.cpu_count()
-        assert len(_first_node_ranges(64, 1, 40)) == 40
-        assert len(_first_node_ranges(64, 1, 1_000_000)) == 64
-        for n, size, workers in [(64, 1, 3), (12, 2, 5), (10, 3, 1_000_000), (9, 9, 4)]:
-            ranges = _first_node_ranges(n, size, workers)
-            assert len(ranges) <= workers
-            # The ranges concatenate to the canonical order.
-            assert [
-                (first, *rest)
-                for lo, hi in ranges
-                for first in range(lo, hi)
-                for rest in combinations(range(first + 1, n), size - 1)
-            ] == list(combinations(range(n), size))
-
-    def test_explicit_worker_count_is_clamped(self, monkeypatch):
-        sizes = use_inline_pool(monkeypatch, cpus=3)
-        hg = build_hypergraph(lattice_of("cube", 4), 1)
-        clamped = strong_connectivity(hg, cap=3, workers=100_000)
-        assert sizes and all(size == 3 for size in sizes)
-        sequential = strong_connectivity(hg, cap=3, workers=1)
-        assert clamped.to_json_dict() == sequential.to_json_dict()
 
 
 def assert_detour_is_sound(hg: FaceHypergraph, y: int) -> None:
@@ -342,7 +257,7 @@ class TestDetour:
 
         monkeypatch.setattr(hypergraph, "_first_component", counted)
         hg = build_hypergraph(lattice_of("cube", 4), 1)
-        report = strong_connectivity(hg, cap=3, workers=1)
+        report = strong_connectivity(hg, cap=3)
         assert report.capped and report.alpha == 3
         assert len(checks) == 33 + 266
 
@@ -376,16 +291,13 @@ class TestScanAgainstOracle:
             hg = build_hypergraph(lat, k)
             top_cap = ORACLE_CAP_LIMITS.get((family, d, k), d - k + 2)
             for cap, expected in oracle_reports(hg, top_cap).items():
-                assert strong_connectivity(hg, cap, workers=1) == expected
+                assert strong_connectivity(hg, cap) == expected
 
     @given(abstract_hypergraphs())
     @settings(max_examples=150, deadline=None)
     def test_abstract_hypergraphs(self, hg):
         expected = first_disconnecting_set_oracle(hg, 5)
-        assert strong_connectivity(hg, 5, workers=1) == expected
-        with pytest.MonkeyPatch.context() as mp:
-            use_inline_pool(mp, cpus=2)
-            assert strong_connectivity(hg, 5, workers=2) == expected
+        assert strong_connectivity(hg, 5) == expected
 
 
 class TestIsolatingSet:

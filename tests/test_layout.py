@@ -2,9 +2,12 @@
 
 Reference checks belong in `tests/oracles.py`, not in the library.  This
 walks the AST of each library module and requires every module-level
-function and every public method to be named, as a whole word, somewhere
-in `src/facelab` or `perfbench/` outside its own definition.  Dunder
-methods are exempt: the interpreter calls them.  So are the entry points in
+function and every public method to be referenced somewhere in
+`src/facelab` or `perfbench/` outside its own definition.  A reference is
+an identifier in code: a name, an attribute, an imported name, or a part
+of a dotted string constant such as perfbench's "CommandResult.render".
+Comments and docstrings do not count.  Dunder methods are exempt: the
+interpreter calls them.  So are the entry points in
 USER_API, which only users call; each must be named in the README.  Every
 attribute a library class assigns as `self.<name>` must likewise be read as
 `.<name>` somewhere in `src/facelab` or `perfbench/`.
@@ -19,6 +22,7 @@ LIBRARY = ROOT / "src" / "facelab"
 CALLER_DIRS = (LIBRARY, ROOT / "perfbench")
 # The reader of the packaged JSON schemas that describe the CLI output.
 USER_API = {"load_schema"}
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
 
 def definitions(tree: ast.Module):
@@ -34,24 +38,41 @@ def definitions(tree: ast.Module):
                         yield item.name, item.lineno, item.end_lineno
 
 
+def references(tree: ast.Module):
+    """(identifier, line) of each name, attribute, imported name and dotted
+    string constant part in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                yield part, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                for part in node.value.split("."):
+                    yield part, node.lineno
+
+
 def test_library_has_no_test_only_functions():
-    sources = {
-        path: path.read_text(encoding="utf-8").splitlines()
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
         for folder in CALLER_DIRS
         for path in sorted(folder.rglob("*.py"))
     }
+    sites: dict[str, list[tuple[Path, int]]] = {}
+    for source, tree in trees.items():
+        for name, line in references(tree):
+            sites.setdefault(name, []).append((source, line))
     unreferenced = []
     for path in sorted(LIBRARY.rglob("*.py")):
-        tree = ast.parse("\n".join(sources[path]))
-        for name, first, last in definitions(tree):
+        for name, first, last in definitions(trees[path]):
             if name.startswith("__") and name.endswith("__") or name in USER_API:
                 continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
             used = any(
-                word.search(line)
-                for source, lines in sources.items()
-                for number, line in enumerate(lines, start=1)
-                if not (source == path and first <= number <= last)
+                not (source == path and first <= line <= last)
+                for source, line in sites.get(name, ())
             )
             if not used:
                 unreferenced.append(f"{path.relative_to(ROOT)}:{first} {name}")

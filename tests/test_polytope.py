@@ -34,6 +34,7 @@ from oracles import (
     euler_characteristic_holds,
     gale_evenness_facets,
     hull_membership_oracle,
+    side,
 )
 
 F = Fraction
@@ -102,9 +103,9 @@ class TestFacets:
     def test_facets_support_all_their_vertices_exactly(self):
         p = cross_polytope(3)
         for face, h in facets(p):
-            on = {i for i, v in enumerate(p.vertices) if h.side(v) == 0}
+            on = {i for i, v in enumerate(p.vertices) if side(h, v) == 0}
             assert on == set(face.vertex_set)
-            assert all(h.side(v) < 0 for i, v in enumerate(p.vertices) if i not in on)
+            assert all(side(h, v) < 0 for i, v in enumerate(p.vertices) if i not in on)
 
     def test_simplex_has_d_plus_one_facets(self):
         for d in (2, 3, 4):

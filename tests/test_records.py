@@ -13,7 +13,7 @@ import pytest
 from facelab.generators import GeneratorError, GeneratorSpec
 from facelab.geometry import GeometryError, Hyperplane, QVector
 from facelab.hypergraph import build_hypergraph, strong_connectivity
-from facelab.polytope import VPolytope
+from facelab.polytope import VPolytope, save_polytope
 from facelab.ridgepath import BlockedSet, RidgePathError, solve_ridge_path
 from instances import instance
 
@@ -21,7 +21,7 @@ from instances import instance
 def records() -> dict:
     p, lat = instance("cube", 3)
     hg = build_hypergraph(lat, 1)
-    report = strong_connectivity(hg, cap=3, workers=1)
+    report = strong_connectivity(hg, cap=3)
     blocked = BlockedSet.of(2, ["v0-v1-v4-v5", "v2-v3-v6-v7"])
     result = solve_ridge_path(p, lat, 2, blocked, "v0-v1-v2-v3", "v4-v5-v6-v7", verify=True)
     return {
@@ -92,22 +92,28 @@ def test_replace_runs_the_constructor_checks():
     assert RECORDS["GeneratorSpec"]._replace(seed=3).seed == 3
 
 
-def test_cli_import_leaves_out_the_pool_and_dataclasses():
+def test_cli_import_leaves_out_the_pool_and_dataclasses(tmp_path):
     # A fresh interpreter, so modules other tests imported do not count.
+    # The scan it then runs covers C(32, 2) = 496 pairs of 4-cube edges, and
+    # FACELAB_THREADS, which once started a process pool, must not load one.
+    cube4 = str(tmp_path / "cube4.poly")
+    save_polytope(instance("cube", 4)[0], cube4)
     traced = ["geometry", "polytope", "hypergraph", "ridgepath", "section"]
     heavy = ["dataclasses", "inspect", "concurrent.futures", "multiprocessing"]
     probe = (
         "import sys, facelab.cli\n"
         f"print([m for m in {heavy!r} if m in sys.modules])\n"
         f"print([m for m in {traced!r} if 'facelab.' + m not in sys.modules])\n"
+        f"result = facelab.cli.run(['connectivity', {cube4!r}, '--k', '1', '--cap', '3'])\n"
+        "print(result.exit_code)\n"
+        f"print([m for m in {heavy[2:]!r} if m in sys.modules])\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src), "FACELAB_THREADS": "2"},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert out.splitlines() == ["[]", "[]"]
-
+    assert out.splitlines() == ["[]", "[]", "0", "[]"]

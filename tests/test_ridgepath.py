@@ -15,7 +15,7 @@ from facelab.ridgepath import (
     verify_ridge_path,
 )
 from instances import FAMILY_GRID, instance
-from oracles import bfs_ridge_path_oracle, hyperplane_conditions_oracle
+from oracles import bfs_ridge_path_oracle, hyperplane_conditions_oracle, side
 
 
 def oracle_ok(p, lattice, f, g, r, h) -> bool:
@@ -39,8 +39,8 @@ class TestCuttingHyperplane:
         h, _ = search_cutting_hyperplane(p, lat, f, g, r, seed=0)
         assert oracle_ok(p, lat, f, g, r, h)
         # barycenters of f and g really sit on the plane
-        assert h.side(p.face_barycenter(f)) == 0
-        assert h.side(p.face_barycenter(g)) == 0
+        assert side(h, p.face_barycenter(f)) == 0
+        assert side(h, p.face_barycenter(g)) == 0
 
     def test_deterministic_per_seed(self):
         p, lat = instance("cube", 3)

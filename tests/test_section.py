@@ -14,6 +14,7 @@ from oracles import (
     assert_section_isomorphism,
     euler_characteristic_holds,
     segment_hyperplane_intersection,
+    side,
 )
 
 F = Fraction
@@ -60,8 +61,8 @@ class TestCutsFace:
                         continue
                     crossing_edge = any(
                         set(e.vertex_set) <= set(f.vertex_set)
-                        and h.side(p.vertices[e.vertex_set[0]])
-                        * h.side(p.vertices[e.vertex_set[1]])
+                        and side(h, p.vertices[e.vertex_set[0]])
+                        * side(h, p.vertices[e.vertex_set[1]])
                         == -1
                         for e in edges
                     )
@@ -74,7 +75,7 @@ class TestSection:
         smap = section(p, lat, parse_hyperplane("1,0,0;1/2"))
         assert smap.slice_lattice.f_vector == (4, 4)
         assert smap.slice_polytope.n_vertices == 4
-        assert all(smap.plane.side(v) == 0 for v in smap.slice_polytope.vertices)
+        assert all(side(smap.plane, v) == 0 for v in smap.slice_polytope.vertices)
 
     def test_simplex_slice_off_one_vertex_is_triangle(self):
         p, lat = instance("simplex", 3)
