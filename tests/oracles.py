@@ -12,8 +12,10 @@ phase-1 simplex) stay here as the second route for those kernels.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from facelab.geometry import GeometryError, Hyperplane, QVector, hyperplane_through
 from facelab.hypergraph import (
@@ -620,3 +622,87 @@ def hyperplane_conditions_oracle(
         return False
     r_signs = {value(p.vertices[i]) > 0 for i in r_vertices}
     return len(r_signs) == 1
+
+
+def _rational_points(p: VPolytope) -> list[tuple[Fraction, ...]]:
+    return [tuple(Fraction(x, row[0]) for x in row[1:]) for row in p.rows]
+
+
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def cutting_hyperplane_oracle(
+    p: VPolytope, f: Face, g: Face, r: Face, seed: int
+) -> tuple[tuple[int, ...], int] | None:
+    """The cutting-hyperplane search in Fractions: the primitive integer row
+    (-c, a) of the plane a.x = c it returns and its attempt count, or None
+    where it must fail.
+
+    One phase-1 solve (Fraction tableau) for a normal a with a.w = 0, w the
+    barycenter difference of g and f, and a.(v - b) >= 1 on r's vertices, b
+    f's barycenter; then, while the plane through b grazes a vertex, the
+    seeded nudge: draws u0 in [-9, 9]^d, projects it to u = (w.w) u0 -
+    (u0.w) w, and steps a + t u with t the least |a.(v - b)| / (2 (|u.(v -
+    b)| + 1)) over the vertices off the plane.
+    """
+    d = p.ambient_dim
+    points = _rational_points(p)
+
+    def mean(face: Face) -> tuple[Fraction, ...]:
+        m = len(face.vertex_set)
+        return tuple(
+            sum((points[i][j] for i in face.vertex_set), Fraction(0)) / m for j in range(d)
+        )
+
+    b = mean(f)
+    w = tuple(x - y for x, y in zip(mean(g), b))
+    diffs = [tuple(x - y for x, y in zip(v, b)) for v in points]
+    n_slack = len(r.vertex_set)
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    if any(w):
+        rows.append([*w, *(-c for c in w)] + [Fraction(0)] * n_slack)
+        rhs.append(Fraction(0))
+    for idx, i in enumerate(r.vertex_set):
+        slack = [Fraction(0)] * n_slack
+        slack[idx] = Fraction(-1)
+        rows.append([*diffs[i], *(-c for c in diffs[i])] + slack)
+        rhs.append(Fraction(1))
+    x = solve_nonnegative_oracle(rows, rhs)
+    if x is None:
+        return None
+    a = [x[j] - x[d + j] for j in range(d)]
+    if not any(a):
+        return None
+    attempts = 1
+    values = [_dot(a, diff) for diff in diffs]
+    if not all(values):
+        offenders = [i for i, value in enumerate(values) if value == 0]
+        ww = _dot(w, w)
+        rng = random.Random(seed)
+        for _ in range(200):
+            attempts += 1
+            u0 = [Fraction(rng.randint(-9, 9)) for _ in range(d)]
+            u = u0 if ww == 0 else [c * ww - wc * _dot(u0, w) for c, wc in zip(u0, w)]
+            if not any(u):
+                continue
+            pair = [_dot(u, diff) for diff in diffs]
+            if any(pair[i] == 0 for i in offenders):
+                continue
+            step = min(
+                abs(value) / (2 * (abs(q) + 1)) for value, q in zip(values, pair) if value
+            )
+            a = [c + step * e for c, e in zip(a, u)]
+            break
+        else:
+            return None
+    entries = (-_dot(a, b), *a)
+    scale = lcm(*(e.denominator for e in entries))
+    row = [e.numerator * (scale // e.denominator) for e in entries]
+    common = gcd(*row)
+    row = tuple(e // common for e in row)
+    sides = [row[0] + _dot(row[1:], v) for v in points]
+    if not all(sides) or len({sides[i] > 0 for i in r.vertex_set}) != 1:
+        return None
+    return row, attempts

@@ -15,7 +15,12 @@ from facelab.ridgepath import (
     verify_ridge_path,
 )
 from instances import FAMILY_GRID, instance
-from oracles import bfs_ridge_path_oracle, hyperplane_conditions_oracle, side
+from oracles import (
+    bfs_ridge_path_oracle,
+    cutting_hyperplane_oracle,
+    hyperplane_conditions_oracle,
+    side,
+)
 
 
 def oracle_ok(p, lattice, f, g, r, h) -> bool:
@@ -72,6 +77,35 @@ class TestCuttingHyperplane:
                 h, attempts = search_cutting_hyperplane(p, lat, f, g, r, seed=trial)
                 assert 1 <= attempts <= 201
                 assert oracle_ok(p, lat, f, g, r, h)
+
+
+class TestCuttingHyperplaneAgainstOracle:
+    """The search against its Fraction route, plane and attempt count."""
+
+    def test_seeded_battery(self):
+        cases = [
+            instance("cube", 4),
+            instance("cross", 4),
+            instance("pyramid", 4),
+            instance("prism", 5),
+            instance("cyclic", 4, n=8),
+        ]
+        rng = random.Random(1)
+        nudged = 0
+        for trial in range(400):
+            p, lat = cases[trial % len(cases)]
+            k = rng.randint(1, lat.dim - 1)
+            f, g, r = rng.sample(lat.faces_of_dim(k), 3)
+            seed = rng.randrange(1000)
+            expected = cutting_hyperplane_oracle(p, f, g, r, seed)
+            if expected is None:
+                with pytest.raises(RidgePathError):
+                    search_cutting_hyperplane(p, lat, f, g, r, seed)
+                continue
+            h, attempts = search_cutting_hyperplane(p, lat, f, g, r, seed)
+            assert (h.homogeneous(), attempts) == expected, (trial, f.id, g.id, r.id)
+            nudged += attempts > 1
+        assert nudged >= 20
 
 
 class TestSolver:
