@@ -15,7 +15,7 @@ import sys
 from typing import NamedTuple
 
 from .generators import FAMILIES, GeneratorError, GeneratorSpec, generate
-from .geometry import GeometryError, Hyperplane, format_rational
+from .geometry import GeometryError, Hyperplane, format_point
 from .hypergraph import HypergraphError, build_hypergraph, strong_connectivity
 from .polytope import (
     PolytopeError,
@@ -83,15 +83,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _hyperplane_json(h: Hyperplane) -> dict:
-    return {
-        "normal": [format_rational(a) for a in h.normal.coords],
-        "offset": format_rational(h.offset),
-    }
+def _plane_json(normal, offset) -> dict:
+    return {"normal": [str(a) for a in normal], "offset": str(offset)}
 
 
 def _vertices_json(p: VPolytope) -> list[list[str]]:
-    return [[format_rational(x) for x in v.coords] for v in p.vertices]
+    return [format_point(row) for row in p.rows]
 
 
 def _load_with_lattice(path: str):
@@ -153,7 +150,7 @@ def _cmd_ridge_path(ns) -> tuple[dict, int]:
         "ridges": list(result.path.ridges),
         "verified": result.verified,
         "depth": result.depth,
-        "hyperplanes": [_hyperplane_json(h) for h in result.hyperplanes],
+        "hyperplanes": [_plane_json(h.row[1:], -h.row[0]) for h in result.hyperplanes],
     }
     code = 1 if result.verified is False else 0
     return payload, code
@@ -174,11 +171,12 @@ def _cmd_dual(ns) -> tuple[dict, int]:
 
 def _cmd_section(ns) -> tuple[dict, int]:
     p, lattice = _load_with_lattice(ns.file)
-    h = parse_hyperplane(ns.plane)
-    smap = section(p, lattice, h)
+    normal, offset = parse_hyperplane(ns.plane)
+    smap = section(p, lattice, Hyperplane.of(normal, offset))
     phi_pairs = sorted(smap.to_slice.items(), key=lambda kv: lattice.face(kv[0]).vertex_set)
     return {
-        "plane": _hyperplane_json(smap.plane),
+        # The plane as the user gave it, each rational reduced.
+        "plane": _plane_json(normal, offset),
         "slice": {
             "dim": smap.slice_lattice.dim,
             "n_vertices": smap.slice_polytope.n_vertices,

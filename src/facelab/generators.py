@@ -136,9 +136,9 @@ def cyclic(d: int, n: int) -> VPolytope:
     return VPolytope.from_points(points)
 
 
-def _in_general_position(points: list[QVector], d: int) -> bool:
+def _in_general_position(rows: list[tuple[int, ...]], d: int) -> bool:
     # No d+1 of the points affinely dependent; implies full rank for n > d.
-    return all(affine_rank(sub) == d for sub in combinations(points, d + 1))
+    return all(affine_rank(sub) == d for sub in combinations(rows, d + 1))
 
 
 def random_polytope(d: int, n: int, seed: int, bound: int = 10) -> VPolytope:
@@ -162,7 +162,7 @@ def random_polytope(d: int, n: int, seed: int, bound: int = 10) -> VPolytope:
         ]
         if len(set(points)) != n:
             continue
-        if not _in_general_position(points, d):
+        if not _in_general_position([v.row for v in points], d):
             continue
         try:
             return VPolytope.from_points(points)
@@ -178,18 +178,18 @@ def pyramid_over(base: VPolytope) -> VPolytope:
     """Apex over the base's barycenter, one dimension up."""
     if base.dim != base.ambient_dim:
         raise GeneratorError("pyramid base must be full-dimensional")
-    points = [QVector.of(list(v.coords) + [0]) for v in base.vertices]
-    apex = barycenter(base.vertices)
-    points.append(QVector.of(list(apex.coords) + [1]))
-    return VPolytope.from_points(points)
+    # Rows (x0, x) gain a last entry: 0 at the base, x0 (height 1) at the apex.
+    apex = barycenter(base.rows)
+    rows = [(*row, 0) for row in base.rows] + [(*apex, apex[0])]
+    return VPolytope.from_points([QVector(row) for row in rows])
 
 
 def prism_over(base: VPolytope) -> VPolytope:
     """Product of the base with a unit segment, one dimension up."""
     if base.dim != base.ambient_dim:
         raise GeneratorError("prism base must be full-dimensional")
-    points = [QVector.of(list(v.coords) + [h]) for h in (0, 1) for v in base.vertices]
-    return VPolytope.from_points(points)
+    rows = [(*row, h * row[0]) for h in (0, 1) for row in base.rows]
+    return VPolytope.from_points([QVector(row) for row in rows])
 
 
 def pyramid(d: int) -> VPolytope:

@@ -1,12 +1,13 @@
-"""Exact rational geometry primitives: points, hyperplanes, ranks, feasibility.
+"""Exact geometry on integer rows: points, hyperplanes, ranks, feasibility.
 
-Points and hyperplanes carry arbitrary-precision :class:`fractions.Fraction`
-coordinates; nothing in this package touches floating point.  The kernels
-that do the work run on integers: a point is also its primitive homogeneous
-row (x0, x) with x0 > 0, and elimination and the simplex are fraction-free
-(Bareiss 1968; Edmonds 1967), so every division is exact.  All predicates
-(sidedness, rank, feasibility) are therefore exact sign tests, which the
-rest of the library relies on.
+A point is its primitive homogeneous row (x0, x) with x0 > 0, standing for
+x / x0, and a hyperplane a.x = c is its primitive row (-c, a); nothing in
+this package touches floating point.  Rationals (`fractions.Fraction`) meet
+the rows only at the edge: `parse_rational` and `QVector.of` on the way in,
+`format_rational` on the way out.  Elimination and the simplex are
+fraction-free (Bareiss 1968; Edmonds 1967), so every division is exact.  All
+predicates (sidedness, rank, feasibility) are therefore exact sign tests,
+which the rest of the library relies on.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-_ZERO = Fraction(0)
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 
 class GeometryError(ValueError):
@@ -36,147 +35,84 @@ def parse_rational(text: str) -> Fraction:
         raise GeometryError(f"invalid rational literal {token!r} (zero denominator)") from None
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a rational as ``p/q``, or ``p`` when the denominator is one."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(numerator: int, denominator: int) -> str:
+    """Render numerator / denominator, denominator > 0, as reduced ``p/q``, or
+    ``p`` when the reduced denominator is one."""
+    g = gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
 
 
-class QVector:
-    """Point or direction with exact rational coordinates; immutable."""
+def format_point(row: Sequence[int]) -> list[str]:
+    """The coordinates x / x0 of a homogeneous row (x0, x), rendered."""
+    return [format_rational(x, row[0]) for x in row[1:]]
 
-    __slots__ = ("coords", "_row")
 
-    def __init__(self, coords: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "coords", coords)
+def _integer_row(values: Iterable) -> tuple[int, ...]:
+    """Ints and Fractions scaled by the lcm of their denominators."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QVector is immutable")
 
-    def __delattr__(self, name):
-        raise AttributeError("QVector is immutable")
+class QVector(NamedTuple):
+    """A point as its primitive homogeneous integer row (x0, x), x0 > 0,
+    standing for x / x0."""
 
-    def __reduce__(self):
-        return QVector, (self.coords,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
-
-    def __repr__(self) -> str:
-        return f"QVector(coords={self.coords!r})"
+    row: tuple[int, ...]
 
     @classmethod
     def of(cls, values: Iterable) -> QVector:
-        coords = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-        if not coords:
+        """The point with the given rational coordinates.
+
+        x0 is the lcm of the coordinate denominators, which makes the row
+        primitive: for each prime dividing x0, the coordinate whose
+        denominator holds x0's full power of it has an entry prime to it.
+        """
+        row = _integer_row((1, *values))
+        if len(row) == 1:
             raise GeometryError("a vector needs at least one coordinate")
-        return cls(coords)
+        return cls(row)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.coords[index]
-
-    def _check_dim(self, other: QVector) -> None:
-        if len(self.coords) != len(other.coords):
-            raise GeometryError(
-                f"dimension mismatch: {len(self.coords)} vs {len(other.coords)}"
-            )
-
-    def __add__(self, other: QVector) -> QVector:
-        self._check_dim(other)
-        return QVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: QVector) -> QVector:
-        self._check_dim(other)
-        return QVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> QVector:
-        return QVector(tuple(-a for a in self.coords))
-
-    def scaled(self, factor) -> QVector:
-        f = factor if isinstance(factor, Fraction) else Fraction(factor)
-        return QVector(tuple(a * f for a in self.coords))
-
-    def dot(self, other: QVector) -> Fraction:
-        self._check_dim(other)
-        return sum((a * b for a, b in zip(self.coords, other.coords)), _ZERO)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    def homogeneous(self) -> tuple[int, ...]:
-        """The point as the primitive integer row (x0, x), x0 > 0, self = x / x0.
-
-        x0 is the lcm of the coordinate denominators.  Computed once per vector.
-        """
-        try:
-            return self._row
-        except AttributeError:
-            x0 = lcm(*(a.denominator for a in self.coords))
-            row = (x0, *(a.numerator * (x0 // a.denominator) for a in self.coords))
-            object.__setattr__(self, "_row", row)
-            return row
+        return len(self.row) - 1
 
 
 class _HyperplaneFields(NamedTuple):
-    normal: QVector
-    offset: Fraction
+    row: tuple[int, ...]
 
 
 class Hyperplane(_HyperplaneFields):
-    """The set ``{x : normal . x = offset}``; ``normal`` must be nonzero."""
+    """The set ``{x : a.x = c}`` as its primitive integer row (-c, a); a must be
+    nonzero.
+
+    The row's dot product with a point's row (x0, x) is x0 times a positive
+    multiple of a.x/x0 - c, so its sign is the point's side of the plane.
+    Dividing by the positive gcd keeps every point's side.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, normal: QVector, offset: Fraction) -> Hyperplane:
-        if normal.is_zero():
+    def __new__(cls, row: Sequence[int]) -> Hyperplane:
+        if not any(row[1:]):
             raise GeometryError("hyperplane normal must be nonzero")
-        return super().__new__(cls, normal, offset)
+        return super().__new__(cls, primitive(row))
 
     @classmethod
     def _make(cls, iterable):
         # _replace builds through _make; route it through the checks too.
         return cls(*iterable)
 
+    @classmethod
+    def of(cls, normal: Iterable, offset) -> Hyperplane:
+        """The hyperplane normal . x = offset, from rationals."""
+        return cls(_integer_row((-offset, *normal)))
+
     @property
     def dim(self) -> int:
-        return self.normal.dim
-
-    def homogeneous(self) -> tuple[int, ...]:
-        """The integer row (-c, a) for a.x = c, scaled by the lcm of its denominators.
-
-        Its dot product with a point's homogeneous row (x0, x) is x0 times a
-        positive multiple of a.x/x0 - c, so its sign is the point's side of h.
-        """
-        entries = (-self.offset, *self.normal.coords)
-        scale = lcm(*(e.denominator for e in entries))
-        return tuple(e.numerator * (scale // e.denominator) for e in entries)
-
-    def canonical(self) -> Hyperplane:
-        """Scale by a positive rational so all entries are coprime integers.
-
-        Positive scaling preserves orientation, so every point keeps its side.
-        """
-        return _plane_of_row(primitive(self.homogeneous()))
-
-
-def _plane_of_row(row: Sequence[int]) -> Hyperplane:
-    return Hyperplane(QVector.of(row[1:]), Fraction(-row[0]))
+        return len(self.row) - 1
 
 
 def primitive(vector: Sequence[int]) -> tuple[int, ...]:
@@ -242,42 +178,48 @@ def affine_chart(rows: Sequence[Sequence[int]]) -> list[int]:
     return [c - 1 for c in pivot_columns(rows)[1:]]
 
 
-def affine_rank(points: Sequence[QVector]) -> int:
-    """Dimension of the affine hull; -1 for the empty set, 0 for a point.
+def affine_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine hull of points given as homogeneous rows; -1 for
+    the empty set, 0 for a point.
 
-    It is the rank of the points' homogeneous rows, less one.
+    It is the rank of the rows, less one.
     """
-    return len(pivot_columns([p.homogeneous() for p in points])) - 1
+    return len(pivot_columns(rows)) - 1
 
 
-def barycenter(points: Sequence[QVector]) -> QVector:
-    """Coordinate-wise average; a relative-interior point of the hull of its inputs."""
-    if not points:
+def barycenter(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The coordinate-wise average of points given as homogeneous rows, as one;
+    a relative-interior point of their hull.
+
+    With L the lcm of the x0, the average is sum(x L / x0) / (n L).
+    """
+    if not rows:
         raise GeometryError("barycenter of an empty point list")
-    n = Fraction(len(points))
-    dim = points[0].dim
-    totals = [_ZERO] * dim
-    for p in points:
-        if p.dim != dim:
-            raise GeometryError("barycenter over points of mixed dimension")
-        for j in range(dim):
-            totals[j] += p.coords[j]
-    return QVector(tuple(t / n for t in totals))
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise GeometryError("barycenter over points of mixed dimension")
+    scale = lcm(*(row[0] for row in rows))
+    totals = [len(rows) * scale] + [0] * (width - 1)
+    for row in rows:
+        factor = scale // row[0]
+        for j in range(1, width):
+            totals[j] += factor * row[j]
+    return primitive(totals)
 
 
-def hyperplane_through(points: Sequence[QVector]) -> Hyperplane | None:
-    """The hyperplane containing the points, when their affine span has codimension one.
+def hyperplane_through(rows: Sequence[Sequence[int]]) -> Hyperplane | None:
+    """The hyperplane containing points given as homogeneous rows, when their
+    affine span has codimension one.
 
     Returns None when the span's codimension is not exactly one.  The plane's
-    row (-c, a) spans the null space of the points' homogeneous rows; it is
-    read off their fraction-free reduction, with a positive entry on the one
-    coordinate column that is not a pivot, and canonicalized to a primitive
-    integer normal.
+    row (-c, a) spans the null space of the rows; it is read off their
+    fraction-free reduction, with a positive entry on the one coordinate
+    column that is not a pivot.
     """
-    if not points:
+    if not rows:
         return None
-    mat, pivots = eliminate([p.homogeneous() for p in points])
-    if len(pivots) != points[0].dim:
+    mat, pivots = eliminate(rows)
+    if len(pivots) != len(rows[0]) - 1:
         return None
     free = next(c for c in range(1, len(pivots) + 1) if c not in pivots)
     last = mat[len(pivots) - 1][pivots[-1]]
@@ -286,29 +228,29 @@ def hyperplane_through(points: Sequence[QVector]) -> Hyperplane | None:
     row[free] = sign * last
     for r, col in enumerate(pivots):
         row[col] = -sign * mat[r][free]
-    return _plane_of_row(primitive(row))
+    return Hyperplane(row)
 
 
 def solve_nonnegative(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Find x >= 0 with rows . x = rhs, or None when the system is infeasible.
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[list[int], int] | None:
+    """Find x >= 0 with rows . x = rhs over the integers, as (D x, D) with
+    D > 0, or None when the system is infeasible.
 
     Exact phase-1 simplex.  Bland's pivoting rule (smallest entering index,
     smallest basic variable on ratio ties) rules out cycling, so the
-    iteration is finite without any perturbation.  The system is scaled by
-    the lcm of its denominators, and the tableau holds D times the rational
-    tableau, D > 0 the determinant of the basis: each pivot divides by the
-    previous D exactly (Edmonds 1967).  The artificial columns are not kept:
-    an artificial variable starts basic and never re-enters once it leaves.
+    iteration is finite without any perturbation.  The tableau holds D times
+    the rational tableau, D > 0 the determinant of the basis: each pivot
+    divides by the previous D exactly (Edmonds 1967).  Scaling the whole
+    system by one positive factor leaves every pivot as it is.  The
+    artificial columns are not kept: an artificial variable starts basic and
+    never re-enters once it leaves.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    scale = lcm(*(v.denominator for row in rows for v in row), *(b.denominator for b in rhs))
     tableau: list[list[int]] = []
     for row, b in zip(rows, rhs):
-        ints = [v.numerator * (scale // v.denominator) for v in (*row, b)]
-        tableau.append([-v for v in ints] if ints[-1] < 0 else ints)
+        tableau.append([-v for v in (*row, b)] if b < 0 else [*row, b])
     basis = list(range(n, n + m))
     # Reduced costs of minimizing the artificial sum: the sum of all rows.
     objective = [sum(column) for column in zip(*tableau)] if m else [0]
@@ -342,8 +284,8 @@ def solve_nonnegative(
         basis[leaving] = entering
     if objective[-1] != 0:
         return None
-    solution = [_ZERO] * n
+    solution = [0] * n
     for row, var in zip(tableau, basis):
         if var < n:
-            solution[var] = Fraction(row[-1], det)
-    return solution
+            solution[var] = row[-1]
+    return solution, det

@@ -10,7 +10,6 @@ geometry is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -21,7 +20,7 @@ from .geometry import (
     QVector,
     affine_chart,
     barycenter,
-    format_rational,
+    format_point,
     hyperplane_through,
     parse_rational,
     pivot_columns,
@@ -88,11 +87,11 @@ def _initial_cone(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, ...
     every chosen row but row j, oriented to be positive on row j.
     """
     chosen = pivot_columns(list(zip(*rows)))
-    origin = QVector.of([0] * len(rows[0]))
+    origin = (1,) + (0,) * len(rows[0])
     rays = []
     for j in chosen:
-        others = [QVector.of(rows[i]) for i in chosen if i != j]
-        ray = [x.numerator for x in hyperplane_through([origin] + others).normal]
+        others = [(1, *rows[i]) for i in chosen if i != j]
+        ray = hyperplane_through([origin] + others).row[1:]
         if sum(map(mul, ray, rows[j])) < 0:
             ray = [-x for x in ray]
         rays.append(tuple(ray))
@@ -143,12 +142,13 @@ def _double_description(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...
 class VPolytope:
     """Polytope given by its vertex list; dim is the rank of the affine hull.
 
-    Immutable; equal and hashed by (vertices, ambient_dim, dim).
+    Each vertex is its primitive homogeneous integer row (x0 > 0, x).
+    Immutable; equal and hashed by (rows, ambient_dim, dim).
     """
 
-    def __init__(self, vertices: tuple[QVector, ...], ambient_dim: int, dim: int) -> None:
+    def __init__(self, rows: tuple[tuple[int, ...], ...], ambient_dim: int, dim: int) -> None:
         state = self.__dict__
-        state["vertices"] = vertices
+        state["rows"] = rows
         state["ambient_dim"] = ambient_dim
         state["dim"] = dim
 
@@ -159,7 +159,7 @@ class VPolytope:
         raise AttributeError("VPolytope is immutable")
 
     def _key(self) -> tuple:
-        return (self.vertices, self.ambient_dim, self.dim)
+        return (self.rows, self.ambient_dim, self.dim)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -177,45 +177,37 @@ class VPolytope:
         ambient = pts[0].dim
         if any(p.dim != ambient for p in pts):
             raise PolytopeError("all vertices must share the ambient dimension")
-        return cls._build(pts, tuple(p.homogeneous() for p in pts), validate)
+        return cls._build(tuple(p.row for p in pts), validate)
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[int, ...]]) -> VPolytope:
         """The polytope on the points x / x0 of primitive rows (x0 > 0, x), unvalidated."""
-        pts = tuple(QVector(tuple(Fraction(x, row[0]) for x in row[1:])) for row in rows)
-        return cls._build(pts, tuple(rows), validate=False)
+        return cls._build(tuple(rows), validate=False)
 
     @classmethod
-    def _build(
-        cls, pts: tuple[QVector, ...], rows: tuple[tuple[int, ...], ...], validate: bool
-    ) -> VPolytope:
+    def _build(cls, rows: tuple[tuple[int, ...], ...], validate: bool) -> VPolytope:
         # Primitive rows with x0 > 0 are equal exactly when their points are.
         if len(set(rows)) != len(rows):
             raise PolytopeError("duplicate vertices in input")
         chart = affine_chart(rows)
-        polytope = cls(pts, len(rows[0]) - 1, len(chart))
-        # Fill the cached properties with the work done here.
-        polytope.__dict__.update(rows=rows, _chart=chart)
+        polytope = cls(rows, len(rows[0]) - 1, len(chart))
+        # Fill the cached chart with the work done here.
+        polytope.__dict__["_chart"] = chart
         if validate:
             polytope._check_vertices()
         return polytope
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex as its primitive homogeneous integer row (x0 > 0, x)."""
-        return tuple(v.homogeneous() for v in self.vertices)
 
     @cached_property
     def _chart(self) -> list[int]:
         return affine_chart(self.rows)
 
     def plane_values(self, h: Hyperplane) -> list[int]:
-        """Per vertex v, a positive multiple of h.normal . v - h.offset.
+        """Per vertex v, a positive multiple of a.v - c, for h the plane a.x = c.
 
         Their signs are the vertices' sides of h; a zero is a vertex on h.
-        Each is the dot product of h's homogeneous row with the vertex's row.
+        Each is the dot product of h's row with the vertex's row.
         """
-        form = h.homogeneous()
+        form = h.row
         return [sum(map(mul, form, row)) for row in self.rows]
 
     @cached_property
@@ -245,13 +237,10 @@ class VPolytope:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.rows)
 
-    def points_of(self, indices: Iterable[int]) -> tuple[QVector, ...]:
-        return tuple(self.vertices[i] for i in indices)
-
-    def face_barycenter(self, face: Face) -> QVector:
-        return barycenter(self.points_of(face.vertex_set))
+    def face_barycenter(self, face: Face) -> tuple[int, ...]:
+        return barycenter([self.rows[i] for i in face.vertex_set])
 
 
 def facets(p: VPolytope) -> list[tuple[Face, Hyperplane]]:
@@ -265,10 +254,8 @@ def facets(p: VPolytope) -> list[tuple[Face, Hyperplane]]:
             f"facet enumeration needs a full-dimensional polytope "
             f"(dim {p.dim} in ambient {d})"
         )
-    out = []
-    for mask, ray in p._facet_rays:
-        h = Hyperplane(QVector.of(-x for x in ray[1:]), Fraction(ray[0])).canonical()
-        out.append((Face(mask, d - 1), h))
+    # The facet c - a.v >= 0 has row (-c, a) = -ray.
+    out = [(Face(mask, d - 1), Hyperplane([-x for x in ray])) for mask, ray in p._facet_rays]
     out.sort(key=lambda pair: pair[0].vertex_set)
     return out
 
@@ -443,26 +430,28 @@ def polar_dual(p: VPolytope) -> VPolytope:
     d = p.ambient_dim
     if p.dim != d:
         raise PolytopeError("polar dual needs a full-dimensional polytope")
-    center = barycenter(p.vertices)
+    center = barycenter(p.rows)
     dual_points = []
     for _, h in facets(p):
-        # Facet a.x <= c of p is a.x <= c - a.center after the translation.
-        # The center is interior, so that offset is positive.
-        offset = h.offset - h.normal.dot(center)
+        # Facet a.x <= c of p is a.x <= c - a.z/z0 after moving the center
+        # (z0, z) to the origin, and c - a.z/z0 = -(h.row . center) / z0.  The
+        # center is interior, so that offset is positive; the dual vertex
+        # a / offset is the row (offset z0, a z0).
+        offset = -sum(map(mul, h.row, center))
         if offset <= 0:
             raise PolytopeError("unexpected non-positive facet offset after centering")
-        dual_points.append(h.normal.scaled(Fraction(1) / offset))
+        dual_points.append(QVector(primitive([offset, *(center[0] * a for a in h.row[1:])])))
     return VPolytope.from_points(dual_points)
 
 
 def format_polytope(p: VPolytope) -> str:
     lines = [f"polytope {p.ambient_dim} {p.n_vertices}"]
-    for v in p.vertices:
-        lines.append(" ".join(format_rational(x) for x in v.coords))
+    for row in p.rows:
+        lines.append(" ".join(format_point(row)))
     return "\n".join(lines) + "\n"
 
 
-def parse_polytope(text: str, validate: bool = True) -> VPolytope:
+def parse_polytope(text: str) -> VPolytope:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise PolytopeError("empty polytope file")
@@ -488,12 +477,12 @@ def parse_polytope(text: str, validate: bool = True) -> VPolytope:
             points.append(QVector.of(parse_rational(e) for e in entries))
         except GeometryError as exc:
             raise PolytopeError(f"row {row}: {exc}") from None
-    return VPolytope.from_points(points, validate=validate)
+    return VPolytope.from_points(points)
 
 
-def load_polytope(path: str, validate: bool = True) -> VPolytope:
+def load_polytope(path: str) -> VPolytope:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_polytope(fh.read(), validate=validate)
+        return parse_polytope(fh.read())
 
 
 def save_polytope(p: VPolytope, path: str) -> None:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from math import lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from fractions import Fraction
-
-from .geometry import Hyperplane, QVector, solve_nonnegative
+from .geometry import Hyperplane, solve_nonnegative
 from .polytope import Face, FaceLattice, PolytopeError, VPolytope
 from .section import section
 
@@ -70,68 +70,97 @@ class RidgePathResult(NamedTuple):
     hyperplanes: tuple[Hyperplane, ...]
 
 
+def _difference(v: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
+    """The direction v - b between points given as homogeneous rows, as an
+    integer vector and its positive denominator."""
+    return [b[0] * x - v[0] * y for x, y in zip(v[1:], b[1:])], v[0] * b[0]
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
 def _feasible_orthogonal_normal(
-    p: VPolytope, bf: QVector, w: QVector, r: Face
-) -> QVector | None:
-    """A normal a with a.w = 0 putting every vertex of r strictly on one side.
+    w: tuple[list[int], int], diffs: list[tuple[list[int], int]]
+) -> list[int] | None:
+    """A normal a with a.w = 0 and a.diff >= 1 for every given difference,
+    up to a positive factor.
 
     Exact feasibility solve: split a into nonnegative parts and require
-    a.(v - bf) >= 1 per vertex of r (scale-invariant normalization of
-    strictness), which a phase-1 simplex settles deterministically.  The
-    other side needs no second solve: -a satisfies it exactly when a
-    satisfies this one.
+    a.(v - b) >= 1 per vertex v of the face to miss (scale-invariant
+    normalization of strictness), which a phase-1 simplex settles
+    deterministically.  The rational system is scaled by one common positive
+    factor, so every pivot is the one of the rational system.  The other
+    side needs no second solve: -a satisfies it exactly when a satisfies
+    this one.
     """
-    d = p.ambient_dim
-    r_points = p.points_of(r.vertex_set)
-    n_slack = len(r_points)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    if not w.is_zero():
-        rows.append(list(w.coords) + [-c for c in w.coords] + [Fraction(0)] * n_slack)
-        rhs.append(Fraction(0))
-    for idx, v in enumerate(r_points):
-        diff = v - bf
-        slack = [Fraction(0)] * n_slack
-        slack[idx] = Fraction(-1)
-        rows.append(list(diff.coords) + [-c for c in diff.coords] + slack)
-        rhs.append(Fraction(1))
-    x = solve_nonnegative(rows, rhs)
-    if x is None:
+    (w_vec, w_den), n_slack = w, len(diffs)
+    scale = lcm(w_den, *(den for _, den in diffs))
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    if any(w_vec):
+        factor = scale // w_den
+        rows.append([factor * c for c in w_vec] + [-factor * c for c in w_vec] + [0] * n_slack)
+        rhs.append(0)
+    for idx, (diff, den) in enumerate(diffs):
+        factor = scale // den
+        slack = [0] * n_slack
+        slack[idx] = -scale
+        rows.append([factor * c for c in diff] + [-factor * c for c in diff] + slack)
+        rhs.append(scale)
+    solved = solve_nonnegative(rows, rhs)
+    if solved is None:
         return None
-    a = QVector.of([x[j] - x[d + j] for j in range(d)])
-    return None if a.is_zero() else a
+    x, d = solved[0], len(w_vec)
+    a = [x[j] - x[d + j] for j in range(d)]
+    return a if any(a) else None
 
 
 def _clear_grazed_vertices(
-    p: VPolytope, bf: QVector, w: QVector, a: QVector, rng: random.Random
-) -> tuple[QVector | None, int]:
+    w: tuple[list[int], int],
+    diffs: list[tuple[list[int], int]],
+    a: list[int],
+    rng: random.Random,
+) -> tuple[list[int] | None, int]:
     """Nudge a within the w-orthogonal space until no vertex lies on the plane.
 
-    The step size is chosen strictly below every sign-flip threshold, so all
-    existing strict side assignments survive the nudge exactly.  Returns the
-    nudged normal (None if every direction tried grazed an offender) and the
-    number of directions drawn.
+    The nudge is a + t u, u the draw u0 projected onto w's orthogonal space,
+    and t the least |a.(v - b)| / (2 (|u.(v - b)| + 1)) over the vertices v off
+    the plane.  That step is strictly below every sign-flip threshold, so all
+    existing strict side assignments survive the nudge exactly.  The +1 makes
+    t depend on the exact scale of u and of each v - b, so both are carried
+    over their denominators; a's scale is free, as t scales with it.  With
+    u = U / s and v - b = D / e the nudged normal is a positive multiple of
+    a + (num / den) U, num / den the least |a.D| / (2 (|U.D| + s e)).  Returns
+    the nudged normal (None if every direction tried grazed an offender) and
+    the number of directions drawn.
     """
-    if all(p.plane_values(Hyperplane(a, a.dot(bf)))):
+    values = [_dot(a, diff) for diff, _ in diffs]
+    if all(values):
         return a, 0
-    diffs = [v - bf for v in p.vertices]
-    values = [a.dot(diff) for diff in diffs]
     offenders = [i for i, val in enumerate(values) if val == 0]
-    ww = w.dot(w)
+    w_vec, w_den = w
+    ww = _dot(w_vec, w_vec)
     for draws in range(1, _NUDGE_DRAWS + 1):
-        u0 = QVector.of([Fraction(rng.randint(-9, 9)) for _ in range(p.ambient_dim)])
-        u = u0 if ww == 0 else u0.scaled(ww) - w.scaled(u0.dot(w))
-        if u.is_zero():
+        u0 = [rng.randint(-9, 9) for _ in range(len(a))]
+        # u = (w.w) u0 - (u0.w) w, which is U / w_den**2.
+        if ww == 0:
+            u, s = u0, 1
+        else:
+            uw = _dot(u0, w_vec)
+            u, s = [ww * c - uw * wc for c, wc in zip(u0, w_vec)], w_den * w_den
+        if not any(u):
             continue
-        pair = [u.dot(diff) for diff in diffs]
+        pair = [_dot(u, diff) for diff, _ in diffs]
         if any(pair[i] == 0 for i in offenders):
             continue
-        step = min(
-            abs(val) / (2 * (abs(q) + 1))
-            for val, q in zip(values, pair)
-            if val != 0
-        )
-        return a + u.scaled(step), draws
+        num, den = 0, 0
+        for val, q, (_, e) in zip(values, pair, diffs):
+            if val:
+                n, m = abs(val), 2 * (abs(q) + s * e)
+                if den == 0 or n * den < num * m:
+                    num, den = n, m
+        return [den * c + num * x for c, x in zip(a, u)], draws
     return None, _NUDGE_DRAWS
 
 
@@ -161,14 +190,16 @@ def search_cutting_hyperplane(
     if not (1 <= k <= lattice.dim - 1):
         raise RidgePathError(f"face dimension {k} out of range [1, {lattice.dim - 1}]")
     bf = p.face_barycenter(f)
-    w = p.face_barycenter(g) - bf
+    w = _difference(p.face_barycenter(g), bf)
+    diffs = [_difference(v, bf) for v in p.rows]
     attempts = 1
-    a = _feasible_orthogonal_normal(p, bf, w, r)
+    a = _feasible_orthogonal_normal(w, [diffs[i] for i in r.vertex_set])
     if a is not None:
-        a, draws = _clear_grazed_vertices(p, bf, w, a, random.Random(seed))
+        a, draws = _clear_grazed_vertices(w, diffs, a, random.Random(seed))
         attempts += draws
     if a is not None:
-        h = Hyperplane(a, a.dot(bf)).canonical()
+        # The plane a.x = a.b through b = bf[1:] / bf[0].
+        h = Hyperplane([-_dot(a, bf[1:]), *(bf[0] * c for c in a)])
         values = p.plane_values(h)
         if all(values) and len({values[i] > 0 for i in r.vertex_set}) == 1:
             return h, attempts

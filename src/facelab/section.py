@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .geometry import Hyperplane, QVector, parse_rational, primitive
+from .geometry import GeometryError, Hyperplane, parse_rational, primitive
 from .polytope import Face, FaceLattice, VPolytope, mask_of
 
 
@@ -19,19 +19,22 @@ class SectionError(ValueError):
     """Degenerate or invalid section request."""
 
 
-def parse_hyperplane(text: str) -> Hyperplane:
-    """Parse 'a1,a2,...,ad;c' with rational entries."""
+def parse_hyperplane(text: str) -> tuple[list, object]:
+    """Parse 'a1,a2,...,ad;c' into the normal and offset of a plane, as the
+    rationals `parse_rational` returns."""
     parts = text.split(";")
     if len(parts) != 2:
         raise SectionError(
             f"malformed hyperplane {text!r}: expected 'a1,...,ad;c'"
         )
     try:
-        normal = QVector.of(parse_rational(t) for t in parts[0].split(","))
+        normal = [parse_rational(t) for t in parts[0].split(",")]
         offset = parse_rational(parts[1])
-        return Hyperplane(normal, offset)
-    except ValueError as exc:
+        if not any(normal):
+            raise GeometryError("hyperplane normal must be nonzero")
+    except GeometryError as exc:
         raise SectionError(f"malformed hyperplane {text!r}: {exc}") from None
+    return normal, offset
 
 
 class SectionMap:
@@ -47,13 +50,11 @@ class SectionMap:
     def __init__(
         self,
         base_lattice: FaceLattice,
-        plane: Hyperplane,
         slice_polytope: VPolytope,
         slice_lattice: FaceLattice,
         phi: dict[int, int],
     ) -> None:
         self.base_lattice = base_lattice
-        self.plane = plane
         self.slice_polytope = slice_polytope
         self.slice_lattice = slice_lattice
         self.phi = phi
@@ -128,7 +129,6 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
     slice_lattice = FaceLattice(lattice.dim - 1, slice_faces, covers)
     return SectionMap(
         base_lattice=lattice,
-        plane=h,
         slice_polytope=slice_polytope,
         slice_lattice=slice_lattice,
         phi=phi,

@@ -36,20 +36,19 @@ def instance(
 def random_cutting_plane(p: VPolytope, rng, max_tries: int = 500):
     """A hyperplane that strictly separates the vertex set and avoids every
     vertex, found by seeded rejection sampling.  Deterministic per rng state."""
-    from fractions import Fraction
-
-    from facelab.geometry import Hyperplane, QVector
-    from oracles import side
+    from facelab.geometry import Hyperplane
+    from oracles import rational_points, side
 
     d = p.ambient_dim
+    points = rational_points(p)
     for _ in range(max_tries):
-        normal = QVector.of([Fraction(rng.randint(-5, 5)) for _ in range(d)])
-        if normal.is_zero():
+        normal = [rng.randint(-5, 5) for _ in range(d)]
+        if not any(normal):
             continue
         i, j = rng.sample(range(p.n_vertices), 2)
-        mid = (p.vertices[i] + p.vertices[j]).scaled(Fraction(1, 2))
-        h = Hyperplane(normal, normal.dot(mid)).canonical()
-        sides = {side(h, v) for v in p.vertices}
+        offset = sum(a * (x + y) for a, x, y in zip(normal, points[i], points[j])) / 2
+        h = Hyperplane.of(normal, offset)
+        sides = {side(h, v) for v in points}
         if 0 in sides or sides != {-1, 1}:
             continue
         return h

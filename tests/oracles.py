@@ -7,7 +7,9 @@ connectivity instead of the library's search, and so on.  Keep it that way;
 these are the second route in every two-route check.  The Fraction
 routines the library's integer kernels replaced (elimination, the hyperplane
 through points, a point's side of a hyperplane, the segment crossing, the
-phase-1 simplex) stay here as the second route for those kernels.
+phase-1 simplex, the cutting-plane search) stay here as the second route for
+those kernels.  Here a point is a sequence of its rational coordinates;
+`rational_points` reads them off a polytope's integer rows.
 """
 
 from __future__ import annotations
@@ -54,11 +56,27 @@ def rank_by_minors(rows: list[list[Fraction]]) -> int:
     return 0
 
 
-def affine_rank_oracle(points: list[QVector]) -> int:
+Point = tuple  # rational coordinates
+
+
+def coordinates(row: tuple[int, ...]) -> Point:
+    """The Fraction coordinates x / x0 of a homogeneous row (x0, x)."""
+    return tuple(Fraction(x, row[0]) for x in row[1:])
+
+
+def rational_points(p: VPolytope) -> list[Point]:
+    return [coordinates(row) for row in p.rows]
+
+
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def affine_rank_oracle(points: list[Point]) -> int:
     if not points:
         return -1
     base = points[0]
-    rows = [[p.coords[j] - base.coords[j] for j in range(base.dim)] for p in points[1:]]
+    rows = [[Fraction(a) - b for a, b in zip(p, base)] for p in points[1:]]
     if not rows:
         return 0
     return rank_by_minors(rows)
@@ -117,28 +135,28 @@ def fraction_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], l
     return rows, pivots
 
 
-def _differences(points: list[QVector]) -> list[list[Fraction]]:
+def _differences(points: list[Point]) -> list[list[Fraction]]:
     base = points[0]
-    return [[a - b for a, b in zip(p.coords, base.coords)] for p in points[1:]]
+    return [[Fraction(a) - b for a, b in zip(p, base)] for p in points[1:]]
 
 
-def affine_chart_oracle(points: list[QVector]) -> list[int]:
+def affine_chart_oracle(points: list[Point]) -> list[int]:
     """Pivot columns of the Fraction difference matrix p_i - p_0."""
     return fraction_reduce(_differences(points))[1] if points else []
 
 
-def in_general_position_oracle(points: list[QVector], d: int) -> bool:
+def in_general_position_oracle(points: list[Point], d: int) -> bool:
     """No d+1 of the points affinely dependent, by Fraction elimination."""
     return all(
         len(affine_chart_oracle(list(sub))) == d for sub in combinations(points, d + 1)
     )
 
 
-def hyperplane_through_oracle(points: list[QVector]) -> Hyperplane | None:
+def hyperplane_through_oracle(points: list[Point]) -> Hyperplane | None:
     """The codimension-one hyperplane through the points, from the Fraction
     reduced difference system: +1 on its free column, minus the reduced
     entries on the pivot columns.  None when the codimension is not one."""
-    d = points[0].dim
+    d = len(points[0])
     rows, pivots = fraction_reduce(_differences(points))
     if len(pivots) != d - 1:
         return None
@@ -147,23 +165,22 @@ def hyperplane_through_oracle(points: list[QVector]) -> Hyperplane | None:
     normal[free_col] = Fraction(1)
     for r, col in enumerate(pivots):
         normal[col] = -rows[r][free_col]
-    a = QVector.of(normal)
-    return Hyperplane(a, a.dot(points[0])).canonical()
+    return Hyperplane.of(normal, _dot(normal, points[0]))
 
 
-def side(h: Hyperplane, point: QVector) -> int:
-    """Exact sign of ``h.normal . point - h.offset``: -1, 0, or +1, in
-    Fractions."""
-    if point.dim != h.normal.dim:
+def side(h: Hyperplane, point: Point) -> int:
+    """Exact sign of a.point - c for h: a.x = c, with h's row (-c, a): -1, 0,
+    or +1, in Fractions."""
+    if len(point) != h.dim:
         raise GeometryError(
-            f"dimension mismatch: point has {point.dim} coordinates, "
-            f"hyperplane normal has {h.normal.dim}"
+            f"dimension mismatch: point has {len(point)} coordinates, "
+            f"hyperplane normal has {h.dim}"
         )
-    value = h.normal.dot(point) - h.offset
+    value = _dot(h.row[1:], point) + h.row[0]
     return (value > 0) - (value < 0)
 
 
-def segment_hyperplane_intersection(p: QVector, q: QVector, h: Hyperplane) -> QVector:
+def segment_hyperplane_intersection(p: Point, q: Point, h: Hyperplane) -> Point:
     """The unique point of segment [p, q] on h, from the Fraction line
     parameter; requires a strict crossing."""
     sp = side(h, p)
@@ -172,10 +189,10 @@ def segment_hyperplane_intersection(p: QVector, q: QVector, h: Hyperplane) -> QV
         raise GeometryError(
             f"segment does not strictly cross the hyperplane (sides {sp}, {sq})"
         )
-    ap = h.normal.dot(p)
-    aq = h.normal.dot(q)
-    t = (h.offset - ap) / (aq - ap)
-    return QVector(tuple(a + t * (b - a) for a, b in zip(p.coords, q.coords)))
+    ap = _dot(h.row[1:], p)
+    aq = _dot(h.row[1:], q)
+    t = (-h.row[0] - ap) / (aq - ap)
+    return tuple(a + t * (b - a) for a, b in zip(p, q))
 
 
 def solve_nonnegative_oracle(
@@ -250,18 +267,18 @@ def solve_nonnegative_oracle(
     return solution
 
 
-def hull_membership_oracle(points: list[QVector], p: QVector) -> bool:
+def hull_membership_oracle(points: list[Point], p: Point) -> bool:
     """Caratheodory route: p is in the hull iff some affinely independent
     subset of at most d+1 points contains it with nonnegative weights."""
-    d = p.dim
+    d = len(p)
     size = min(d + 1, len(points))
     for m in range(1, size + 1):
         for subset in combinations(points, m):
             if affine_rank_oracle(list(subset)) != m - 1:
                 continue
-            rows = [[q.coords[j] for q in subset] for j in range(d)]
+            rows = [[q[j] for q in subset] for j in range(d)]
             rows.append([Fraction(1)] * m)
-            rhs = list(p.coords) + [Fraction(1)]
+            rhs = list(p) + [Fraction(1)]
             coeffs = solve_exact(rows, rhs)
             if coeffs is not None and all(c >= 0 for c in coeffs):
                 return True
@@ -297,16 +314,17 @@ def brute_force_facets(p: VPolytope) -> list[tuple[tuple[int, ...], Hyperplane]]
     side.  This was the library's own route before double description.
     """
     d = p.ambient_dim
+    points = rational_points(p)
     found: dict[tuple[int, ...], Hyperplane] = {}
     for subset in combinations(range(p.n_vertices), d):
-        h = hyperplane_through([p.vertices[i] for i in subset])
+        h = hyperplane_through([p.rows[i] for i in subset])
         if h is None:
             continue
-        sides = [side(h, v) for v in p.vertices]
+        sides = [side(h, v) for v in points]
         if 1 in sides and -1 in sides:
             continue
         if 1 in sides:
-            h = Hyperplane(-h.normal, -h.offset).canonical()
+            h = Hyperplane([-x for x in h.row])
             sides = [-s for s in sides]
         found.setdefault(tuple(i for i, s in enumerate(sides) if s == 0), h)
     return sorted(found.items())
@@ -330,8 +348,9 @@ def closure_lattice(
             break
         sets |= fresh
     sets.add(frozenset())
+    points = rational_points(p)
     dims = {
-        tuple(sorted(s)): affine_rank_oracle([p.vertices[i] for i in sorted(s)])
+        tuple(sorted(s)): affine_rank_oracle([points[i] for i in sorted(s)])
         for s in sets
     }
     by_dim: dict[int, list[tuple[int, ...]]] = {}
@@ -347,7 +366,7 @@ def closure_lattice(
     return dims, covers
 
 
-def chart_lattice(points: list[QVector], normal: QVector) -> FaceLattice:
+def chart_lattice(points: list[Point], normal: tuple[int, ...]) -> FaceLattice:
     """Geometric reconstruction of the lattice of points lying on a hyperplane.
 
     Dropping the coordinate of the normal's first nonzero entry is an affine
@@ -355,17 +374,17 @@ def chart_lattice(points: list[QVector], normal: QVector) -> FaceLattice:
     lattice computed there (by ordinary facet enumeration) is the slice's own
     lattice with identical vertex indexing.
     """
-    pivot = next(j for j, a in enumerate(normal.coords) if a != 0)
-    projected = [
-        QVector.of([x for j, x in enumerate(v.coords) if j != pivot]) for v in points
-    ]
+    pivot = next(j for j, a in enumerate(normal) if a != 0)
+    projected = [QVector.of([x for j, x in enumerate(v) if j != pivot]) for v in points]
     return face_lattice(VPolytope.from_points(projected, validate=False))
 
 
-def assert_section_isomorphism(p: VPolytope, lattice: FaceLattice, smap) -> None:
-    """Full two-route audit of a slice: the combinatorial map must be a poset
-    isomorphism onto the slice lattice, and the slice lattice must equal the
-    geometric reconstruction from the slice points alone."""
+def assert_section_isomorphism(
+    p: VPolytope, lattice: FaceLattice, h: Hyperplane, smap
+) -> None:
+    """Full two-route audit of the slice of p by h: the combinatorial map must
+    be a poset isomorphism onto the slice lattice, and the slice lattice must
+    equal the geometric reconstruction from the slice points alone."""
     to_slice = smap.to_slice
     slice_lattice = smap.slice_lattice
 
@@ -373,17 +392,17 @@ def assert_section_isomorphism(p: VPolytope, lattice: FaceLattice, smap) -> None
     assert len(set(to_slice.values())) == len(to_slice)
 
     # domain is exactly the strictly cut faces, recomputed from raw sides
-    h = smap.plane
+    points = rational_points(p)
     for f in lattice.faces:
         if f.dim < 1:
             continue
-        signs = {side(h, p.vertices[i]) for i in f.vertex_set}
+        signs = {side(h, points[i]) for i in f.vertex_set}
         assert 0 not in signs
         assert (f.id in to_slice) == (signs == {-1, 1})
 
     # independent geometric route: project the slice onto a chart and
     # enumerate its faces from scratch
-    chart = chart_lattice(list(smap.slice_polytope.vertices), h.normal)
+    chart = chart_lattice(rational_points(smap.slice_polytope), h.row[1:])
     assert {f.vertex_set for f in chart.faces} == {
         f.vertex_set for f in slice_lattice.faces
     }
@@ -601,35 +620,27 @@ def bfs_ridge_path_oracle(
 
 def hyperplane_conditions_oracle(
     p: VPolytope, f_vertices: tuple[int, ...], g_vertices: tuple[int, ...],
-    r_vertices: tuple[int, ...], normal: QVector, offset: Fraction,
+    r_vertices: tuple[int, ...], normal: Point, offset: Fraction,
 ) -> bool:
     """The three acceptance conditions for a cutting hyperplane, from scratch."""
+    points = rational_points(p)
 
-    def value(v: QVector) -> Fraction:
-        return sum((a * x for a, x in zip(normal.coords, v.coords)), Fraction(0)) - offset
+    def value(v: Point) -> Fraction:
+        return _dot(normal, v) - offset
 
-    def mean(indices: tuple[int, ...]) -> QVector:
+    def mean(indices: tuple[int, ...]) -> Point:
         m = Fraction(len(indices))
-        coords = [
-            sum((p.vertices[i].coords[j] for i in indices), Fraction(0)) / m
+        return tuple(
+            sum((points[i][j] for i in indices), Fraction(0)) / m
             for j in range(p.ambient_dim)
-        ]
-        return QVector.of(coords)
+        )
 
     if value(mean(f_vertices)) != 0 or value(mean(g_vertices)) != 0:
         return False
-    if any(value(v) == 0 for v in p.vertices):
+    if any(value(v) == 0 for v in points):
         return False
-    r_signs = {value(p.vertices[i]) > 0 for i in r_vertices}
+    r_signs = {value(points[i]) > 0 for i in r_vertices}
     return len(r_signs) == 1
-
-
-def _rational_points(p: VPolytope) -> list[tuple[Fraction, ...]]:
-    return [tuple(Fraction(x, row[0]) for x in row[1:]) for row in p.rows]
-
-
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def cutting_hyperplane_oracle(
@@ -647,7 +658,7 @@ def cutting_hyperplane_oracle(
     b)| + 1)) over the vertices off the plane.
     """
     d = p.ambient_dim
-    points = _rational_points(p)
+    points = rational_points(p)
 
     def mean(face: Face) -> tuple[Fraction, ...]:
         m = len(face.vertex_set)

@@ -98,7 +98,7 @@ def test_criterion_3_section_battery(capsys):
         checked = 0
         for p, lat, h in section_battery():
             smap = section(p, lat, h)
-            assert_section_isomorphism(p, lat, smap)
+            assert_section_isomorphism(p, lat, h, smap)
             checked += 1
         assert checked == 100
 
@@ -125,7 +125,7 @@ def test_criterion_4_cutting_hyperplane(capsys):
             # one solve plus at most 200 nudge directions
             assert 1 <= attempts <= 201
             assert hyperplane_conditions_oracle(
-                p, f.vertex_set, g.vertex_set, r.vertex_set, h.normal, h.offset
+                p, f.vertex_set, g.vertex_set, r.vertex_set, h.row[1:], -h.row[0]
             ), (f.id, g.id, r.id, h)
             attempts_seen[attempts] += 1
             done += 1

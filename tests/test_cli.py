@@ -70,6 +70,14 @@ class TestLattice:
         doc, code = invoke("lattice", "/nonexistent/p.poly")
         assert code == 2 and doc["status"] == "error"
 
+    def test_non_ascii_digits_are_refused(self, tmp_path):
+        # The unit square with its 1s in Arabic-Indic digits.
+        path = tmp_path / "square.poly"
+        path.write_text("polytope 2 4\n0 0\n١ 0\n0 ١\n١ ١\n", encoding="utf-8")
+        doc, code = invoke("lattice", str(path))
+        assert code == 2 and doc["status"] == "error"
+        assert doc["error"].startswith("row 2: invalid rational literal")
+
 
 class TestHypergraph:
     def test_cube3_k1(self, cube3_file):

@@ -21,7 +21,13 @@ from facelab.generators import (
 from facelab.geometry import affine_rank
 from facelab.polytope import face_lattice, facets
 from instances import lattice_of
-from oracles import affine_rank_oracle, gale_evenness_facets, in_general_position_oracle
+from oracles import (
+    affine_rank_oracle,
+    coordinates,
+    gale_evenness_facets,
+    in_general_position_oracle,
+    rational_points,
+)
 
 
 class TestFixedFamilies:
@@ -40,10 +46,8 @@ class TestFixedFamilies:
 
     def test_cube_vertex_order_is_lexicographic_bits(self):
         p = cube(3)
-        assert [v.coords for v in p.vertices[:3]] == [
-            (0, 0, 0), (0, 0, 1), (0, 1, 0),
-        ]
-        assert p.vertices[7].coords == (1, 1, 1)
+        assert list(p.rows[:3]) == [(1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
+        assert p.rows[7] == (1, 1, 1, 1)
 
     def test_cyclic_facets_satisfy_evenness(self):
         found = {frozenset(f.vertex_set) for f, _ in facets(cyclic(4, 7))}
@@ -73,17 +77,16 @@ class TestRandomPolytopes:
     def test_deterministic_per_seed(self):
         a = random_polytope(3, 6, seed=9)
         b = random_polytope(3, 6, seed=9)
-        assert a.vertices == b.vertices
+        assert a.rows == b.rows
         c = random_polytope(3, 6, seed=10)
-        assert c.vertices != a.vertices
+        assert c.rows != a.rows
 
     def test_general_position(self):
         p = random_polytope(3, 7, seed=1)
-        pts = list(p.vertices)
-        for subset in combinations(pts, 4):
+        for subset in combinations(p.rows, 4):
             assert affine_rank(list(subset)) == 3
         # second route for a handful of subsets
-        for subset in list(combinations(pts, 4))[:10]:
+        for subset in list(combinations(rational_points(p), 4))[:10]:
             assert affine_rank_oracle(list(subset)) == 3
 
     def test_general_position_verdicts_match_fraction_oracle(self, monkeypatch):
@@ -91,9 +94,9 @@ class TestRandomPolytopes:
         judge = generators._in_general_position
         verdicts = []
 
-        def checked(points, d):
-            verdict = judge(points, d)
-            assert verdict == in_general_position_oracle(points, d)
+        def checked(rows, d):
+            verdict = judge(rows, d)
+            assert verdict == in_general_position_oracle([coordinates(r) for r in rows], d)
             verdicts.append(verdict)
             return verdict
 
@@ -106,9 +109,10 @@ class TestRandomPolytopes:
     def test_every_point_is_a_vertex(self):
         p = random_polytope(4, 7, seed=3)
         # from_points(validate=True) re-runs the hull check on every point
+        from facelab.geometry import QVector
         from facelab.polytope import VPolytope
 
-        VPolytope.from_points(list(p.vertices), validate=True)
+        VPolytope.from_points([QVector(row) for row in p.rows], validate=True)
 
     def test_bound_too_small(self):
         with pytest.raises(GeneratorError):
@@ -122,10 +126,10 @@ class TestGeneratorSpec:
         }
 
     def test_dispatch_matches_direct_calls(self):
-        assert generate(GeneratorSpec("cube", 3)).vertices == cube(3).vertices
-        assert generate(GeneratorSpec("cyclic", 3, n=6)).vertices == cyclic(3, 6).vertices
+        assert generate(GeneratorSpec("cube", 3)).rows == cube(3).rows
+        assert generate(GeneratorSpec("cyclic", 3, n=6)).rows == cyclic(3, 6).rows
         spec = GeneratorSpec("random", 3, n=6, seed=4)
-        assert generate(spec).vertices == random_polytope(3, 6, seed=4).vertices
+        assert generate(spec).rows == random_polytope(3, 6, seed=4).rows
 
     @pytest.mark.parametrize(
         "kwargs",

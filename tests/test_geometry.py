@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from oracles import (
     affine_rank_oracle,
     hull_membership_oracle,
     hyperplane_through_oracle,
+    rational_points,
     segment_hyperplane_intersection,
     side,
     solve_nonnegative_oracle,
@@ -32,7 +35,20 @@ from oracles import (
 import random
 
 F = Fraction
-Q = QVector.of
+
+
+def Q(coords) -> tuple:
+    """A test point: its rational coordinates."""
+    return tuple(F(x) for x in coords)
+
+
+def R(coords) -> tuple[int, ...]:
+    """The library's row of a point."""
+    return QVector.of(coords).row
+
+
+def plane(normal, offset) -> Hyperplane:
+    return Hyperplane.of(normal, offset)
 
 rationals = st.fractions(
     min_value=F(-50), max_value=F(50), max_denominator=20
@@ -47,34 +63,41 @@ class TestRationalText:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["1.5", "3/0", "a", "1 / 2", "", "--3", "1/2/3"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1.5", "3/0", "a", "1 / 2", "", "--3", "1/2/3", "\u0663", "1/\u0662", "\uff13"],
+    )
     def test_parse_rejects(self, text):
+        # Arabic-Indic 3, 1 over Arabic-Indic 2 and fullwidth 3 are digits to
+        # str.isdigit but not the documented syntax.
         with pytest.raises(GeometryError):
             parse_rational(text)
 
     def test_format_is_reduced(self):
-        assert format_rational(F(6, 4)) == "3/2"
-        assert format_rational(F(-8, 2)) == "-4"
-        assert format_rational(F(0)) == "0"
+        assert format_rational(6, 4) == "3/2"
+        assert format_rational(-8, 2) == "-4"
+        assert format_rational(0, 1) == "0"
+        assert format_rational(0, 7) == "0"
+        assert format_rational(-3, 6) == "-1/2"
 
-    @given(rationals)
-    def test_round_trip(self, q):
-        assert parse_rational(format_rational(q)) == q
+    @given(rationals, st.integers(min_value=1, max_value=9))
+    def test_round_trip(self, q, scale):
+        assert parse_rational(format_rational(q.numerator, q.denominator)) == q
+        assert format_rational(q.numerator * scale, q.denominator * scale) == str(q)
 
 
 class TestQVector:
-    def test_arithmetic(self):
-        u, v = Q([1, 2]), Q([F(1, 2), -1])
-        assert (u + v).coords == (F(3, 2), F(1))
-        assert (u - v).coords == (F(1, 2), F(3))
-        assert u.scaled(F(2)).coords == (F(2), F(4))
-        assert u.dot(v) == F(1, 2) - 2
+    @given(st.lists(rationals, min_size=1, max_size=5))
+    def test_row_is_primitive_homogeneous(self, coords):
+        row = QVector.of(coords).row
+        assert row[0] > 0 and math.gcd(*row) == 1
+        assert [F(x, row[0]) for x in row[1:]] == coords
 
     def test_dim_mismatch(self):
         with pytest.raises(GeometryError):
-            Q([1, 2]) + Q([1, 2, 3])
+            QVector.of([])
         with pytest.raises(GeometryError):
-            Q([1, 2]).dot(Q([1]))
+            barycenter([R([1, 2]), R([1, 2, 3])])
 
     @given(rationals, rationals, rationals)
     def test_distributivity_is_exact(self, a, b, c):
@@ -85,7 +108,7 @@ class TestQVector:
 
 class TestHyperplane:
     def test_side_signs(self):
-        h = Hyperplane(Q([1, 0]), F(1, 2))
+        h = plane([1, 0], F(1, 2))
         assert side(h, Q([0, 0])) == -1
         assert side(h, Q([F(1, 2), 3])) == 0
         assert side(h, Q([1, -7])) == 1
@@ -94,38 +117,44 @@ class TestHyperplane:
 
     def test_zero_normal_rejected(self):
         with pytest.raises(GeometryError):
-            Hyperplane(Q([0, 0]), F(1))
+            plane([0, 0], F(1))
+        with pytest.raises(GeometryError):
+            Hyperplane((1, 0, 0))
 
     def test_canonical_clears_denominators(self):
-        h = Hyperplane(Q([F(1, 2), F(-3, 4)]), F(5, 4)).canonical()
-        assert h.normal.coords == (F(2), F(-3)) and h.offset == F(5)
+        h = plane([F(1, 2), F(-3, 4)], F(5, 4))
+        assert h.row == (-5, 2, -3)
+        assert Hyperplane((6, -4, 2)).row == (3, -2, 1)
 
     @given(st.integers(min_value=1, max_value=9), rationals, rationals)
     def test_side_invariant_under_positive_scaling(self, scale, x, y):
-        h = Hyperplane(Q([2, -3]), F(1, 7))
-        g = Hyperplane(h.normal.scaled(F(scale)), h.offset * scale)
+        h = plane([2, -3], F(1, 7))
+        g = plane([2 * scale, -3 * scale], F(scale, 7))
+        assert g == h == Hyperplane([scale * c for c in h.row])
+        flipped = plane([-2 * scale, 3 * scale], F(-scale, 7))
+        assert flipped.row == tuple(-c for c in h.row)
         p = Q([x, y])
-        assert side(h, p) == side(g, p)
+        assert side(flipped, p) == -side(h, p)
 
     @given(st.lists(rationals, min_size=3, max_size=3), rationals)
     def test_plane_values_have_the_vertex_sides(self, normal, offset):
         # The library's integer sides against the Fraction reference.
         assume(any(normal))
         p = polytope("cyclic", 3, 6)
-        h = Hyperplane(QVector.of(normal), offset)
+        h = plane(normal, offset)
         values = p.plane_values(h)
-        assert [(x > 0) - (x < 0) for x in values] == [side(h, v) for v in p.vertices]
+        assert [(x > 0) - (x < 0) for x in values] == [side(h, v) for v in rational_points(p)]
 
 
 class TestAffineRank:
     def test_small_cases(self):
         assert affine_rank([]) == -1
-        assert affine_rank([Q([5, 5])]) == 0
-        assert affine_rank([Q([0, 0]), Q([1, 1]), Q([2, 2])]) == 1
-        assert affine_rank([Q([0, 0]), Q([1, 0]), Q([0, 1]), Q([1, 1])]) == 2
+        assert affine_rank([R([5, 5])]) == 0
+        assert affine_rank([R([0, 0]), R([1, 1]), R([2, 2])]) == 1
+        assert affine_rank([R([0, 0]), R([1, 0]), R([0, 1]), R([1, 1])]) == 2
 
     def test_moment_curve_is_full_rank(self):
-        pts = [Q([t, t * t, t**3]) for t in range(1, 6)]
+        pts = [R([t, t * t, t**3]) for t in range(1, 6)]
         assert affine_rank(pts) == 3
 
     def test_matches_determinant_oracle_on_random_sets(self):
@@ -133,7 +162,7 @@ class TestAffineRank:
         for _ in range(80):
             d = rng.choice([2, 3, 4])
             pts = [Q([rng.randint(-3, 3) for _ in range(d)]) for _ in range(rng.randint(1, d + 2))]
-            assert affine_rank(pts) == affine_rank_oracle(pts)
+            assert affine_rank([R(p) for p in pts]) == affine_rank_oracle(pts)
 
     @given(st.data())
     @settings(max_examples=40)
@@ -146,20 +175,21 @@ class TestAffineRank:
                 max_size=5,
             )
         )
-        vecs = [Q(list(p)) for p in pts]
-        shift = Q(data.draw(st.tuples(*[st.integers(min_value=-3, max_value=3)] * d)))
-        perm = data.draw(st.permutations(range(len(vecs))))
-        r = affine_rank(vecs)
-        assert affine_rank([v + shift for v in vecs]) == r
-        assert affine_rank([vecs[i] for i in perm]) == r
+        shift = data.draw(st.tuples(*[st.integers(min_value=-3, max_value=3)] * d))
+        perm = data.draw(st.permutations(range(len(pts))))
+        r = affine_rank([R(p) for p in pts])
+        assert affine_rank([R([a + b for a, b in zip(p, shift)]) for p in pts]) == r
+        assert affine_rank([R(pts[i]) for i in perm]) == r
 
 
 class TestBarycenter:
     def test_examples(self):
-        assert barycenter([Q([0, 0]), Q([1, 0])]).coords == (F(1, 2), F(0))
-        square = [Q([0, 0]), Q([1, 0]), Q([0, 1]), Q([1, 1])]
-        assert barycenter(square).coords == (F(1, 2), F(1, 2))
-        assert barycenter([Q([0, 0]), Q([0, 1]), Q([3, 0])]).coords == (F(1), F(1, 3))
+        assert barycenter([R([0, 0]), R([1, 0])]) == R([F(1, 2), F(0)])
+        square = [R([0, 0]), R([1, 0]), R([0, 1]), R([1, 1])]
+        assert barycenter(square) == R([F(1, 2), F(1, 2)])
+        assert barycenter([R([0, 0]), R([0, 1]), R([3, 0])]) == R([F(1), F(1, 3)])
+        # Rows with x0 > 1: the mean of (1/2, 1/3) and (1/4, 0).
+        assert barycenter([R([F(1, 2), F(1, 3)]), R([F(1, 4), 0])]) == R([F(3, 8), F(1, 6)])
 
     def test_empty_rejected(self):
         with pytest.raises(GeometryError):
@@ -168,20 +198,20 @@ class TestBarycenter:
 
 class TestSegmentIntersection:
     def test_examples(self):
-        h = Hyperplane(Q([1, 0]), F(1, 2))
+        h = plane([1, 0], F(1, 2))
         z = segment_hyperplane_intersection(Q([0, 0]), Q([1, 0]), h)
-        assert z.coords == (F(1, 2), F(0))
+        assert z == (F(1, 2), F(0))
 
-        g = Hyperplane(Q([1, 0]), F(1))
+        g = plane([1, 0], F(1))
         z = segment_hyperplane_intersection(Q([0, 2]), Q([3, 0]), g)
-        assert z.coords == (F(1), F(4, 3))
+        assert z == (F(1), F(4, 3))
 
-        diag = Hyperplane(Q([1, 1, 1]), F(1))
+        diag = plane([1, 1, 1], F(1))
         z = segment_hyperplane_intersection(Q([0, 0, 0]), Q([1, 1, 1]), diag)
-        assert z.coords == (F(1, 3), F(1, 3), F(1, 3))
+        assert z == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_requires_strict_crossing(self):
-        h = Hyperplane(Q([1, 0]), F(1, 2))
+        h = plane([1, 0], F(1, 2))
         with pytest.raises(GeometryError):
             segment_hyperplane_intersection(Q([1, 0]), Q([2, 0]), h)
         with pytest.raises(GeometryError):
@@ -193,40 +223,40 @@ class TestSegmentIntersection:
         d = data.draw(st.integers(min_value=2, max_value=3))
         p = Q([data.draw(rationals) for _ in range(d)])
         q = Q([data.draw(rationals) for _ in range(d)])
-        normal = Q([data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(d)])
-        if normal.is_zero():
+        normal = [data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(d)]
+        if not any(normal):
             return
         offset = data.draw(rationals)
-        h = Hyperplane(normal, offset)
+        h = plane(normal, offset)
         if side(h, p) * side(h, q) != -1:
             return
         z = segment_hyperplane_intersection(p, q, h)
         assert side(h, z) == 0
-        for a, b, c in zip(p.coords, q.coords, z.coords):
+        for a, b, c in zip(p, q, z):
             assert min(a, b) <= c <= max(a, b)
 
 
 class TestHyperplaneThrough:
     def test_square_edge(self):
-        h = hyperplane_through([Q([0, 0]), Q([0, 1])])
+        h = hyperplane_through([R([0, 0]), R([0, 1])])
         assert h is not None
         assert side(h, Q([1, F(1, 2)])) != 0
         assert side(h, Q([0, 7])) == 0
 
     def test_cube_facet(self):
         pts = [Q([0, 0, 0]), Q([0, 1, 0]), Q([0, 0, 1])]
-        h = hyperplane_through(pts)
+        h = hyperplane_through([R(p) for p in pts])
         assert h is not None
         assert all(side(h, p) == 0 for p in pts)
         assert side(h, Q([1, 0, 0])) != 0
 
     def test_degenerate_returns_none(self):
-        assert hyperplane_through([Q([0, 0, 0]), Q([1, 1, 1])]) is None
+        assert hyperplane_through([R([0, 0, 0]), R([1, 1, 1])]) is None
         # affinely dependent triple spanning only a line
-        assert hyperplane_through([Q([0, 0, 0]), Q([1, 0, 0]), Q([2, 0, 0])]) is None
+        assert hyperplane_through([R([0, 0, 0]), R([1, 0, 0]), R([2, 0, 0])]) is None
 
 
-def _random_point_set(rng: random.Random, d: int) -> list[QVector]:
+def _random_point_set(rng: random.Random, d: int) -> list[tuple]:
     """d-1 to d+2 points, integer or rational; a third of the sets repeat a
     point or add an affine combination of two, so some spans are deficient."""
     rational = rng.random() < 0.5
@@ -238,7 +268,7 @@ def _random_point_set(rng: random.Random, d: int) -> list[QVector]:
     if len(points) >= 2 and rng.random() < 1 / 3:
         p, q = rng.sample(points, 2)
         t = F(rng.randint(-2, 3), rng.randint(1, 2))
-        points.insert(rng.randrange(len(points)), p + (q - p).scaled(t))
+        points.insert(rng.randrange(len(points)), tuple(a + (b - a) * t for a, b in zip(p, q)))
     return points
 
 
@@ -252,9 +282,10 @@ class TestKernelsAgainstFractionOracles:
             d = 2 + trial % 6
             points = _random_point_set(rng, d)
             chart = affine_chart_oracle(points)
-            assert affine_rank(points) == len(chart)
-            assert affine_chart([p.homogeneous() for p in points]) == chart
-            h = hyperplane_through(points)
+            rows = [R(p) for p in points]
+            assert affine_rank(rows) == len(chart)
+            assert affine_chart(rows) == chart
+            h = hyperplane_through(rows)
             assert h == hyperplane_through_oracle(points)
             planes += h is not None
             deficient += len(chart) < min(d, len(points) - 1)
@@ -284,6 +315,21 @@ def _random_system(rng: random.Random) -> tuple[list[list[F]], list[F]]:
     return rows, rhs
 
 
+def solve(rows: list[list[F]], rhs: list[F], factor: int = 1) -> list[F] | None:
+    """`solve_nonnegative` on the rational system times the lcm of its
+    denominators and a further factor, with its solution as Fractions."""
+    denominators = [v.denominator for row in rows for v in row] + [b.denominator for b in rhs]
+    scale = factor * math.lcm(*denominators)
+    solved = solve_nonnegative(
+        [[int(v * scale) for v in row] for row in rows], [int(b * scale) for b in rhs]
+    )
+    if solved is None:
+        return None
+    x, den = solved
+    assert den > 0
+    return [F(v, den) for v in x]
+
+
 class TestSolveNonnegativeAgainstOracle:
     """The integer tableau against the Fraction tableau, pivot for pivot."""
 
@@ -292,8 +338,10 @@ class TestSolveNonnegativeAgainstOracle:
         outcomes = {True: 0, False: 0}
         for _ in range(2500):
             rows, rhs = _random_system(rng)
-            x = solve_nonnegative(rows, rhs)
+            x = solve(rows, rhs)
             assert x == solve_nonnegative_oracle(rows, rhs)
+            # One positive factor on the whole system keeps every pivot.
+            assert solve(rows, rhs, factor=6) == x
             outcomes[x is not None] += 1
             if x is not None:
                 assert all(v >= 0 for v in x)
@@ -314,16 +362,16 @@ class TestSolveNonnegativeAgainstOracle:
         for value in (F(-5, 4), F(-1, 20), F(0), F(1), F(-2)):
             systems.append((rows + [cost], [F(0), F(0), F(1), value]))
         for rows_, rhs in systems:
-            assert solve_nonnegative(rows_, rhs) == solve_nonnegative_oracle(rows_, rhs)
-        assert solve_nonnegative(*systems[0]) is not None
+            assert solve(rows_, rhs) == solve_nonnegative_oracle(rows_, rhs)
+        assert solve(*systems[0]) is not None
 
 
 def hull_weights(points, target):
     """Nonnegative weights summing to one that express target, from the LP;
     None when target is outside the hull."""
-    rows = [[p.coords[j] for p in points] for j in range(target.dim)]
+    rows = [[p[j] for p in points] for j in range(len(target))]
     rows.append([F(1)] * len(points))
-    return solve_nonnegative(rows, list(target.coords) + [F(1)])
+    return solve(rows, list(target) + [F(1)])
 
 
 def in_hull_by_lp(points, target) -> bool:
@@ -346,8 +394,8 @@ class TestHullMembership:
         assert weights is not None
         assert weights == [F(1, 2), F(1, 4), F(1, 4)]
         assert sum(weights) == 1
-        mix = Q([sum(w * p.coords[j] for w, p in zip(weights, tri)) for j in range(2)])
-        assert mix.coords == target.coords
+        mix = Q([sum(w * p[j] for w, p in zip(weights, tri)) for j in range(2)])
+        assert mix == target
 
     def test_boundary_and_vertex_are_inside(self):
         tri = [Q([0, 0]), Q([2, 0]), Q([0, 2])]

@@ -15,6 +15,7 @@ attribute a library class assigns as `self.<name>` must likewise be read as
 
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,3 +114,65 @@ def test_library_has_no_write_only_attributes():
         if name not in read
     ]
     assert unread == [], "attributes only tests read: " + ", ".join(unread)
+
+
+def test_only_geometry_imports_fractions():
+    """Rationals meet the integer rows at the parse and print edge only."""
+    importers = []
+    for path in sorted(LIBRARY.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                importers.append(path.relative_to(LIBRARY).as_posix())
+    assert importers == ["geometry.py"]
+
+
+def fractions_held(value, seen: set[int]) -> list[str]:
+    """Every Fraction reachable from value through containers, instance
+    dictionaries and slots."""
+    if isinstance(value, Fraction):
+        return [repr(value)]
+    if isinstance(value, (bool, int, str, type(None))) or id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        items = list(value)
+    else:
+        items = list(getattr(value, "__dict__", {}).values())
+        for cls in type(value).__mro__:
+            slots = getattr(cls, "__slots__", ())
+            for slot in (slots,) if isinstance(slots, str) else slots:
+                if hasattr(value, slot):
+                    items.append(getattr(value, slot))
+    return [found for item in items for found in fractions_held(item, seen)]
+
+
+def test_points_planes_and_polytopes_hold_no_fractions():
+    from facelab.geometry import Hyperplane, QVector, parse_rational
+    from facelab.polytope import face_lattice, facets, parse_polytope, polar_dual
+    from facelab.section import section
+
+    # A pyramid over the unit square with its apex at (1/2, 1/2, 3/4).
+    p = parse_polytope("polytope 3 5\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n1/2 1/2 3/4\n")
+    lattice = face_lattice(p)
+    planes = [h for _, h in facets(p)]
+    slice_map = section(p, lattice, Hyperplane.of([0, 0, 1], Fraction(1, 3)))
+    dual = polar_dual(p)
+    face_lattice(dual)
+    assert "_facet_rays" in vars(p) and "_chart" in vars(p)
+    held = [
+        QVector.of([parse_rational("1/2"), -3]),
+        Hyperplane.of([Fraction(1, 2), 1], Fraction(1, 3)),
+        *planes,
+        p,
+        dual,
+        slice_map.slice_polytope,
+    ]
+    assert fractions_held(held, set()) == []

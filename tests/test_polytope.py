@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from facelab.cli import run
 from facelab.generators import cross_polytope, cube, cyclic, random_polytope, simplex
-from facelab.geometry import QVector, affine_rank, barycenter
+from facelab.geometry import QVector, affine_rank
 from facelab.polytope import (
     EMPTY_FACE_ID,
     Face,
@@ -34,6 +34,7 @@ from oracles import (
     euler_characteristic_holds,
     gale_evenness_facets,
     hull_membership_oracle,
+    rational_points,
     side,
 )
 
@@ -81,13 +82,9 @@ class TestVPolytope:
 class TestFacets:
     def test_unit_square(self):
         p = cube(2)
-        found = {(h.normal.coords, h.offset) for _, h in facets(p)}
-        assert found == {
-            ((F(-1), F(0)), F(0)),
-            ((F(0), F(-1)), F(0)),
-            ((F(1), F(0)), F(1)),
-            ((F(0), F(1)), F(1)),
-        }
+        found = {h.row for _, h in facets(p)}
+        # Rows (-c, a) of the facets a.x <= c.
+        assert found == {(0, -1, 0), (0, 0, -1), (-1, 1, 0), (-1, 0, 1)}
 
     def test_cube3_facet_ids_in_order(self):
         ids = [f.id for f, _ in facets(cube(3))]
@@ -102,10 +99,11 @@ class TestFacets:
 
     def test_facets_support_all_their_vertices_exactly(self):
         p = cross_polytope(3)
+        points = rational_points(p)
         for face, h in facets(p):
-            on = {i for i, v in enumerate(p.vertices) if side(h, v) == 0}
+            on = {i for i, v in enumerate(points) if side(h, v) == 0}
             assert on == set(face.vertex_set)
-            assert all(side(h, v) < 0 for i, v in enumerate(p.vertices) if i not in on)
+            assert all(side(h, v) < 0 for i, v in enumerate(points) if i not in on)
 
     def test_simplex_has_d_plus_one_facets(self):
         for d in (2, 3, 4):
@@ -240,7 +238,7 @@ def full_dimensional_points(draw) -> list[QVector]:
         )
     )
     points = [Q(b) for b in base]
-    assume(affine_rank(points) == base_dim)
+    assume(affine_rank([v.row for v in points]) == base_dim)
     height = draw(st.integers(min_value=1, max_value=3))
     if shape == "pyramid":
         apex = draw(st.tuples(*[coords] * base_dim))
@@ -250,27 +248,31 @@ def full_dimensional_points(draw) -> list[QVector]:
     return points
 
 
+def mean(points: list[tuple]) -> tuple:
+    return tuple(sum(column, F(0)) / len(points) for column in zip(*points))
+
+
 @st.composite
-def candidate_vertex_sets(draw) -> list[QVector]:
+def candidate_vertex_sets(draw) -> list[tuple]:
     """Distinct points in d = 1..3 whose hull may be lower-dimensional, mixed
-    with edge or diagonal midpoints and barycenters, in shuffled order."""
+    with edge or diagonal midpoints and barycenters, in shuffled order; each
+    point is its rational coordinates."""
     d = draw(st.integers(min_value=1, max_value=3))
     m = draw(st.integers(min_value=1, max_value=d))
     base = draw(st.lists(st.tuples(*[coords] * m), min_size=1, max_size=6, unique=True))
-    points = [Q(b) for b in base]
+    points = [tuple(F(x) for x in b) for b in base]
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         i = draw(st.integers(min_value=0, max_value=len(base) - 1))
         j = draw(st.integers(min_value=0, max_value=len(base) - 1))
-        points.append((points[i] + points[j]).scaled(F(1, 2)))
+        points.append(mean([points[i], points[j]]))
     if draw(st.booleans()):
-        points.append(barycenter(points[: draw(st.integers(1, len(points)))]))
+        points.append(mean(points[: draw(st.integers(1, len(points)))]))
     # Embed the m-dimensional set affinely into R^d.
     rows = [
         draw(st.lists(coords, min_size=m + 1, max_size=m + 1)) for _ in range(d - m)
     ]
     embedded = [
-        Q(list(v.coords) + [sum((c * x for c, x in zip(r, v.coords)), F(r[-1])) for r in rows])
-        for v in points
+        v + tuple(sum((c * x for c, x in zip(r, v)), F(r[-1])) for r in rows) for v in points
     ]
     shuffled = draw(st.permutations(embedded))
     return list(dict.fromkeys(shuffled))
@@ -305,12 +307,13 @@ class TestAgainstBruteForce:
             i for i, v in enumerate(points)
             if hull_membership_oracle(points[:i] + points[i + 1 :], v)
         ]
+        vectors = [Q(v) for v in points]
         if not inside:
-            assert VPolytope.from_points(points).n_vertices == len(points)
+            assert VPolytope.from_points(vectors).n_vertices == len(points)
             return
         message = f"input point {inside[0]} is not a vertex (inside the hull of the rest)"
         with pytest.raises(PolytopeError) as caught:
-            VPolytope.from_points(points)
+            VPolytope.from_points(vectors)
         assert str(caught.value) == message
 
 
@@ -346,22 +349,18 @@ class TestLargeLattices:
         for j in range(d):
             for value, sign in ((0, -1), (1, 1)):
                 on = tuple(i for i in range(2**d) if (i >> (d - 1 - j)) & 1 == value)
-                normal = tuple(F(sign if c == j else 0) for c in range(d))
-                expected.append((on, normal, F(value)))
-        found = [(f.vertex_set, h.normal.coords, h.offset) for f, h in facets(cube(d))]
+                normal = tuple(sign if c == j else 0 for c in range(d))
+                expected.append((on, (-value, *normal)))
+        found = [(f.vertex_set, h.row) for f, h in facets(cube(d))]
         assert found == sorted(expected)
 
     def test_cross6_facets_closed_form(self):
         # One facet per sign vector s: s.x <= 1, through the vertices s_j e_j.
         expected = sorted(
-            (
-                tuple(2 * j + (s[j] < 0) for j in range(6)),
-                tuple(F(x) for x in s),
-                F(1),
-            )
+            (tuple(2 * j + (s[j] < 0) for j in range(6)), (-1, *s))
             for s in product((1, -1), repeat=6)
         )
-        found = [(f.vertex_set, h.normal.coords, h.offset) for f, h in facets(cross_polytope(6))]
+        found = [(f.vertex_set, h.row) for f, h in facets(cross_polytope(6))]
         assert found == expected
 
     def test_cross6_f_vector(self):
@@ -383,11 +382,10 @@ class TestPolarDual:
     def test_cube3_dual_is_octahedron(self):
         d = polar_dual(cube(3))
         assert lattice_of_dual(d).f_vector == (6, 12, 8)
-        coords = {v.coords for v in d.vertices}
-        assert coords == {
-            (F(2), F(0), F(0)), (F(-2), F(0), F(0)),
-            (F(0), F(2), F(0)), (F(0), F(-2), F(0)),
-            (F(0), F(0), F(2)), (F(0), F(0), F(-2)),
+        assert set(d.rows) == {
+            (1, 2, 0, 0), (1, -2, 0, 0),
+            (1, 0, 2, 0), (1, 0, -2, 0),
+            (1, 0, 0, 2), (1, 0, 0, -2),
         }
 
     def test_triangle_dual_is_triangle(self):
@@ -433,7 +431,7 @@ class TestFileFormat:
         p = cyclic(3, 6)
         text = format_polytope(p)
         again = parse_polytope(text)
-        assert again.vertices == p.vertices
+        assert again.rows == p.rows
         assert again.ambient_dim == p.ambient_dim
 
     def test_header_and_rows(self):
@@ -463,4 +461,5 @@ class TestFileFormat:
     def test_fractional_coordinates(self):
         text = "polytope 2 3\n0 0\n1 0\n1/2 3/2\n"
         p = parse_polytope(text)
-        assert p.vertices[2].coords == (F(1, 2), F(3, 2))
+        assert p.rows[2] == (2, 1, 3)
+        assert rational_points(p)[2] == (F(1, 2), F(3, 2))

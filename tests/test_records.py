@@ -29,7 +29,7 @@ def records() -> dict:
         "Hyperplane": result.hyperplanes[0],
         "Face": lat.faces_of_dim(1)[3],
         "VPolytope": p,
-        "VPolytope, facets not yet computed": VPolytope(p.vertices, 3, 3),
+        "VPolytope, facets not yet computed": VPolytope(p.rows, 3, 3),
         "FaceHypergraph": hg,
         "ConnectivityReport": report,
         "BlockedSet": blocked,
@@ -62,9 +62,9 @@ def test_round_trip_keeps_value_and_hash(name, clone):
 
 def test_fields_cannot_be_assigned():
     for record, field in (
-        (RECORDS["QVector"], "coords"),
+        (RECORDS["QVector"], "row"),
         (RECORDS["VPolytope"], "dim"),
-        (RECORDS["Hyperplane"], "offset"),
+        (RECORDS["Hyperplane"], "row"),
         (RECORDS["Face"], "mask"),
         (RECORDS["ConnectivityReport"], "alpha"),
         (RECORDS["GeneratorSpec"], "dim"),
@@ -75,7 +75,7 @@ def test_fields_cannot_be_assigned():
 
 def test_validated_records_raise_from_the_constructor():
     with pytest.raises(GeometryError, match="hyperplane normal must be nonzero"):
-        Hyperplane(QVector.of([0, 0]), F(1))
+        Hyperplane.of([0, 0], F(1))
     with pytest.raises(RidgePathError, match="blocked set of size 2 exceeds the budget k=1"):
         BlockedSet(1, frozenset({"v0", "v1"}))
     with pytest.raises(GeneratorError, match="needs a vertex count"):
@@ -84,7 +84,7 @@ def test_validated_records_raise_from_the_constructor():
 
 def test_replace_runs_the_constructor_checks():
     with pytest.raises(GeometryError):
-        RECORDS["Hyperplane"]._replace(normal=QVector.of([0, 0, 0]))
+        RECORDS["Hyperplane"]._replace(row=(1, 0, 0, 0))
     with pytest.raises(RidgePathError):
         RECORDS["BlockedSet"]._replace(k=1)
     with pytest.raises(GeneratorError):

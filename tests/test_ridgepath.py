@@ -17,6 +17,7 @@ from facelab.ridgepath import (
 from instances import FAMILY_GRID, instance
 from oracles import (
     bfs_ridge_path_oracle,
+    coordinates,
     cutting_hyperplane_oracle,
     hyperplane_conditions_oracle,
     side,
@@ -25,7 +26,7 @@ from oracles import (
 
 def oracle_ok(p, lattice, f, g, r, h) -> bool:
     return hyperplane_conditions_oracle(
-        p, f.vertex_set, g.vertex_set, r.vertex_set, h.normal, h.offset
+        p, f.vertex_set, g.vertex_set, r.vertex_set, h.row[1:], -h.row[0]
     )
 
 
@@ -44,8 +45,8 @@ class TestCuttingHyperplane:
         h, _ = search_cutting_hyperplane(p, lat, f, g, r, seed=0)
         assert oracle_ok(p, lat, f, g, r, h)
         # barycenters of f and g really sit on the plane
-        assert side(h, p.face_barycenter(f)) == 0
-        assert side(h, p.face_barycenter(g)) == 0
+        assert side(h, coordinates(p.face_barycenter(f))) == 0
+        assert side(h, coordinates(p.face_barycenter(g))) == 0
 
     def test_deterministic_per_seed(self):
         p, lat = instance("cube", 3)
@@ -103,7 +104,7 @@ class TestCuttingHyperplaneAgainstOracle:
                     search_cutting_hyperplane(p, lat, f, g, r, seed)
                 continue
             h, attempts = search_cutting_hyperplane(p, lat, f, g, r, seed)
-            assert (h.homogeneous(), attempts) == expected, (trial, f.id, g.id, r.id)
+            assert (h.row, attempts) == expected, (trial, f.id, g.id, r.id)
             nudged += attempts > 1
         assert nudged >= 20
 

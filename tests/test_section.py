@@ -13,20 +13,24 @@ from instances import instance, random_cutting_plane, section_battery
 from oracles import (
     assert_section_isomorphism,
     euler_characteristic_holds,
+    rational_points,
     segment_hyperplane_intersection,
     side,
 )
 
 F = Fraction
-Q = QVector.of
+
+
+def plane(text: str) -> Hyperplane:
+    return Hyperplane.of(*parse_hyperplane(text))
 
 
 class TestParseHyperplane:
     def test_examples(self):
-        h = parse_hyperplane("1,0,0;1/2")
-        assert h.normal.coords == (F(1), F(0), F(0)) and h.offset == F(1, 2)
-        h = parse_hyperplane("-2, 3 ; 0")
-        assert h.normal.coords == (F(-2), F(3))
+        assert parse_hyperplane("1,0,0;1/2") == ([F(1), F(0), F(0)], F(1, 2))
+        assert parse_hyperplane("-2, 3 ; 0") == ([F(-2), F(3)], F(0))
+        assert parse_hyperplane("2/4,-3/6;1/10") == ([F(1, 2), F(-1, 2)], F(1, 10))
+        assert plane("2/4,-3/6;1/10").row == (-1, 5, -5)
 
     @pytest.mark.parametrize("text", ["", "1,2", "1,2;3;4", "a,b;c", "0,0;1"])
     def test_rejects_malformed(self, text):
@@ -37,14 +41,14 @@ class TestParseHyperplane:
 class TestCutsFace:
     def test_cube_examples(self):
         p, lat = instance("cube", 3)
-        smap = section(p, lat, parse_hyperplane("1,0,0;1/2"))
+        smap = section(p, lat, plane("1,0,0;1/2"))
         assert "v0-v4" in smap.to_slice
         assert lat.full_face.id in smap.to_slice
         assert "v0-v1-v2-v3" not in smap.to_slice
 
     def test_vertex_on_plane_is_an_error(self):
         p, lat = instance("cube", 3)
-        h = parse_hyperplane("1,0,0;0")
+        h = plane("1,0,0;0")
         with pytest.raises(SectionError, match="vertex 0 lies on the hyperplane"):
             section(p, lat, h)
 
@@ -52,6 +56,7 @@ class TestCutsFace:
         rng = random.Random(31)
         for fam, d in [("cube", 3), ("cross", 3)]:
             p, lat = instance(fam, d)
+            points = rational_points(p)
             for _ in range(10):
                 h = random_cutting_plane(p, rng)
                 to_slice = section(p, lat, h).to_slice
@@ -61,8 +66,8 @@ class TestCutsFace:
                         continue
                     crossing_edge = any(
                         set(e.vertex_set) <= set(f.vertex_set)
-                        and side(h, p.vertices[e.vertex_set[0]])
-                        * side(h, p.vertices[e.vertex_set[1]])
+                        and side(h, points[e.vertex_set[0]])
+                        * side(h, points[e.vertex_set[1]])
                         == -1
                         for e in edges
                     )
@@ -72,19 +77,20 @@ class TestCutsFace:
 class TestSection:
     def test_cube_slice_is_square(self):
         p, lat = instance("cube", 3)
-        smap = section(p, lat, parse_hyperplane("1,0,0;1/2"))
+        smap = section(p, lat, plane("1,0,0;1/2"))
         assert smap.slice_lattice.f_vector == (4, 4)
         assert smap.slice_polytope.n_vertices == 4
-        assert all(side(smap.plane, v) == 0 for v in smap.slice_polytope.vertices)
+        h = plane("1,0,0;1/2")
+        assert all(side(h, v) == 0 for v in rational_points(smap.slice_polytope))
 
     def test_simplex_slice_off_one_vertex_is_triangle(self):
         p, lat = instance("simplex", 3)
-        smap = section(p, lat, parse_hyperplane("1,1,1;1/2"))
+        smap = section(p, lat, plane("1,1,1;1/2"))
         assert smap.slice_lattice.f_vector == (3, 3)
 
     def test_map_face_and_lift(self):
         p, lat = instance("cube", 3)
-        smap = section(p, lat, parse_hyperplane("1,0,0;1/2"))
+        smap = section(p, lat, plane("1,0,0;1/2"))
         image_id = smap.to_slice["v0-v1-v4-v5"]
         assert smap.slice_lattice.face(image_id).dim == 1
         # The map is injective, so a slice face lifts to one base face.
@@ -94,7 +100,7 @@ class TestSection:
         assert "v0" not in smap.to_slice
 
     def test_full_battery_on_fixed_slices(self):
-        for fam, d, plane in [
+        for fam, d, text in [
             ("cube", 3, "1,0,0;1/2"),
             ("cube", 3, "1,1,1;3/2"),
             ("simplex", 3, "1,1,1;1/2"),
@@ -102,8 +108,8 @@ class TestSection:
             ("cube", 4, "1,0,0,0;1/2"),
         ]:
             p, lat = instance(fam, d)
-            smap = section(p, lat, parse_hyperplane(plane))
-            assert_section_isomorphism(p, lat, smap)
+            h = plane(text)
+            assert_section_isomorphism(p, lat, h, section(p, lat, h))
 
     def test_full_battery_on_random_pairs(self):
         rng = random.Random(47)
@@ -112,24 +118,21 @@ class TestSection:
             lat = face_lattice(p)
             for _ in range(3):
                 h = random_cutting_plane(p, rng)
-                assert_section_isomorphism(p, lat, section(p, lat, h))
+                assert_section_isomorphism(p, lat, h, section(p, lat, h))
 
     def test_slice_dims_equal_affine_rank(self):
         # The slice lattice takes each dim from its base face; check it
         # against the affine rank of the slice points.
         for p, lat, h in section_battery():
             smap = section(p, lat, h)
-            points = smap.slice_polytope.vertices
+            rows = smap.slice_polytope.rows
             for f in smap.slice_lattice.faces:
-                assert f.dim == affine_rank([points[i] for i in f.vertex_set]), f.id
+                assert f.dim == affine_rank([rows[i] for i in f.vertex_set]), f.id
 
     def test_section_of_a_section(self):
         p, lat = instance("cube", 4)
-        first = section(p, lat, parse_hyperplane("1,0,0,0;1/2"))
-        inner = section(
-            first.slice_polytope,
-            first.slice_lattice,
-            parse_hyperplane("0,1,0,0;1/2"),
+        first = section(p, lat, plane("1,0,0,0;1/2"))
+        inner = section(first.slice_polytope, first.slice_lattice, plane("0,1,0,0;1/2"),
         )
         assert inner.slice_lattice.dim == 2
         assert euler_characteristic_holds(inner.slice_lattice)
@@ -137,9 +140,9 @@ class TestSection:
     def test_vertex_on_plane_rejected(self):
         p, lat = instance("cube", 3)
         with pytest.raises(SectionError):
-            section(p, lat, parse_hyperplane("1,0,0;0"))
+            section(p, lat, plane("1,0,0;0"))
         with pytest.raises(SectionError):
-            section(p, lat, parse_hyperplane("1,1,0;1"))
+            section(p, lat, plane("1,1,0;1"))
 
     def test_inconsistent_lattice_rejected(self):
         # Without the covers below the square itself, the square is cut but
@@ -148,17 +151,17 @@ class TestSection:
         covers = [(c.mask, q.mask) for q in lat.faces[:-1] for c in lat.children(q)]
         broken = FaceLattice(2, lat.faces, covers)
         with pytest.raises(SectionError, match="contains no crossed edge"):
-            section(p, broken, parse_hyperplane("1,0;1/2"))
+            section(p, broken, plane("1,0;1/2"))
 
     def test_plane_missing_polytope_rejected(self):
         p, lat = instance("cube", 3)
         with pytest.raises(SectionError):
-            section(p, lat, parse_hyperplane("1,0,0;5"))
+            section(p, lat, plane("1,0,0;5"))
 
     def test_dim_mismatch_rejected(self):
         p, lat = instance("cube", 3)
         with pytest.raises(SectionError):
-            section(p, lat, Hyperplane(Q([1, 0]), F(1, 2)))
+            section(p, lat, Hyperplane.of([1, 0], F(1, 2)))
 
 
 class TestSlicePointsAgainstOracle:
@@ -166,6 +169,7 @@ class TestSlicePointsAgainstOracle:
         """Homogeneous crossing rows against the Fraction line parameter."""
         for p, lat, h in section_battery():
             smap = section(p, lat, h)
+            points = rational_points(p)
             sliced = smap.slice_polytope
             assert sliced.dim == lat.dim - 1
             edges = [(lat.face_of_mask(b), s) for b, s in smap.phi.items() if b.bit_count() == 2]
@@ -173,6 +177,5 @@ class TestSlicePointsAgainstOracle:
             for edge, mask in edges:
                 i = mask.bit_length() - 1
                 a, b = edge.vertex_set
-                point = segment_hyperplane_intersection(p.vertices[a], p.vertices[b], h)
-                assert sliced.vertices[i] == point
-                assert sliced.rows[i] == point.homogeneous()
+                point = segment_hyperplane_intersection(points[a], points[b], h)
+                assert sliced.rows[i] == QVector.of(point).row
