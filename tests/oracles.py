@@ -65,6 +65,7 @@ def coordinates(row: tuple[int, ...]) -> Point:
 
 
 def rational_points(p: VPolytope) -> list[Point]:
+    """The vertices of p, each as its Fraction coordinates."""
     return [coordinates(row) for row in p.rows]
 
 
