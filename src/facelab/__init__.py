@@ -1,10 +1,11 @@
 """Exact polytope face lattices, face-hypergraph connectivity, ridge paths.
 
 The package root re-exports the names the README's library example uses;
-everything else is imported from its module.
+everything else is imported from its module.  The generator names load
+`facelab.generators` on first access, so importing the package (and the CLI,
+which needs it only for `gen`) does not.
 """
 
-from .generators import GeneratorSpec, generate
 from .hypergraph import build_hypergraph, strong_connectivity
 from .polytope import face_lattice
 from .ridgepath import BlockedSet, solve_ridge_path
@@ -20,3 +21,11 @@ __all__ = [
     "solve_ridge_path",
     "strong_connectivity",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("GeneratorSpec", "generate"):
+        from . import generators
+
+        return getattr(generators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

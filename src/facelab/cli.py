@@ -14,8 +14,7 @@ import json
 import sys
 from typing import NamedTuple
 
-from .generators import FAMILIES, GeneratorError, GeneratorSpec, generate
-from .geometry import GeometryError, Hyperplane, format_point
+from .geometry import GeometryError, Hyperplane, format_point, format_rational
 from .hypergraph import HypergraphError, build_hypergraph, strong_connectivity
 from .polytope import (
     PolytopeError,
@@ -40,7 +39,6 @@ _HANDLED_ERRORS = (
     SectionError,
     HypergraphError,
     RidgePathError,
-    GeneratorError,
     OSError,
 )
 
@@ -84,7 +82,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _plane_json(normal, offset) -> dict:
-    return {"normal": [str(a) for a in normal], "offset": str(offset)}
+    """A plane's ints or exact rationals, rendered."""
+    return {
+        "normal": [format_rational(a.numerator, a.denominator) for a in normal],
+        "offset": format_rational(offset.numerator, offset.denominator),
+    }
 
 
 def _vertices_json(p: VPolytope) -> list[list[str]]:
@@ -97,8 +99,15 @@ def _load_with_lattice(path: str):
 
 
 def _cmd_gen(ns) -> tuple[dict, int]:
-    spec = GeneratorSpec(family=ns.family, dim=ns.dim, n=ns.n, seed=ns.seed, bound=ns.bound)
-    p = generate(spec)
+    # Only gen loads the generators.
+    from .generators import GeneratorError, GeneratorSpec, generate
+
+    try:
+        p = generate(
+            GeneratorSpec(family=ns.family, dim=ns.dim, n=ns.n, seed=ns.seed, bound=ns.bound)
+        )
+    except GeneratorError as exc:
+        raise CliError(str(exc)) from None
     save_polytope(p, ns.out)
     return {
         "file": ns.out,
@@ -213,52 +222,36 @@ def _cmd_verify_theorem(ns) -> tuple[dict, int]:
     return {"dim": d, "results": results, "pass": all_pass}, 0 if all_pass else 1
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="facelab",
-        description="Exact face lattices, face-hypergraph connectivity "
-        "certificates, and ridge-path construction.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--pretty", action="store_true", help="indent the JSON output"
-    )
-    sub = parser.add_subparsers(dest="command_name", required=True, parser_class=_Parser)
+def _gen_arguments(gen: _Parser) -> None:
+    from .generators import FAMILIES
 
-    gen = sub.add_parser("gen", parents=[common], help="write a generated polytope file")
     gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--dim", required=True, type=int)
     gen.add_argument("--n", type=int, default=None, help="vertex count (cyclic/random)")
     gen.add_argument("--seed", type=int, default=None, help="random family seed")
     gen.add_argument("--bound", type=int, default=None, help="random coordinate bound")
     gen.add_argument("--out", required=True, help="output polytope file")
-    gen.set_defaults(handler=_cmd_gen)
 
-    lattice = sub.add_parser("lattice", parents=[common], help="export the face lattice")
-    lattice.add_argument("file")
-    lattice.set_defaults(handler=_cmd_lattice)
 
-    hypergraph = sub.add_parser(
-        "hypergraph", parents=[common], help="export the k-face hypergraph"
-    )
+def _file_argument(parser: _Parser) -> None:
+    parser.add_argument("file")
+
+
+def _hypergraph_arguments(hypergraph: _Parser) -> None:
     hypergraph.add_argument("file")
     hypergraph.add_argument("--k", required=True, type=int)
-    hypergraph.set_defaults(handler=_cmd_hypergraph)
 
-    connectivity = sub.add_parser(
-        "connectivity", parents=[common], help="certify strong connectivity exhaustively"
-    )
+
+def _connectivity_arguments(connectivity: _Parser) -> None:
     connectivity.add_argument("file")
     connectivity.add_argument("--k", required=True, type=int)
     connectivity.add_argument("--cap", type=int, default=None, help="default: dim - k")
     connectivity.add_argument(
         "--witness", action="store_true", help="include a disconnection witness if found"
     )
-    connectivity.set_defaults(handler=_cmd_connectivity)
 
-    ridge = sub.add_parser(
-        "ridge-path", parents=[common], help="construct a ridge path avoiding blocked faces"
-    )
+
+def _ridge_path_arguments(ridge: _Parser) -> None:
     ridge.add_argument("file")
     ridge.add_argument("--k", required=True, type=int)
     ridge.add_argument(
@@ -270,27 +263,21 @@ def build_parser() -> _Parser:
     ridge.add_argument(
         "--verify", action="store_true", help="re-check the path against the lattice"
     )
-    ridge.set_defaults(handler=_cmd_ridge_path)
 
-    dual = sub.add_parser("dual", parents=[common], help="compute the polar dual")
+
+def _dual_arguments(dual: _Parser) -> None:
     dual.add_argument("file")
     dual.add_argument("--out", default=None, help="also write the dual as a polytope file")
-    dual.set_defaults(handler=_cmd_dual)
 
-    section_cmd = sub.add_parser(
-        "section", parents=[common], help="slice by a hyperplane missing all vertices"
-    )
+
+def _section_arguments(section_cmd: _Parser) -> None:
     section_cmd.add_argument("file")
     section_cmd.add_argument(
         "--plane", required=True, help="hyperplane as 'a1,...,ad;c' with rational entries"
     )
-    section_cmd.set_defaults(handler=_cmd_section)
 
-    verify = sub.add_parser(
-        "verify-theorem",
-        parents=[common],
-        help="certify the (dim - k)-connectivity bound for each requested k",
-    )
+
+def _verify_theorem_arguments(verify: _Parser) -> None:
     verify.add_argument("file")
     group = verify.add_mutually_exclusive_group()
     group.add_argument("--k", type=int, default=None)
@@ -300,16 +287,77 @@ def build_parser() -> _Parser:
     verify.add_argument(
         "--cap-override", type=int, default=None, help="search cap instead of dim - k"
     )
-    verify.set_defaults(handler=_cmd_verify_theorem)
 
+
+# Each command's summary, argument builder and handler, in help order.
+_SUBCOMMANDS = {
+    "gen": ("write a generated polytope file", _gen_arguments, _cmd_gen),
+    "lattice": ("export the face lattice", _file_argument, _cmd_lattice),
+    "hypergraph": ("export the k-face hypergraph", _hypergraph_arguments, _cmd_hypergraph),
+    "connectivity": (
+        "certify strong connectivity exhaustively",
+        _connectivity_arguments,
+        _cmd_connectivity,
+    ),
+    "ridge-path": (
+        "construct a ridge path avoiding blocked faces",
+        _ridge_path_arguments,
+        _cmd_ridge_path,
+    ),
+    "dual": ("compute the polar dual", _dual_arguments, _cmd_dual),
+    "section": (
+        "slice by a hyperplane missing all vertices",
+        _section_arguments,
+        _cmd_section,
+    ),
+    "verify-theorem": (
+        "certify the (dim - k)-connectivity bound for each requested k",
+        _verify_theorem_arguments,
+        _cmd_verify_theorem,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The full parser, or with a command name one that knows only that
+    command; it parses that command's valid invocations the same way."""
+    parser = _Parser(
+        prog="facelab",
+        description="Exact face lattices, face-hypergraph connectivity "
+        "certificates, and ridge-path construction.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--pretty", action="store_true", help="indent the JSON output"
+    )
+    sub = parser.add_subparsers(dest="command_name", required=True, parser_class=_Parser)
+    for name, (summary, add_arguments, handler) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            subparser = sub.add_parser(name, parents=[common], help=summary)
+            add_arguments(subparser)
+            subparser.set_defaults(handler=handler)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the subparser argv[0] names.  Help requests (every
+    token argparse would read as -h or --help starts "-h" or "--h") and
+    parse errors go to the full parser, which prints the help and words the
+    error."""
+    if argv and argv[0] in _SUBCOMMANDS and not any(
+        token.startswith(("-h", "--h")) for token in argv
+    ):
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except CliError:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute one invocation; never raises on bad input."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(argv)
     except CliError as exc:
         command = argv[0] if argv and not argv[0].startswith("-") else None
         return CommandResult(

@@ -8,10 +8,11 @@ Python's Mersenne Twister (`random.Random`) seeded as documented on
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import product
+from math import gcd
 from typing import NamedTuple
 
-from .geometry import QVector, affine_rank, barycenter
+from .geometry import QVector, barycenter
 from .polytope import PolytopeError, VPolytope
 
 
@@ -136,9 +137,58 @@ def cyclic(d: int, n: int) -> VPolytope:
     return VPolytope.from_points(points)
 
 
+def _distinct_directions(pairs: list[list[int]]) -> bool:
+    """Whether every two of these vectors in R^2 are independent: none is zero
+    and no two are parallel.  Each is keyed by its primitive multiple with a
+    positive first nonzero entry."""
+    seen = set()
+    for a, b in pairs:
+        g = gcd(a, b)
+        if not g:
+            return False
+        if (a, b) < (0, 0):
+            g = -g
+        key = (a // g, b // g)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+def _all_independent(vectors: list, size: int, prev: int = 1) -> bool:
+    """Whether every `size` of these vectors in R^size are linearly independent.
+
+    A subset whose first member is p is independent exactly when p is
+    nonzero and the later members stay independent modulo p.  So each p in
+    turn becomes a pivot row: one fraction-free (Bareiss) step reduces every
+    later vector against it, which zeroes and drops p's pivot column, and
+    the check recurses in R^(size-1).  prev is the previous step's pivot, so
+    each division is exact and every entry stays a minor of the input.
+    Along each prefix the reduction is carried down, never redone: an
+    accepted set of n vectors costs C(n-1, size-2) calls, and C(n-2, size-2)
+    of them are the direct test in R^2.
+    """
+    if size == 2:
+        return _distinct_directions(vectors)
+    for i in range(len(vectors) - size + 1):
+        p = vectors[i]
+        c = next((j for j, x in enumerate(p) if x), None)
+        if c is None:
+            return False
+        pivot = p[c]
+        kept = [(j, p[j]) for j in range(size) if j != c]
+        reduced = [
+            [(pivot * v[j] - v[c] * pj) // prev for j, pj in kept] for v in vectors[i + 1 :]
+        ]
+        if not _all_independent(reduced, size - 1, pivot):
+            return False
+    return True
+
+
 def _in_general_position(rows: list[tuple[int, ...]], d: int) -> bool:
-    # No d+1 of the points affinely dependent; implies full rank for n > d.
-    return all(affine_rank(sub) == d for sub in combinations(rows, d + 1))
+    # No d+1 of the points affinely dependent, that is no d+1 of their
+    # homogeneous rows linearly dependent; implies full rank for n > d.
+    return _all_independent(rows, d + 1)
 
 
 def random_polytope(d: int, n: int, seed: int, bound: int = 10) -> VPolytope:

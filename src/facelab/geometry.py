@@ -2,9 +2,9 @@
 
 A point is its primitive homogeneous row (x0, x) with x0 > 0, standing for
 x / x0, and a hyperplane a.x = c is its primitive row (-c, a); nothing in
-this package touches floating point.  Rationals (`fractions.Fraction`) meet
-the rows only at the edge: `parse_rational` and `QVector.of` on the way in,
-`format_rational` on the way out.  Elimination and the simplex are
+this package touches floating point.  Rationals meet the rows only at the
+edge, as reduced integer pairs: `parse_rational` and `QVector.of` on the way
+in, `format_rational` on the way out.  Elimination and the simplex are
 fraction-free (Bareiss 1968; Edmonds 1967), so every division is exact.  All
 predicates (sidedness, rank, feasibility) are therefore exact sign tests,
 which the rest of the library relies on.
@@ -13,26 +13,38 @@ which the rest of the library relies on.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 class GeometryError(ValueError):
     """A geometric precondition was violated."""
 
 
-def parse_rational(text: str) -> Fraction:
+class Rational(NamedTuple):
+    """An exact rational as its reduced integer pair, denominator > 0.
+
+    It is a pair, not a number: as a tuple it is always truthy and orders
+    lexicographically, so test its `numerator` for zero.
+    """
+
+    numerator: int
+    denominator: int
+
+
+def parse_rational(text: str) -> Rational:
     """Parse the text syntax ``p/q`` or ``p`` into an exact rational."""
     token = text.strip()
-    if not _RATIONAL_RE.match(token):
+    match = _RATIONAL_RE.match(token)
+    if not match:
         raise GeometryError(f"invalid rational literal {token!r} (expected 'p' or 'p/q')")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise GeometryError(f"invalid rational literal {token!r} (zero denominator)") from None
+    numerator, denominator = int(match[1]), int(match[2] or 1)
+    if not denominator:
+        raise GeometryError(f"invalid rational literal {token!r} (zero denominator)")
+    g = gcd(numerator, denominator)
+    return Rational(numerator // g, denominator // g)
 
 
 def format_rational(numerator: int, denominator: int) -> str:
@@ -50,10 +62,21 @@ def format_point(row: Sequence[int]) -> list[str]:
 
 
 def _integer_row(values: Iterable) -> tuple[int, ...]:
-    """Ints and Fractions scaled by the lcm of their denominators."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values)
+    """Exact rationals scaled by the lcm of their denominators.
+
+    A value is exact when it has an integer `numerator` and a positive
+    integer `denominator`, as ints, `Rational`s and `fractions.Fraction`s
+    do.  Floats, decimals and strings are refused: a float's binary value is
+    not the rational its text shows.
+    """
+    pairs = []
+    for v in values:
+        p, q = getattr(v, "numerator", None), getattr(v, "denominator", None)
+        if not (isinstance(p, int) and isinstance(q, int) and q > 0):
+            raise GeometryError(f"{v!r} is not an exact rational (an int or p/q)")
+        pairs.append((p, q))
+    scale = lcm(*(q for _, q in pairs))
+    return tuple(p * (scale // q) for p, q in pairs)
 
 
 class QVector(NamedTuple):
@@ -64,16 +87,16 @@ class QVector(NamedTuple):
 
     @classmethod
     def of(cls, values: Iterable) -> QVector:
-        """The point with the given rational coordinates.
+        """The point with the given exact rational coordinates; a float, a
+        decimal or a string raises GeometryError.
 
-        x0 is the lcm of the coordinate denominators, which makes the row
-        primitive: for each prime dividing x0, the coordinate whose
-        denominator holds x0's full power of it has an entry prime to it.
+        The row is (1, x) times the lcm of the coordinate denominators, made
+        primitive in case a coordinate came unreduced.
         """
         row = _integer_row((1, *values))
         if len(row) == 1:
             raise GeometryError("a vector needs at least one coordinate")
-        return cls(row)
+        return cls(primitive(row))
 
     @property
     def dim(self) -> int:
@@ -107,8 +130,9 @@ class Hyperplane(_HyperplaneFields):
 
     @classmethod
     def of(cls, normal: Iterable, offset) -> Hyperplane:
-        """The hyperplane normal . x = offset, from rationals."""
-        return cls(_integer_row((-offset, *normal)))
+        """The hyperplane normal . x = offset, from exact rationals."""
+        c, *a = _integer_row((offset, *normal))
+        return cls((-c, *a))
 
     @property
     def dim(self) -> int:
@@ -176,15 +200,6 @@ def affine_chart(rows: Sequence[Sequence[int]]) -> list[int]:
     faces and vertices.
     """
     return [c - 1 for c in pivot_columns(rows)[1:]]
-
-
-def affine_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine hull of points given as homogeneous rows; -1 for
-    the empty set, 0 for a point.
-
-    It is the rank of the rows, less one.
-    """
-    return len(pivot_columns(rows)) - 1
 
 
 def barycenter(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:

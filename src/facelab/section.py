@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .geometry import GeometryError, Hyperplane, parse_rational, primitive
+from .geometry import GeometryError, Hyperplane, Rational, parse_rational, primitive
 from .polytope import Face, FaceLattice, VPolytope, mask_of
 
 
@@ -19,9 +19,9 @@ class SectionError(ValueError):
     """Degenerate or invalid section request."""
 
 
-def parse_hyperplane(text: str) -> tuple[list, object]:
-    """Parse 'a1,a2,...,ad;c' into the normal and offset of a plane, as the
-    rationals `parse_rational` returns."""
+def parse_hyperplane(text: str) -> tuple[list[Rational], Rational]:
+    """Parse 'a1,a2,...,ad;c' into the normal and offset of a plane, as
+    reduced integer pairs."""
     parts = text.split(";")
     if len(parts) != 2:
         raise SectionError(
@@ -30,7 +30,7 @@ def parse_hyperplane(text: str) -> tuple[list, object]:
     try:
         normal = [parse_rational(t) for t in parts[0].split(",")]
         offset = parse_rational(parts[1])
-        if not any(normal):
+        if not any(a.numerator for a in normal):
             raise GeometryError("hyperplane normal must be nonzero")
     except GeometryError as exc:
         raise SectionError(f"malformed hyperplane {text!r}: {exc}") from None

@@ -9,7 +9,10 @@ routines the library's integer kernels replaced (elimination, the hyperplane
 through points, a point's side of a hyperplane, the segment crossing, the
 phase-1 simplex, the cutting-plane search) stay here as the second route for
 those kernels.  Here a point is a sequence of its rational coordinates;
-`rational_points` reads them off a polytope's integer rows.
+`rational_points` reads them off a polytope's integer rows.  The one
+exception is `affine_rank`, which reads the rank off the library's integer
+elimination; only tests need it, as the first route against
+`affine_rank_oracle`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from facelab.geometry import GeometryError, Hyperplane, QVector, hyperplane_through
+from facelab.geometry import (
+    GeometryError,
+    Hyperplane,
+    QVector,
+    hyperplane_through,
+    pivot_columns,
+)
 from facelab.hypergraph import (
     ConnectivityReport,
     DisconnectionWitness,
@@ -71,6 +80,15 @@ def rational_points(p: VPolytope) -> list[Point]:
 
 def _dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def affine_rank(rows: list[tuple[int, ...]]) -> int:
+    """Dimension of the affine hull of points given as homogeneous rows; -1 for
+    the empty set, 0 for a point.
+
+    It is the rank of the rows, less one.
+    """
+    return len(pivot_columns(rows)) - 1
 
 
 def affine_rank_oracle(points: list[Point]) -> int:

@@ -5,7 +5,8 @@ import json
 import pytest
 from jsonschema import Draft202012Validator
 
-from facelab.cli import main, run
+from facelab import cli
+from facelab.cli import CliError, build_parser, main, run
 from facelab.schemas import load_schema
 
 ENVELOPE = Draft202012Validator(load_schema("envelope"))
@@ -55,6 +56,84 @@ class TestGen:
         out = str(tmp_path / "c.poly")
         doc, code = invoke("gen", "--family", "cube", "--dim", "3", "--n", "9", "--out", out)
         assert code == 2 and doc["status"] == "error"
+
+    def test_generator_error_keeps_its_envelope(self, tmp_path):
+        out = str(tmp_path / "r.poly")
+        argv = ["gen", "--family", "random", "--dim", "2", "--n", "30", "--bound", "1"]
+        doc, code = invoke(*argv, "--out", out)
+        assert code == 2
+        assert doc == {
+            "command": "gen",
+            "inputs": {
+                "bound": 1, "dim": 2, "family": "random", "n": 30, "out": out, "seed": None,
+            },
+            "status": "error",
+            "error": "coordinate box too small for that many distinct points",
+        }
+
+
+class TestParse:
+    """One subparser per request; help and errors from the full parser."""
+
+    ARGVS = [
+        ["lattice", "p.poly"],
+        ["lattice", "p.poly", "--pretty"],
+        ["gen", "--family", "cube", "--dim", "3", "--out", "x"],
+        ["connectivity", "p.poly", "--k", "1", "--cap", "3", "--witness"],
+        ["ridge-path", "p.poly", "--k", "2", "--blocked", "a,b", "--from", "f", "--to", "g"],
+        ["section", "p.poly", "--plane", "1,0;1/2"],
+        ["verify-theorem", "p.poly", "--all-k", "--cap-override", "2"],
+        ["dual", "p.poly", "--out", "d.poly"],
+        ["hypergraph", "p.poly", "--k", "1"],
+        ["verify-theorem", "p.poly", "--k", "1", "--all-k"],
+        ["gen", "--family", "dodecahedron", "--dim", "3", "--out", "x"],
+        ["lattice"],
+        ["lattice", "p.poly", "extra"],
+        ["hypergraph", "p.poly", "--k", "one"],
+        ["lattice", "p.poly", "lattice"],
+        ["nope", "p.poly"],
+        ["--pretty", "lattice", "p.poly"],
+        [],
+    ]
+
+    @staticmethod
+    def outcome(parse, argv):
+        try:
+            return vars(parse(argv))
+        except CliError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_parse_as_the_full_parser(self, argv):
+        full = self.outcome(build_parser().parse_args, argv)
+        assert self.outcome(cli._parse, argv) == full
+
+    def test_builds_only_the_named_subparser(self, monkeypatch):
+        built = []
+        for name, (summary, add_arguments, handler) in cli._SUBCOMMANDS.items():
+            def recorded(parser, name=name, add_arguments=add_arguments):
+                built.append(name)
+                add_arguments(parser)
+
+            monkeypatch.setitem(cli._SUBCOMMANDS, name, (summary, recorded, handler))
+        cli._parse(["verify-theorem", "p.poly", "--k", "1"])
+        assert built == ["verify-theorem"]
+        built.clear()
+        with pytest.raises(CliError):
+            cli._parse(["verify-theorem"])
+        assert built == ["verify-theorem", *cli._SUBCOMMANDS]
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["lattice", "--help"], ["gen", "-h"], ["section", "p.poly", "--he"]]
+    )
+    def test_help_is_the_full_parsers(self, argv, capsys):
+        with pytest.raises(SystemExit) as full_exit:
+            build_parser().parse_args(argv)
+        full = capsys.readouterr().out
+        with pytest.raises(SystemExit) as own_exit:
+            main(argv)
+        assert (own_exit.value.code, capsys.readouterr().out) == (full_exit.value.code, full)
+        assert full.startswith("usage: facelab")
 
 
 class TestLattice:

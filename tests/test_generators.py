@@ -1,10 +1,14 @@
 """Instance generator families: shapes, determinism, and validation."""
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from facelab import generators
+from facelab import generators, geometry
 from facelab.generators import (
     FAMILIES,
     GeneratorError,
@@ -18,10 +22,11 @@ from facelab.generators import (
     random_polytope,
     simplex,
 )
-from facelab.geometry import affine_rank
+from facelab.geometry import QVector
 from facelab.polytope import face_lattice, facets
 from instances import lattice_of
 from oracles import (
+    affine_rank,
     affine_rank_oracle,
     coordinates,
     gale_evenness_facets,
@@ -105,6 +110,61 @@ class TestRandomPolytopes:
             for d, n, bound in ((3, 6, 2), (4, 7, 2), (5, 8, 10)):
                 random_polytope(d, n, seed, bound)
         assert verdicts.count(False) >= 50 and verdicts.count(True) >= 150
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_general_position_matches_fraction_oracle_on_raw_batches(self, data):
+        """Any batch, not only the ones random_polytope draws: d up to 5, distinct
+        points in small boxes, and one point often replaced by a copy of
+        another, or by a point on the line through two others or in the plane
+        through three."""
+        d = data.draw(st.integers(1, 5), label="d")
+        bound = data.draw(st.integers(1, 3), label="bound")
+        n = data.draw(st.integers(d + 1, min(d + 6, (2 * bound + 1) ** d)), label="n")
+        # Uniform draws: Hypothesis's own lean to small values would make
+        # nearly every batch degenerate.
+        rng = data.draw(st.randoms(use_true_random=False))
+        box = list(product(range(-bound, bound + 1), repeat=d))
+        points = rng.sample(box, n)
+        span = data.draw(st.integers(0, min(3, n - 1)), label="points spanning the degenerate one")
+        if span:
+            base = data.draw(st.permutations(range(n)))[:span]
+            weights = data.draw(st.lists(st.integers(-2, 2), min_size=span - 1, max_size=span - 1))
+            at = data.draw(st.sampled_from([i for i in range(n) if i not in base]))
+            first = points[base[0]]
+            points[at] = tuple(
+                x + sum(w * (points[b][i] - x) for w, b in zip(weights, base[1:]))
+                for i, x in enumerate(first)
+            )
+        rows = [QVector.of(point).row for point in points]
+        expected = in_general_position_oracle([coordinates(r) for r in rows], d)
+        assert generators._in_general_position(rows, d) == expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_general_position_work_is_pinned(self, monkeypatch, d):
+        """An accepted batch of n rows costs C(n-1, d-1) reduction calls,
+        C(n-2, d-1) of them the direct test in the plane, and no elimination."""
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("_all_independent", "_distinct_directions"):
+            monkeypatch.setattr(generators, name, counted(name, getattr(generators, name)))
+        monkeypatch.setattr(geometry, "eliminate", counted("eliminate", geometry.eliminate))
+        for n in range(d + 1, d + 7):
+            # Points on the moment curve: every d+1 of them are independent.
+            rows = [(1, *(t**e for e in range(1, d + 1))) for t in range(1, n + 1)]
+            counts.clear()
+            assert generators._in_general_position(rows, d)
+            assert counts == {
+                "_all_independent": comb(n - 1, d - 1),
+                "_distinct_directions": comb(n - 2, d - 1),
+            }
 
     def test_every_point_is_a_vertex(self):
         p = random_polytope(4, 7, seed=3)

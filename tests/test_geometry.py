@@ -1,5 +1,6 @@
 """Exact-arithmetic geometry kernel tests."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import math
@@ -12,8 +13,8 @@ from facelab.geometry import (
     GeometryError,
     Hyperplane,
     QVector,
+    Rational,
     affine_chart,
-    affine_rank,
     barycenter,
     format_rational,
     hyperplane_through,
@@ -23,6 +24,7 @@ from facelab.geometry import (
 from instances import polytope
 from oracles import (
     affine_chart_oracle,
+    affine_rank,
     affine_rank_oracle,
     hull_membership_oracle,
     hyperplane_through_oracle,
@@ -61,7 +63,8 @@ class TestRationalText:
         [("3/4", F(3, 4)), ("-2", F(-2)), ("7", F(7)), ("0", F(0)), ("-5/10", F(-1, 2))],
     )
     def test_parse(self, text, value):
-        assert parse_rational(text) == value
+        # The reduced pair, denominator positive.
+        assert parse_rational(text) == (value.numerator, value.denominator)
 
     @pytest.mark.parametrize(
         "text",
@@ -82,7 +85,8 @@ class TestRationalText:
 
     @given(rationals, st.integers(min_value=1, max_value=9))
     def test_round_trip(self, q, scale):
-        assert parse_rational(format_rational(q.numerator, q.denominator)) == q
+        pair = (q.numerator, q.denominator)
+        assert parse_rational(format_rational(*pair)) == pair
         assert format_rational(q.numerator * scale, q.denominator * scale) == str(q)
 
 
@@ -92,6 +96,26 @@ class TestQVector:
         row = QVector.of(coords).row
         assert row[0] > 0 and math.gcd(*row) == 1
         assert [F(x, row[0]) for x in row[1:]] == coords
+
+    def test_exact_rationals_are_accepted(self):
+        # ints, Fractions, parsed pairs, and an unreduced pair made primitive
+        for half in (F(1, 2), parse_rational("2/4"), Rational(2, 4)):
+            assert QVector.of([half, -3]).row == (2, 1, -6)
+            assert Hyperplane.of([half, 1], F(1, 3)).row == (-2, 3, 6)
+            assert Hyperplane.of([1, 0], half).row == (-1, 2, 0)
+
+    @pytest.mark.parametrize(
+        "value", [0.1, 0.5, 2.0, Decimal("0.5"), Decimal(3), "1/2", "3"], ids=repr
+    )
+    def test_floats_decimals_and_strings_are_refused(self, value):
+        # A float's binary value, or a decimal's or a string's text, is not
+        # taken for the rational the caller meant.
+        with pytest.raises(GeometryError, match="not an exact rational"):
+            QVector.of([1, value])
+        with pytest.raises(GeometryError, match="not an exact rational"):
+            Hyperplane.of([1, value], 0)
+        with pytest.raises(GeometryError, match="not an exact rational"):
+            Hyperplane.of([1, 0], value)
 
     def test_dim_mismatch(self):
         with pytest.raises(GeometryError):

@@ -116,8 +116,9 @@ def test_library_has_no_write_only_attributes():
     assert unread == [], "attributes only tests read: " + ", ".join(unread)
 
 
-def test_only_geometry_imports_fractions():
-    """Rationals meet the integer rows at the parse and print edge only."""
+def test_no_library_module_imports_fractions():
+    """Rationals meet the integer rows as integer pairs, so neither `fractions`
+    nor the `decimal` it loads is imported by the library."""
     importers = []
     for path in sorted(LIBRARY.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -127,9 +128,9 @@ def test_only_geometry_imports_fractions():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "fractions" for name in names):
+            if any(name.split(".")[0] in ("fractions", "decimal") for name in names):
                 importers.append(path.relative_to(LIBRARY).as_posix())
-    assert importers == ["geometry.py"]
+    assert importers == []
 
 
 def fractions_held(value, seen: set[int]) -> list[str]:

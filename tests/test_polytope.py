@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from facelab.cli import run
 from facelab.generators import cross_polytope, cube, cyclic, random_polytope, simplex
-from facelab.geometry import QVector, affine_rank
+from facelab.geometry import QVector
 from facelab.polytope import (
     EMPTY_FACE_ID,
     Face,
@@ -28,6 +28,7 @@ from facelab.polytope import (
 )
 from instances import FAMILY_GRID, instance, lattice_of, polytope
 from oracles import (
+    affine_rank,
     anti_isomorphism_oracle,
     brute_force_facets,
     closure_lattice,

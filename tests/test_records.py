@@ -94,12 +94,18 @@ def test_replace_runs_the_constructor_checks():
 
 def test_cli_import_leaves_out_the_pool_and_dataclasses(tmp_path):
     # A fresh interpreter, so modules other tests imported do not count.
-    # The scan it then runs covers C(32, 2) = 496 pairs of 4-cube edges, and
-    # FACELAB_THREADS, which once started a process pool, must not load one.
+    # `import facelab.cli` loads the five traced modules, and none of the
+    # generators (only `gen` needs them), `fractions` or `decimal`.  The
+    # scan it then runs covers C(32, 2) = 496 pairs of 4-cube edges, and
+    # FACELAB_THREADS, which once started a process pool, must not load one;
+    # nor may the request load the generators or the rationals.
     cube4 = str(tmp_path / "cube4.poly")
     save_polytope(instance("cube", 4)[0], cube4)
     traced = ["geometry", "polytope", "hypergraph", "ridgepath", "section"]
-    heavy = ["dataclasses", "inspect", "concurrent.futures", "multiprocessing"]
+    heavy = [
+        "dataclasses", "inspect", "concurrent.futures", "multiprocessing",
+        "facelab.generators", "fractions", "decimal",
+    ]
     probe = (
         "import sys, facelab.cli\n"
         f"print([m for m in {heavy!r} if m in sys.modules])\n"

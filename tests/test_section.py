@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from facelab.generators import cube, random_polytope, simplex
-from facelab.geometry import Hyperplane, QVector, affine_rank
+from facelab.geometry import Hyperplane, QVector
 from facelab.polytope import FaceLattice, face_lattice
 from facelab.section import SectionError, parse_hyperplane, section
 from instances import instance, random_cutting_plane, section_battery
 from oracles import (
+    affine_rank,
     assert_section_isomorphism,
     euler_characteristic_holds,
     rational_points,
@@ -27,9 +28,10 @@ def plane(text: str) -> Hyperplane:
 
 class TestParseHyperplane:
     def test_examples(self):
-        assert parse_hyperplane("1,0,0;1/2") == ([F(1), F(0), F(0)], F(1, 2))
-        assert parse_hyperplane("-2, 3 ; 0") == ([F(-2), F(3)], F(0))
-        assert parse_hyperplane("2/4,-3/6;1/10") == ([F(1, 2), F(-1, 2)], F(1, 10))
+        # Each rational as its reduced (numerator, denominator) pair.
+        assert parse_hyperplane("1,0,0;1/2") == ([(1, 1), (0, 1), (0, 1)], (1, 2))
+        assert parse_hyperplane("-2, 3 ; 0") == ([(-2, 1), (3, 1)], (0, 1))
+        assert parse_hyperplane("2/4,-3/6;1/10") == ([(1, 2), (-1, 2)], (1, 10))
         assert plane("2/4,-3/6;1/10").row == (-1, 5, -5)
 
     @pytest.mark.parametrize("text", ["", "1,2", "1,2;3;4", "a,b;c", "0,0;1"])
