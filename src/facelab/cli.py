@@ -320,7 +320,8 @@ _SUBCOMMANDS = {
 
 def build_parser(command: str | None = None) -> _Parser:
     """The full parser, or with a command name one that knows only that
-    command; it parses that command's valid invocations the same way."""
+    command.  Both are built here and the top level has only -h and the
+    command, so for that command they give the same parse, help and errors."""
     parser = _Parser(
         prog="facelab",
         description="Exact face lattices, face-hypergraph connectivity "
@@ -340,18 +341,10 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with only the subparser argv[0] names.  Help requests (every
-    token argparse would read as -h or --help starts "-h" or "--h") and
-    parse errors go to the full parser, which prints the help and words the
-    error."""
-    if argv and argv[0] in _SUBCOMMANDS and not any(
-        token.startswith(("-h", "--h")) for token in argv
-    ):
-        try:
-            return build_parser(argv[0]).parse_args(argv)
-        except CliError:
-            pass
-    return build_parser().parse_args(argv)
+    """Parse with only the subparser argv[0] names, or with the full parser
+    when argv[0] names no command."""
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    return build_parser(command).parse_args(argv)
 
 
 def run(argv: list[str]) -> CommandResult:

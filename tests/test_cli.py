@@ -73,7 +73,7 @@ class TestGen:
 
 
 class TestParse:
-    """One subparser per request; help and errors from the full parser."""
+    """One subparser per request, with the full parser's parse, help and errors."""
 
     ARGVS = [
         ["lattice", "p.poly"],
@@ -91,6 +91,9 @@ class TestParse:
         ["lattice", "p.poly", "extra"],
         ["hypergraph", "p.poly", "--k", "one"],
         ["lattice", "p.poly", "lattice"],
+        ["lattice", "p.poly", "--bogus"],
+        ["gen", "--family", "cube"],
+        ["section", "p.poly", "--plane"],
         ["nope", "p.poly"],
         ["--pretty", "lattice", "p.poly"],
         [],
@@ -118,10 +121,6 @@ class TestParse:
             monkeypatch.setitem(cli._SUBCOMMANDS, name, (summary, recorded, handler))
         cli._parse(["verify-theorem", "p.poly", "--k", "1"])
         assert built == ["verify-theorem"]
-        built.clear()
-        with pytest.raises(CliError):
-            cli._parse(["verify-theorem"])
-        assert built == ["verify-theorem", *cli._SUBCOMMANDS]
 
     @pytest.mark.parametrize(
         "argv", [["-h"], ["lattice", "--help"], ["gen", "-h"], ["section", "p.poly", "--he"]]

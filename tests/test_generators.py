@@ -191,6 +191,19 @@ class TestGeneratorSpec:
         spec = GeneratorSpec("random", 3, n=6, seed=4)
         assert generate(spec).rows == random_polytope(3, 6, seed=4).rows
 
+    def test_package_root_resolves_the_generator_names(self):
+        # The root resolves these two on first access (module __getattr__).
+        import facelab
+
+        assert facelab.GeneratorSpec is GeneratorSpec
+        assert facelab.generate is generate
+        with pytest.raises(AttributeError):
+            facelab.nope
+        star = {}
+        exec("from facelab import *", star)
+        assert set(facelab.__all__) <= star.keys()
+        assert all(star[name] is getattr(facelab, name) for name in facelab.__all__)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
