@@ -5,7 +5,9 @@ hyperedges.  Removing a node kills every hyperedge containing it; survivors
 are adjacent when they share a surviving hyperedge.  Connectivity is certified
 by exhaustive removal-set enumeration, which also yields witnesses and keeps
 the nonstandard removal rule exact; per-node detours (see
-`strong_connectivity`) accept most sets without a component search.
+`strong_connectivity`) accept most sets without a component search, and the
+polytope's automorphisms leave out sets that one of them maps onto a
+scanned set.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ class HypergraphError(ValueError):
 
 class FaceHypergraph(NamedTuple):
     """Nodes are k-face ids in lattice order; each hyperedge is a (k+1)-face
-    with its node set."""
+    with its node set.  `representatives` gives, per node index, the lowest
+    node index in its orbit under a group of automorphisms of the hypergraph;
+    None means every node is its own."""
 
     k: int
     nodes: tuple[str, ...]
     hyperedges: tuple[tuple[str, frozenset[str]], ...]
+    representatives: tuple[int, ...] | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -62,7 +67,12 @@ class ConnectivityReport(NamedTuple):
 
 
 def build_hypergraph(lattice: FaceLattice, k: int) -> FaceHypergraph:
-    """H_k of the lattice; at k = d-1 the single hyperedge is the full face."""
+    """H_k of the lattice; at k = d-1 the single hyperedge is the full face.
+
+    The nodes' orbit representatives come from the polytope's automorphisms.
+    """
+    from .symmetry import orbit_representatives
+
     if k < 0 or k > lattice.dim - 1:
         raise HypergraphError(f"k={k} out of range [0, {lattice.dim - 1}]")
     ids = {f.mask: f.id for f in lattice.faces_of_dim(k)}
@@ -70,7 +80,8 @@ def build_hypergraph(lattice: FaceLattice, k: int) -> FaceHypergraph:
         (e.id, frozenset(ids[c.mask] for c in lattice.children(e)))
         for e in lattice.faces_of_dim(k + 1)
     )
-    return FaceHypergraph(k, tuple(ids.values()), hyperedges)
+    representatives = orbit_representatives(lattice.automorphisms, list(ids))
+    return FaceHypergraph(k, tuple(ids.values()), hyperedges, representatives)
 
 
 def _first_component(n_nodes: int, edge_masks: Sequence[int], removed: int) -> int:
@@ -171,10 +182,16 @@ def _encode(hg: FaceHypergraph) -> tuple[dict[str, int], list[int]]:
 
 
 def _first_disconnecting_subset(
-    n_nodes: int, edge_masks: list[int], detours: list[int], size: int
+    n_nodes: int,
+    edge_masks: list[int],
+    detours: list[int],
+    size: int,
+    representatives: Sequence[int],
 ) -> tuple[int, ...] | None:
-    """The first disconnecting set of `size` nodes, in canonical order; None
-    if there is none.
+    """The first disconnecting set of `size` nodes, in canonical order, among
+    those whose lowest member is its orbit's representative and whose other
+    members lie in orbits with representatives no lower; None if there is
+    none.  With every node its own representative that is every set.
 
     A nonempty set is accepted unsearched when some member y has `removed &
     detours[y] == 0`: its detour misses every other removed node (see
@@ -185,9 +202,12 @@ def _first_disconnecting_subset(
         return None if _first_component(n_nodes, edge_masks, 0) == full else ()
     bits = [1 << i for i in range(n_nodes)]
     for first in range(n_nodes):
+        if representatives[first] != first:
+            continue
         head = bits[first]
         head_detour = detours[first]
-        for rest in combinations(range(first + 1, n_nodes), size - 1):
+        later = [i for i in range(first + 1, n_nodes) if representatives[i] >= first]
+        for rest in combinations(later, size - 1):
             removed = head
             for i in rest:
                 removed |= bits[i]
@@ -209,6 +229,19 @@ def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
     disconnecting set found fixes alpha = its size; if none exists below cap,
     alpha = cap with the capped flag set (nothing larger was examined).
 
+    Sets are scanned up to the group behind `hg.representatives`: only those
+    whose lowest member r is its orbit's representative and whose other
+    members lie in orbits with representatives >= r.  No answer changes.
+    Take a disconnecting set S and its member x whose orbit has the lowest
+    representative r.  An automorphism maps x onto r and S onto a
+    disconnecting set of the same size, in which r is the lowest member
+    (every member's index is at least its representative, and that is at
+    least r), so the scan holds that image.  If S is the first
+    disconnecting set of its size in canonical order, that image cannot
+    come before it, so r is also S's lowest member and S meets the rule
+    itself.  So alpha, `capped` and the witness are those of the scan of
+    every set, and a group with missing generators only slows the scan.
+
     From size 2 on, detours accept most sets without a search.  When every
     smaller removal leaves H connected and y is in S, each component of
     H - S holds a neighbour of y: the last node before y on a shortest path
@@ -225,10 +258,11 @@ def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
     # no detour (None; an empty one cannot occur once H is connected).
     full = (1 << n) - 1
     detours = [full] * n
+    representatives = hg.representatives or range(n)
     for size in range(0, min(cap, n + 1)):
         if size == 2:
             detours = [_detour(edge_masks, y) or full for y in range(n)]
-        hit = _first_disconnecting_subset(n, edge_masks, detours, size)
+        hit = _first_disconnecting_subset(n, edge_masks, detours, size, representatives)
         if hit is None:
             continue
         removed = mask_of(hit)

@@ -336,6 +336,15 @@ class FaceLattice:
         return self.faces[0]
 
     @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Generators of the combinatorial automorphism group, as tuples of
+        vertex images (see `facelab.symmetry`, loaded on first use)."""
+        from .symmetry import automorphism_generators
+
+        facets = [f.mask for f in self.faces_of_dim(self.dim - 1)]
+        return automorphism_generators(self.n_vertices, facets)
+
+    @cached_property
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * self.dim
         for f in self.faces:

@@ -569,6 +569,51 @@ def first_disconnecting_set_oracle(hg: FaceHypergraph, cap: int) -> Connectivity
     return ConnectivityReport(hg.k, cap, True, None)
 
 
+def group_closure(generators, n: int) -> set[tuple[int, ...]]:
+    """Every permutation of range(n) the generators compose to, by
+    breadth-first closure from the identity."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def automorphisms_oracle(n: int, facet_sets: list[frozenset[int]]) -> set[tuple[int, ...]]:
+    """Every vertex permutation that maps the set of facets onto itself.
+
+    Vertices 0, 1, ... get their images in turn, over every unused vertex.
+    A partial map on the vertices A is kept only while it carries the traces
+    F & A of the facets onto the traces G & image(A), which every
+    automorphism's restriction does; on all vertices that is the definition.
+    """
+    facet_family = set(facet_sets)
+    found = set()
+
+    def extend(images: list[int]) -> None:
+        if len(images) == n:
+            found.add(tuple(images))
+            return
+        for x in range(n):
+            if x in images:
+                continue
+            trial = images + [x]
+            domain = set(range(len(trial)))
+            traces = {frozenset(trial[v] for v in f & domain) for f in facet_family}
+            if traces == {f & set(trial) for f in facet_family}:
+                extend(trial)
+
+    extend([])
+    assert all({frozenset(g[v] for v in f) for f in facet_family} == facet_family for g in found)
+    return found
+
+
 def find_isolating_set(hg: FaceHypergraph, node: str) -> tuple[str, ...] | None:
     """Greedy picks, one per hyperedge containing the node, that isolate it.
 

@@ -19,6 +19,7 @@ from facelab.hypergraph import (
     strong_connectivity,
 )
 from facelab.polytope import face_lattice, indices_of, mask_of
+from facelab.symmetry import orbit_representatives
 from instances import FAMILY_GRID, instance, lattice_of
 from oracles import (
     assert_hypergraphs_are_dual,
@@ -72,6 +73,28 @@ def abstract_hypergraphs(draw) -> FaceHypergraph:
     members = st.frozensets(st.sampled_from(nodes), min_size=1, max_size=4)
     edges = draw(st.lists(members, min_size=n, max_size=3 * n))
     return FaceHypergraph(0, nodes, tuple((f"e{j}", m) for j, m in enumerate(edges)))
+
+
+@st.composite
+def symmetric_hypergraphs(draw) -> FaceHypergraph:
+    """3-12 nodes, and 1-6 drawn hyperedges of 1-4 nodes each with all their
+    images under a drawn permutation, whose orbits give the representatives."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    perm = draw(st.permutations(range(n)).filter(lambda p: p != list(range(n))))
+    drawn = draw(
+        st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=4), min_size=1, max_size=6)
+    )
+    edges = set()
+    for members in drawn:
+        while members not in edges:
+            edges.add(members)
+            members = frozenset(perm[i] for i in members)
+    nodes = tuple(f"n{i}" for i in range(n))
+    hyperedges = tuple(
+        (f"e{j}", frozenset(nodes[i] for i in m)) for j, m in enumerate(sorted(edges, key=sorted))
+    )
+    representatives = orbit_representatives([tuple(perm)], [1 << i for i in range(n)])
+    return FaceHypergraph(0, nodes, hyperedges, representatives)
 
 
 class TestBuild:
@@ -246,20 +269,38 @@ class TestDetour:
         assert_detour_is_sound(hg, data.draw(st.integers(0, hg.n_nodes - 1)))
 
     def test_certificate_skips_exact_checks(self, monkeypatch):
-        # The 4-cube's edge hypergraph at cap 3: sizes 0 and 1 take 33 exact
-        # checks, and the detours accept 230 of the 496 pairs unsearched.
-        checks = []
-        exact = hypergraph._first_component
-
-        def counted(*args):
-            checks.append(args)
-            return exact(*args)
-
-        monkeypatch.setattr(hypergraph, "_first_component", counted)
-        hg = build_hypergraph(lattice_of("cube", 4), 1)
+        # The 4-cube's edge hypergraph at cap 3, every node its own orbit:
+        # sizes 0 and 1 take 33 exact checks, and the detours accept 230 of
+        # the 496 pairs unsearched.
+        checks = count_exact_checks(monkeypatch)
+        hg = build_hypergraph(lattice_of("cube", 4), 1)._replace(representatives=None)
         report = strong_connectivity(hg, cap=3)
         assert report.capped and report.alpha == 3
         assert len(checks) == 33 + 266
+
+    def test_orbits_skip_more_exact_checks(self, monkeypatch):
+        # The same scan up to the 4-cube's 384 automorphisms, which are
+        # transitive on its 32 edges: one set of size 0, one of size 1 and
+        # the 31 pairs that hold edge 0, of which detours accept 12.
+        checks = count_exact_checks(monkeypatch)
+        hg = build_hypergraph(lattice_of("cube", 4), 1)
+        assert hg.representatives == (0,) * 32
+        report = strong_connectivity(hg, cap=3)
+        assert report.capped and report.alpha == 3
+        assert len(checks) == 1 + 1 + 19
+
+
+def count_exact_checks(monkeypatch) -> list:
+    """The argument tuples of every exact component check from now on."""
+    checks = []
+    exact = hypergraph._first_component
+
+    def counted(*args):
+        checks.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(hypergraph, "_first_component", counted)
+    return checks
 
 
 # Higher caps scan 85k to 760k removal sets on these H_k, which takes the
@@ -268,10 +309,10 @@ class TestDetour:
 ORACLE_CAP_LIMITS = {("cube", 5, 1): 3, ("cross", 5, 1): 4, ("cross", 5, 2): 3}
 
 
-def oracle_reports(hg: FaceHypergraph, top_cap: int) -> dict[int, object]:
-    """The oracle's report for every cap from 1 to top_cap, from one scan:
-    below the first disconnecting size a scan ends capped at its cap."""
-    top = first_disconnecting_set_oracle(hg, top_cap)
+def reports_by_cap(top, top_cap: int) -> dict[int, object]:
+    """The report of a plain scan at every cap from 1 to top_cap, from its
+    report at top_cap: below the first disconnecting size a scan ends capped
+    at its cap."""
     return {
         cap: top
         if not top.capped and top.alpha < cap
@@ -290,7 +331,8 @@ class TestScanAgainstOracle:
         for k in range(d):
             hg = build_hypergraph(lat, k)
             top_cap = ORACLE_CAP_LIMITS.get((family, d, k), d - k + 2)
-            for cap, expected in oracle_reports(hg, top_cap).items():
+            top = first_disconnecting_set_oracle(hg, top_cap)
+            for cap, expected in reports_by_cap(top, top_cap).items():
                 assert strong_connectivity(hg, cap) == expected
 
     @given(abstract_hypergraphs())
@@ -298,6 +340,44 @@ class TestScanAgainstOracle:
     def test_abstract_hypergraphs(self, hg):
         expected = first_disconnecting_set_oracle(hg, 5)
         assert strong_connectivity(hg, 5) == expected
+
+
+class TestOrbitScan:
+    """The scan up to the polytope's automorphisms against the scan of every
+    set, at every cap up to d - k + 2, beyond ORACLE_CAP_LIMITS too."""
+
+    @staticmethod
+    def assert_orbits_change_nothing(lattice):
+        assert lattice.automorphisms
+        for k in range(lattice.dim):
+            hg = build_hypergraph(lattice, k)
+            top_cap = lattice.dim - k + 2
+            plain = strong_connectivity(hg._replace(representatives=None), top_cap)
+            for cap, expected in reports_by_cap(plain, top_cap).items():
+                assert strong_connectivity(hg, cap) == expected, (k, cap)
+
+    @pytest.mark.parametrize(
+        "family, d, n",
+        FAMILY_GRID + [("cube", 5, None), ("cross", 5, None), ("prism", 5, None), ("cyclic", 5, 9)],
+    )
+    def test_polytopes(self, family, d, n):
+        self.assert_orbits_change_nothing(lattice_of(family, d, n))
+
+    # The seeds from 1 to 4 whose polytope has a nontrivial group: the
+    # others have none, and their scans are the plain scan.
+    @pytest.mark.parametrize(
+        "n, seed", [(8, 1), (8, 2), (8, 3), (8, 4), (9, 2), (9, 3), (9, 4), (10, 4)]
+    )
+    def test_random_polytopes(self, n, seed):
+        self.assert_orbits_change_nothing(face_lattice(random_polytope(5, n, seed=seed)))
+
+    @given(symmetric_hypergraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_abstract_hypergraphs(self, hg):
+        assert hg.representatives is not None
+        plain = strong_connectivity(hg._replace(representatives=None), 5)
+        for cap, expected in reports_by_cap(plain, 5).items():
+            assert strong_connectivity(hg, cap) == expected
 
 
 class TestIsolatingSet:

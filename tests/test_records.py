@@ -95,10 +95,12 @@ def test_replace_runs_the_constructor_checks():
 def test_cli_import_leaves_out_the_pool_and_dataclasses(tmp_path):
     # A fresh interpreter, so modules other tests imported do not count.
     # `import facelab.cli` loads the five traced modules, and none of the
-    # generators (only `gen` needs them), `fractions` or `decimal`.  The
-    # scan it then runs covers C(32, 2) = 496 pairs of 4-cube edges, and
-    # FACELAB_THREADS, which once started a process pool, must not load one;
-    # nor may the request load the generators or the rationals.
+    # generators (only `gen` needs them), `fractions` or `decimal`.  Nor
+    # does it load the automorphism search, which only the commands that
+    # build hypergraphs need: a ridge-path request leaves it out, and a
+    # verify-theorem request loads it.  That request's scan of 4-cube edge
+    # pairs must not start a process pool under FACELAB_THREADS, which once
+    # did, nor load the generators or the rationals.
     cube4 = str(tmp_path / "cube4.poly")
     save_polytope(instance("cube", 4)[0], cube4)
     traced = ["geometry", "polytope", "hypergraph", "ridgepath", "section"]
@@ -106,12 +108,15 @@ def test_cli_import_leaves_out_the_pool_and_dataclasses(tmp_path):
         "dataclasses", "inspect", "concurrent.futures", "multiprocessing",
         "facelab.generators", "fractions", "decimal",
     ]
+    ridge = ["ridge-path", cube4, "--k", "1", "--from", "v0-v1", "--to", "v14-v15"]
     probe = (
         "import sys, facelab.cli\n"
         f"print([m for m in {heavy!r} if m in sys.modules])\n"
         f"print([m for m in {traced!r} if 'facelab.' + m not in sys.modules])\n"
-        f"result = facelab.cli.run(['connectivity', {cube4!r}, '--k', '1', '--cap', '3'])\n"
-        "print(result.exit_code)\n"
+        "print('facelab.symmetry' in sys.modules)\n"
+        f"print(facelab.cli.run({ridge!r}).exit_code, 'facelab.symmetry' in sys.modules)\n"
+        f"result = facelab.cli.run(['verify-theorem', {cube4!r}, '--k', '1'])\n"
+        "print(result.exit_code, 'facelab.symmetry' in sys.modules)\n"
         f"print([m for m in {heavy[2:]!r} if m in sys.modules])\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -122,4 +127,4 @@ def test_cli_import_leaves_out_the_pool_and_dataclasses(tmp_path):
         text=True,
         check=True,
     ).stdout
-    assert out.splitlines() == ["[]", "[]", "0", "[]"]
+    assert out.splitlines() == ["[]", "[]", "False", "0 False", "0 True", "[]"]
