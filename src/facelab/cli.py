@@ -19,7 +19,9 @@ from .hypergraph import HypergraphError, build_hypergraph, strong_connectivity
 from .polytope import (
     PolytopeError,
     VPolytope,
+    face_id,
     face_lattice,
+    indices_of,
     load_polytope,
     polar_dual,
     save_polytope,
@@ -125,11 +127,13 @@ def _cmd_lattice(ns) -> tuple[dict, int]:
 def _cmd_hypergraph(ns) -> tuple[dict, int]:
     _, lattice = _load_with_lattice(ns.file)
     hg = build_hypergraph(lattice, ns.k)
+    # Nodes are in lattice order, so a hyperedge's members go by node index.
+    index = {node: i for i, node in enumerate(hg.nodes)}
     return {
         "k": hg.k,
         "nodes": list(hg.nodes),
         "hyperedges": [
-            {"id": eid, "nodes": sorted(members, key=lambda n: lattice.face(n).vertex_set)}
+            {"id": eid, "nodes": sorted(members, key=index.__getitem__)}
             for eid, members in hg.hyperedges
         ],
     }, 0
@@ -182,7 +186,8 @@ def _cmd_section(ns) -> tuple[dict, int]:
     p, lattice = _load_with_lattice(ns.file)
     normal, offset = parse_hyperplane(ns.plane)
     smap = section(p, lattice, Hyperplane.of(normal, offset))
-    phi_pairs = sorted(smap.to_slice.items(), key=lambda kv: lattice.face(kv[0]).vertex_set)
+    # Base faces are distinct, so the pairs sort by base vertex set.
+    phi = sorted((indices_of(b), indices_of(s)) for b, s in smap.phi.items())
     return {
         # The plane as the user gave it, each rational reduced.
         "plane": _plane_json(normal, offset),
@@ -192,7 +197,7 @@ def _cmd_section(ns) -> tuple[dict, int]:
             "vertices": _vertices_json(smap.slice_polytope),
             "f_vector": list(smap.slice_lattice.f_vector),
         },
-        "phi": [[base, sliced] for base, sliced in phi_pairs],
+        "phi": [[face_id(b), face_id(s)] for b, s in phi],
     }, 0
 
 

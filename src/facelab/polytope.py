@@ -142,15 +142,19 @@ def _double_description(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...
 class VPolytope:
     """Polytope given by its vertex list; dim is the rank of the affine hull.
 
-    Each vertex is its primitive homogeneous integer row (x0 > 0, x).
-    Immutable; equal and hashed by (rows, ambient_dim, dim).
+    Each vertex is its primitive homogeneous integer row (x0 > 0, x), and the
+    rows are the whole value: the ambient dimension and the hull's dimension
+    follow from them.  Immutable; equal and hashed by its rows.
     """
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...], ambient_dim: int, dim: int) -> None:
-        state = self.__dict__
-        state["rows"] = rows
-        state["ambient_dim"] = ambient_dim
-        state["dim"] = dim
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        # Primitive rows with x0 > 0 are equal exactly when their points are.
+        if len(set(rows)) != len(rows):
+            raise PolytopeError("duplicate vertices in input")
+        chart = affine_chart(rows)
+        self.__dict__.update(
+            rows=rows, ambient_dim=len(rows[0]) - 1, dim=len(chart), _chart=chart
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("VPolytope is immutable")
@@ -158,16 +162,13 @@ class VPolytope:
     def __delattr__(self, name):
         raise AttributeError("VPolytope is immutable")
 
-    def _key(self) -> tuple:
-        return (self.rows, self.ambient_dim, self.dim)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.rows)
 
     @classmethod
     def from_points(cls, points: Sequence[QVector], validate: bool = True) -> VPolytope:
@@ -177,29 +178,10 @@ class VPolytope:
         ambient = pts[0].dim
         if any(p.dim != ambient for p in pts):
             raise PolytopeError("all vertices must share the ambient dimension")
-        return cls._build(tuple(p.row for p in pts), validate)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[tuple[int, ...]]) -> VPolytope:
-        """The polytope on the points x / x0 of primitive rows (x0 > 0, x), unvalidated."""
-        return cls._build(tuple(rows), validate=False)
-
-    @classmethod
-    def _build(cls, rows: tuple[tuple[int, ...], ...], validate: bool) -> VPolytope:
-        # Primitive rows with x0 > 0 are equal exactly when their points are.
-        if len(set(rows)) != len(rows):
-            raise PolytopeError("duplicate vertices in input")
-        chart = affine_chart(rows)
-        polytope = cls(rows, len(rows[0]) - 1, len(chart))
-        # Fill the cached chart with the work done here.
-        polytope.__dict__["_chart"] = chart
+        polytope = cls(tuple(p.row for p in pts))
         if validate:
             polytope._check_vertices()
         return polytope
-
-    @cached_property
-    def _chart(self) -> list[int]:
-        return affine_chart(self.rows)
 
     def plane_values(self, h: Hyperplane) -> list[int]:
         """Per vertex v, a positive multiple of a.v - c, for h the plane a.x = c.
@@ -330,10 +312,6 @@ class FaceLattice:
     @property
     def full_face(self) -> Face:
         return self.faces[-1]
-
-    @property
-    def empty_face(self) -> Face:
-        return self.faces[0]
 
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:

@@ -166,7 +166,6 @@ def _clear_grazed_vertices(
 
 def search_cutting_hyperplane(
     p: VPolytope,
-    lattice: FaceLattice,
     f: Face,
     g: Face,
     r: Face,
@@ -187,8 +186,8 @@ def search_cutting_hyperplane(
         raise RidgePathError("f, g, r must be three distinct faces")
     if not (g.dim == k and r.dim == k):
         raise RidgePathError("f, g, r must share one dimension")
-    if not (1 <= k <= lattice.dim - 1):
-        raise RidgePathError(f"face dimension {k} out of range [1, {lattice.dim - 1}]")
+    if not (1 <= k <= p.dim - 1):
+        raise RidgePathError(f"face dimension {k} out of range [1, {p.dim - 1}]")
     bf = p.face_barycenter(f)
     w = _difference(p.face_barycenter(g), bf)
     diffs = [_difference(v, bf) for v in p.rows]
@@ -251,13 +250,6 @@ def _bfs_ridge_path(
     return None
 
 
-class _Solution(NamedTuple):
-    faces: tuple[Face, ...]
-    ridges: tuple[Face, ...]
-    depth: int
-    hyperplanes: tuple[Hyperplane, ...]
-
-
 def _solve(
     p: VPolytope,
     lattice: FaceLattice,
@@ -266,13 +258,11 @@ def _solve(
     f: Face,
     g: Face,
     seed: int,
-) -> _Solution:
+) -> tuple[tuple[Face, ...], tuple[Face, ...], tuple[Hyperplane, ...]]:
+    """The path's faces and ridges, and one cutting plane per level, outermost first."""
     if f == g:
-        return _Solution((f,), (), 0, ())
-    if k == 0:
-        # Two distinct vertices; their meet is the empty face, which is the
-        # (k-1)-ridge this degenerate level admits.
-        return _Solution((f, g), (lattice.empty_face,), 0, ())
+        return (f,), (), ()
+    # k = 0 blocks nothing (the budget); two vertices meet in the empty face.
     if k == 1 or not blocked:
         found = _bfs_ridge_path(lattice, blocked, f, g)
         if found is None:
@@ -280,10 +270,10 @@ def _solve(
                 f"ridge graph of {k}-faces is disconnected after removing "
                 f"{sorted(b.id for b in blocked)}; this contradicts the connectivity bound"
             )
-        return _Solution(found[0], found[1], 0, ())
+        return found[0], found[1], ()
 
     r = min(blocked, key=lambda b: b.vertex_set)
-    h, _ = search_cutting_hyperplane(p, lattice, f, g, r, seed)
+    h, _ = search_cutting_hyperplane(p, f, g, r, seed)
     smap = section(p, lattice, h)
     phi = smap.phi
 
@@ -297,7 +287,7 @@ def _solve(
         raise RidgePathError("section collapsed distinct faces; slicing is degenerate")
     if len(blocked_slice) > k - 1:
         raise RidgePathError("blocked set failed to shrink under slicing")
-    sub = _solve(
+    faces, ridges, planes = _solve(
         smap.slice_polytope,
         smap.slice_lattice,
         k - 1,
@@ -308,15 +298,10 @@ def _solve(
     )
     lift = {s: b for b, s in phi.items()}
 
-    def lifted(faces: tuple[Face, ...]) -> tuple[Face, ...]:
-        return tuple(lattice.face_of_mask(lift[x.mask]) for x in faces)
+    def lifted(chain: tuple[Face, ...]) -> tuple[Face, ...]:
+        return tuple(lattice.face_of_mask(lift[x.mask]) for x in chain)
 
-    return _Solution(
-        lifted(sub.faces),
-        lifted(sub.ridges),
-        sub.depth + 1,
-        (h,) + sub.hyperplanes,
-    )
+    return lifted(faces), lifted(ridges), (h,) + planes
 
 
 def _resolve_request(
@@ -362,14 +347,12 @@ def solve_ridge_path(
     (outermost first) and, with verify, the verifier's verdict on the path.
     """
     blocked, f, g = _resolve_request(lattice, k, b, f_id, g_id)
-    solution = _solve(p, lattice, k, blocked, f, g, seed)
-    path = RidgePath(
-        tuple(x.id for x in solution.faces), tuple(x.id for x in solution.ridges)
-    )
+    faces, ridges, planes = _solve(p, lattice, k, blocked, f, g, seed)
+    path = RidgePath(tuple(x.id for x in faces), tuple(x.id for x in ridges))
     verified = (
         verify_ridge_path(lattice, k, b, path, f_id, g_id) if verify else None
     )
-    return RidgePathResult(path, verified, solution.depth, solution.hyperplanes)
+    return RidgePathResult(path, verified, len(planes), planes)
 
 
 def verify_ridge_path(

@@ -9,7 +9,7 @@ bijection is available by construction and stays exact under recursion.
 
 from __future__ import annotations
 
-from functools import cached_property
+from typing import NamedTuple
 
 from .geometry import GeometryError, Hyperplane, Rational, parse_rational, primitive
 from .polytope import Face, FaceLattice, VPolytope, mask_of
@@ -37,7 +37,7 @@ def parse_hyperplane(text: str) -> tuple[list[Rational], Rational]:
     return normal, offset
 
 
-class SectionMap:
+class SectionMap(NamedTuple):
     """A sliced polytope plus the face bijection with its base.
 
     Slice vertex i is the crossing point of the i-th crossed edge in lattice
@@ -47,22 +47,9 @@ class SectionMap:
     over crossed edges).
     """
 
-    def __init__(
-        self,
-        base_lattice: FaceLattice,
-        slice_polytope: VPolytope,
-        slice_lattice: FaceLattice,
-        phi: dict[int, int],
-    ) -> None:
-        self.base_lattice = base_lattice
-        self.slice_polytope = slice_polytope
-        self.slice_lattice = slice_lattice
-        self.phi = phi
-
-    @cached_property
-    def to_slice(self) -> dict[str, str]:
-        base, sliced = self.base_lattice.face_of_mask, self.slice_lattice.face_of_mask
-        return {base(b).id: sliced(s).id for b, s in self.phi.items()}
+    slice_polytope: VPolytope
+    slice_lattice: FaceLattice
+    phi: dict[int, int]
 
 
 def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
@@ -125,11 +112,6 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
     for f in cut_faces:
         covers += [(phi[f.mask], phi[parent.mask]) for parent in lattice.parents(f)]
 
-    slice_polytope = VPolytope.from_rows(slice_rows)
-    slice_lattice = FaceLattice(lattice.dim - 1, slice_faces, covers)
     return SectionMap(
-        base_lattice=lattice,
-        slice_polytope=slice_polytope,
-        slice_lattice=slice_lattice,
-        phi=phi,
+        VPolytope(tuple(slice_rows)), FaceLattice(lattice.dim - 1, slice_faces, covers), phi
     )

@@ -404,8 +404,11 @@ def assert_section_isomorphism(
     """Full two-route audit of the slice of p by h: the combinatorial map must
     be a poset isomorphism onto the slice lattice, and the slice lattice must
     equal the geometric reconstruction from the slice points alone."""
-    to_slice = smap.to_slice
     slice_lattice = smap.slice_lattice
+    to_slice = {
+        lattice.face_of_mask(b).id: slice_lattice.face_of_mask(s).id
+        for b, s in smap.phi.items()
+    }
 
     # injectivity: no two cut faces share a slice face
     assert len(set(to_slice.values())) == len(to_slice)

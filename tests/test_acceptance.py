@@ -121,7 +121,7 @@ def test_criterion_4_cutting_hyperplane(capsys):
             if len(faces) < 3:
                 continue
             f, g, r = rng.sample(faces, 3)
-            h, attempts = search_cutting_hyperplane(p, lat, f, g, r, seed=done)
+            h, attempts = search_cutting_hyperplane(p, f, g, r, seed=done)
             # one solve plus at most 200 nudge directions
             assert 1 <= attempts <= 201
             assert hyperplane_conditions_oracle(

@@ -9,8 +9,9 @@ of a dotted string constant such as perfbench's "CommandResult.render".
 Comments and docstrings do not count.  Dunder methods are exempt: the
 interpreter calls them.  So are the entry points in
 USER_API, which only users call; each must be named in the README.  Every
-attribute a library class assigns as `self.<name>` must likewise be read as
-`.<name>` somewhere in `src/facelab` or `perfbench/`.
+attribute a library class assigns as `self.<name>`, or writes as a key of
+`self.__dict__`, must likewise be read as `.<name>` somewhere in
+`src/facelab` or `perfbench/`.
 """
 
 import ast
@@ -85,14 +86,48 @@ def test_user_api_is_documented():
     assert [name for name in sorted(USER_API) if f"`{name}" not in readme] == []
 
 
+def is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def is_self_dict(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__" and is_self(node.value)
+
+
 def assigned_attributes(tree: ast.Module):
-    """(class, attribute, line) of each `self.<name> = ...` in a module-level class."""
+    """(class, attribute, line) of each attribute a module-level class writes:
+    `self.<name> = ...`, and keys written through `self.__dict__`, as
+    `self.__dict__["<name>"] = ...` or `self.__dict__.update(<name>=...)`."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
-                    if isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                    if is_self(sub.value):
                         yield node.name, sub.attr, sub.lineno
+                elif isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store):
+                    key = sub.slice
+                    if is_self_dict(sub.value) and isinstance(key, ast.Constant):
+                        yield node.name, key.value, sub.lineno
+                elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                    if sub.func.attr == "update" and is_self_dict(sub.func.value):
+                        for keyword in sub.keywords:
+                            if keyword.arg is not None:
+                                yield node.name, keyword.arg, sub.lineno
+
+
+def test_assigned_attributes_sees_instance_dict_writes():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.plain = 1\n"
+        "        self.__dict__['stored'] = 2\n"
+        "        self.__dict__.update(updated=3, **{})\n"
+        "        other.__dict__['elsewhere'] = 4\n"
+    )
+    assert {name for _, name, _ in assigned_attributes(tree)} == {"plain", "stored", "updated"}
+    polytope = ast.parse((LIBRARY / "polytope.py").read_text(encoding="utf-8"))
+    written = {name for cls, name, _ in assigned_attributes(polytope) if cls == "VPolytope"}
+    assert written == {"rows", "ambient_dim", "dim", "_chart"}
 
 
 def test_library_has_no_write_only_attributes():

@@ -62,7 +62,7 @@ class TestFaceIds:
         with pytest.raises(PolytopeError, match="^unknown face id "):
             lat.face(text)
         assert lat.face("v0-v1").vertex_set == (0, 1)
-        assert lat.face(EMPTY_FACE_ID) is lat.empty_face
+        assert lat.face(EMPTY_FACE_ID) is lat.faces[0]
 
 
 class TestVPolytope:
@@ -78,6 +78,34 @@ class TestVPolytope:
     def test_rejects_midpoint_of_edge(self):
         with pytest.raises(PolytopeError):
             VPolytope.from_points([Q([0, 0]), Q([2, 0]), Q([1, 0])])
+
+    def test_constructor_rejects_duplicate_rows(self):
+        rows = (Q([0, 0]).row, Q([1, 0]).row, Q([0, 0]).row)
+        with pytest.raises(PolytopeError, match="^duplicate vertices in input$"):
+            VPolytope(rows)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_rows_are_the_value(self, validate):
+        for family, d, n in FAMILY_GRID:
+            points = [Q(v) for v in rational_points(polytope(family, d, n))]
+            p = VPolytope.from_points(points, validate=validate)
+            twin = VPolytope(p.rows)
+            assert twin == p and hash(twin) == hash(p)
+        # Rows alone decide equality: a reordering is another polytope.
+        square = cube(2)
+        assert VPolytope(square.rows[::-1]) != square
+
+    def test_dimensions_follow_from_rows(self):
+        # A triangle in the plane z = 1 of 3-space, then a segment in the plane.
+        triangle = VPolytope(tuple(Q(v).row for v in ([0, 0, 1], [1, 0, 1], [0, 1, 1])))
+        assert (triangle.ambient_dim, triangle.dim) == (3, 2)
+        segment = VPolytope(tuple(Q(v).row for v in ([0, 0], [F(1, 2), F(1, 3)])))
+        assert (segment.ambient_dim, segment.dim) == (2, 1)
+        point = VPolytope((Q([5, 7, 1, 0]).row,))
+        assert (point.ambient_dim, point.dim) == (4, 0)
+        for family, d, n in FAMILY_GRID:
+            twin = VPolytope(polytope(family, d, n).rows)
+            assert (twin.ambient_dim, twin.dim) == (d, d)
 
 
 class TestFacets:
@@ -401,7 +429,7 @@ class TestPolarDual:
         assert images is not None
         assert images[lat.face("v0")].vertex_set == (0, 1, 2)
         assert images[lat.full_face].vertex_set == ()
-        assert len(images[lat.empty_face].vertex_set) == 6
+        assert len(images[lat.faces[0]].vertex_set) == 6
         for a in lat.faces:
             for b in lat.faces:
                 if set(a.vertex_set) <= set(b.vertex_set):

@@ -29,7 +29,7 @@ def records() -> dict:
         "Hyperplane": result.hyperplanes[0],
         "Face": lat.faces_of_dim(1)[3],
         "VPolytope": p,
-        "VPolytope, facets not yet computed": VPolytope(p.rows, 3, 3),
+        "VPolytope, facets not yet computed": VPolytope(p.rows),
         "FaceHypergraph": hg,
         "ConnectivityReport": report,
         "BlockedSet": blocked,

@@ -1,6 +1,7 @@
 """Ridge path construction via recursive sections, and its verifier."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -34,7 +35,7 @@ class TestCuttingHyperplane:
     def test_square_edges(self):
         p, lat = instance("cube", 2)
         f, g, r = lat.face("v0-v1"), lat.face("v2-v3"), lat.face("v0-v2")
-        h, attempts = search_cutting_hyperplane(p, lat, f, g, r, seed=0)
+        h, attempts = search_cutting_hyperplane(p, f, g, r, seed=0)
         assert attempts >= 1
         assert oracle_ok(p, lat, f, g, r, h)
 
@@ -42,7 +43,7 @@ class TestCuttingHyperplane:
         p, lat = instance("cube", 3)
         f, g = lat.face("v0-v1-v2-v3"), lat.face("v4-v5-v6-v7")
         r = lat.face("v0-v1-v4-v5")
-        h, _ = search_cutting_hyperplane(p, lat, f, g, r, seed=0)
+        h, _ = search_cutting_hyperplane(p, f, g, r, seed=0)
         assert oracle_ok(p, lat, f, g, r, h)
         # barycenters of f and g really sit on the plane
         assert side(h, coordinates(p.face_barycenter(f))) == 0
@@ -51,20 +52,20 @@ class TestCuttingHyperplane:
     def test_deterministic_per_seed(self):
         p, lat = instance("cube", 3)
         f, g, r = lat.face("v0-v1"), lat.face("v6-v7"), lat.face("v0-v2")
-        a = search_cutting_hyperplane(p, lat, f, g, r, seed=4)[0]
-        b = search_cutting_hyperplane(p, lat, f, g, r, seed=4)[0]
+        a = search_cutting_hyperplane(p, f, g, r, seed=4)[0]
+        b = search_cutting_hyperplane(p, f, g, r, seed=4)[0]
         assert a == b
 
     def test_validations(self):
         p, lat = instance("cube", 3)
         f, g, r = lat.face("v0-v1"), lat.face("v6-v7"), lat.face("v0-v2")
         with pytest.raises(RidgePathError):
-            search_cutting_hyperplane(p, lat, f, f, r, seed=0)
+            search_cutting_hyperplane(p, f, f, r, seed=0)
         with pytest.raises(RidgePathError):
-            search_cutting_hyperplane(p, lat, f, g, lat.face("v0"), seed=0)
-        with pytest.raises(RidgePathError):
+            search_cutting_hyperplane(p, f, g, lat.face("v0"), seed=0)
+        with pytest.raises(RidgePathError, match=r"^face dimension 0 out of range \[1, 2\]$"):
             search_cutting_hyperplane(
-                p, lat, lat.face("v0"), lat.face("v3"), lat.face("v5"), seed=0
+                p, lat.face("v0"), lat.face("v3"), lat.face("v5"), seed=0
             )
 
     def test_random_triples_all_verified(self):
@@ -75,7 +76,7 @@ class TestCuttingHyperplane:
                 k = rng.randint(1, d - 1)
                 faces = lat.faces_of_dim(k)
                 f, g, r = rng.sample(faces, 3)
-                h, attempts = search_cutting_hyperplane(p, lat, f, g, r, seed=trial)
+                h, attempts = search_cutting_hyperplane(p, f, g, r, seed=trial)
                 assert 1 <= attempts <= 201
                 assert oracle_ok(p, lat, f, g, r, h)
 
@@ -101,9 +102,9 @@ class TestCuttingHyperplaneAgainstOracle:
             expected = cutting_hyperplane_oracle(p, f, g, r, seed)
             if expected is None:
                 with pytest.raises(RidgePathError):
-                    search_cutting_hyperplane(p, lat, f, g, r, seed)
+                    search_cutting_hyperplane(p, f, g, r, seed)
                 continue
-            h, attempts = search_cutting_hyperplane(p, lat, f, g, r, seed)
+            h, attempts = search_cutting_hyperplane(p, f, g, r, seed)
             assert (h.row, attempts) == expected, (trial, f.id, g.id, r.id)
             nudged += attempts > 1
         assert nudged >= 20
@@ -123,6 +124,18 @@ class TestSolver:
         assert res.path.faces == ("v0", "v7")
         assert res.path.ridges == ("empty",)
         assert res.verified is True and res.depth == 0
+
+    @pytest.mark.parametrize(
+        "family, dim, n", [("cube", 3, None), ("pyramid", 4, None), ("cyclic", 4, 8)]
+    )
+    def test_vertex_paths_come_from_the_search(self, family, dim, n):
+        # k = 0 blocks nothing, and any two vertices meet in the empty face.
+        p, lat = instance(family, dim, n=n)
+        for f_id, g_id in permutations([v.id for v in lat.faces_of_dim(0)], 2):
+            res = solve_ridge_path(p, lat, 0, BlockedSet.of(0, []), f_id, g_id, verify=True)
+            assert res.path == RidgePath((f_id, g_id), ("empty",))
+            assert res.depth == 0 and res.hyperplanes == ()
+            assert res.verified is True
 
     def test_edges_around_blocked_edge(self):
         p, lat = instance("cube", 3)

@@ -44,9 +44,9 @@ class TestCutsFace:
     def test_cube_examples(self):
         p, lat = instance("cube", 3)
         smap = section(p, lat, plane("1,0,0;1/2"))
-        assert "v0-v4" in smap.to_slice
-        assert lat.full_face.id in smap.to_slice
-        assert "v0-v1-v2-v3" not in smap.to_slice
+        assert lat.face("v0-v4").mask in smap.phi
+        assert lat.full_face.mask in smap.phi
+        assert lat.face("v0-v1-v2-v3").mask not in smap.phi
 
     def test_vertex_on_plane_is_an_error(self):
         p, lat = instance("cube", 3)
@@ -61,7 +61,7 @@ class TestCutsFace:
             points = rational_points(p)
             for _ in range(10):
                 h = random_cutting_plane(p, rng)
-                to_slice = section(p, lat, h).to_slice
+                phi = section(p, lat, h).phi
                 edges = lat.faces_of_dim(1)
                 for f in lat.faces:
                     if f.dim < 1:
@@ -73,7 +73,7 @@ class TestCutsFace:
                         == -1
                         for e in edges
                     )
-                    assert (f.id in to_slice) == crossing_edge
+                    assert (f.mask in phi) == crossing_edge
 
 
 class TestSection:
@@ -93,13 +93,13 @@ class TestSection:
     def test_map_face_and_lift(self):
         p, lat = instance("cube", 3)
         smap = section(p, lat, plane("1,0,0;1/2"))
-        image_id = smap.to_slice["v0-v1-v4-v5"]
-        assert smap.slice_lattice.face(image_id).dim == 1
+        image = smap.phi[lat.face("v0-v1-v4-v5").mask]
+        assert smap.slice_lattice.face_of_mask(image).dim == 1
         # The map is injective, so a slice face lifts to one base face.
-        lifts = [base for base, sliced in smap.to_slice.items() if sliced == image_id]
+        lifts = [lat.face_of_mask(base).id for base, sliced in smap.phi.items() if sliced == image]
         assert lifts == ["v0-v1-v4-v5"]
-        assert "v0-v1-v2-v3" not in smap.to_slice
-        assert "v0" not in smap.to_slice
+        assert lat.face("v0-v1-v2-v3").mask not in smap.phi
+        assert lat.face("v0").mask not in smap.phi
 
     def test_full_battery_on_fixed_slices(self):
         for fam, d, text in [
