@@ -148,6 +148,10 @@ class VPolytope:
     """
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        if not rows:
+            raise PolytopeError("a polytope needs at least one vertex")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise PolytopeError("all vertices must share the ambient dimension")
         # Primitive rows with x0 > 0 are equal exactly when their points are.
         if len(set(rows)) != len(rows):
             raise PolytopeError("duplicate vertices in input")
@@ -172,13 +176,7 @@ class VPolytope:
 
     @classmethod
     def from_points(cls, points: Sequence[QVector], validate: bool = True) -> VPolytope:
-        pts = tuple(points)
-        if not pts:
-            raise PolytopeError("a polytope needs at least one vertex")
-        ambient = pts[0].dim
-        if any(p.dim != ambient for p in pts):
-            raise PolytopeError("all vertices must share the ambient dimension")
-        polytope = cls(tuple(p.row for p in pts))
+        polytope = cls(tuple(p.row for p in points))
         if validate:
             polytope._check_vertices()
         return polytope

@@ -79,10 +79,19 @@ class TestVPolytope:
         with pytest.raises(PolytopeError):
             VPolytope.from_points([Q([0, 0]), Q([2, 0]), Q([1, 0])])
 
-    def test_constructor_rejects_duplicate_rows(self):
-        rows = (Q([0, 0]).row, Q([1, 0]).row, Q([0, 0]).row)
-        with pytest.raises(PolytopeError, match="^duplicate vertices in input$"):
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((), "a polytope needs at least one vertex"),
+            (((1, 0, 0), (1, 1)), "all vertices must share the ambient dimension"),
+            (((1, 0, 0), (1, 1, 0), (1, 0, 0)), "duplicate vertices in input"),
+        ],
+    )
+    def test_constructor_refuses_malformed_rows(self, rows, message):
+        with pytest.raises(PolytopeError, match=f"^{message}$"):
             VPolytope(rows)
+        with pytest.raises(PolytopeError, match=f"^{message}$"):
+            VPolytope.from_points([QVector(row) for row in rows])
 
     @pytest.mark.parametrize("validate", [True, False])
     def test_rows_are_the_value(self, validate):
