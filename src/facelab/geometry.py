@@ -222,30 +222,6 @@ def barycenter(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return primitive(totals)
 
 
-def hyperplane_through(rows: Sequence[Sequence[int]]) -> Hyperplane | None:
-    """The hyperplane containing points given as homogeneous rows, when their
-    affine span has codimension one.
-
-    Returns None when the span's codimension is not exactly one.  The plane's
-    row (-c, a) spans the null space of the rows; it is read off their
-    fraction-free reduction, with a positive entry on the one coordinate
-    column that is not a pivot.
-    """
-    if not rows:
-        return None
-    mat, pivots = eliminate(rows)
-    if len(pivots) != len(rows[0]) - 1:
-        return None
-    free = next(c for c in range(1, len(pivots) + 1) if c not in pivots)
-    last = mat[len(pivots) - 1][pivots[-1]]
-    sign = 1 if last > 0 else -1
-    row = [0] * (len(pivots) + 1)
-    row[free] = sign * last
-    for r, col in enumerate(pivots):
-        row[col] = -sign * mat[r][free]
-    return Hyperplane(row)
-
-
 def solve_nonnegative(
     rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> tuple[list[int], int] | None:

@@ -20,10 +20,9 @@ from .geometry import (
     QVector,
     affine_chart,
     barycenter,
+    eliminate,
     format_point,
-    hyperplane_through,
     parse_rational,
-    pivot_columns,
     primitive,
 )
 
@@ -83,26 +82,27 @@ def _initial_cone(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, ...
     """The first len(rows[0]) linearly independent rows, in input order, and
     the extreme rays of the simplicial cone they cut out.
 
-    Ray j is the primitive normal of the hyperplane through the origin and
-    every chosen row but row j, oriented to be positive on row j.
+    With M the chosen rows, ray j is column j of M^-1 made primitive: zero on
+    every chosen row but row j, and positive on row j.  One fraction-free
+    elimination of [rows^T | I] gives them all.  Its pivot columns are the
+    chosen rows, and its right block is then D (M^T)^-1, D the last pivot,
+    so row j of that block is D times ray j.
     """
-    chosen = pivot_columns(list(zip(*rows)))
-    origin = (1,) + (0,) * len(rows[0])
-    rays = []
-    for j in chosen:
-        others = [(1, *rows[i]) for i in chosen if i != j]
-        ray = hyperplane_through([origin] + others).row[1:]
-        if sum(map(mul, ray, rows[j])) < 0:
-            ray = [-x for x in ray]
-        rays.append(tuple(ray))
-    return chosen, rays
+    n, size = len(rows), len(rows[0])
+    augmented = [
+        [*column, *(int(r == c) for c in range(size))] for r, column in enumerate(zip(*rows))
+    ]
+    mat, chosen = eliminate(augmented)
+    sign = 1 if mat[-1][chosen[-1]] > 0 else -1
+    return chosen, [primitive([sign * x for x in row[n:]]) for row in mat]
 
 
 def _double_description(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...]]]:
     """Extreme rays of the pointed cone {x : row . x >= 0 for every row}.
 
-    Rows must span their space.  Starting from a simplicial cone on the first
-    independent rows, each remaining row is added in input order: rays on its
+    Rows must span their space.  Starting from the simplicial cone on the
+    first independent rows, whose rays `_initial_cone` reads off one
+    elimination, each remaining row is added in input order: rays on its
     nonnegative side stay, and each (+, -) pair of adjacent rays is combined
     into a new ray on the row's hyperplane.  Adjacency is the combinatorial
     test: the pair's common zero set has at least size-2 rows and no other
@@ -117,7 +117,7 @@ def _double_description(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...
         if i in skip:
             continue
         bit = 1 << i
-        values = [sum(a * x for a, x in zip(row, ray)) for ray in rays]
+        values = [sum(map(mul, row, ray)) for ray in rays]
         positive = [k for k, v in enumerate(values) if v > 0]
         negative = [k for k, v in enumerate(values) if v < 0]
         new_rays = [ray for ray, v in zip(rays, values) if v >= 0]

@@ -66,8 +66,12 @@ class RidgePath(NamedTuple):
 class RidgePathResult(NamedTuple):
     path: RidgePath
     verified: bool | None
-    depth: int
     hyperplanes: tuple[Hyperplane, ...]
+
+    @property
+    def depth(self) -> int:
+        """The recursion depth: one level per cutting hyperplane."""
+        return len(self.hyperplanes)
 
 
 def _difference(v: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
@@ -343,8 +347,9 @@ def solve_ridge_path(
 ) -> RidgePathResult:
     """A path of k-faces from f to g through (k-1)-ridges avoiding b.
 
-    The result also carries the recursion depth, the cutting hyperplanes used
-    (outermost first) and, with verify, the verifier's verdict on the path.
+    The result also carries the cutting hyperplanes used, outermost first
+    (their count is the recursion depth), and, with verify, the verifier's
+    verdict on the path.
     """
     blocked, f, g = _resolve_request(lattice, k, b, f_id, g_id)
     faces, ridges, planes = _solve(p, lattice, k, blocked, f, g, seed)
@@ -352,7 +357,7 @@ def solve_ridge_path(
     verified = (
         verify_ridge_path(lattice, k, b, path, f_id, g_id) if verify else None
     )
-    return RidgePathResult(path, verified, len(planes), planes)
+    return RidgePathResult(path, verified, planes)
 
 
 def verify_ridge_path(

@@ -10,9 +10,10 @@ through points, a point's side of a hyperplane, the segment crossing, the
 phase-1 simplex, the cutting-plane search) stay here as the second route for
 those kernels.  Here a point is a sequence of its rational coordinates;
 `rational_points` reads them off a polytope's integer rows.  The one
-exception is `affine_rank`, which reads the rank off the library's integer
-elimination; only tests need it, as the first route against
-`affine_rank_oracle`.
+exceptions read the library's integer elimination: `affine_rank`, which
+only tests need, as the first route against `affine_rank_oracle`, and
+`hyperplane_through` with `initial_cone_oracle`, the one-elimination-per-ray
+start of double description that `polytope._initial_cone` replaced.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
+from typing import Sequence
 
 from facelab.geometry import (
     GeometryError,
     Hyperplane,
     QVector,
-    hyperplane_through,
+    eliminate,
     pivot_columns,
 )
 from facelab.hypergraph import (
@@ -89,6 +92,50 @@ def affine_rank(rows: list[tuple[int, ...]]) -> int:
     It is the rank of the rows, less one.
     """
     return len(pivot_columns(rows)) - 1
+
+
+def hyperplane_through(rows: Sequence[Sequence[int]]) -> Hyperplane | None:
+    """The hyperplane containing points given as homogeneous rows, when their
+    affine span has codimension one.
+
+    Returns None when the span's codimension is not exactly one.  The plane's
+    row (-c, a) spans the null space of the rows; it is read off their
+    fraction-free reduction, with a positive entry on the one coordinate
+    column that is not a pivot.
+    """
+    if not rows:
+        return None
+    mat, pivots = eliminate(rows)
+    if len(pivots) != len(rows[0]) - 1:
+        return None
+    free = next(c for c in range(1, len(pivots) + 1) if c not in pivots)
+    last = mat[len(pivots) - 1][pivots[-1]]
+    sign = 1 if last > 0 else -1
+    row = [0] * (len(pivots) + 1)
+    row[free] = sign * last
+    for r, col in enumerate(pivots):
+        row[col] = -sign * mat[r][free]
+    return Hyperplane(row)
+
+
+def initial_cone_oracle(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The first len(rows[0]) linearly independent rows, in input order, and
+    the extreme rays of the simplicial cone they cut out.
+
+    Ray j is the primitive normal of the hyperplane through the origin and
+    every chosen row but row j, oriented to be positive on row j: one
+    elimination for the pivot search and one per ray.
+    """
+    chosen = pivot_columns(list(zip(*rows)))
+    origin = (1,) + (0,) * len(rows[0])
+    rays = []
+    for j in chosen:
+        others = [(1, *rows[i]) for i in chosen if i != j]
+        ray = hyperplane_through([origin] + others).row[1:]
+        if sum(map(mul, ray, rows[j])) < 0:
+            ray = [-x for x in ray]
+        rays.append(tuple(ray))
+    return chosen, rays
 
 
 def affine_rank_oracle(points: list[Point]) -> int:

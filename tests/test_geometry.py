@@ -17,7 +17,6 @@ from facelab.geometry import (
     affine_chart,
     barycenter,
     format_rational,
-    hyperplane_through,
     parse_rational,
     solve_nonnegative,
 )
@@ -27,6 +26,7 @@ from oracles import (
     affine_rank,
     affine_rank_oracle,
     hull_membership_oracle,
+    hyperplane_through,
     hyperplane_through_oracle,
     rational_points,
     segment_hyperplane_intersection,

@@ -4,20 +4,24 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from facelab import geometry, polytope as polytope_module
 from facelab.cli import run
 from facelab.generators import cross_polytope, cube, cyclic, random_polytope, simplex
-from facelab.geometry import QVector
+from facelab.geometry import QVector, pivot_columns
 from facelab.polytope import (
     EMPTY_FACE_ID,
     Face,
     FaceLattice,
     PolytopeError,
     VPolytope,
+    _double_description,
+    _initial_cone,
     face_id,
     face_lattice,
     facets,
@@ -35,12 +39,14 @@ from oracles import (
     euler_characteristic_holds,
     gale_evenness_facets,
     hull_membership_oracle,
+    initial_cone_oracle,
     rational_points,
     side,
 )
 
 F = Fraction
 Q = QVector.of
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestFaceIds:
@@ -353,6 +359,96 @@ class TestAgainstBruteForce:
         with pytest.raises(PolytopeError) as caught:
             VPolytope.from_points(vectors)
         assert str(caught.value) == message
+
+
+def chart_rows(p: VPolytope) -> list[list[int]]:
+    """The rows double description runs on: x0 and the chart coordinates."""
+    columns = [0] + [1 + j for j in p._chart]
+    return [[row[c] for c in columns] for row in p.rows]
+
+
+def double_description_on_oracle_cone(rows: list[list[int]]) -> list:
+    """The library's double description, started from `initial_cone_oracle`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polytope_module, "_initial_cone", initial_cone_oracle)
+        return _double_description(rows)
+
+
+def assert_cone_matches_oracle(rows: list[list[int]]) -> None:
+    assert _initial_cone(rows) == initial_cone_oracle(rows)
+    assert _double_description(rows) == double_description_on_oracle_cone(rows)
+
+
+def golden_random_polytopes() -> list[VPolytope]:
+    """The 25 pinned `random_polytope` texts, parsed."""
+    text = (GOLDEN / "random_polytopes.txt").read_text(encoding="utf-8")
+    blocks = text.split("# random_polytope")[1:]
+    return [parse_polytope(block.split("\n", 1)[1]) for block in blocks]
+
+
+@st.composite
+def full_rank_rows(draw) -> list[list[int]]:
+    """n small integer rows of width 1..5 that span their space, n >= width."""
+    size = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=size, max_value=size + 5))
+    row = st.lists(st.integers(min_value=-4, max_value=4), min_size=size, max_size=size)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    assume(len(pivot_columns(rows)) == size)
+    return rows
+
+
+class TestInitialCone:
+    """All initial rays from one elimination of [rows^T | I], against one
+    elimination per ray (`oracles.initial_cone_oracle`), and the double
+    description started from each."""
+
+    @pytest.mark.parametrize("family,dim,n", FAMILY_GRID)
+    def test_grid(self, family, dim, n):
+        p = polytope(family, dim, n)
+        assert_cone_matches_oracle(chart_rows(p))
+        assert p._facet_rays == double_description_on_oracle_cone(chart_rows(p))
+
+    def test_golden_random_polytopes(self):
+        found = golden_random_polytopes()
+        assert len(found) == 25
+        for p in found:
+            assert_cone_matches_oracle(chart_rows(p))
+
+    @given(full_rank_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_full_rank_rows(self, rows):
+        assert_cone_matches_oracle(rows)
+
+    @given(candidate_vertex_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_lower_dimensional_point_sets(self, points):
+        p = VPolytope.from_points([Q(v) for v in points], validate=False)
+        assert_cone_matches_oracle(chart_rows(p))
+        assert p._facet_rays == double_description_on_oracle_cone(chart_rows(p))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_validated_load_takes_two_eliminations(self, monkeypatch, d):
+        """The chart and the initial cone, one elimination each, in every
+        dimension (an elimination per initial ray would make it d+3)."""
+        calls, eliminate = [], geometry.eliminate
+
+        def counted(rows):
+            calls.append(len(rows))
+            return eliminate(rows)
+
+        for module in (geometry, polytope_module):
+            monkeypatch.setattr(module, "eliminate", counted)
+        unit = [[int(i == j) for j in range(d)] for i in range(d)]
+        shapes = {
+            "cube": [list(v) for v in product((0, 1), repeat=d)],
+            "cross": unit + [[-x for x in v] for v in unit],
+            "simplex": [[0] * d] + unit,
+        }
+        for shape, points in shapes.items():
+            calls.clear()
+            p = VPolytope.from_points([Q(v) for v in points], validate=True)
+            assert p.dim == d and len(p._facet_rays) > d, shape
+            assert calls == [len(points), d + 1], shape
 
 
 def assert_diamond(lat: FaceLattice) -> None:

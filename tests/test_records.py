@@ -48,6 +48,13 @@ def test_the_cases_carry_what_they_name():
     assert "_facet_rays" in vars(RECORDS["VPolytope"])
 
 
+def test_ridge_path_result_stores_depth_once():
+    result = RECORDS["RidgePathResult"]
+    assert result._fields == ("path", "verified", "hyperplanes")
+    assert result.depth == len(result.hyperplanes)
+    assert result._replace(hyperplanes=()).depth == 0
+
+
 @pytest.mark.parametrize("name", list(RECORDS))
 @pytest.mark.parametrize(
     "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
@@ -66,6 +73,7 @@ def test_fields_cannot_be_assigned():
         (RECORDS["VPolytope"], "dim"),
         (RECORDS["Hyperplane"], "row"),
         (RECORDS["Face"], "mask"),
+        (RECORDS["RidgePathResult"], "depth"),
         (RECORDS["ConnectivityReport"], "alpha"),
         (RECORDS["GeneratorSpec"], "dim"),
     ):
