@@ -14,10 +14,9 @@ import json
 import sys
 from typing import NamedTuple
 
-from .geometry import GeometryError, Hyperplane, format_point, format_rational
-from .hypergraph import HypergraphError, build_hypergraph, strong_connectivity
+from .geometry import FacelabError, Hyperplane, format_point, format_rational
+from .hypergraph import build_hypergraph, strong_connectivity
 from .polytope import (
-    PolytopeError,
     VPolytope,
     face_id,
     face_lattice,
@@ -26,23 +25,15 @@ from .polytope import (
     polar_dual,
     save_polytope,
 )
-from .ridgepath import BlockedSet, RidgePathError, solve_ridge_path
-from .section import SectionError, parse_hyperplane, section
+from .ridgepath import BlockedSet, solve_ridge_path
+from .section import parse_hyperplane, section
 
 
-class CliError(ValueError):
+class CliError(FacelabError):
     """Bad command line."""
 
 
-_HANDLED_ERRORS = (
-    CliError,
-    GeometryError,
-    PolytopeError,
-    SectionError,
-    HypergraphError,
-    RidgePathError,
-    OSError,
-)
+_HANDLED_ERRORS = (FacelabError, OSError)
 
 _INPUT_KEY_RENAMES = {"from_id": "from", "to_id": "to"}
 _INPUT_SKIP_KEYS = ("handler", "command_name", "pretty")
@@ -102,14 +93,11 @@ def _load_with_lattice(path: str):
 
 def _cmd_gen(ns) -> tuple[dict, int]:
     # Only gen loads the generators.
-    from .generators import GeneratorError, GeneratorSpec, generate
+    from .generators import GeneratorSpec, generate
 
-    try:
-        p = generate(
-            GeneratorSpec(family=ns.family, dim=ns.dim, n=ns.n, seed=ns.seed, bound=ns.bound)
-        )
-    except GeneratorError as exc:
-        raise CliError(str(exc)) from None
+    p = generate(
+        GeneratorSpec(family=ns.family, dim=ns.dim, n=ns.n, seed=ns.seed, bound=ns.bound)
+    )
     save_polytope(p, ns.out)
     return {
         "file": ns.out,
@@ -127,14 +115,13 @@ def _cmd_lattice(ns) -> tuple[dict, int]:
 def _cmd_hypergraph(ns) -> tuple[dict, int]:
     _, lattice = _load_with_lattice(ns.file)
     hg = build_hypergraph(lattice, ns.k)
-    # Nodes are in lattice order, so a hyperedge's members go by node index.
-    index = {node: i for i, node in enumerate(hg.nodes)}
+    nodes = hg.nodes
     return {
         "k": hg.k,
-        "nodes": list(hg.nodes),
+        "nodes": list(nodes),
         "hyperedges": [
-            {"id": eid, "nodes": sorted(members, key=index.__getitem__)}
-            for eid, members in hg.hyperedges
+            {"id": hg.edge_id(edge), "nodes": [nodes[i] for i in indices_of(edge)]}
+            for edge in hg.edges
         ],
     }, 0
 

@@ -12,11 +12,11 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from .geometry import QVector, barycenter
+from .geometry import FacelabError, QVector, barycenter
 from .polytope import PolytopeError, VPolytope
 
 
-class GeneratorError(ValueError):
+class GeneratorError(FacelabError):
     """Unsatisfiable generator request."""
 
 

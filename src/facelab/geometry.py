@@ -19,7 +19,11 @@ from typing import Iterable, NamedTuple, Sequence
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
-class GeometryError(ValueError):
+class FacelabError(ValueError):
+    """Base of every library error; the CLI reports each with exit code 2."""
+
+
+class GeometryError(FacelabError):
     """A geometric precondition was violated."""
 
 

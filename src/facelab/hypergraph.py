@@ -15,40 +15,54 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .polytope import FaceLattice, indices_of, mask_of
+from .geometry import FacelabError
+from .polytope import Face, FaceLattice, face_id, indices_of, mask_of
 
 
-class HypergraphError(ValueError):
+class HypergraphError(FacelabError):
     """Invalid hypergraph request."""
 
 
 class FaceHypergraph(NamedTuple):
-    """Nodes are k-face ids in lattice order; each hyperedge is a (k+1)-face
-    with its node set.  `representatives` gives, per node index, the lowest
-    node index in its orbit under a group of automorphisms of the hypergraph;
-    None means every node is its own."""
+    """Nodes are the k-faces in lattice order; each hyperedge, one per
+    (k+1)-face in lattice order, is the mask of its members' node indices.
+    `representatives` gives, per node index, the lowest node index in its
+    orbit under a group of automorphisms of H; None means every node is its
+    own.  `nodes` and `hyperedges` are id views, derived on each read."""
 
     k: int
-    nodes: tuple[str, ...]
-    hyperedges: tuple[tuple[str, frozenset[str]], ...]
+    faces: tuple[Face, ...]
+    edges: tuple[int, ...]
     representatives: tuple[int, ...] | None = None
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.faces)
+
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        """The node ids, in node order."""
+        return tuple(f.id for f in self.faces)
+
+    def edge_id(self, edge: int) -> str:
+        """The id of a hyperedge's (k+1)-face, the union of its members:
+        every vertex of a face of dimension >= 1 lies on one of its facets."""
+        return face_id({v for i in indices_of(edge) for v in self.faces[i].vertex_set})
+
+    @property
+    def hyperedges(self) -> tuple[tuple[str, frozenset[str]], ...]:
+        """Each hyperedge as its id and the ids of its members."""
+        nodes = self.nodes
+        return tuple(
+            (self.edge_id(edge), frozenset(nodes[i] for i in indices_of(edge)))
+            for edge in self.edges
+        )
 
 
 class DisconnectionWitness(NamedTuple):
     removed: tuple[str, ...]
     component_a: tuple[str, ...]
     component_b: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "removed": list(self.removed),
-            "component_a": list(self.component_a),
-            "component_b": list(self.component_b),
-        }
 
 
 class ConnectivityReport(NamedTuple):
@@ -58,30 +72,27 @@ class ConnectivityReport(NamedTuple):
     witness: DisconnectionWitness | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "alpha": self.alpha,
-            "capped": self.capped,
-            "witness": self.witness.to_json_dict() if self.witness else None,
-        }
+        return {**self._asdict(), "witness": self.witness and self.witness._asdict()}
 
 
 def build_hypergraph(lattice: FaceLattice, k: int) -> FaceHypergraph:
     """H_k of the lattice; at k = d-1 the single hyperedge is the full face.
 
-    The nodes' orbit representatives come from the polytope's automorphisms.
+    Each hyperedge is the mask of its (k+1)-face's children's node indices,
+    and the orbit representatives come from the polytope's automorphisms.
     """
     from .symmetry import orbit_representatives
 
     if k < 0 or k > lattice.dim - 1:
         raise HypergraphError(f"k={k} out of range [0, {lattice.dim - 1}]")
-    ids = {f.mask: f.id for f in lattice.faces_of_dim(k)}
-    hyperedges = tuple(
-        (e.id, frozenset(ids[c.mask] for c in lattice.children(e)))
+    faces = lattice.faces_of_dim(k)
+    index = {f.mask: i for i, f in enumerate(faces)}
+    edges = tuple(
+        mask_of(index[c.mask] for c in lattice.children(e))
         for e in lattice.faces_of_dim(k + 1)
     )
-    representatives = orbit_representatives(lattice.automorphisms, list(ids))
-    return FaceHypergraph(k, tuple(ids.values()), hyperedges, representatives)
+    representatives = orbit_representatives(lattice.automorphisms, list(index))
+    return FaceHypergraph(k, tuple(faces), edges, representatives)
 
 
 def _first_component(n_nodes: int, edge_masks: Sequence[int], removed: int) -> int:
@@ -174,16 +185,9 @@ def _detour(edge_masks: Sequence[int], y: int) -> int | None:
     return footprint
 
 
-def _encode(hg: FaceHypergraph) -> tuple[dict[str, int], list[int]]:
-    """Node indices by id, and each hyperedge as a mask over node indices."""
-    index = {n: i for i, n in enumerate(hg.nodes)}
-    edge_masks = [mask_of(index[n] for n in members) for _, members in hg.hyperedges]
-    return index, edge_masks
-
-
 def _first_disconnecting_subset(
     n_nodes: int,
-    edge_masks: list[int],
+    edge_masks: Sequence[int],
     detours: list[int],
     size: int,
     representatives: Sequence[int],
@@ -251,7 +255,6 @@ def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
     """
     if cap < 1:
         raise HypergraphError("cap must be >= 1")
-    _, edge_masks = _encode(hg)
     n = hg.n_nodes
     # A detour never holds its own node, so the full mask accepts nothing:
     # it stands in while the lemma does not apply yet, and for a node with
@@ -261,21 +264,14 @@ def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
     representatives = hg.representatives or range(n)
     for size in range(0, min(cap, n + 1)):
         if size == 2:
-            detours = [_detour(edge_masks, y) or full for y in range(n)]
-        hit = _first_disconnecting_subset(n, edge_masks, detours, size, representatives)
+            detours = [_detour(hg.edges, y) or full for y in range(n)]
+        hit = _first_disconnecting_subset(n, hg.edges, detours, size, representatives)
         if hit is None:
             continue
         removed = mask_of(hit)
-        first = _first_component(n, edge_masks, removed)
-        rest = ((1 << n) - 1) & ~removed & ~first
-
-        def ids(mask: int) -> tuple[str, ...]:
-            return tuple(hg.nodes[i] for i in indices_of(mask))
-
-        return ConnectivityReport(
-            k=hg.k,
-            alpha=size,
-            capped=False,
-            witness=DisconnectionWitness(ids(removed), ids(first), ids(rest)),
-        )
+        first = _first_component(n, hg.edges, removed)
+        rest = full & ~removed & ~first
+        parts = (tuple(hg.faces[i].id for i in indices_of(m)) for m in (removed, first, rest))
+        witness = DisconnectionWitness(*parts)
+        return ConnectivityReport(k=hg.k, alpha=size, capped=False, witness=witness)
     return ConnectivityReport(k=hg.k, alpha=cap, capped=True, witness=None)

@@ -15,6 +15,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import (
+    FacelabError,
     GeometryError,
     Hyperplane,
     QVector,
@@ -27,7 +28,7 @@ from .geometry import (
 )
 
 
-class PolytopeError(ValueError):
+class PolytopeError(FacelabError):
     """Invalid polytope data or an unsatisfied operation precondition."""
 
 

@@ -17,7 +17,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import Hyperplane, solve_nonnegative
+from .geometry import FacelabError, Hyperplane, solve_nonnegative
 from .polytope import Face, FaceLattice, PolytopeError, VPolytope
 from .section import section
 
@@ -25,7 +25,7 @@ from .section import section
 _NUDGE_DRAWS = 200
 
 
-class RidgePathError(ValueError):
+class RidgePathError(FacelabError):
     """Unsolvable request, malformed inputs, or no cutting hyperplane found."""
 
 

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .geometry import GeometryError, Hyperplane, Rational, parse_rational, primitive
+from .geometry import (
+    FacelabError,
+    GeometryError,
+    Hyperplane,
+    Rational,
+    parse_rational,
+    primitive,
+)
 from .polytope import Face, FaceLattice, VPolytope, mask_of
 
 
-class SectionError(ValueError):
+class SectionError(FacelabError):
     """Degenerate or invalid section request."""
 
 

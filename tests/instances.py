@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from pathlib import Path
 
 from facelab.generators import GeneratorSpec, generate
-from facelab.polytope import FaceLattice, VPolytope, face_lattice
+from facelab.polytope import FaceLattice, VPolytope, face_lattice, parse_polytope
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # The standard grid: all fixed families at desk scale.
 FAMILY_GRID = (
@@ -25,6 +28,13 @@ def polytope(family: str, dim: int, n: int | None = None, seed: int | None = Non
 @lru_cache(maxsize=None)
 def lattice_of(family: str, dim: int, n: int | None = None, seed: int | None = None) -> FaceLattice:
     return face_lattice(polytope(family, dim, n, seed))
+
+
+def golden_random_polytopes() -> list[VPolytope]:
+    """The 25 pinned `random_polytope` texts, parsed."""
+    text = (GOLDEN / "random_polytopes.txt").read_text(encoding="utf-8")
+    blocks = text.split("# random_polytope")[1:]
+    return [parse_polytope(block.split("\n", 1)[1]) for block in blocks]
 
 
 def instance(

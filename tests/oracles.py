@@ -558,6 +558,20 @@ def assert_hypergraphs_are_dual(p: VPolytope, lattice: FaceLattice) -> None:
                 assert (node in members) == (e_image <= n_image), (k, eid, node)
 
 
+def hypergraph_oracle(
+    lattice: FaceLattice, k: int
+) -> tuple[tuple[str, ...], tuple[tuple[str, frozenset[str]], ...]]:
+    """H_k with ids for nodes, the way the library once built it: the k-face
+    ids in lattice order, and per (k+1)-face in lattice order its id with
+    the frozenset of its children's ids."""
+    nodes = tuple(f.id for f in lattice.faces_of_dim(k))
+    hyperedges = tuple(
+        (e.id, frozenset(c.id for c in lattice.children(e)))
+        for e in lattice.faces_of_dim(k + 1)
+    )
+    return nodes, hyperedges
+
+
 def connected_after_removal_oracle(
     nodes: list[str],
     hyperedges: list[tuple[str, frozenset[str]]],

@@ -7,7 +7,13 @@ from jsonschema import Draft202012Validator
 
 from facelab import cli
 from facelab.cli import CliError, build_parser, main, run
+from facelab.generators import GeneratorError
+from facelab.geometry import FacelabError, GeometryError
+from facelab.hypergraph import HypergraphError
+from facelab.polytope import PolytopeError
+from facelab.ridgepath import RidgePathError
 from facelab.schemas import load_schema
+from facelab.section import SectionError
 
 ENVELOPE = Draft202012Validator(load_schema("envelope"))
 
@@ -70,6 +76,19 @@ class TestGen:
             "status": "error",
             "error": "coordinate box too small for that many distinct points",
         }
+
+
+def test_every_library_error_is_a_facelab_error():
+    for error in (
+        GeometryError,
+        PolytopeError,
+        SectionError,
+        HypergraphError,
+        RidgePathError,
+        GeneratorError,
+        CliError,
+    ):
+        assert issubclass(error, FacelabError) and issubclass(error, ValueError)
 
 
 class TestParse:

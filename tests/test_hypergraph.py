@@ -10,44 +10,43 @@ from hypothesis import strategies as st
 from facelab import hypergraph
 from facelab.generators import random_polytope
 from facelab.hypergraph import (
+    ConnectivityReport,
     FaceHypergraph,
     HypergraphError,
     _detour,
-    _encode,
     _first_component,
     build_hypergraph,
     strong_connectivity,
 )
-from facelab.polytope import face_lattice, indices_of, mask_of
+from facelab.polytope import Face, face_lattice, indices_of, mask_of
 from facelab.symmetry import orbit_representatives
-from instances import FAMILY_GRID, instance, lattice_of
+from instances import FAMILY_GRID, golden_random_polytopes, instance, lattice_of
 from oracles import (
     assert_hypergraphs_are_dual,
     connected_after_removal_oracle,
     find_isolating_set,
     first_disconnecting_set_oracle,
+    hypergraph_oracle,
 )
 
 
+def vertex_faces(indices) -> tuple[Face, ...]:
+    """Nodes that are single vertices, so node j has the id v<indices[j]>."""
+    return tuple(Face(1 << i, 0) for i in indices)
+
+
 def toy_path() -> FaceHypergraph:
-    """Three nodes, two edges, middle node is a cut point."""
-    return FaceHypergraph(
-        k=0,
-        nodes=("v1", "v2", "v3"),
-        hyperedges=(
-            ("v1-v2", frozenset({"v1", "v2"})),
-            ("v2-v3", frozenset({"v2", "v3"})),
-        ),
-    )
+    """Three nodes v1, v2, v3, edges v1-v2 and v2-v3; the middle node is a
+    cut point."""
+    return FaceHypergraph(k=0, faces=vertex_faces((1, 2, 3)), edges=(0b011, 0b110))
 
 
 def first_component_connects(hg: FaceHypergraph, removed) -> bool:
     """The scan's exact check: does the component of the lowest survivor
     hold every survivor once the given node ids are removed?"""
-    index, edge_masks = _encode(hg)
-    mask = mask_of(index[r] for r in removed)
+    mask = mask_of(hg.nodes.index(r) for r in removed)
     survivors = ((1 << hg.n_nodes) - 1) & ~mask
-    return _first_component(hg.n_nodes, edge_masks, mask) == survivors
+    return _first_component(hg.n_nodes, hg.edges, mask) == survivors
 
 
 def oracle_connects(hg: FaceHypergraph, removed) -> bool:
@@ -59,20 +58,17 @@ def hub_hypergraph() -> FaceHypergraph:
     to every other node.  No single removal disconnects, and the second pair
     in canonical order, (v0, v2), cuts v1 off.  The list of all C(300, 2)
     pairs would take about 3 MB."""
-    nodes = tuple(f"v{i}" for i in range(300))
-    edges = [("a", frozenset(nodes[:2])), ("b", frozenset(nodes[1:3]))]
-    edges += [(f"{h}-{v}", frozenset({h, v})) for h in ("v0", "v2") for v in nodes[3:]]
-    return FaceHypergraph(k=0, nodes=nodes, hyperedges=tuple(edges))
+    edges = [0b011, 0b110] + [1 << h | 1 << v for h in (0, 2) for v in range(3, 300)]
+    return FaceHypergraph(k=0, faces=vertex_faces(range(300)), edges=tuple(edges))
 
 
 @st.composite
 def abstract_hypergraphs(draw) -> FaceHypergraph:
     """3-14 nodes and n-3n hyperedges of 1-4 nodes each."""
     n = draw(st.integers(min_value=3, max_value=14))
-    nodes = tuple(f"n{i}" for i in range(n))
-    members = st.frozensets(st.sampled_from(nodes), min_size=1, max_size=4)
+    members = st.frozensets(st.sampled_from(range(n)), min_size=1, max_size=4)
     edges = draw(st.lists(members, min_size=n, max_size=3 * n))
-    return FaceHypergraph(0, nodes, tuple((f"e{j}", m) for j, m in enumerate(edges)))
+    return FaceHypergraph(0, vertex_faces(range(n)), tuple(mask_of(m) for m in edges))
 
 
 @st.composite
@@ -89,12 +85,9 @@ def symmetric_hypergraphs(draw) -> FaceHypergraph:
         while members not in edges:
             edges.add(members)
             members = frozenset(perm[i] for i in members)
-    nodes = tuple(f"n{i}" for i in range(n))
-    hyperedges = tuple(
-        (f"e{j}", frozenset(nodes[i] for i in m)) for j, m in enumerate(sorted(edges, key=sorted))
-    )
+    masks = tuple(mask_of(m) for m in sorted(edges, key=sorted))
     representatives = orbit_representatives([tuple(perm)], [1 << i for i in range(n)])
-    return FaceHypergraph(0, nodes, hyperedges, representatives)
+    return FaceHypergraph(0, vertex_faces(range(n)), masks, representatives)
 
 
 class TestBuild:
@@ -131,6 +124,36 @@ class TestBuild:
             build_hypergraph(lat, 3)
         with pytest.raises(HypergraphError):
             build_hypergraph(lat, -1)
+
+
+class TestIdViews:
+    """The id views of the mask-built H_k against `hypergraph_oracle`, which
+    builds ids and id sets the way the library once did."""
+
+    @staticmethod
+    def assert_views_match(lattice):
+        for k in range(lattice.dim):
+            hg = build_hypergraph(lattice, k)
+            assert (hg.nodes, hg.hyperedges) == hypergraph_oracle(lattice, k), k
+            assert [f.dim for f in hg.faces] == [k] * hg.n_nodes
+
+    @pytest.mark.parametrize("family, d, n", FAMILY_GRID)
+    def test_family_grid(self, family, d, n):
+        self.assert_views_match(lattice_of(family, d, n))
+
+    def test_golden_random_polytopes(self):
+        found = golden_random_polytopes()
+        assert len(found) == 25
+        for p in found:
+            self.assert_views_match(face_lattice(p))
+
+    def test_toy_path_ids(self):
+        hg = toy_path()
+        assert hg.nodes == ("v1", "v2", "v3")
+        assert hg.hyperedges == (
+            ("v1-v2", frozenset({"v1", "v2"})),
+            ("v2-v3", frozenset({"v2", "v3"})),
+        )
 
 
 class TestRemoval:
@@ -229,15 +252,14 @@ class TestStrongConnectivity:
 def assert_detour_is_sound(hg: FaceHypergraph, y: int) -> None:
     """`_detour` against the union-find oracle on a connected hypergraph."""
     nodes, hyperedges = list(hg.nodes), list(hg.hyperedges)
-    _, edge_masks = _encode(hg)
-    mask = _detour(edge_masks, y)
+    mask = _detour(hg.edges, y)
     cut = not connected_after_removal_oracle(nodes, hyperedges, {nodes[y]})
     assert (mask is None) == cut
     if mask is None:
         return
     bit = 1 << y
     neighbours = 0
-    for m in edge_masks:
+    for m in hg.edges:
         if m & bit:
             neighbours |= m & ~bit
     assert not mask & bit
@@ -258,7 +280,7 @@ class TestDetour:
                     assert_detour_is_sound(hg, y)
 
     def test_cut_node_has_none(self):
-        _, edge_masks = _encode(toy_path())
+        edge_masks = toy_path().edges
         assert _detour(edge_masks, 1) is None
         assert _detour(edge_masks, 0) == 0b010
 
@@ -306,6 +328,9 @@ def count_exact_checks(monkeypatch) -> list:
 # Higher caps scan 85k to 760k removal sets on these H_k, which takes the
 # union-find oracle from seconds to minutes (cross5 at k=1 and cap 6: about
 # 155 s), so they stop lower.
+# Polytopes whose vertex graph H_0 is complete.
+NEIGHBORLY = [("simplex", d, None) for d in (3, 4, 5)] + [("cyclic", 4, n) for n in (7, 8)]
+
 ORACLE_CAP_LIMITS = {("cube", 5, 1): 3, ("cross", 5, 1): 4, ("cross", 5, 2): 3}
 
 
@@ -378,6 +403,53 @@ class TestOrbitScan:
         plain = strong_connectivity(hg._replace(representatives=None), 5)
         for cap, expected in reports_by_cap(plain, 5).items():
             assert strong_connectivity(hg, cap) == expected
+
+
+# Exact alpha(H_k) beyond the paper's bound d - k, pinned at cap alpha + 1:
+# (family, d, n, k, alpha).  Cross-polytopes fit alpha = 2(d - k - 1);
+# cubes, prisms and pyramids meet the bound at every k; simplices and
+# cyclic polytopes meet it at every k >= 1.
+EXACT_ALPHA = (
+    [
+        ("cross", d, None, k, 2 * (d - k - 1))
+        for d, k in ((3, 0), (4, 0), (4, 1), (5, 1), (5, 2), (6, 3), (6, 4))
+    ]
+    + [
+        (family, d, None, k, d - k)
+        for family, d in (("cube", 5), ("prism", 4), ("pyramid", 4))
+        for k in range(d)
+    ]
+    + [(family, d, n, k, d - k) for family, d, n in NEIGHBORLY for k in range(1, d)]
+)
+
+
+def assert_witness_disconnects(hg: FaceHypergraph, witness, size: int) -> None:
+    """`size` removed nodes whose removal the union-find oracle finds
+    disconnecting, with component_a a whole connected component of the
+    survivors and component_b the rest."""
+    nodes, hyperedges = list(hg.nodes), list(hg.hyperedges)
+    removed, a, b = set(witness.removed), set(witness.component_a), set(witness.component_b)
+    assert len(removed) == size and a and b
+    assert len(removed) + len(a) + len(b) == len(nodes) and removed | a | b == set(nodes)
+    assert not connected_after_removal_oracle(nodes, hyperedges, removed)
+    assert connected_after_removal_oracle(nodes, hyperedges, removed | b)
+    assert not any(m & a and m & b for _, m in hyperedges if not m & removed)
+
+
+class TestExactAlpha:
+    @pytest.mark.parametrize("family, d, n, k, alpha", EXACT_ALPHA)
+    def test_witness_at_exact_alpha(self, family, d, n, k, alpha):
+        hg = build_hypergraph(lattice_of(family, d, n), k)
+        report = strong_connectivity(hg, alpha + 1)
+        assert (report.alpha, report.capped) == (alpha, False)
+        assert_witness_disconnects(hg, report.witness, alpha)
+
+    @pytest.mark.parametrize("family, d, n", NEIGHBORLY)
+    def test_complete_vertex_graph_is_capped(self, family, d, n):
+        # Every pair of vertices spans an edge, so no removal below n - 1
+        # disconnects H_0; the scan stops at cap d + 1.
+        report = strong_connectivity(build_hypergraph(lattice_of(family, d, n), 0), d + 1)
+        assert report == ConnectivityReport(0, d + 1, True, None)
 
 
 class TestIsolatingSet:

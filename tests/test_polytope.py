@@ -4,7 +4,6 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +29,7 @@ from facelab.polytope import (
     polar_dual,
     save_polytope,
 )
-from instances import FAMILY_GRID, instance, lattice_of, polytope
+from instances import FAMILY_GRID, golden_random_polytopes, instance, lattice_of, polytope
 from oracles import (
     affine_rank,
     anti_isomorphism_oracle,
@@ -46,7 +45,6 @@ from oracles import (
 
 F = Fraction
 Q = QVector.of
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestFaceIds:
@@ -377,13 +375,6 @@ def double_description_on_oracle_cone(rows: list[list[int]]) -> list:
 def assert_cone_matches_oracle(rows: list[list[int]]) -> None:
     assert _initial_cone(rows) == initial_cone_oracle(rows)
     assert _double_description(rows) == double_description_on_oracle_cone(rows)
-
-
-def golden_random_polytopes() -> list[VPolytope]:
-    """The 25 pinned `random_polytope` texts, parsed."""
-    text = (GOLDEN / "random_polytopes.txt").read_text(encoding="utf-8")
-    blocks = text.split("# random_polytope")[1:]
-    return [parse_polytope(block.split("\n", 1)[1]) for block in blocks]
 
 
 @st.composite
