@@ -142,9 +142,7 @@ def _cmd_ridge_path(ns) -> tuple[dict, int]:
     p, lattice = _load_with_lattice(ns.file)
     blocked_ids = [token for token in ns.blocked.split(",") if token]
     b = BlockedSet.of(ns.k, blocked_ids)
-    result = solve_ridge_path(
-        p, lattice, ns.k, b, ns.from_id, ns.to_id, seed=ns.seed, verify=ns.verify
-    )
+    result = solve_ridge_path(p, lattice, ns.k, b, ns.from_id, ns.to_id, verify=ns.verify)
     payload = {
         "path": list(result.path.faces),
         "ridges": list(result.path.ridges),
@@ -251,7 +249,12 @@ def _ridge_path_arguments(ridge: _Parser) -> None:
     )
     ridge.add_argument("--from", dest="from_id", required=True, metavar="FROM")
     ridge.add_argument("--to", dest="to_id", required=True, metavar="TO")
-    ridge.add_argument("--seed", type=int, default=0)
+    ridge.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="no effect (the search is deterministic); kept while the benchmark passes it",
+    )
     ridge.add_argument(
         "--verify", action="store_true", help="re-check the path against the lattice"
     )

@@ -11,7 +11,6 @@ lattice alone.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from math import lcm
 from operator import mul
@@ -20,9 +19,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .geometry import FacelabError, Hyperplane, solve_nonnegative
 from .polytope import Face, FaceLattice, PolytopeError, VPolytope
 from .section import section
-
-# Nudge directions drawn before the search gives up on a grazing plane.
-_NUDGE_DRAWS = 200
 
 
 class RidgePathError(FacelabError):
@@ -100,12 +96,9 @@ def _feasible_orthogonal_normal(
     """
     (w_vec, w_den), n_slack = w, len(diffs)
     scale = lcm(w_den, *(den for _, den in diffs))
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    if any(w_vec):
-        factor = scale // w_den
-        rows.append([factor * c for c in w_vec] + [-factor * c for c in w_vec] + [0] * n_slack)
-        rhs.append(0)
+    factor = scale // w_den
+    rows = [[factor * c for c in w_vec] + [-factor * c for c in w_vec] + [0] * n_slack]
+    rhs = [0]
     for idx, (diff, den) in enumerate(diffs):
         factor = scale // den
         slack = [0] * n_slack
@@ -116,56 +109,58 @@ def _feasible_orthogonal_normal(
     if solved is None:
         return None
     x, d = solved[0], len(w_vec)
-    a = [x[j] - x[d + j] for j in range(d)]
-    return a if any(a) else None
+    return [x[j] - x[d + j] for j in range(d)]
 
 
 def _clear_grazed_vertices(
-    w: tuple[list[int], int],
-    diffs: list[tuple[list[int], int]],
-    a: list[int],
-    rng: random.Random,
+    w: tuple[list[int], int], diffs: list[tuple[list[int], int]], a: list[int]
 ) -> tuple[list[int] | None, int]:
     """Nudge a within the w-orthogonal space until no vertex lies on the plane.
 
-    The nudge is a + t u, u the draw u0 projected onto w's orthogonal space,
-    and t the least |a.(v - b)| / (2 (|u.(v - b)| + 1)) over the vertices v off
-    the plane.  That step is strictly below every sign-flip threshold, so all
-    existing strict side assignments survive the nudge exactly.  The +1 makes
-    t depend on the exact scale of u and of each v - b, so both are carried
-    over their denominators; a's scale is free, as t scales with it.  With
-    u = U / s and v - b = D / e the nudged normal is a positive multiple of
-    a + (num / den) U, num / den the least |a.D| / (2 (|U.D| + s e)).  Returns
-    the nudged normal (None if every direction tried grazed an offender) and
-    the number of directions drawn.
+    The directions are the moment curve u0(s) = (1, s, ..., s^(D-1)), D the
+    ambient dimension, projected onto w's orthogonal space, for s = 1, 2, ...;
+    the first s with u.(v - b) != 0 at every vertex v on the plane is taken.
+    u.(v - b) = u0(s).P(v - b), P that projection, is a polynomial in s of
+    degree below D.  It is not the zero polynomial, because no vertex lies on
+    the line through the two barycenters: one barycenter would then lie inside
+    a segment from v to the other, and its face would contain both f and g.
+    So it vanishes at fewer than D values of s, and with m offending vertices
+    some s <= m (D - 1) + 1 clears them all.
+
+    The nudge is a + t u, and t the least |a.(v - b)| / (2 (|u.(v - b)| + 1))
+    over the vertices v off the plane.  That step is strictly below every
+    sign-flip threshold, so all existing strict side assignments survive the
+    nudge exactly.  The +1 makes t depend on the exact scale of u and of each
+    v - b, so both are carried over their denominators; a's scale is free, as
+    t scales with it.  With u = U / z and v - b = E / e the nudged normal is a
+    positive multiple of a + (num / den) U, num / den the least
+    |a.E| / (2 (|U.E| + z e)).  Returns the nudged normal (None only past the
+    bound, which a correct caller never reaches) and the number of directions
+    tried.
     """
     values = [_dot(a, diff) for diff, _ in diffs]
     if all(values):
         return a, 0
     offenders = [i for i, val in enumerate(values) if val == 0]
     w_vec, w_den = w
-    ww = _dot(w_vec, w_vec)
-    for draws in range(1, _NUDGE_DRAWS + 1):
-        u0 = [rng.randint(-9, 9) for _ in range(len(a))]
+    ww, z = _dot(w_vec, w_vec), w_den * w_den
+    bound = len(offenders) * (len(a) - 1) + 1
+    for s in range(1, bound + 1):
+        u0 = [s**i for i in range(len(a))]
         # u = (w.w) u0 - (u0.w) w, which is U / w_den**2.
-        if ww == 0:
-            u, s = u0, 1
-        else:
-            uw = _dot(u0, w_vec)
-            u, s = [ww * c - uw * wc for c, wc in zip(u0, w_vec)], w_den * w_den
-        if not any(u):
-            continue
+        uw = _dot(u0, w_vec)
+        u = [ww * c - uw * wc for c, wc in zip(u0, w_vec)]
         pair = [_dot(u, diff) for diff, _ in diffs]
         if any(pair[i] == 0 for i in offenders):
             continue
         num, den = 0, 0
         for val, q, (_, e) in zip(values, pair, diffs):
             if val:
-                n, m = abs(val), 2 * (abs(q) + s * e)
+                n, m = abs(val), 2 * (abs(q) + z * e)
                 if den == 0 or n * den < num * m:
                     num, den = n, m
-        return [den * c + num * x for c, x in zip(a, u)], draws
-    return None, _NUDGE_DRAWS
+        return [den * c + num * x for c, x in zip(a, u)], s
+    return None, bound
 
 
 def search_cutting_hyperplane(
@@ -173,17 +168,17 @@ def search_cutting_hyperplane(
     f: Face,
     g: Face,
     r: Face,
-    seed: int,
 ) -> tuple[Hyperplane, int]:
     """A hyperplane through the barycenters of f and g, missing r and all vertices.
 
     Normals orthogonal to the barycenter difference keep both barycenters on
     the plane.  One exact phase-1 solve finds such a normal with every vertex
     of r strictly on one side; if the plane still grazes other vertices, a
-    nudge along seeded directions in the same orthogonal space moves it off
-    them without flipping any strict side.  Exact sign tests confirm the
+    nudge along moment-curve directions in the same orthogonal space moves it
+    off them without flipping any strict side.  Exact sign tests confirm the
     result.  Returns the plane and the number of candidates tried: the solve
-    plus each nudge direction drawn.
+    plus each nudge direction, at most 2 + m (D - 1) with m the grazed
+    vertices and D the ambient dimension.
     """
     k = f.dim
     if len({f, g, r}) != 3:
@@ -198,18 +193,21 @@ def search_cutting_hyperplane(
     attempts = 1
     a = _feasible_orthogonal_normal(w, [diffs[i] for i in r.vertex_set])
     if a is not None:
-        a, draws = _clear_grazed_vertices(w, diffs, a, random.Random(seed))
-        attempts += draws
+        a, tried = _clear_grazed_vertices(w, diffs, a)
+        attempts += tried
     if a is not None:
         # The plane a.x = a.b through b = bf[1:] / bf[0].
         h = Hyperplane([-_dot(a, bf[1:]), *(bf[0] * c for c in a)])
         values = p.plane_values(h)
         if all(values) and len({values[i] > 0 for i in r.vertex_set}) == 1:
             return h, attempts
+    # By Farkas, the solve is infeasible exactly when the line through the two
+    # barycenters meets r.  It never does: the line meets P only in the segment
+    # between them, and a face holding any point of it contains f or g, which
+    # r, another k-face, cannot.
     raise RidgePathError(
-        f"no cutting hyperplane found for f={f.id}, g={g.id}, r={r.id}: "
-        "the exact feasibility solve and the vertex nudge failed; "
-        "either the line through the two barycenters meets r or this is a bug"
+        f"no cutting hyperplane found for f={f.id}, g={g.id}, r={r.id}; "
+        "one always exists, so this is a bug"
     )
 
 
@@ -261,7 +259,6 @@ def _solve(
     blocked: tuple[Face, ...],
     f: Face,
     g: Face,
-    seed: int,
 ) -> tuple[tuple[Face, ...], tuple[Face, ...], tuple[Hyperplane, ...]]:
     """The path's faces and ridges, and one cutting plane per level, outermost first."""
     if f == g:
@@ -277,7 +274,7 @@ def _solve(
         return found[0], found[1], ()
 
     r = min(blocked, key=lambda b: b.vertex_set)
-    h, _ = search_cutting_hyperplane(p, f, g, r, seed)
+    h, _ = search_cutting_hyperplane(p, f, g, r)
     smap = section(p, lattice, h)
     phi = smap.phi
 
@@ -292,13 +289,7 @@ def _solve(
     if len(blocked_slice) > k - 1:
         raise RidgePathError("blocked set failed to shrink under slicing")
     faces, ridges, planes = _solve(
-        smap.slice_polytope,
-        smap.slice_lattice,
-        k - 1,
-        blocked_slice,
-        f_slice,
-        g_slice,
-        seed + 1,
+        smap.slice_polytope, smap.slice_lattice, k - 1, blocked_slice, f_slice, g_slice
     )
     lift = {s: b for b, s in phi.items()}
 
@@ -342,17 +333,17 @@ def solve_ridge_path(
     b: BlockedSet,
     f_id: str,
     g_id: str,
-    seed: int = 0,
     verify: bool = False,
 ) -> RidgePathResult:
     """A path of k-faces from f to g through (k-1)-ridges avoiding b.
 
     The result also carries the cutting hyperplanes used, outermost first
     (their count is the recursion depth), and, with verify, the verifier's
-    verdict on the path.
+    verdict on the path.  The construction is deterministic: a request always
+    gives the same path and the same planes.
     """
     blocked, f, g = _resolve_request(lattice, k, b, f_id, g_id)
-    faces, ridges, planes = _solve(p, lattice, k, blocked, f, g, seed)
+    faces, ridges, planes = _solve(p, lattice, k, blocked, f, g)
     path = RidgePath(tuple(x.id for x in faces), tuple(x.id for x in ridges))
     verified = (
         verify_ridge_path(lattice, k, b, path, f_id, g_id) if verify else None

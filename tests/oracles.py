@@ -18,7 +18,6 @@ start of double description that `polytope._initial_cone` replaced.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -772,7 +771,7 @@ def hyperplane_conditions_oracle(
 
 
 def cutting_hyperplane_oracle(
-    p: VPolytope, f: Face, g: Face, r: Face, seed: int
+    p: VPolytope, f: Face, g: Face, r: Face
 ) -> tuple[tuple[int, ...], int] | None:
     """The cutting-hyperplane search in Fractions: the primitive integer row
     (-c, a) of the plane a.x = c it returns and its attempt count, or None
@@ -780,10 +779,12 @@ def cutting_hyperplane_oracle(
 
     One phase-1 solve (Fraction tableau) for a normal a with a.w = 0, w the
     barycenter difference of g and f, and a.(v - b) >= 1 on r's vertices, b
-    f's barycenter; then, while the plane through b grazes a vertex, the
-    seeded nudge: draws u0 in [-9, 9]^d, projects it to u = (w.w) u0 -
-    (u0.w) w, and steps a + t u with t the least |a.(v - b)| / (2 (|u.(v -
-    b)| + 1)) over the vertices off the plane.
+    f's barycenter; then, if the plane through b grazes a vertex, the
+    moment-curve nudge: for s = 1, 2, ... up to m (d - 1) + 1, m the grazed
+    vertices, takes u0 = (1, s, ..., s^(d-1)), projects it to u = (w.w) u0 -
+    (u0.w) w, and at the first u off every grazed vertex steps a + t u with t
+    the least |a.(v - b)| / (2 (|u.(v - b)| + 1)) over the vertices off the
+    plane.
     """
     d = p.ambient_dim
     points = rational_points(p)
@@ -798,11 +799,8 @@ def cutting_hyperplane_oracle(
     w = tuple(x - y for x, y in zip(mean(g), b))
     diffs = [tuple(x - y for x, y in zip(v, b)) for v in points]
     n_slack = len(r.vertex_set)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    if any(w):
-        rows.append([*w, *(-c for c in w)] + [Fraction(0)] * n_slack)
-        rhs.append(Fraction(0))
+    rows = [[*w, *(-c for c in w)] + [Fraction(0)] * n_slack]
+    rhs = [Fraction(0)]
     for idx, i in enumerate(r.vertex_set):
         slack = [Fraction(0)] * n_slack
         slack[idx] = Fraction(-1)
@@ -819,13 +817,10 @@ def cutting_hyperplane_oracle(
     if not all(values):
         offenders = [i for i, value in enumerate(values) if value == 0]
         ww = _dot(w, w)
-        rng = random.Random(seed)
-        for _ in range(200):
+        for s in range(1, len(offenders) * (d - 1) + 2):
             attempts += 1
-            u0 = [Fraction(rng.randint(-9, 9)) for _ in range(d)]
-            u = u0 if ww == 0 else [c * ww - wc * _dot(u0, w) for c, wc in zip(u0, w)]
-            if not any(u):
-                continue
+            u0 = [Fraction(s**i) for i in range(d)]
+            u = [c * ww - wc * _dot(u0, w) for c, wc in zip(u0, w)]
             pair = [_dot(u, diff) for diff in diffs]
             if any(pair[i] == 0 for i in offenders):
                 continue

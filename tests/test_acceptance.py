@@ -121,9 +121,11 @@ def test_criterion_4_cutting_hyperplane(capsys):
             if len(faces) < 3:
                 continue
             f, g, r = rng.sample(faces, 3)
-            h, attempts = search_cutting_hyperplane(p, f, g, r, seed=done)
-            # one solve plus at most 200 nudge directions
-            assert 1 <= attempts <= 201
+            h, attempts = search_cutting_hyperplane(p, f, g, r)
+            # one solve plus at most m (D - 1) + 1 nudge directions, where the
+            # m vertices on the solved plane number at most n - |r|
+            grazed = len(p.rows) - len(r.vertex_set)
+            assert 1 <= attempts <= 2 + grazed * (p.ambient_dim - 1)
             assert hyperplane_conditions_oracle(
                 p, f.vertex_set, g.vertex_set, r.vertex_set, h.row[1:], -h.row[0]
             ), (f.id, g.id, r.id, h)
@@ -177,14 +179,14 @@ def test_criterion_5_ridge_path_solver(capsys):
             if oracle_path is None:
                 unreachable += 1
                 try:
-                    solve_ridge_path(p, lat, k, b, f_id, g_id, seed=idx)
+                    solve_ridge_path(p, lat, k, b, f_id, g_id)
                     raise AssertionError(
                         f"solver found a path the oracle says cannot exist: {blocked}"
                     )
                 except RidgePathError:
                     pass
                 continue
-            res = solve_ridge_path(p, lat, k, b, f_id, g_id, seed=idx, verify=True)
+            res = solve_ridge_path(p, lat, k, b, f_id, g_id, verify=True)
             assert res.verified is True, (blocked, f_id, g_id)
             assert verify_ridge_path(lat, k, b, res.path, f_id, g_id)
             solved += 1

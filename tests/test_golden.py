@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 from pathlib import Path
 
@@ -43,7 +44,7 @@ QUERIES = {
     "cube3": ("1,0,0;1/2", "v0-v1-v4-v5,v2-v3-v6-v7", "v0-v1-v2-v3", "v4-v5-v6-v7"),
     "cross4": ("1,1,1,1;1/2", "v0-v2-v5,v0-v2-v6", "v0-v2-v4", "v3-v5-v7"),
     "cyclic4_8": ("1,0,0,0;9/2", "v0-v1-v3,v0-v1-v4", "v0-v1-v2", "v5-v6-v7"),
-    # Depth 1; the search's first plane grazes a vertex, so it draws a nudge.
+    # Depth 1; the search's first plane grazes a vertex, so it is nudged.
     "pyramid4": ("2,1,1,1;5/2", "v0-v1-v4-v5,v0-v4-v8", "v0-v2-v8", "v1-v3-v8"),
 }
 
@@ -103,7 +104,7 @@ def _cases() -> dict[str, list[str]]:
         "--blocked", "v0-v1-v4-v5-v8,v1-v3-v5-v7-v8,v2-v3-v6-v7-v8",
         "--from", "v0-v1-v2-v3-v4-v5-v6-v7", "--to", "v0-v1-v2-v3-v8", "--verify",
     ]
-    # --seed seeds the nudge direction, and with it the reported plane.
+    # --seed has no effect: only the inputs echo differs from the case without it.
     cases["pyramid4.ridge_path_seed7"] = cases["pyramid4.ridge_path"] + ["--seed", "7"]
     return cases
 
@@ -153,6 +154,13 @@ def test_stdout_matches_golden(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert _stdout(CASES[case]) == expected
+
+
+def test_seed_leaves_ridge_path_output_unchanged():
+    def output(case: str) -> dict:
+        return json.loads((GOLDEN / f"{case}.out").read_text(encoding="utf-8"))["output"]
+
+    assert output("pyramid4.ridge_path_seed7") == output("pyramid4.ridge_path")
 
 
 def test_random_polytopes_match_pins():

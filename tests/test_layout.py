@@ -151,9 +151,9 @@ def test_library_has_no_write_only_attributes():
     assert unread == [], "attributes only tests read: " + ", ".join(unread)
 
 
-def test_no_library_module_imports_fractions():
-    """Rationals meet the integer rows as integer pairs, so neither `fractions`
-    nor the `decimal` it loads is imported by the library."""
+def library_importers(*modules: str) -> list[str]:
+    """The library files, one entry per import statement, that import any of
+    the given top-level modules."""
     importers = []
     for path in sorted(LIBRARY.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -163,9 +163,21 @@ def test_no_library_module_imports_fractions():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] in ("fractions", "decimal") for name in names):
+            if any(name.split(".")[0] in modules for name in names):
                 importers.append(path.relative_to(LIBRARY).as_posix())
-    assert importers == []
+    return importers
+
+
+def test_no_library_module_imports_fractions():
+    """Rationals meet the integer rows as integer pairs, so neither `fractions`
+    nor the `decimal` it loads is imported by the library."""
+    assert library_importers("fractions", "decimal") == []
+
+
+def test_only_generators_import_random():
+    """Every construction is deterministic; only the seeded `random` family
+    draws numbers."""
+    assert library_importers("random") == ["generators.py"]
 
 
 def fractions_held(value, seen: set[int]) -> list[str]:
