@@ -189,23 +189,6 @@ def eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
     return mat, pivots
 
 
-def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Pivot columns of integer rows; their count is the rank."""
-    return eliminate(rows)[1]
-
-
-def affine_chart(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Coordinates that chart the affine hull of points given as homogeneous rows.
-
-    Coordinate j is in the chart when column j + 1 of the rows is a pivot:
-    when it is independent, on the hull, of the constant and the earlier
-    coordinates.  Projecting onto the chart is an affine bijection from the
-    hull onto a space of len(result) coordinates, so it preserves convexity,
-    faces and vertices.
-    """
-    return [c - 1 for c in pivot_columns(rows)[1:]]
-
-
 def barycenter(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The coordinate-wise average of points given as homogeneous rows, as one;
     a relative-interior point of their hull.

@@ -19,7 +19,6 @@ from .geometry import (
     GeometryError,
     Hyperplane,
     QVector,
-    affine_chart,
     barycenter,
     eliminate,
     format_point,
@@ -79,39 +78,46 @@ class Face(NamedTuple):
         return other.mask & ~self.mask == 0
 
 
-def _initial_cone(rows: list[list[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The first len(rows[0]) linearly independent rows, in input order, and
+def _initial_cone(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The first linearly independent rows, in input order, rank-many, and
     the extreme rays of the simplicial cone they cut out.
 
-    With M the chosen rows, ray j is column j of M^-1 made primitive: zero on
-    every chosen row but row j, and positive on row j.  One fraction-free
-    elimination of [rows^T | I] gives them all.  Its pivot columns are the
-    chosen rows, and its right block is then D (M^T)^-1, D the last pivot,
-    so row j of that block is D times ray j.
+    Ray j is zero on every chosen row but row j, and positive on row j.  One
+    fraction-free elimination of [rows^T | I] gives them all: right-block row
+    j dotted with row i is left-block entry (j, i), and the left-block pivot
+    columns are the chosen rows.  Rows that do not span their space go on to
+    pivot in the right block; that adds vectors zero on every row to the top
+    rows and may scale them by a negative factor, so each ray takes the sign
+    of its own pivot entry.
     """
     n, size = len(rows), len(rows[0])
     augmented = [
         [*column, *(int(r == c) for c in range(size))] for r, column in enumerate(zip(*rows))
     ]
-    mat, chosen = eliminate(augmented)
-    sign = 1 if mat[-1][chosen[-1]] > 0 else -1
-    return chosen, [primitive([sign * x for x in row[n:]]) for row in mat]
+    mat, pivots = eliminate(augmented)
+    chosen = [c for c in pivots if c < n]
+    rays = [
+        primitive([x if row[c] > 0 else -x for x in row[n:]]) for row, c in zip(mat, chosen)
+    ]
+    return chosen, rays
 
 
-def _double_description(rows: list[list[int]]) -> list[tuple[int, tuple[int, ...]]]:
-    """Extreme rays of the pointed cone {x : row . x >= 0 for every row}.
+def _double_description(
+    rows: Sequence[Sequence[int]], cone: tuple[list[int], list[tuple[int, ...]]]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Extreme rays of the cone {x : row . x >= 0 for every row}, each up to
+    the lineality space {x : row . x = 0 for every row}.
 
-    Rows must span their space.  Starting from the simplicial cone on the
-    first independent rows, whose rays `_initial_cone` reads off one
-    elimination, each remaining row is added in input order: rays on its
-    nonnegative side stay, and each (+, -) pair of adjacent rays is combined
-    into a new ray on the row's hyperplane.  Adjacency is the combinatorial
-    test: the pair's common zero set has at least size-2 rows and no other
-    ray's zero set contains it.  Returns (zero-set bitmask over row indices,
-    primitive integer ray) pairs.
+    Starting from the simplicial cone on the first independent rows, given
+    by `_initial_cone(rows)`, each remaining row is added in input order:
+    rays on its nonnegative side stay, and each (+, -) pair of adjacent rays
+    is combined into a new ray on the row's hyperplane.  Adjacency is the
+    combinatorial test: the pair's common zero set has at least size-2 rows,
+    size the rank of the rows, and no other ray's zero set contains it.
+    Returns (zero-set bitmask over row indices, primitive integer ray) pairs.
     """
-    chosen, rays = _initial_cone(rows)
-    size = len(rows[0])
+    chosen, rays = cone
+    size = len(chosen)
     masks = [mask_of(i for i in chosen if i != j) for j in chosen]
     skip = set(chosen)
     for i, row in enumerate(rows):
@@ -156,10 +162,7 @@ class VPolytope:
         # Primitive rows with x0 > 0 are equal exactly when their points are.
         if len(set(rows)) != len(rows):
             raise PolytopeError("duplicate vertices in input")
-        chart = affine_chart(rows)
-        self.__dict__.update(
-            rows=rows, ambient_dim=len(rows[0]) - 1, dim=len(chart), _chart=chart
-        )
+        self.__dict__.update(rows=rows, ambient_dim=len(rows[0]) - 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("VPolytope is immutable")
@@ -192,15 +195,24 @@ class VPolytope:
         return [sum(map(mul, form, row)) for row in self.rows]
 
     @cached_property
-    def _facet_rays(self) -> list[tuple[int, tuple[int, ...]]]:
-        """The facets in the hull's affine chart, by double description.
+    def _cone(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The initial cone of double description; its size is the rank of
+        the rows."""
+        return _initial_cone(self.rows)
 
-        The rows are the vertex rows (x0, x) restricted to x0 and the chart
-        coordinates.  A returned (mask, ray) pair is a facet c - a.v >= 0
-        with ray = (c, -a) and mask the set of points on it.
+    @property
+    def dim(self) -> int:
+        return len(self._cone[0]) - 1
+
+    @cached_property
+    def _facet_rays(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The facets, by double description on the vertex rows (x0, x).
+
+        A returned (mask, ray) pair is a facet c - a.v >= 0 with ray = (c, -a)
+        and mask the set of points on it; for a lower-dimensional polytope the
+        ray is fixed only up to a vector zero on every row.
         """
-        columns = [0] + [1 + j for j in self._chart]
-        return _double_description([[row[c] for c in columns] for row in self.rows])
+        return _double_description(self.rows, self._cone)
 
     def _check_vertices(self) -> None:
         """Point i is a vertex iff the facets through it meet in {i} alone."""
@@ -446,10 +458,10 @@ def parse_polytope(text: str) -> VPolytope:
         raise PolytopeError(
             "bad header: expected 'polytope <d> <n>', got " + repr(lines[0])
         )
-    try:
-        d, n = int(header[1]), int(header[2])
-    except ValueError:
-        raise PolytopeError("bad header: dimensions must be integers") from None
+    # int() would also take '+4', '0_4' and non-ASCII digits.
+    if not all(t.isascii() and t.removeprefix("-").isdecimal() for t in header[1:]):
+        raise PolytopeError("bad header: dimensions must be integers")
+    d, n = int(header[1]), int(header[2])
     if d < 1 or n < 1:
         raise PolytopeError("bad header: need d >= 1 and n >= 1")
     if len(lines) - 1 != n:

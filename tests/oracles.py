@@ -10,10 +10,9 @@ through points, a point's side of a hyperplane, the segment crossing, the
 phase-1 simplex, the cutting-plane search) stay here as the second route for
 those kernels.  Here a point is a sequence of its rational coordinates;
 `rational_points` reads them off a polytope's integer rows.  The one
-exceptions read the library's integer elimination: `affine_rank`, which
-only tests need, as the first route against `affine_rank_oracle`, and
-`hyperplane_through` with `initial_cone_oracle`, the one-elimination-per-ray
-start of double description that `polytope._initial_cone` replaced.
+exception reads the library's integer elimination: `hyperplane_through`,
+which `initial_cone_oracle` calls once per ray, the start of double
+description that `polytope._initial_cone` replaced.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from facelab.geometry import (
     Hyperplane,
     QVector,
     eliminate,
-    pivot_columns,
 )
 from facelab.hypergraph import (
     ConnectivityReport,
@@ -88,9 +86,9 @@ def affine_rank(rows: list[tuple[int, ...]]) -> int:
     """Dimension of the affine hull of points given as homogeneous rows; -1 for
     the empty set, 0 for a point.
 
-    It is the rank of the rows, less one.
+    It is the rank of the rows, less one, by Fraction elimination.
     """
-    return len(pivot_columns(rows)) - 1
+    return len(fraction_reduce([[Fraction(x) for x in row] for row in rows])[1]) - 1
 
 
 def hyperplane_through(rows: Sequence[Sequence[int]]) -> Hyperplane | None:
@@ -122,10 +120,11 @@ def initial_cone_oracle(rows: list[list[int]]) -> tuple[list[int], list[tuple[in
     the extreme rays of the simplicial cone they cut out.
 
     Ray j is the primitive normal of the hyperplane through the origin and
-    every chosen row but row j, oriented to be positive on row j: one
-    elimination for the pivot search and one per ray.
+    every chosen row but row j, oriented to be positive on row j: a Fraction
+    elimination for the pivot search and an integer one per ray.  The rows
+    must span their space.
     """
-    chosen = pivot_columns(list(zip(*rows)))
+    chosen = fraction_reduce([[Fraction(x) for x in column] for column in zip(*rows)])[1]
     origin = (1,) + (0,) * len(rows[0])
     rays = []
     for j in chosen:

@@ -48,6 +48,10 @@ QUERIES = {
     "pyramid4": ("2,1,1,1;5/2", "v0-v1-v4-v5,v0-v4-v8", "v0-v2-v8", "v1-v3-v8"),
 }
 
+# Per polytope: a connectivity cap one above its alpha, so the scan stops at
+# a disconnecting set and reports its witness.
+WITNESS_CAPS = {"cube3": 3, "cross4": 5, "cyclic4_8": 4, "pyramid4": 4}
+
 # random_polytope(d, n, seed) texts, pinning its accept/redraw decisions.
 RANDOM_PINS = "random_polytopes.txt"
 RANDOM_SPECS = [
@@ -71,6 +75,9 @@ def _cases() -> dict[str, list[str]]:
             "--from", start, "--to", goal, "--verify",
         ]
         cases[f"{stem}.verify_theorem"] = ["verify-theorem", f]
+        cases[f"{stem}.connectivity_witness"] = [
+            "connectivity", f, "--k", "1", "--cap", str(WITNESS_CAPS[stem]), "--witness",
+        ]
     cases["nonvertex.lattice"] = ["lattice", "nonvertex.poly"]
     cases["flat_nonvertex.lattice"] = ["lattice", "flat_nonvertex.poly"]
     # The id edge: each of these requests is refused with exit code 2.

@@ -127,7 +127,7 @@ def test_assigned_attributes_sees_instance_dict_writes():
     assert {name for _, name, _ in assigned_attributes(tree)} == {"plain", "stored", "updated"}
     polytope = ast.parse((LIBRARY / "polytope.py").read_text(encoding="utf-8"))
     written = {name for cls, name, _ in assigned_attributes(polytope) if cls == "VPolytope"}
-    assert written == {"rows", "ambient_dim", "dim", "_chart"}
+    assert written == {"rows", "ambient_dim"}
 
 
 def test_library_has_no_write_only_attributes():
@@ -214,7 +214,7 @@ def test_points_planes_and_polytopes_hold_no_fractions():
     slice_map = section(p, lattice, Hyperplane.of([0, 0, 1], Fraction(1, 3)))
     dual = polar_dual(p)
     face_lattice(dual)
-    assert "_facet_rays" in vars(p) and "_chart" in vars(p)
+    assert "_facet_rays" in vars(p) and "_cone" in vars(p)
     held = [
         QVector.of([parse_rational("1/2"), -3]),
         Hyperplane.of([Fraction(1, 2), 1], Fraction(1, 3)),

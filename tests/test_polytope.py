@@ -4,6 +4,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from facelab import geometry, polytope as polytope_module
 from facelab.cli import run
 from facelab.generators import cross_polytope, cube, cyclic, random_polytope, simplex
-from facelab.geometry import QVector, pivot_columns
+from facelab.geometry import Hyperplane, QVector
 from facelab.polytope import (
     EMPTY_FACE_ID,
     Face,
@@ -25,17 +26,22 @@ from facelab.polytope import (
     face_lattice,
     facets,
     format_polytope,
+    mask_of,
     parse_polytope,
     polar_dual,
     save_polytope,
 )
+from facelab.section import section
 from instances import FAMILY_GRID, golden_random_polytopes, instance, lattice_of, polytope
 from oracles import (
+    affine_chart_oracle,
     affine_rank,
+    affine_rank_oracle,
     anti_isomorphism_oracle,
     brute_force_facets,
     closure_lattice,
     euler_characteristic_holds,
+    fraction_reduce,
     gale_evenness_facets,
     hull_membership_oracle,
     initial_cone_oracle,
@@ -360,21 +366,20 @@ class TestAgainstBruteForce:
 
 
 def chart_rows(p: VPolytope) -> list[list[int]]:
-    """The rows double description runs on: x0 and the chart coordinates."""
-    columns = [0] + [1 + j for j in p._chart]
+    """The vertex rows restricted to x0 and the coordinates that chart the
+    affine hull, as `oracles.affine_chart_oracle` finds them; they span their
+    space."""
+    columns = [0] + [1 + j for j in affine_chart_oracle(rational_points(p))]
     return [[row[c] for c in columns] for row in p.rows]
 
 
-def double_description_on_oracle_cone(rows: list[list[int]]) -> list:
+def double_description_on_oracle_cone(rows) -> list:
     """The library's double description, started from `initial_cone_oracle`."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(polytope_module, "_initial_cone", initial_cone_oracle)
-        return _double_description(rows)
+    return _double_description(rows, initial_cone_oracle(rows))
 
 
-def assert_cone_matches_oracle(rows: list[list[int]]) -> None:
+def assert_cone_matches_oracle(rows) -> None:
     assert _initial_cone(rows) == initial_cone_oracle(rows)
-    assert _double_description(rows) == double_description_on_oracle_cone(rows)
 
 
 @st.composite
@@ -384,26 +389,41 @@ def full_rank_rows(draw) -> list[list[int]]:
     n = draw(st.integers(min_value=size, max_value=size + 5))
     row = st.lists(st.integers(min_value=-4, max_value=4), min_size=size, max_size=size)
     rows = draw(st.lists(row, min_size=n, max_size=n))
-    assume(len(pivot_columns(rows)) == size)
+    assume(len(fraction_reduce([[F(x) for x in r] for r in rows])[1]) == size)
     return rows
+
+
+@pytest.fixture
+def eliminations(monkeypatch) -> list[int]:
+    """The row count of each `geometry.eliminate` call the library makes."""
+    calls, eliminate = [], geometry.eliminate
+
+    def counted(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
+
+    for module in (geometry, polytope_module):
+        monkeypatch.setattr(module, "eliminate", counted)
+    return calls
 
 
 class TestInitialCone:
     """All initial rays from one elimination of [rows^T | I], against one
     elimination per ray (`oracles.initial_cone_oracle`), and the double
-    description started from each."""
+    description started from each; a lower-dimensional polytope against the
+    oracle's run on its affine chart."""
 
     @pytest.mark.parametrize("family,dim,n", FAMILY_GRID)
     def test_grid(self, family, dim, n):
         p = polytope(family, dim, n)
-        assert_cone_matches_oracle(chart_rows(p))
-        assert p._facet_rays == double_description_on_oracle_cone(chart_rows(p))
+        assert_cone_matches_oracle(p.rows)
+        assert p._facet_rays == double_description_on_oracle_cone(p.rows)
 
     def test_golden_random_polytopes(self):
         found = golden_random_polytopes()
         assert len(found) == 25
         for p in found:
-            assert_cone_matches_oracle(chart_rows(p))
+            assert_cone_matches_oracle(p.rows)
 
     @given(full_rank_rows())
     @settings(max_examples=200, deadline=None)
@@ -413,22 +433,28 @@ class TestInitialCone:
     @given(candidate_vertex_sets())
     @settings(max_examples=80, deadline=None)
     def test_drawn_lower_dimensional_point_sets(self, points):
+        """Rays stay in full homogeneous coordinates, each up to a vector zero
+        on every row: the chosen rows and the masks are the chart's, and each
+        ray is nonnegative on every row and zero exactly on its mask."""
         p = VPolytope.from_points([Q(v) for v in points], validate=False)
-        assert_cone_matches_oracle(chart_rows(p))
-        assert p._facet_rays == double_description_on_oracle_cone(chart_rows(p))
+        rows = chart_rows(p)
+        assert p.dim == affine_rank_oracle(points) == len(rows[0]) - 1
+        assert_cone_matches_oracle(rows)
+        assert p._cone[0] == initial_cone_oracle(rows)[0]
+        masks = [mask for mask, _ in p._facet_rays]
+        assert masks == [mask for mask, _ in double_description_on_oracle_cone(rows)]
+        for mask, ray in p._facet_rays:
+            values = [sum(map(mul, row, ray)) for row in p.rows]
+            assert min(values) >= 0
+            assert mask_of(i for i, v in enumerate(values) if v == 0) == mask
 
     @pytest.mark.parametrize("d", range(1, 7))
-    def test_validated_load_takes_two_eliminations(self, monkeypatch, d):
-        """The chart and the initial cone, one elimination each, in every
-        dimension (an elimination per initial ray would make it d+3)."""
-        calls, eliminate = [], geometry.eliminate
-
-        def counted(rows):
-            calls.append(len(rows))
-            return eliminate(rows)
-
-        for module in (geometry, polytope_module):
-            monkeypatch.setattr(module, "eliminate", counted)
+    def test_validated_load_takes_two_eliminations(self, eliminations, d):
+        """One elimination per validated load, by `from_points`,
+        `parse_polytope` or `polar_dual`, in every dimension: the initial
+        cone's gives the dimension too (an elimination per initial ray would
+        make it d+2).  The name counts the two a load took while the affine
+        chart was reduced apart from the cone."""
         unit = [[int(i == j) for j in range(d)] for i in range(d)]
         shapes = {
             "cube": [list(v) for v in product((0, 1), repeat=d)],
@@ -436,10 +462,24 @@ class TestInitialCone:
             "simplex": [[0] * d] + unit,
         }
         for shape, points in shapes.items():
-            calls.clear()
+            eliminations.clear()
             p = VPolytope.from_points([Q(v) for v in points], validate=True)
             assert p.dim == d and len(p._facet_rays) > d, shape
-            assert calls == [len(points), d + 1], shape
+            assert eliminations == [d + 1], shape
+            eliminations.clear()
+            assert parse_polytope(format_polytope(p)) == p
+            assert eliminations == [d + 1], shape
+            eliminations.clear()
+            assert polar_dual(p).n_vertices == len(p._facet_rays), shape
+            assert eliminations == [d + 1], shape
+
+    def test_section_slice_eliminates_once_its_dim_is_read(self, eliminations):
+        p, lat = instance("cube", 3)
+        eliminations.clear()
+        smap = section(p, lat, Hyperplane.of([1, 1, 1], F(3, 2)))
+        assert eliminations == []
+        assert smap.slice_polytope.dim == 2
+        assert eliminations == [4]
 
 
 def assert_diamond(lat: FaceLattice) -> None:
@@ -551,6 +591,10 @@ def lattice_of_dual(p: VPolytope) -> FaceLattice:
     return face_lattice(p)
 
 
+# Counts int() would take: fullwidth 2, an underscore, a plus sign, Arabic-Indic 4.
+HEADER_COUNTS = ["\uff12 4", "2 0_4", "2 +4", "2 \u0664"]
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         p = cyclic(3, 6)
@@ -577,11 +621,17 @@ class TestFileFormat:
             "polytope 2 3\n0 0\n1 0 0\n0 1\n",
             "polytope 2 3\n0 0\n1.5 0\n0 1\n",
             "polytope x 3\n0 0\n1 0\n0 1\n",
+            *(f"polytope {header}\n0 0\n1 0\n0 1\n1 1\n" for header in HEADER_COUNTS),
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(PolytopeError):
             parse_polytope(text)
+
+    @pytest.mark.parametrize("header", HEADER_COUNTS)
+    def test_header_counts_are_ascii_digits(self, header):
+        with pytest.raises(PolytopeError, match="^bad header: dimensions must be integers$"):
+            parse_polytope(f"polytope {header}\n0 0\n1 0\n0 1\n1 1\n")
 
     def test_fractional_coordinates(self):
         text = "polytope 2 3\n0 0\n1 0\n1/2 3/2\n"

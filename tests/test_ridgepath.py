@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from facelab import ridgepath
 from facelab.generators import random_polytope
 from facelab.polytope import face_lattice
 from facelab.ridgepath import (
@@ -64,6 +65,15 @@ class TestCuttingHyperplane:
             search_cutting_hyperplane(p, f, g, lat.face("v0"))
         with pytest.raises(RidgePathError, match=r"^face dimension 0 out of range \[1, 2\]$"):
             search_cutting_hyperplane(p, lat.face("v0"), lat.face("v3"), lat.face("v5"))
+
+    def test_infeasible_solve_is_reported_as_a_bug(self, monkeypatch):
+        """The solve is never infeasible for a valid triple; if it were, the
+        search says so instead of returning a plane."""
+        monkeypatch.setattr(ridgepath, "solve_nonnegative", lambda rows, rhs: None)
+        p, lat = instance("cube", 3)
+        f, g, r = lat.face("v0-v1"), lat.face("v6-v7"), lat.face("v0-v2")
+        with pytest.raises(RidgePathError, match="one always exists, so this is a bug$"):
+            search_cutting_hyperplane(p, f, g, r)
 
     def test_random_triples_all_verified(self):
         rng = random.Random(71)
