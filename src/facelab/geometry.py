@@ -102,10 +102,6 @@ class QVector(NamedTuple):
             raise GeometryError("a vector needs at least one coordinate")
         return cls(primitive(row))
 
-    @property
-    def dim(self) -> int:
-        return len(self.row) - 1
-
 
 class _HyperplaneFields(NamedTuple):
     row: tuple[int, ...]

@@ -74,9 +74,6 @@ class Face(NamedTuple):
     def id(self) -> str:
         return face_id(self.vertex_set)
 
-    def contains(self, other: Face) -> bool:
-        return other.mask & ~self.mask == 0
-
 
 def _initial_cone(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
     """The first linearly independent rows, in input order, rank-many, and
@@ -257,15 +254,21 @@ class FaceLattice:
     """The graded lattice of all faces, from the empty face up to the polytope.
 
     Built from the faces with their dimensions and the cover relation, given
-    as (child mask, parent mask) pairs.  Faces are ordered by dimension, then
-    by vertex set.
+    as (child mask, parent mask) pairs.  Faces are kept by dimension, each
+    grade sorted by vertex set; `faces` runs through the grades from the
+    empty face up, which is the lattice order.
     """
 
     def __init__(
         self, dim: int, faces: Sequence[Face], covers: Iterable[tuple[int, int]]
     ):
         self.dim = dim
-        self.faces = tuple(sorted(faces, key=lambda f: (f.dim, f.vertex_set)))
+        self._grades: list[list[Face]] = [[] for _ in range(dim + 2)]
+        for f in sorted(faces, key=lambda f: f.vertex_set):
+            if not -1 <= f.dim <= dim:
+                raise PolytopeError(f"face {f.id!r} has dimension {f.dim} outside [-1, {dim}]")
+            self._grades[f.dim + 1].append(f)
+        self.faces = tuple(f for grade in self._grades for f in grade)
         self._by_mask = {f.mask: f for f in self.faces}
         if len(self._by_mask) != len(self.faces):
             raise PolytopeError("duplicate faces in lattice")
@@ -273,22 +276,23 @@ class FaceLattice:
             if len(self.faces_of_dim(k)) != 1:
                 raise PolytopeError(f"lattice must have exactly one face of dim {k}")
         self.n_vertices = self.full_face.mask.bit_length()
-        self._children: dict[int, list[Face]] = {f.mask: [] for f in self.faces}
-        self._parents: dict[int, list[Face]] = {f.mask: [] for f in self.faces}
+        rank = {f.mask: i for i, f in enumerate(self.faces)}
+        pairs = []
         for child_mask, parent_mask in covers:
-            child = self._by_mask.get(child_mask)
-            parent = self._by_mask.get(parent_mask)
-            if child is None or parent is None or child.dim + 1 != parent.dim:
+            c, q = rank.get(child_mask), rank.get(parent_mask)
+            if c is None or q is None or self.faces[c].dim + 1 != self.faces[q].dim:
                 raise PolytopeError(
                     f"malformed cover {face_id(indices_of(child_mask))!r} < "
                     f"{face_id(indices_of(parent_mask))!r}"
                 )
-            self._children[parent_mask].append(child)
-            self._parents[child_mask].append(parent)
-        rank = {f.mask: i for i, f in enumerate(self.faces)}
-        for group in (self._children, self._parents):
-            for related in group.values():
-                related.sort(key=lambda f: rank[f.mask])
+            pairs.append((c, q))
+        # Filed in (child, parent) lattice order, every list comes out sorted.
+        self._children: dict[int, list[Face]] = {f.mask: [] for f in self.faces}
+        self._parents: dict[int, list[Face]] = {f.mask: [] for f in self.faces}
+        for c, q in sorted(pairs):
+            child, parent = self.faces[c], self.faces[q]
+            self._children[parent.mask].append(child)
+            self._parents[child.mask].append(parent)
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -318,11 +322,11 @@ class FaceLattice:
     def faces_of_dim(self, k: int) -> list[Face]:
         if k < -1 or k > self.dim:
             raise PolytopeError(f"dimension {k} out of range [-1, {self.dim}]")
-        return [f for f in self.faces if f.dim == k]
+        return list(self._grades[k + 1])
 
     @property
     def full_face(self) -> Face:
-        return self.faces[-1]
+        return self._grades[-1][0]
 
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
@@ -330,27 +334,12 @@ class FaceLattice:
         vertex images (see `facelab.symmetry`, loaded on first use)."""
         from .symmetry import automorphism_generators
 
-        facets = [f.mask for f in self.faces_of_dim(self.dim - 1)]
+        facets = [f.mask for f in self._grades[-2]]
         return automorphism_generators(self.n_vertices, facets)
 
-    @cached_property
+    @property
     def f_vector(self) -> tuple[int, ...]:
-        counts = [0] * self.dim
-        for f in self.faces:
-            if 0 <= f.dim < self.dim:
-                counts[f.dim] += 1
-        return tuple(counts)
-
-    def meet(self, a: Face, b: Face) -> Face:
-        """The face whose vertex set is the intersection of a's and b's."""
-        face = self._by_mask.get(a.mask & b.mask)
-        if face is None:
-            raise PolytopeError(
-                "lattice is not intersection-closed: "
-                f"{face_id(indices_of(a.mask & b.mask))!r} from {a.id!r} and {b.id!r} "
-                "is missing"
-            )
-        return face
+        return tuple(len(grade) for grade in self._grades[1:-1])
 
     @cached_property
     def covering_pairs(self) -> list[tuple[str, str]]:
@@ -479,7 +468,8 @@ def parse_polytope(text: str) -> VPolytope:
 
 
 def load_polytope(path: str) -> VPolytope:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would spoil the header.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_polytope(fh.read())
 
 

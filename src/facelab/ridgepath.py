@@ -212,7 +212,7 @@ def search_cutting_hyperplane(
 
 
 def _ridge_ok(ridge: Face, blocked: Sequence[Face]) -> bool:
-    return not any(b.contains(ridge) for b in blocked)
+    return not any(ridge.mask & ~b.mask == 0 for b in blocked)
 
 
 def _bfs_ridge_path(
@@ -377,7 +377,7 @@ def verify_ridge_path(
             if left == right:
                 return False
             ridge = lattice.face(ridge_id)
-            if ridge.dim != k - 1 or lattice.meet(left, right) != ridge:
+            if ridge.dim != k - 1 or left.mask & right.mask != ridge.mask:
                 return False
             if not _ridge_ok(ridge, blocked):
                 return False

@@ -1,6 +1,7 @@
 """CLI envelopes, schemas, exit codes, and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -10,7 +11,7 @@ from facelab.cli import CliError, build_parser, main, run
 from facelab.generators import GeneratorError
 from facelab.geometry import FacelabError, GeometryError
 from facelab.hypergraph import HypergraphError
-from facelab.polytope import PolytopeError
+from facelab.polytope import PolytopeError, load_polytope
 from facelab.ridgepath import RidgePathError
 from facelab.schemas import load_schema
 from facelab.section import SectionError
@@ -174,6 +175,17 @@ class TestLattice:
         doc, code = invoke("lattice", str(path))
         assert code == 2 and doc["status"] == "error"
         assert doc["error"].startswith("row 2: invalid rational literal")
+
+    def test_byte_order_mark_is_skipped(self, cube3_file, tmp_path):
+        plain = Path(cube3_file).read_bytes()
+        assert not plain.startswith(b"\xef\xbb\xbf")
+        marked = tmp_path / "marked.poly"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain)
+        assert load_polytope(str(marked)) == load_polytope(cube3_file)
+        doc, code = invoke("lattice", str(marked))
+        assert code == 0 and doc["inputs"]["file"] == str(marked)
+        doc["inputs"]["file"] = cube3_file
+        assert doc == invoke("lattice", cube3_file)[0]
 
 
 class TestHypergraph:

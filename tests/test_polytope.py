@@ -1,6 +1,7 @@
 """Face lattice construction, polar duality, and the text file format."""
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -32,7 +33,14 @@ from facelab.polytope import (
     save_polytope,
 )
 from facelab.section import section
-from instances import FAMILY_GRID, golden_random_polytopes, instance, lattice_of, polytope
+from instances import (
+    FAMILY_GRID,
+    golden_random_polytopes,
+    instance,
+    lattice_of,
+    polytope,
+    random_cutting_plane,
+)
 from oracles import (
     affine_chart_oracle,
     affine_rank,
@@ -200,9 +208,9 @@ class TestFaceLattice:
         lat = lattice_of("cube", 3)
         a = lat.face("v0-v1-v2-v3")
         b = lat.face("v0-v1-v4-v5")
-        assert lat.meet(a, b).id == "v0-v1"
+        assert lat.face_of_mask(a.mask & b.mask).id == "v0-v1"
         opposite = lat.face("v4-v5-v6-v7")
-        assert lat.meet(a, opposite).id == EMPTY_FACE_ID
+        assert lat.face_of_mask(a.mask & opposite.mask).id == EMPTY_FACE_ID
 
     def test_covering_pairs_cube3(self):
         lat = lattice_of("cube", 3)
@@ -250,6 +258,47 @@ class TestFaceLattice:
         for cover in [(0, 0b11), (0b1, 0b100)]:
             with pytest.raises(PolytopeError):
                 FaceLattice(1, faces, [cover])
+
+    @pytest.mark.parametrize("dim", [5, -2])
+    def test_face_dimension_out_of_range_rejected(self, dim):
+        faces = [Face(0, -1), Face(0b1, dim), Face(0b10, 0), Face(0b11, 1)]
+        with pytest.raises(PolytopeError, match=rf"'v0' has dimension {dim} outside \[-1, 1\]"):
+            FaceLattice(1, faces, [])
+
+
+def assert_graded(lat: FaceLattice) -> None:
+    """Grades, covers and f-vector against a plain filter of `faces`, with
+    covers found by mask containment one dimension down and up."""
+    assert list(lat.faces) == sorted(lat.faces, key=lambda f: (f.dim, f.vertex_set))
+    grade = {k: [f for f in lat.faces if f.dim == k] for k in range(-2, lat.dim + 2)}
+    for k in range(-1, lat.dim + 1):
+        assert lat.faces_of_dim(k) == grade[k]
+    for f in lat.faces:
+        assert lat.children(f) == [c for c in grade[f.dim - 1] if c.mask & ~f.mask == 0]
+        assert lat.parents(f) == [q for q in grade[f.dim + 1] if f.mask & ~q.mask == 0]
+    assert lat.f_vector == tuple(len(grade[k]) for k in range(lat.dim))
+
+
+class TestGradedLattice:
+    @pytest.mark.parametrize("family,dim,n", FAMILY_GRID)
+    def test_grid(self, family, dim, n):
+        assert_graded(lattice_of(family, dim, n))
+
+    def test_golden_random_polytopes(self):
+        found = golden_random_polytopes()
+        assert len(found) == 25
+        for p in found:
+            assert_graded(face_lattice(p))
+
+    @pytest.mark.parametrize(
+        "family,dim,n",
+        [("simplex", 3, None), ("cube", 3, None), ("cross", 3, None), ("cyclic", 4, 7)],
+    )
+    def test_slice_lattices(self, family, dim, n):
+        p, lat = instance(family, dim, n)
+        smap = section(p, lat, random_cutting_plane(p, random.Random(dim)))
+        assert smap.slice_lattice.dim == dim - 1
+        assert_graded(smap.slice_lattice)
 
 
 def assert_matches_brute_force(p: VPolytope) -> None:
@@ -449,12 +498,11 @@ class TestInitialCone:
             assert mask_of(i for i, v in enumerate(values) if v == 0) == mask
 
     @pytest.mark.parametrize("d", range(1, 7))
-    def test_validated_load_takes_two_eliminations(self, eliminations, d):
+    def test_validated_load_takes_one_elimination(self, eliminations, d):
         """One elimination per validated load, by `from_points`,
         `parse_polytope` or `polar_dual`, in every dimension: the initial
         cone's gives the dimension too (an elimination per initial ray would
-        make it d+2).  The name counts the two a load took while the affine
-        chart was reduced apart from the cone."""
+        make it d+2)."""
         unit = [[int(i == j) for j in range(d)] for i in range(d)]
         shapes = {
             "cube": [list(v) for v in product((0, 1), repeat=d)],
