@@ -8,7 +8,7 @@ which needs it only for `gen`) does not.
 
 from .hypergraph import build_hypergraph, strong_connectivity
 from .polytope import face_lattice
-from .ridgepath import BlockedSet, solve_ridge_path
+from .ridgepath import BlockedSet, solve_ridge_path, verify_ridge_path
 
 __version__ = "0.1.0"
 
@@ -20,6 +20,7 @@ __all__ = [
     "generate",
     "solve_ridge_path",
     "strong_connectivity",
+    "verify_ridge_path",
 ]
 
 

@@ -25,7 +25,7 @@ from .polytope import (
     polar_dual,
     save_polytope,
 )
-from .ridgepath import BlockedSet, solve_ridge_path
+from .ridgepath import BlockedSet, solve_ridge_path, verify_ridge_path
 from .section import parse_hyperplane, section
 
 
@@ -142,16 +142,18 @@ def _cmd_ridge_path(ns) -> tuple[dict, int]:
     p, lattice = _load_with_lattice(ns.file)
     blocked_ids = [token for token in ns.blocked.split(",") if token]
     b = BlockedSet.of(ns.k, blocked_ids)
-    result = solve_ridge_path(p, lattice, ns.k, b, ns.from_id, ns.to_id, verify=ns.verify)
+    result = solve_ridge_path(p, lattice, b, ns.from_id, ns.to_id)
+    verified = None
+    if ns.verify:
+        verified = verify_ridge_path(lattice, b.k, b, result.path, ns.from_id, ns.to_id)
     payload = {
         "path": list(result.path.faces),
         "ridges": list(result.path.ridges),
-        "verified": result.verified,
+        "verified": verified,
         "depth": result.depth,
         "hyperplanes": [_plane_json(h.row[1:], -h.row[0]) for h in result.hyperplanes],
     }
-    code = 1 if result.verified is False else 0
-    return payload, code
+    return payload, 1 if verified is False else 0
 
 
 def _cmd_dual(ns) -> tuple[dict, int]:

@@ -26,6 +26,11 @@ FAMILIES = ("simplex", "cube", "cross", "cyclic", "random", "pyramid", "prism")
 _FIXED_SIZE_FAMILIES = ("simplex", "cube", "cross", "pyramid", "prism")
 
 
+def _check_segment(d: int, n: int) -> None:
+    if d == 1 and n != 2:
+        raise GeneratorError(f"a 1-polytope has exactly 2 vertices, got {n}")
+
+
 class _GeneratorSpecFields(NamedTuple):
     family: str
     dim: int
@@ -64,6 +69,7 @@ class GeneratorSpec(_GeneratorSpecFields):
                 raise GeneratorError(
                     f"need at least dim+1 = {self.dim + 1} vertices, got {self.n}"
                 )
+            _check_segment(self.dim, self.n)
         if self.family != "random" and (self.seed is not None or self.bound is not None):
             raise GeneratorError("seed and bound apply to the random family only")
         if self.family in ("pyramid", "prism") and self.dim < 2:
@@ -201,6 +207,7 @@ def random_polytope(d: int, n: int, seed: int, bound: int = 10) -> VPolytope:
     """
     if n < d + 1:
         raise GeneratorError(f"need n >= d+1 = {d + 1} points, got {n}")
+    _check_segment(d, n)
     if bound < 1:
         raise GeneratorError("coordinate bound must be >= 1")
     if (2 * bound + 1) ** d < n:

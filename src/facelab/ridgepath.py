@@ -31,11 +31,14 @@ class _BlockedSetFields(NamedTuple):
 
 
 class BlockedSet(_BlockedSetFields):
-    """The k-faces a path must avoid; at most k of them."""
+    """A request's record of k and of the budget: the k-faces a path must
+    avoid, at most k of them."""
 
     __slots__ = ()
 
     def __new__(cls, k: int, face_ids: frozenset[str]) -> BlockedSet:
+        if k < 0:
+            raise RidgePathError(f"k={k} out of range: k must be at least 0")
         if len(face_ids) > k:
             raise RidgePathError(
                 f"blocked set of size {len(face_ids)} exceeds the budget k={k}"
@@ -61,7 +64,6 @@ class RidgePath(NamedTuple):
 
 class RidgePathResult(NamedTuple):
     path: RidgePath
-    verified: bool | None
     hyperplanes: tuple[Hyperplane, ...]
 
     @property
@@ -253,22 +255,19 @@ def _bfs_ridge_path(
 
 
 def _solve(
-    p: VPolytope,
-    lattice: FaceLattice,
-    k: int,
-    blocked: tuple[Face, ...],
-    f: Face,
-    g: Face,
+    p: VPolytope, lattice: FaceLattice, blocked: tuple[Face, ...], f: Face, g: Face
 ) -> tuple[tuple[Face, ...], tuple[Face, ...], tuple[Hyperplane, ...]]:
-    """The path's faces and ridges, and one cutting plane per level, outermost first."""
+    """The path's faces and ridges, and one cutting plane per level, outermost first.
+
+    The path's faces have dimension k = f.dim, and at most k are blocked."""
     if f == g:
         return (f,), (), ()
     # k = 0 blocks nothing (the budget); two vertices meet in the empty face.
-    if k == 1 or not blocked:
+    if f.dim == 1 or not blocked:
         found = _bfs_ridge_path(lattice, blocked, f, g)
         if found is None:
             raise RidgePathError(
-                f"ridge graph of {k}-faces is disconnected after removing "
+                f"ridge graph of {f.dim}-faces is disconnected after removing "
                 f"{sorted(b.id for b in blocked)}; this contradicts the connectivity bound"
             )
         return found[0], found[1], ()
@@ -281,15 +280,12 @@ def _solve(
     def sliced(x: Face) -> Face:
         return smap.slice_lattice.face_of_mask(phi[x.mask])
 
-    # The plane passes through both barycenters, so f and g are cut.
-    f_slice, g_slice = sliced(f), sliced(g)
-    blocked_slice = tuple(sliced(b) for b in blocked if b != r and b.mask in phi)
-    if f_slice == g_slice or f_slice in blocked_slice or g_slice in blocked_slice:
-        raise RidgePathError("section collapsed distinct faces; slicing is degenerate")
-    if len(blocked_slice) > k - 1:
-        raise RidgePathError("blocked set failed to shrink under slicing")
+    # The plane passes through both barycenters, so f and g are cut, and misses
+    # r.  Section maps distinct cut faces to distinct slice faces, so the slice
+    # keeps f and g distinct and unblocked, with at most k - 1 blocked.
+    blocked_slice = tuple(sliced(b) for b in blocked if b.mask in phi)
     faces, ridges, planes = _solve(
-        smap.slice_polytope, smap.slice_lattice, k - 1, blocked_slice, f_slice, g_slice
+        smap.slice_polytope, smap.slice_lattice, blocked_slice, sliced(f), sliced(g)
     )
     lift = {s: b for b, s in phi.items()}
 
@@ -300,17 +296,16 @@ def _solve(
 
 
 def _resolve_request(
-    lattice: FaceLattice, k: int, b: BlockedSet, f_id: str, g_id: str
+    lattice: FaceLattice, b: BlockedSet, f_id: str, g_id: str
 ) -> tuple[tuple[Face, ...], Face, Face]:
     """The blocked faces and the two endpoints a request names.
 
     Ids are checked in order, blocked ones sorted first; the first defect is
     the error.
     """
-    if not (0 <= k <= lattice.dim - 1):
+    k = b.k
+    if k > lattice.dim - 1:
         raise RidgePathError(f"k={k} out of range [0, {lattice.dim - 1}]")
-    if b.k != k:
-        raise RidgePathError(f"blocked set is for k={b.k}, request is for k={k}")
     faces = []
     for fid in sorted(b.face_ids) + [f_id, g_id]:
         try:
@@ -327,28 +322,19 @@ def _resolve_request(
 
 
 def solve_ridge_path(
-    p: VPolytope,
-    lattice: FaceLattice,
-    k: int,
-    b: BlockedSet,
-    f_id: str,
-    g_id: str,
-    verify: bool = False,
+    p: VPolytope, lattice: FaceLattice, b: BlockedSet, f_id: str, g_id: str
 ) -> RidgePathResult:
-    """A path of k-faces from f to g through (k-1)-ridges avoiding b.
+    """A path of b.k-faces from f to g through (b.k-1)-ridges avoiding b.
 
     The result also carries the cutting hyperplanes used, outermost first
-    (their count is the recursion depth), and, with verify, the verifier's
-    verdict on the path.  The construction is deterministic: a request always
-    gives the same path and the same planes.
+    (their count is the recursion depth).  The construction is deterministic:
+    a request always gives the same path and the same planes.  The path is
+    not checked here; `verify_ridge_path` certifies it apart from the solver.
     """
-    blocked, f, g = _resolve_request(lattice, k, b, f_id, g_id)
-    faces, ridges, planes = _solve(p, lattice, k, blocked, f, g)
+    blocked, f, g = _resolve_request(lattice, b, f_id, g_id)
+    faces, ridges, planes = _solve(p, lattice, blocked, f, g)
     path = RidgePath(tuple(x.id for x in faces), tuple(x.id for x in ridges))
-    verified = (
-        verify_ridge_path(lattice, k, b, path, f_id, g_id) if verify else None
-    )
-    return RidgePathResult(path, verified, planes)
+    return RidgePathResult(path, planes)
 
 
 def verify_ridge_path(

@@ -179,16 +179,15 @@ def test_criterion_5_ridge_path_solver(capsys):
             if oracle_path is None:
                 unreachable += 1
                 try:
-                    solve_ridge_path(p, lat, k, b, f_id, g_id)
+                    solve_ridge_path(p, lat, b, f_id, g_id)
                     raise AssertionError(
                         f"solver found a path the oracle says cannot exist: {blocked}"
                     )
                 except RidgePathError:
                     pass
                 continue
-            res = solve_ridge_path(p, lat, k, b, f_id, g_id, verify=True)
-            assert res.verified is True, (blocked, f_id, g_id)
-            assert verify_ridge_path(lat, k, b, res.path, f_id, g_id)
+            res = solve_ridge_path(p, lat, b, f_id, g_id)
+            assert verify_ridge_path(lat, k, b, res.path, f_id, g_id), (blocked, f_id, g_id)
             solved += 1
         assert solved + unreachable == 200
         # the bound promises reachability whenever |B| = k <= k, so the

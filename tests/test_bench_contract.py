@@ -104,11 +104,10 @@ def test_scan_attributes(stem, bench, polytopes):
     assert attrs == {"n": hg.n_nodes, "cap": cap, "alpha": alpha, "witness": removed}
 
 
-def test_every_traced_name_exists(polytopes, tmp_path):
+def _trace(tmp_path, argv: list[str]) -> dict:
     trace = tmp_path / "trace.json"
     subprocess.run(
-        [sys.executable, str(PERFBENCH / "trace_entry.py"), str(trace),
-         "lattice", polytopes["cube3"][0]],
+        [sys.executable, str(PERFBENCH / "trace_entry.py"), str(trace), *argv],
         check=True,
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -118,4 +117,21 @@ def test_every_traced_name_exists(polytopes, tmp_path):
     # the library no longer has `hyperplane_through`; the harness's counter
     # for it records it as absent until the harness drops that counter.
     assert doc["absent"] == ["hyperplane_through"]
-    assert doc["spans"]
+    return doc
+
+
+def test_every_traced_name_exists(polytopes, tmp_path):
+    assert _trace(tmp_path, ["lattice", polytopes["cube3"][0]])["spans"]
+
+
+def test_ridge_path_spans_are_recorded(polytopes, tmp_path):
+    # The CLI, not the solver, runs the verifier; the harness still wraps it
+    # because the CLI module binds `verify_ridge_path` itself.
+    k, blocked, start, goal = CASES["cube3"][3]
+    argv = [
+        "ridge-path", polytopes["cube3"][0], "--k", str(k), "--blocked", ",".join(blocked),
+        "--from", start, "--to", goal, "--verify",
+    ]
+    names = {span[0] for span in _trace(tmp_path, argv)["spans"]}
+    wanted = {"ridgepath.solve", "ridgepath.search", "ridgepath.verify", "section.slice"}
+    assert wanted <= names

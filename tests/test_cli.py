@@ -64,6 +64,14 @@ class TestGen:
         doc, code = invoke("gen", "--family", "cube", "--dim", "3", "--n", "9", "--out", out)
         assert code == 2 and doc["status"] == "error"
 
+    @pytest.mark.parametrize("family", ["cyclic", "random"])
+    def test_segment_with_three_vertices_is_refused(self, family, tmp_path):
+        seed = ["--seed", "1"] if family == "random" else []
+        argv = ["gen", "--family", family, "--dim", "1", "--n", "3", *seed]
+        doc, code = invoke(*argv, "--out", str(tmp_path / "s.poly"))
+        assert code == 2
+        assert doc["error"] == "a 1-polytope has exactly 2 vertices, got 3"
+
     def test_generator_error_keeps_its_envelope(self, tmp_path):
         out = str(tmp_path / "r.poly")
         argv = ["gen", "--family", "random", "--dim", "2", "--n", "30", "--bound", "1"]

@@ -178,6 +178,13 @@ class TestRandomPolytopes:
         with pytest.raises(GeneratorError):
             random_polytope(2, 100, seed=0, bound=1)
 
+    def test_segment_with_three_points_is_refused_at_once(self):
+        # Any three points on a line have one inside the hull of the others,
+        # so no number of redraws could succeed.
+        with pytest.raises(GeneratorError, match="^a 1-polytope has exactly 2 vertices, got 3$"):
+            random_polytope(1, 3, seed=1)
+        assert random_polytope(1, 2, seed=1).n_vertices == 2
+
 
 class TestGeneratorSpec:
     def test_families_listed(self):
@@ -223,6 +230,12 @@ class TestGeneratorSpec:
         # The constructor itself refuses the spec; generate is never reached.
         with pytest.raises(GeneratorError):
             GeneratorSpec(**kwargs)
+
+    @pytest.mark.parametrize("family", ["cyclic", "random"])
+    def test_segment_has_two_vertices(self, family):
+        with pytest.raises(GeneratorError, match="^a 1-polytope has exactly 2 vertices, got 3$"):
+            GeneratorSpec(family, 1, n=3)
+        assert generate(GeneratorSpec(family, 1, n=2)).n_vertices == 2
 
     def test_prism_and_pyramid_dims(self):
         assert pyramid(3).dim == 3

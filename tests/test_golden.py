@@ -91,6 +91,9 @@ def _cases() -> dict[str, list[str]]:
     cases["cube3.ridge_path_blocked_endpoint"] = ridge + [
         "--blocked", "v0-v1-v2-v3", "--from", "v0-v1-v2-v3", "--to", "v4-v5-v6-v7",
     ]
+    cases["cube3.ridge_path_negative_k"] = [
+        "ridge-path", "cube3.poly", "--k", "-1", "--from", "v0", "--to", "v7",
+    ]
     cases["cube3.hypergraph_k_out_of_range"] = ["hypergraph", "cube3.poly", "--k", "3"]
     cases["cube3.connectivity_cap_zero"] = [
         "connectivity", "cube3.poly", "--k", "1", "--cap", "0",

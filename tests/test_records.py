@@ -23,7 +23,7 @@ def records() -> dict:
     hg = build_hypergraph(lat, 1)
     report = strong_connectivity(hg, cap=3)
     blocked = BlockedSet.of(2, ["v0-v1-v4-v5", "v2-v3-v6-v7"])
-    result = solve_ridge_path(p, lat, 2, blocked, "v0-v1-v2-v3", "v4-v5-v6-v7", verify=True)
+    result = solve_ridge_path(p, lat, blocked, "v0-v1-v2-v3", "v4-v5-v6-v7")
     return {
         "QVector": QVector.of([F(1, 2), -3]),
         "Hyperplane": result.hyperplanes[0],
@@ -50,7 +50,7 @@ def test_the_cases_carry_what_they_name():
 
 def test_ridge_path_result_stores_depth_once():
     result = RECORDS["RidgePathResult"]
-    assert result._fields == ("path", "verified", "hyperplanes")
+    assert result._fields == ("path", "hyperplanes")
     assert result.depth == len(result.hyperplanes)
     assert result._replace(hyperplanes=()).depth == 0
 

@@ -1,13 +1,15 @@
 """Ridge path construction via recursive sections, and its verifier."""
 
+import json
 import random
 from itertools import permutations
 
 import pytest
 
 from facelab import ridgepath
+from facelab.cli import build_parser
 from facelab.generators import random_polytope
-from facelab.polytope import face_lattice
+from facelab.polytope import face_lattice, load_polytope
 from facelab.ridgepath import (
     BlockedSet,
     RidgePath,
@@ -17,7 +19,7 @@ from facelab.ridgepath import (
     solve_ridge_path,
     verify_ridge_path,
 )
-from instances import FAMILY_GRID, instance
+from instances import FAMILY_GRID, GOLDEN, instance
 from oracles import (
     bfs_ridge_path_oracle,
     coordinates,
@@ -25,6 +27,7 @@ from oracles import (
     hyperplane_conditions_oracle,
     side,
 )
+from test_golden import CASES as GOLDEN_CASES
 
 
 def oracle_ok(p, lattice, f, g, r, h) -> bool:
@@ -136,17 +139,16 @@ class TestCuttingHyperplaneAgainstOracle:
 class TestSolver:
     def test_identity_path(self):
         p, lat = instance("cube", 3)
-        path = solve_ridge_path(p, lat, 1, BlockedSet.of(1, []), "v0-v1", "v0-v1").path
+        path = solve_ridge_path(p, lat, BlockedSet.of(1, []), "v0-v1", "v0-v1").path
         assert path.faces == ("v0-v1",) and path.ridges == ()
 
     def test_vertex_path_uses_empty_ridge(self):
         p, lat = instance("cube", 3)
-        res = solve_ridge_path(
-            p, lat, 0, BlockedSet.of(0, []), "v0", "v7", verify=True
-        )
+        b = BlockedSet.of(0, [])
+        res = solve_ridge_path(p, lat, b, "v0", "v7")
         assert res.path.faces == ("v0", "v7")
         assert res.path.ridges == ("empty",)
-        assert res.verified is True and res.depth == 0
+        assert verify_ridge_path(lat, 0, b, res.path, "v0", "v7") and res.depth == 0
 
     @pytest.mark.parametrize(
         "family, dim, n", [("cube", 3, None), ("pyramid", 4, None), ("cyclic", 4, 8)]
@@ -154,27 +156,25 @@ class TestSolver:
     def test_vertex_paths_come_from_the_search(self, family, dim, n):
         # k = 0 blocks nothing, and any two vertices meet in the empty face.
         p, lat = instance(family, dim, n=n)
+        b = BlockedSet.of(0, [])
         for f_id, g_id in permutations([v.id for v in lat.faces_of_dim(0)], 2):
-            res = solve_ridge_path(p, lat, 0, BlockedSet.of(0, []), f_id, g_id, verify=True)
+            res = solve_ridge_path(p, lat, b, f_id, g_id)
             assert res.path == RidgePath((f_id, g_id), ("empty",))
             assert res.depth == 0 and res.hyperplanes == ()
-            assert res.verified is True
+            assert verify_ridge_path(lat, 0, b, res.path, f_id, g_id)
 
     def test_edges_around_blocked_edge(self):
         p, lat = instance("cube", 3)
         b = BlockedSet.of(1, ["v0-v1"])
-        res = solve_ridge_path(p, lat, 1, b, "v0-v2", "v1-v3", verify=True)
-        assert res.verified is True
+        res = solve_ridge_path(p, lat, b, "v0-v2", "v1-v3")
+        assert verify_ridge_path(lat, 1, b, res.path, "v0-v2", "v1-v3")
         assert "v0-v1" not in res.path.faces
         assert res.depth == 0 and res.hyperplanes == ()
 
     def test_facets_around_blocked_pair_uses_section(self):
         p, lat = instance("cube", 3)
         b = BlockedSet.of(2, ["v0-v1-v4-v5", "v2-v3-v6-v7"])
-        res = solve_ridge_path(
-            p, lat, 2, b, "v0-v1-v2-v3", "v4-v5-v6-v7", verify=True
-        )
-        assert res.verified is True
+        res = solve_ridge_path(p, lat, b, "v0-v1-v2-v3", "v4-v5-v6-v7")
         assert res.depth == 1 and len(res.hyperplanes) == 1
         assert verify_ridge_path(lat, 2, b, res.path, "v0-v1-v2-v3", "v4-v5-v6-v7")
 
@@ -188,8 +188,8 @@ class TestSolver:
             rest = [fid for fid in facet_ids if fid not in blocked]
             for f_id, g_id in combinations(rest, 2):
                 b = BlockedSet.of(2, blocked)
-                res = solve_ridge_path(p, lat, 2, b, f_id, g_id, verify=True)
-                assert res.verified is True, (blocked, f_id, g_id)
+                res = solve_ridge_path(p, lat, b, f_id, g_id)
+                assert verify_ridge_path(lat, 2, b, res.path, f_id, g_id), (blocked, f_id, g_id)
                 count += 1
         assert count == 90
 
@@ -204,10 +204,9 @@ class TestSolver:
             f_id, g_id = rng.sample(rest, 2)
             oracle = bfs_ridge_path_oracle(lat, k, set(blocked), f_id, g_id)
             assert oracle is not None
-            res = solve_ridge_path(
-                p, lat, k, BlockedSet.of(k, blocked), f_id, g_id, verify=True
-            )
-            assert res.verified is True
+            b = BlockedSet.of(k, blocked)
+            res = solve_ridge_path(p, lat, b, f_id, g_id)
+            assert verify_ridge_path(lat, k, b, res.path, f_id, g_id)
 
     def test_plain_search_finds_the_oracle_path(self):
         # Edge paths and unblocked paths need no section: the solver's
@@ -221,19 +220,19 @@ class TestSolver:
                     blocked = rng.sample(faces, 1) if k == 1 and len(faces) > 3 else []
                     f_id, g_id = rng.sample([x for x in faces if x not in blocked], 2)
                     expected = bfs_ridge_path_oracle(lat, k, set(blocked), f_id, g_id)
-                    res = solve_ridge_path(p, lat, k, BlockedSet.of(k, blocked), f_id, g_id)
+                    res = solve_ridge_path(p, lat, BlockedSet.of(k, blocked), f_id, g_id)
                     assert list(res.path.faces) == expected, (family, d, k, blocked, f_id, g_id)
 
     def test_request_validation(self):
         p, lat = instance("cube", 3)
         with pytest.raises(RidgePathError):
-            solve_ridge_path(p, lat, 1, BlockedSet.of(1, []), "v0-v1", "v0-v9")
+            solve_ridge_path(p, lat, BlockedSet.of(1, []), "v0-v1", "v0-v9")
         with pytest.raises(RidgePathError):
-            solve_ridge_path(p, lat, 1, BlockedSet.of(1, []), "v0", "v1")
+            solve_ridge_path(p, lat, BlockedSet.of(1, []), "v0", "v1")
         with pytest.raises(RidgePathError):
-            solve_ridge_path(p, lat, 1, BlockedSet.of(1, ["v0-v1"]), "v0-v1", "v2-v3")
-        with pytest.raises(RidgePathError):
-            solve_ridge_path(p, lat, 2, BlockedSet.of(1, []), "v0-v1", "v2-v3")
+            solve_ridge_path(p, lat, BlockedSet.of(1, ["v0-v1"]), "v0-v1", "v2-v3")
+        with pytest.raises(RidgePathError, match=r"^k=3 out of range \[0, 2\]$"):
+            solve_ridge_path(p, lat, BlockedSet.of(3, []), "v0-v1", "v2-v3")
 
     def test_malformed_blocked_ids_are_unknown(self):
         # Blocked ids are looked up in sorted order, so the error does not
@@ -243,12 +242,73 @@ class TestSolver:
         for blocked, bad in ((["x3", "v1-v0"], "v1-v0"), ([huge], huge)):
             b = BlockedSet.of(2, blocked)
             with pytest.raises(RidgePathError) as exc:
-                solve_ridge_path(p, lat, 2, b, "v0-v1-v4-v5", "v0-v1-v2-v3")
+                solve_ridge_path(p, lat, b, "v0-v1-v4-v5", "v0-v1-v2-v3")
             assert str(exc.value) == f"unknown face id {bad!r}"
 
     def test_blocked_set_size_limit(self):
         with pytest.raises(RidgePathError):
             BlockedSet.of(1, ["v0-v1", "v2-v3"])
+
+    def test_negative_k_is_out_of_range(self):
+        # The range check comes before the budget, which k = -1 fails too.
+        with pytest.raises(RidgePathError, match=r"^k=-1 out of range: k must be at least 0$"):
+            BlockedSet.of(-1, [])
+
+
+class TestRecursionInvariant:
+    """Each nested `_solve` call, seen through a spy, gets a smaller blocked
+    set than its caller, faces one dimension down, and distinct, unblocked
+    endpoints: what makes |B| <= k bottom out in a plain search."""
+
+    @pytest.fixture()
+    def depths(self, monkeypatch):
+        real = ridgepath._solve
+        stack = []  # (number of blocked faces, k) per call in progress
+        depths = []
+
+        def spy(p, lattice, blocked, f, g):
+            assert {x.dim for x in (g, *blocked)} <= {f.dim} and len(blocked) <= f.dim
+            if stack:
+                caller_blocked, caller_k = stack[-1]
+                assert len(blocked) < caller_blocked and f.dim == caller_k - 1
+                assert f != g and f not in blocked and g not in blocked
+            depths.append(len(stack))
+            stack.append((len(blocked), f.dim))
+            try:
+                return real(p, lattice, blocked, f, g)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(ridgepath, "_solve", spy)
+        return depths
+
+    def test_family_grid(self, depths):
+        rng = random.Random(211)
+        for family, d, n in FAMILY_GRID:
+            p, lat = instance(family, d, n=n)
+            for k in range(1, d):
+                faces = [x.id for x in lat.faces_of_dim(k)]
+                for _ in range(3):
+                    blocked = rng.sample(faces, k)
+                    f_id, g_id = rng.sample([x for x in faces if x not in blocked], 2)
+                    b = BlockedSet.of(k, blocked)
+                    res = solve_ridge_path(p, lat, b, f_id, g_id)
+                    assert verify_ridge_path(lat, k, b, res.path, f_id, g_id)
+        assert max(depths) == 2
+
+    def test_golden_queries(self, depths):
+        solved = 0
+        for case, argv in GOLDEN_CASES.items():
+            out = json.loads((GOLDEN / f"{case}.out").read_text(encoding="utf-8"))
+            if argv[0] != "ridge-path" or out["status"] != "ok":
+                continue
+            ns = build_parser().parse_args(argv)
+            p = load_polytope(str(GOLDEN / ns.file))
+            b = BlockedSet.of(ns.k, [x for x in ns.blocked.split(",") if x])
+            res = solve_ridge_path(p, face_lattice(p), b, ns.from_id, ns.to_id)
+            assert list(res.path.faces) == out["output"]["path"], case
+            solved += 1
+        assert solved == 8 and max(depths) == 2
 
 
 class TestVerifier:
@@ -256,9 +316,8 @@ class TestVerifier:
         self.p, self.lat = instance("cube", 3)
 
     def good(self) -> RidgePath:
-        return solve_ridge_path(
-            self.p, self.lat, 1, BlockedSet.of(1, ["v0-v1"]), "v0-v2", "v1-v3"
-        ).path
+        b = BlockedSet.of(1, ["v0-v1"])
+        return solve_ridge_path(self.p, self.lat, b, "v0-v2", "v1-v3").path
 
     def test_good_path_verifies(self):
         path = self.good()
@@ -329,18 +388,17 @@ class TestRandomInstances:
             f_id, g_id = rng.sample(rest, 2)
             if bfs_ridge_path_oracle(lat, k, set(blocked), f_id, g_id) is None:
                 continue
-            res = solve_ridge_path(
-                p, lat, k, BlockedSet.of(k, blocked), f_id, g_id, verify=True
-            )
-            assert res.verified is True
+            b = BlockedSet.of(k, blocked)
+            res = solve_ridge_path(p, lat, b, f_id, g_id)
+            assert verify_ridge_path(lat, k, b, res.path, f_id, g_id)
 
     def test_cube4_with_three_blocked_facets(self):
         p, lat = instance("cube", 4)
         facet_ids = [f.id for f in lat.faces_of_dim(3)]
         b = BlockedSet.of(3, facet_ids[1:4])
         f_id, g_id = facet_ids[0], facet_ids[-1]
-        res = solve_ridge_path(p, lat, 3, b, f_id, g_id, verify=True)
-        assert res.verified is True
+        res = solve_ridge_path(p, lat, b, f_id, g_id)
+        assert verify_ridge_path(lat, 3, b, res.path, f_id, g_id)
         assert res.depth >= 1
 
     def test_random_4_polytope(self):
@@ -352,7 +410,6 @@ class TestRandomInstances:
         rest = [fid for fid in faces if fid not in blocked]
         f_id, g_id = rng.sample(rest, 2)
         if bfs_ridge_path_oracle(lat, 2, set(blocked), f_id, g_id) is not None:
-            res = solve_ridge_path(
-                p, lat, 2, BlockedSet.of(2, blocked), f_id, g_id, verify=True
-            )
-            assert res.verified is True
+            b = BlockedSet.of(2, blocked)
+            res = solve_ridge_path(p, lat, b, f_id, g_id)
+            assert verify_ridge_path(lat, 2, b, res.path, f_id, g_id)
