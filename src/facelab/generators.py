@@ -20,15 +20,22 @@ class GeneratorError(FacelabError):
     """Unsatisfiable generator request."""
 
 
-FAMILIES = ("simplex", "cube", "cross", "cyclic", "random", "pyramid", "prism")
+_DEFAULT_BOUND = 10
 
-# Families whose vertex count is forced by the dimension alone.
-_FIXED_SIZE_FAMILIES = ("simplex", "cube", "cross", "pyramid", "prism")
-
-
-def _check_segment(d: int, n: int) -> None:
-    if d == 1 and n != 2:
-        raise GeneratorError(f"a 1-polytope has exactly 2 vertices, got {n}")
+# Each family's constructor, called with a checked spec.  The order is the
+# CLI's --family choices.
+_CONSTRUCTORS = {
+    "simplex": lambda s: simplex(s.dim),
+    "cube": lambda s: cube(s.dim),
+    "cross": lambda s: cross_polytope(s.dim),
+    "cyclic": lambda s: cyclic(s.dim, s.n),
+    "random": lambda s: random_polytope(
+        s.dim, s.n, s.seed or 0, _DEFAULT_BOUND if s.bound is None else s.bound
+    ),
+    "pyramid": lambda s: pyramid(s.dim),
+    "prism": lambda s: prism(s.dim),
+}
+FAMILIES = tuple(_CONSTRUCTORS)
 
 
 class _GeneratorSpecFields(NamedTuple):
@@ -40,7 +47,11 @@ class _GeneratorSpecFields(NamedTuple):
 
 
 class GeneratorSpec(_GeneratorSpecFields):
-    """A generator family with its parameters, checked when constructed."""
+    """A generator family with its parameters, checked when constructed.
+
+    This is the one place the generator rules live: each family function
+    builds its own spec before it constructs anything.
+    """
 
     __slots__ = ()
 
@@ -59,18 +70,25 @@ class GeneratorSpec(_GeneratorSpecFields):
             )
         if self.dim < 1:
             raise GeneratorError("dimension must be >= 1")
-        if self.family in _FIXED_SIZE_FAMILIES:
-            if self.n is not None:
-                raise GeneratorError(f"family {self.family!r} takes no vertex count")
-        else:
+        # The other families' vertex counts follow from the dimension.
+        if self.family in ("cyclic", "random"):
             if self.n is None:
                 raise GeneratorError(f"family {self.family!r} needs a vertex count")
             if self.n < self.dim + 1:
                 raise GeneratorError(
                     f"need at least dim+1 = {self.dim + 1} vertices, got {self.n}"
                 )
-            _check_segment(self.dim, self.n)
-        if self.family != "random" and (self.seed is not None or self.bound is not None):
+            if self.dim == 1 and self.n != 2:
+                raise GeneratorError(f"a 1-polytope has exactly 2 vertices, got {self.n}")
+        elif self.n is not None:
+            raise GeneratorError(f"family {self.family!r} takes no vertex count")
+        if self.family == "random":
+            bound = _DEFAULT_BOUND if self.bound is None else self.bound
+            if bound < 1:
+                raise GeneratorError("coordinate bound must be >= 1")
+            if (2 * bound + 1) ** self.dim < self.n:
+                raise GeneratorError("coordinate box too small for that many distinct points")
+        elif self.seed is not None or self.bound is not None:
             raise GeneratorError("seed and bound apply to the random family only")
         if self.family in ("pyramid", "prism") and self.dim < 2:
             raise GeneratorError(f"family {self.family!r} needs dimension >= 2")
@@ -83,27 +101,12 @@ class GeneratorSpec(_GeneratorSpecFields):
 
 
 def generate(spec: GeneratorSpec) -> VPolytope:
-    if spec.family == "simplex":
-        return simplex(spec.dim)
-    if spec.family == "cube":
-        return cube(spec.dim)
-    if spec.family == "cross":
-        return cross_polytope(spec.dim)
-    if spec.family == "cyclic":
-        return cyclic(spec.dim, spec.n)
-    if spec.family == "pyramid":
-        return pyramid(spec.dim)
-    if spec.family == "prism":
-        return prism(spec.dim)
-    seed = spec.seed if spec.seed is not None else 0
-    bound = spec.bound if spec.bound is not None else 10
-    return random_polytope(spec.dim, spec.n, seed, bound)
+    return _CONSTRUCTORS[spec.family](spec)
 
 
 def simplex(d: int) -> VPolytope:
     """conv(0, e_1, ..., e_d)."""
-    if d < 1:
-        raise GeneratorError("dimension must be >= 1")
+    GeneratorSpec("simplex", d)
     points = [QVector.of([0] * d)]
     for i in range(d):
         coords = [0] * d
@@ -114,16 +117,14 @@ def simplex(d: int) -> VPolytope:
 
 def cube(d: int) -> VPolytope:
     """The 0/1 cube; vertex order is lexicographic in the coordinate bits."""
-    if d < 1:
-        raise GeneratorError("dimension must be >= 1")
+    GeneratorSpec("cube", d)
     points = [QVector.of(bits) for bits in product((0, 1), repeat=d)]
     return VPolytope.from_points(points)
 
 
 def cross_polytope(d: int) -> VPolytope:
     """conv(+-e_i); vertex order e_1, -e_1, e_2, -e_2, ..."""
-    if d < 1:
-        raise GeneratorError("dimension must be >= 1")
+    GeneratorSpec("cross", d)
     points = []
     for i in range(d):
         for sign in (1, -1):
@@ -135,10 +136,7 @@ def cross_polytope(d: int) -> VPolytope:
 
 def cyclic(d: int, n: int) -> VPolytope:
     """conv{(t, t^2, ..., t^d) : t = 1..n} on the moment curve."""
-    if d < 1:
-        raise GeneratorError("dimension must be >= 1")
-    if n < d + 1:
-        raise GeneratorError(f"cyclic polytope needs n >= d+1 = {d + 1}, got {n}")
+    GeneratorSpec("cyclic", d, n)
     points = [QVector.of([t**e for e in range(1, d + 1)]) for t in range(1, n + 1)]
     return VPolytope.from_points(points)
 
@@ -197,7 +195,7 @@ def _in_general_position(rows: list[tuple[int, ...]], d: int) -> bool:
     return _all_independent(rows, d + 1)
 
 
-def random_polytope(d: int, n: int, seed: int, bound: int = 10) -> VPolytope:
+def random_polytope(d: int, n: int, seed: int, bound: int = _DEFAULT_BOUND) -> VPolytope:
     """n distinct integer points in [-bound, bound]^d, all vertices, general position.
 
     Each attempt draws a fresh batch from random.Random(seed + attempt * 1000003)
@@ -205,13 +203,7 @@ def random_polytope(d: int, n: int, seed: int, bound: int = 10) -> VPolytope:
     degeneracy, or a non-vertex point is discarded whole and redrawn.  The
     constant stride keeps attempt streams disjoint for neighboring seeds.
     """
-    if n < d + 1:
-        raise GeneratorError(f"need n >= d+1 = {d + 1} points, got {n}")
-    _check_segment(d, n)
-    if bound < 1:
-        raise GeneratorError("coordinate bound must be >= 1")
-    if (2 * bound + 1) ** d < n:
-        raise GeneratorError("coordinate box too small for that many distinct points")
+    GeneratorSpec("random", d, n, seed, bound)
     for attempt in range(1000):
         rng = random.Random(seed + attempt * 1_000_003)
         points = [
@@ -251,13 +243,11 @@ def prism_over(base: VPolytope) -> VPolytope:
 
 def pyramid(d: int) -> VPolytope:
     """Pyramid over the (d-1)-cube."""
-    if d < 2:
-        raise GeneratorError("pyramid needs dimension >= 2")
+    GeneratorSpec("pyramid", d)
     return pyramid_over(cube(d - 1))
 
 
 def prism(d: int) -> VPolytope:
     """Prism over the (d-1)-simplex."""
-    if d < 2:
-        raise GeneratorError("prism needs dimension >= 2")
+    GeneratorSpec("prism", d)
     return prism_over(simplex(d - 1))

@@ -47,7 +47,10 @@ class FaceHypergraph(NamedTuple):
     def edge_id(self, edge: int) -> str:
         """The id of a hyperedge's (k+1)-face, the union of its members:
         every vertex of a face of dimension >= 1 lies on one of its facets."""
-        return face_id({v for i in indices_of(edge) for v in self.faces[i].vertex_set})
+        mask = 0
+        for i in indices_of(edge):
+            mask |= self.faces[i].mask
+        return face_id(indices_of(mask))
 
     @property
     def hyperedges(self) -> tuple[tuple[str, frozenset[str]], ...]:
@@ -191,11 +194,12 @@ def _first_disconnecting_subset(
     detours: list[int],
     size: int,
     representatives: Sequence[int],
-) -> tuple[int, ...] | None:
+) -> tuple[int, int] | None:
     """The first disconnecting set of `size` nodes, in canonical order, among
     those whose lowest member is its orbit's representative and whose other
-    members lie in orbits with representatives no lower; None if there is
-    none.  With every node its own representative that is every set.
+    members lie in orbits with representatives no lower, as its mask and the
+    mask of the lowest survivor's component; None if there is none.  With
+    every node its own representative that is every set.
 
     A nonempty set is accepted unsearched when some member y has `removed &
     detours[y] == 0`: its detour misses every other removed node (see
@@ -203,7 +207,8 @@ def _first_disconnecting_subset(
     """
     full = (1 << n_nodes) - 1
     if size == 0:
-        return None if _first_component(n_nodes, edge_masks, 0) == full else ()
+        component = _first_component(n_nodes, edge_masks, 0)
+        return None if component == full else (0, component)
     bits = [1 << i for i in range(n_nodes)]
     for first in range(n_nodes):
         if representatives[first] != first:
@@ -221,8 +226,9 @@ def _first_disconnecting_subset(
                 if not removed & detours[i]:
                     break
             else:
-                if _first_component(n_nodes, edge_masks, removed) != full & ~removed:
-                    return (first, *rest)
+                component = _first_component(n_nodes, edge_masks, removed)
+                if component != full & ~removed:
+                    return removed, component
     return None
 
 
@@ -268,8 +274,7 @@ def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
         hit = _first_disconnecting_subset(n, hg.edges, detours, size, representatives)
         if hit is None:
             continue
-        removed = mask_of(hit)
-        first = _first_component(n, hg.edges, removed)
+        removed, first = hit
         rest = full & ~removed & ~first
         parts = (tuple(hg.faces[i].id for i in indices_of(m)) for m in (removed, first, rest))
         witness = DisconnectionWitness(*parts)

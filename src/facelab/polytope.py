@@ -412,11 +412,9 @@ def polar_dual(p: VPolytope) -> VPolytope:
 
     Vertex j of the dual corresponds to the j-th facet of p in canonical
     order (`facets(p)`; a translation keeps every facet's vertex set); the
-    face lattices are anti-isomorphic.
+    face lattices are anti-isomorphic.  `facets` refuses a polytope that is
+    not full-dimensional.
     """
-    d = p.ambient_dim
-    if p.dim != d:
-        raise PolytopeError("polar dual needs a full-dimensional polytope")
     center = barycenter(p.rows)
     dual_points = []
     for _, h in facets(p):

@@ -1,5 +1,6 @@
 """Instance generator families: shapes, determinism, and validation."""
 
+import re
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -186,6 +187,52 @@ class TestRandomPolytopes:
         assert random_polytope(1, 2, seed=1).n_vertices == 2
 
 
+INVALID_SPECS = [
+    dict(family="nope", dim=3),
+    dict(family="cube", dim=0),
+    dict(family="cube", dim=3, n=9),
+    dict(family="cyclic", dim=3),
+    dict(family="cyclic", dim=3, n=3),
+    dict(family="cyclic", dim=3, n=6, seed=1),
+    dict(family="random", dim=3, n=3),
+    dict(family="simplex", dim=2, seed=5),
+    dict(family="pyramid", dim=1),
+    dict(family="prism", dim=1),
+    dict(family="cyclic", dim=1, n=3),
+    dict(family="random", dim=1, n=3),
+    dict(family="random", dim=2, n=5, bound=0),
+    dict(family="random", dim=2, n=30, bound=1),
+    # 500 points do not fit in the default box [-10, 10]^2.
+    dict(family="random", dim=2, n=500),
+]
+
+FUNCTIONS = {
+    "simplex": simplex,
+    "cube": cube,
+    "cross": cross_polytope,
+    "cyclic": cyclic,
+    "random": random_polytope,
+    "pyramid": pyramid,
+    "prism": prism,
+}
+
+
+def direct_call(kwargs: dict):
+    """The family function and its arguments for these spec fields, with
+    `generate`'s defaults for seed and bound; None when the fields do not
+    map onto the function's parameters."""
+    family, dim, n = kwargs["family"], kwargs["dim"], kwargs.get("n")
+    seed, bound = kwargs.get("seed"), kwargs.get("bound")
+    if family == "random":
+        defaulted = (seed or 0, 10 if bound is None else bound)
+        return None if n is None else (random_polytope, (dim, n, *defaulted))
+    if family not in FUNCTIONS or seed is not None or bound is not None:
+        return None
+    if family == "cyclic":
+        return None if n is None else (cyclic, (dim, n))
+    return None if n is not None else (FUNCTIONS[family], (dim,))
+
+
 class TestGeneratorSpec:
     def test_families_listed(self):
         assert set(FAMILIES) == {
@@ -211,25 +258,21 @@ class TestGeneratorSpec:
         assert set(facelab.__all__) <= star.keys()
         assert all(star[name] is getattr(facelab, name) for name in facelab.__all__)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(family="nope", dim=3),
-            dict(family="cube", dim=0),
-            dict(family="cube", dim=3, n=9),
-            dict(family="cyclic", dim=3),
-            dict(family="cyclic", dim=3, n=3),
-            dict(family="cyclic", dim=3, n=6, seed=1),
-            dict(family="random", dim=3, n=3),
-            dict(family="simplex", dim=2, seed=5),
-            dict(family="pyramid", dim=1),
-            dict(family="prism", dim=1),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", INVALID_SPECS)
     def test_invalid_specs_rejected(self, kwargs):
         # The constructor itself refuses the spec; generate is never reached.
         with pytest.raises(GeneratorError):
             GeneratorSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [kwargs for kwargs in INVALID_SPECS if direct_call(kwargs)]
+    )
+    def test_family_functions_refuse_through_the_spec(self, kwargs):
+        with pytest.raises(GeneratorError) as refused:
+            GeneratorSpec(**kwargs)
+        function, args = direct_call(kwargs)
+        with pytest.raises(GeneratorError, match=f"^{re.escape(str(refused.value))}$"):
+            function(*args)
 
     @pytest.mark.parametrize("family", ["cyclic", "random"])
     def test_segment_has_two_vertices(self, family):

@@ -37,6 +37,10 @@ INPUTS = {
     "nonvertex.poly": "polytope 2 5\n0 0\n2 0\n1 0\n0 2\n1 1\n",
     # Collinear in 3-space: point 2 is the midpoint of the other two.
     "flat_nonvertex.poly": "polytope 3 3\n0 0 0\n2 4 6\n1 2 3\n",
+    # A unit square in the plane x3 = 0 of 3-space.
+    "flat_square.poly": "polytope 3 4\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n",
+    "empty.poly": "",
+    "zero_dim.poly": "polytope 0 3\n",
 }
 
 # Per polytope: section plane and a ridge-path query with |B| = k = 2.
@@ -80,6 +84,10 @@ def _cases() -> dict[str, list[str]]:
         ]
     cases["nonvertex.lattice"] = ["lattice", "nonvertex.poly"]
     cases["flat_nonvertex.lattice"] = ["lattice", "flat_nonvertex.poly"]
+    # Outside input that each command refuses with exit code 2.
+    cases["flat_square.dual"] = ["dual", "flat_square.poly"]
+    cases["empty.lattice"] = ["lattice", "empty.poly"]
+    cases["zero_dim.lattice"] = ["lattice", "zero_dim.poly"]
     # The id edge: each of these requests is refused with exit code 2.
     ridge = ["ridge-path", "cube3.poly", "--k", "2"]
     square = ["--to", "v0-v1-v2-v3"]

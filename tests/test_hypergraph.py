@@ -11,6 +11,7 @@ from facelab import hypergraph
 from facelab.generators import random_polytope
 from facelab.hypergraph import (
     ConnectivityReport,
+    DisconnectionWitness,
     FaceHypergraph,
     HypergraphError,
     _detour,
@@ -310,6 +311,26 @@ class TestDetour:
         report = strong_connectivity(hg, cap=3)
         assert report.capped and report.alpha == 3
         assert len(checks) == 1 + 1 + 19
+
+
+class TestWitnessSearch:
+    """The witness takes its component from the check that found the set."""
+
+    def test_disconnected_hypergraph_has_an_empty_removal(self, monkeypatch):
+        checks = count_exact_checks(monkeypatch)
+        hg = FaceHypergraph(0, vertex_faces((1, 2, 3)), (0b011, 0b100))
+        report = strong_connectivity(hg, cap=3)
+        assert report == ConnectivityReport(
+            0, 0, False, DisconnectionWitness((), ("v1", "v2"), ("v3",))
+        )
+        assert len(checks) == 1
+
+    def test_cut_node_is_searched_once(self, monkeypatch):
+        # Size 0 and both single removals up to the cut node v2.
+        checks = count_exact_checks(monkeypatch)
+        report = strong_connectivity(toy_path(), cap=3)
+        assert report.witness == DisconnectionWitness(("v2",), ("v1",), ("v3",))
+        assert len(checks) == 3
 
 
 def count_exact_checks(monkeypatch) -> list:

@@ -1,30 +1,30 @@
-"""Library layout: every function in `src/facelab` has a caller outside tests.
+"""Library layout: every function in `src/facelab` has a caller in the library.
 
 Reference checks belong in `tests/oracles.py`, not in the library.  This
 walks the AST of each library module and requires every module-level
 function and every public method to be referenced somewhere in
-`src/facelab` or `perfbench/` outside its own definition.  A reference is
-an identifier in code: a name, an attribute, an imported name, or a part
-of a dotted string constant such as perfbench's "CommandResult.render".
-Comments and docstrings do not count.  Dunder methods are exempt: the
-interpreter calls them.  So are the entry points in
-USER_API, which only users call; each must be named in the README.  Every
-attribute a library class assigns as `self.<name>`, or writes as a key of
-`self.__dict__`, must likewise be read as `.<name>` somewhere in
-`src/facelab` or `perfbench/`.
+`src/facelab` outside its own definition.  A reference is an identifier in
+code: a name, an attribute or an imported name.  Comments and docstrings do
+not count.  Dunder methods are exempt: the interpreter calls them.  So are the
+entry points in USER_API, which only users call; each must be named in the
+README.  So are the views in HARNESS_API, which only the benchmark's checks
+in `perfbench/` read; each must be referenced there and nowhere in the
+library.  Every attribute a library class assigns as `self.<name>`, or
+writes as a key of `self.__dict__`, must likewise be read as `.<name>`
+somewhere in `src/facelab`.
 """
 
 import ast
-import re
 from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "facelab"
-CALLER_DIRS = (LIBRARY, ROOT / "perfbench")
+HARNESS = ROOT / "perfbench"
 # The reader of the packaged JSON schemas that describe the CLI output.
 USER_API = {"load_schema"}
-DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+# Id views that only perfbench/checks.py reads, to re-check CLI output.
+HARNESS_API = {"hyperedges", "face_of_set"}
 
 
 def definitions(tree: ast.Module):
@@ -41,8 +41,8 @@ def definitions(tree: ast.Module):
 
 
 def references(tree: ast.Module):
-    """(identifier, line) of each name, attribute, imported name and dotted
-    string constant part in the module."""
+    """(identifier, line) of each name, attribute and imported name in the
+    module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -51,26 +51,29 @@ def references(tree: ast.Module):
         elif isinstance(node, ast.alias):
             for part in node.name.split("."):
                 yield part, node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if DOTTED.fullmatch(node.value):
-                for part in node.value.split("."):
-                    yield part, node.lineno
+
+
+def parsed(folder: Path) -> dict[Path, ast.Module]:
+    """The syntax tree of each Python file under the folder."""
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(folder.rglob("*.py"))
+    }
+
+
+def referenced_names(folder: Path) -> set[str]:
+    return {name for tree in parsed(folder).values() for name, _ in references(tree)}
 
 
 def test_library_has_no_test_only_functions():
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"))
-        for folder in CALLER_DIRS
-        for path in sorted(folder.rglob("*.py"))
-    }
+    trees = parsed(LIBRARY)
     sites: dict[str, list[tuple[Path, int]]] = {}
     for source, tree in trees.items():
         for name, line in references(tree):
             sites.setdefault(name, []).append((source, line))
     unreferenced = []
-    for path in sorted(LIBRARY.rglob("*.py")):
-        for name, first, last in definitions(trees[path]):
-            if name.startswith("__") and name.endswith("__") or name in USER_API:
+    for path, tree in trees.items():
+        for name, first, last in definitions(tree):
+            if name.startswith("__") and name.endswith("__") or name in USER_API | HARNESS_API:
                 continue
             used = any(
                 not (source == path and first <= line <= last)
@@ -84,6 +87,11 @@ def test_library_has_no_test_only_functions():
 def test_user_api_is_documented():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert [name for name in sorted(USER_API) if f"`{name}" not in readme] == []
+
+
+def test_harness_api_is_read_by_the_harness_alone():
+    assert HARNESS_API <= referenced_names(HARNESS)
+    assert HARNESS_API & referenced_names(LIBRARY) == set()
 
 
 def is_self(node: ast.AST) -> bool:
@@ -133,16 +141,13 @@ def test_assigned_attributes_sees_instance_dict_writes():
 def test_library_has_no_write_only_attributes():
     read = set()
     assigned = []
-    for folder in CALLER_DIRS:
-        for path in sorted(folder.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            read |= {
-                node.attr
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            }
-            if folder == LIBRARY:
-                assigned += [(path, *entry) for entry in assigned_attributes(tree)]
+    for path, tree in parsed(LIBRARY).items():
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        assigned += [(path, *entry) for entry in assigned_attributes(tree)]
     unread = [
         f"{path.relative_to(ROOT)}:{line} {cls}.{name}"
         for path, cls, name, line in assigned

@@ -367,6 +367,26 @@ class TestVerifier:
             self.lat, 1, BlockedSet.of(1, []), path, "v0-v2", "v0-v2"
         )
 
+    def test_blocked_set_for_another_k_rejected(self):
+        b = BlockedSet.of(2, ["v0-v1-v2-v3"])
+        assert not verify_ridge_path(self.lat, 1, b, self.good(), "v0-v2", "v1-v3")
+
+    def test_blocked_face_of_wrong_dimension_rejected(self):
+        b = BlockedSet.of(1, ["v0"])
+        assert not verify_ridge_path(self.lat, 1, b, self.good(), "v0-v2", "v1-v3")
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            RidgePath(faces=(), ridges=()),
+            RidgePath(faces=("v0-v2", "v2-v3", "v1-v3"), ridges=("v2",)),
+        ],
+        ids=["empty", "ridge count"],
+    )
+    def test_malformed_path_rejected(self, path):
+        b = BlockedSet.of(1, ["v0-v1"])
+        assert not verify_ridge_path(self.lat, 1, b, path, "v0-v2", "v1-v3")
+
 
 class TestRandomInstances:
     def test_seeded_battery(self):
