@@ -173,8 +173,7 @@ def _cmd_section(ns) -> tuple[dict, int]:
     p, lattice = _load_with_lattice(ns.file)
     normal, offset = parse_hyperplane(ns.plane)
     smap = section(p, lattice, Hyperplane.of(normal, offset))
-    # Base faces are distinct, so the pairs sort by base vertex set.
-    phi = sorted((indices_of(b), indices_of(s)) for b, s in smap.phi.items())
+    phi = sorted(smap.phi.items(), key=lambda pair: indices_of(pair[0]))
     return {
         # The plane as the user gave it, each rational reduced.
         "plane": _plane_json(normal, offset),
@@ -324,14 +323,11 @@ def build_parser(command: str | None = None) -> _Parser:
         description="Exact face lattices, face-hypergraph connectivity "
         "certificates, and ridge-path construction.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--pretty", action="store_true", help="indent the JSON output"
-    )
     sub = parser.add_subparsers(dest="command_name", required=True, parser_class=_Parser)
     for name, (summary, add_arguments, handler) in _SUBCOMMANDS.items():
         if command in (None, name):
-            subparser = sub.add_parser(name, parents=[common], help=summary)
+            subparser = sub.add_parser(name, help=summary)
+            subparser.add_argument("--pretty", action="store_true", help="indent the JSON output")
             add_arguments(subparser)
             subparser.set_defaults(handler=handler)
     return parser

@@ -50,7 +50,7 @@ class FaceHypergraph(NamedTuple):
         mask = 0
         for i in indices_of(edge):
             mask |= self.faces[i].mask
-        return face_id(indices_of(mask))
+        return face_id(mask)
 
     @property
     def hyperedges(self) -> tuple[tuple[str, frozenset[str]], ...]:

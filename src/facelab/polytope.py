@@ -34,14 +34,6 @@ class PolytopeError(FacelabError):
 EMPTY_FACE_ID = "empty"
 
 
-def face_id(vertex_set: Iterable[int]) -> str:
-    """Canonical id for a face: 'v<i>-v<j>-...' over sorted vertex indices."""
-    indices = sorted(vertex_set)
-    if not indices:
-        return EMPTY_FACE_ID
-    return "-".join(f"v{i}" for i in indices)
-
-
 def mask_of(indices: Iterable[int]) -> int:
     """The bitmask with bit i set for each index i."""
     out = 0
@@ -60,6 +52,12 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def face_id(mask: int) -> str:
+    """Canonical id for the face with this vertex mask: 'v<i>-v<j>-...' over
+    its vertex indices ascending, or 'empty' for 0."""
+    return "-".join(f"v{i}" for i in indices_of(mask)) or EMPTY_FACE_ID
+
+
 class Face(NamedTuple):
     """A face of a polytope: the bitmask of the vertices on it, and its dimension."""
 
@@ -72,7 +70,7 @@ class Face(NamedTuple):
 
     @property
     def id(self) -> str:
-        return face_id(self.vertex_set)
+        return face_id(self.mask)
 
 
 def _initial_cone(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -282,8 +280,7 @@ class FaceLattice:
             c, q = rank.get(child_mask), rank.get(parent_mask)
             if c is None or q is None or self.faces[c].dim + 1 != self.faces[q].dim:
                 raise PolytopeError(
-                    f"malformed cover {face_id(indices_of(child_mask))!r} < "
-                    f"{face_id(indices_of(parent_mask))!r}"
+                    f"malformed cover {face_id(child_mask)!r} < {face_id(parent_mask)!r}"
                 )
             pairs.append((c, q))
         # Filed in (child, parent) lattice order, every list comes out sorted.
@@ -341,13 +338,6 @@ class FaceLattice:
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(grade) for grade in self._grades[1:-1])
 
-    @cached_property
-    def covering_pairs(self) -> list[tuple[str, str]]:
-        """(child id, parent id) pairs with dim(parent) = dim(child) + 1,
-        ordered by child (dim, vertex set), then parent vertex set."""
-        ids = {f.mask: f.id for f in self.faces}
-        return [(ids[c.mask], ids[q.mask]) for c in self.faces for q in self._parents[c.mask]]
-
     def _related(self, group: dict[int, list[Face]], face: Face) -> list[Face]:
         try:
             return list(group[face.mask])
@@ -363,14 +353,19 @@ class FaceLattice:
         return self._related(self._children, face)
 
     def to_json_dict(self) -> dict:
+        """Faces in lattice order, and the covers as [child id, parent id]
+        pairs ordered by child, then parent, each id built once."""
+        ids = {f.mask: f.id for f in self.faces}
         return {
             "dim": self.dim,
             "f_vector": list(self.f_vector),
             "faces": [
-                {"id": f.id, "dim": f.dim, "vertices": list(f.vertex_set)}
+                {"id": ids[f.mask], "dim": f.dim, "vertices": list(f.vertex_set)}
                 for f in self.faces
             ],
-            "inclusions": [list(pair) for pair in self.covering_pairs],
+            "inclusions": [
+                [ids[c.mask], ids[q.mask]] for c in self.faces for q in self._parents[c.mask]
+            ],
         }
 
 

@@ -348,7 +348,7 @@ def verify_ridge_path(
     """Independent lattice-only check of a claimed path; False on any defect."""
     try:
         blocked = [lattice.face(fid) for fid in b.face_ids]
-        if b.k != k or len(b.face_ids) > k:
+        if b.k != k:
             return False
         if any(face.dim != k for face in blocked):
             return False

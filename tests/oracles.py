@@ -535,8 +535,9 @@ def anti_isomorphism_oracle(p: VPolytope, lattice: FaceLattice) -> dict[Face, Fa
             if (members[a] <= members[b]) != (image_members[b] <= image_members[a]):
                 return None
     image_ids = {f.id: images[f].id for f in lattice.faces}
-    reversed_covers = {(image_ids[q], image_ids[c]) for c, q in lattice.covering_pairs}
-    if reversed_covers != set(dual_lattice.covering_pairs):
+    covers = lattice.to_json_dict()["inclusions"]
+    reversed_covers = {(image_ids[q], image_ids[c]) for c, q in covers}
+    if reversed_covers != {tuple(pair) for pair in dual_lattice.to_json_dict()["inclusions"]}:
         return None
     return images
 

@@ -86,6 +86,18 @@ class TestGen:
             "error": "coordinate box too small for that many distinct points",
         }
 
+    def test_random_sampling_gives_up_in_a_box_without_general_position(self, tmp_path):
+        # The 3x3 box holds 9 distinct points but no 9 in general position,
+        # so every draw is refused until the sampler's attempt limit.
+        argv = ["gen", "--family", "random", "--dim", "2", "--n", "9", "--bound", "1"]
+        doc, code = invoke(*argv, "--seed", "1", "--out", str(tmp_path / "r.poly"))
+        assert code == 2
+        assert doc["error"] == (
+            "no valid sample after 1000 attempts (d=2, n=9, bound=1); "
+            "try a larger bound or fewer points"
+        )
+        assert not (tmp_path / "r.poly").exists()
+
 
 def test_every_library_error_is_a_facelab_error():
     for error in (

@@ -19,12 +19,14 @@ from facelab.generators import (
     cyclic,
     generate,
     prism,
+    prism_over,
     pyramid,
+    pyramid_over,
     random_polytope,
     simplex,
 )
 from facelab.geometry import QVector
-from facelab.polytope import face_lattice, facets
+from facelab.polytope import VPolytope, face_lattice, facets
 from instances import lattice_of
 from oracles import (
     affine_rank,
@@ -170,9 +172,6 @@ class TestRandomPolytopes:
     def test_every_point_is_a_vertex(self):
         p = random_polytope(4, 7, seed=3)
         # from_points(validate=True) re-runs the hull check on every point
-        from facelab.geometry import QVector
-        from facelab.polytope import VPolytope
-
         VPolytope.from_points([QVector(row) for row in p.rows], validate=True)
 
     def test_bound_too_small(self):
@@ -283,3 +282,10 @@ class TestGeneratorSpec:
     def test_prism_and_pyramid_dims(self):
         assert pyramid(3).dim == 3
         assert prism(4).dim == 4
+
+    @pytest.mark.parametrize("over", [pyramid_over, prism_over])
+    def test_flat_base_refused(self, over):
+        # A segment in the plane spans a line, not the plane.
+        flat = VPolytope.from_points([QVector.of([0, 0]), QVector.of([1, 1])])
+        with pytest.raises(GeneratorError, match="base must be full-dimensional$"):
+            over(flat)

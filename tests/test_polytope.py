@@ -63,10 +63,11 @@ Q = QVector.of
 
 class TestFaceIds:
     def test_round_trip(self):
-        assert face_id([2, 0, 5]) == "v0-v2-v5"
+        assert face_id(0b100101) == "v0-v2-v5"
+        assert face_id(0) == EMPTY_FACE_ID
         lat = lattice_of("cube", 3)
         for f in lat.faces:
-            assert lat.face(face_id(f.vertex_set)) == f
+            assert lat.face(face_id(f.mask)) == f
 
     @pytest.mark.parametrize(
         "text",
@@ -121,6 +122,14 @@ class TestVPolytope:
         # Rows alone decide equality: a reordering is another polytope.
         square = cube(2)
         assert VPolytope(square.rows[::-1]) != square
+
+    def test_immutable_and_equal_only_to_polytopes(self):
+        p = cube(2)
+        with pytest.raises(AttributeError, match="^VPolytope is immutable$"):
+            del p.rows
+        assert p == cube(2)
+        # A tuple holding the same rows is another kind of value.
+        assert (p == (p.rows,)) is False
 
     def test_dimensions_follow_from_rows(self):
         # A triangle in the plane z = 1 of 3-space, then a segment in the plane.
@@ -214,7 +223,7 @@ class TestFaceLattice:
 
     def test_covering_pairs_cube3(self):
         lat = lattice_of("cube", 3)
-        pairs = lat.covering_pairs
+        pairs = lat.to_json_dict()["inclusions"]
         assert len(pairs) == 8 + 24 + 24 + 6
         children_of_full = [c for c, p in pairs if p == lat.full_face.id]
         assert sorted(children_of_full) == sorted(f.id for f in lat.faces_of_dim(2))
@@ -258,6 +267,24 @@ class TestFaceLattice:
         for cover in [(0, 0b11), (0b1, 0b100)]:
             with pytest.raises(PolytopeError):
                 FaceLattice(1, faces, [cover])
+
+    @pytest.mark.parametrize(
+        "faces",
+        [
+            [Face(0b1, 0), Face(0b10, 0), Face(0b11, 1)],
+            [Face(0, -1), Face(0b1, -1), Face(0b10, 0), Face(0b11, 1)],
+        ],
+        ids=["none", "two"],
+    )
+    def test_lattice_needs_exactly_one_empty_face(self, faces):
+        with pytest.raises(PolytopeError, match="^lattice must have exactly one face of dim -1$"):
+            FaceLattice(1, faces, [])
+
+    @pytest.mark.parametrize("method", ["children", "parents"])
+    def test_relations_of_a_face_not_in_the_lattice_refused(self, method):
+        lat = lattice_of("cube", 3)
+        with pytest.raises(PolytopeError, match="^unknown face 'v8'$"):
+            getattr(lat, method)(Face(1 << 8, 0))
 
     @pytest.mark.parametrize("dim", [5, -2])
     def test_face_dimension_out_of_range_rejected(self, dim):
@@ -309,7 +336,9 @@ def assert_matches_brute_force(p: VPolytope) -> None:
     lat = face_lattice(p)
     dims, covers = closure_lattice(p)
     assert {f.vertex_set: f.dim for f in lat.faces} == dims
-    assert lat.covering_pairs == [(face_id(c), face_id(q)) for c, q in covers]
+    assert lat.to_json_dict()["inclusions"] == [
+        [face_id(mask_of(c)), face_id(mask_of(q))] for c, q in covers
+    ]
 
 
 coords = st.integers(min_value=-3, max_value=3)
