@@ -3,9 +3,9 @@
 A face is the bitmask of the polytope vertices lying on it, plus its
 dimension; containment and intersection are mask operations, and face ids
 ('v0-v2-v5') are parsed and printed only at the edges.  Facets come from one
-exact double-description pass over integer rows; the face lattice and its
-cover relation are built top-down from the facet vertex sets alone.  All
-geometry is exact.
+exact double-description pass over integer rows.  A `FaceLattice`, of a
+polytope or of one of its sections alike, is built top-down from its vertex
+count and facet vertex sets alone.  All geometry is exact.
 """
 
 from __future__ import annotations
@@ -251,45 +251,49 @@ def facets(p: VPolytope) -> list[tuple[Face, Hyperplane]]:
 class FaceLattice:
     """The graded lattice of all faces, from the empty face up to the polytope.
 
-    Built from the faces with their dimensions and the cover relation, given
-    as (child mask, parent mask) pairs.  Faces are kept by dimension, each
-    grade sorted by vertex set; `faces` runs through the grades from the
-    empty face up, which is the lattice order.
+    Built from the polytope's dimension, vertex count and facet vertex masks
+    by one top-down sweep (Kaibel & Pfetsch 2002): the faces a face F covers
+    are the inclusion-maximal sets among F & G over the facets G not
+    containing F, so the level gives each face its dimension and the sweep
+    gives its covers.  Every vertex covers the empty face.  Faces are kept
+    by dimension, each grade sorted by vertex set; `faces` runs through the
+    grades from the empty face up, which is the lattice order, and each
+    face's children and parents are filed in that order.
     """
 
-    def __init__(
-        self, dim: int, faces: Sequence[Face], covers: Iterable[tuple[int, int]]
-    ):
+    def __init__(self, dim: int, n_vertices: int, facet_masks: Sequence[int]):
         self.dim = dim
-        self._grades: list[list[Face]] = [[] for _ in range(dim + 2)]
-        for f in sorted(faces, key=lambda f: f.vertex_set):
-            if not -1 <= f.dim <= dim:
-                raise PolytopeError(f"face {f.id!r} has dimension {f.dim} outside [-1, {dim}]")
-            self._grades[f.dim + 1].append(f)
+        self.n_vertices = n_vertices
+        # levels[i] holds the masks of the faces of dimension dim - i, and
+        # below[mask] the masks of the faces that face covers.
+        level = [(1 << n_vertices) - 1]
+        below: dict[int, list[int]] = {}
+        levels = [level]
+        for _ in range(dim):
+            for face in level:
+                below[face] = _maximal({face & g for g in facet_masks if face & ~g})
+            level = list({c for face in level for c in below[face]})
+            levels.append(level)
+        # The last level is the vertices, which cover the empty face.
+        below.update(dict.fromkeys(level, [0]))
+        below[0] = []
+        levels.append([0])
+        self._grades: list[list[Face]] = [
+            [Face(mask, k) for mask in sorted(masks, key=indices_of)]
+            for k, masks in zip(range(-1, dim + 1), reversed(levels))
+        ]
         self.faces = tuple(f for grade in self._grades for f in grade)
         self._by_mask = {f.mask: f for f in self.faces}
-        if len(self._by_mask) != len(self.faces):
-            raise PolytopeError("duplicate faces in lattice")
-        for k in (-1, dim):
-            if len(self.faces_of_dim(k)) != 1:
-                raise PolytopeError(f"lattice must have exactly one face of dim {k}")
-        self.n_vertices = self.full_face.mask.bit_length()
-        rank = {f.mask: i for i, f in enumerate(self.faces)}
-        pairs = []
-        for child_mask, parent_mask in covers:
-            c, q = rank.get(child_mask), rank.get(parent_mask)
-            if c is None or q is None or self.faces[c].dim + 1 != self.faces[q].dim:
-                raise PolytopeError(
-                    f"malformed cover {face_id(child_mask)!r} < {face_id(parent_mask)!r}"
-                )
-            pairs.append((c, q))
-        # Filed in (child, parent) lattice order, every list comes out sorted.
+        # Parents filed while walking the faces in lattice order come out
+        # sorted, and so do children filed while walking them again.
         self._children: dict[int, list[Face]] = {f.mask: [] for f in self.faces}
         self._parents: dict[int, list[Face]] = {f.mask: [] for f in self.faces}
-        for c, q in sorted(pairs):
-            child, parent = self.faces[c], self.faces[q]
-            self._children[parent.mask].append(child)
-            self._parents[child.mask].append(parent)
+        for face in self.faces:
+            for c in below[face.mask]:
+                self._parents[c].append(face)
+        for face in self.faces:
+            for q in self._parents[face.mask]:
+                self._children[q.mask].append(face)
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -373,33 +377,18 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal members of a set of bitmasks."""
     kept: list[int] = []
     for mask in sorted(masks, key=int.bit_count, reverse=True):
-        if all(mask & k != mask for k in kept):
+        for k in kept:
+            if mask & k == mask:
+                break
+        else:
             kept.append(mask)
     return kept
 
 
 def face_lattice(p: VPolytope) -> FaceLattice:
-    """Full face lattice with its covers, top-down from the facet vertex sets.
-
-    The faces a face F covers are the inclusion-maximal sets among F & G over
-    the facets G not containing F (Kaibel & Pfetsch 2002), so one sweep down
-    from the polytope finds every face, its dimension (the level) and its
-    covers.
-    """
-    facet_masks = [face.mask for face, _ in facets(p)]
-    top = (1 << p.n_vertices) - 1
-    dims = {top: p.dim}
-    covers: list[tuple[int, int]] = []
-    level = {top}
-    for dim in range(p.dim - 1, -2, -1):
-        below: set[int] = set()
-        for face in level:
-            for child in _maximal({face & g for g in facet_masks if face & ~g}):
-                covers.append((child, face))
-                below.add(child)
-        dims.update(dict.fromkeys(below, dim))
-        level = below
-    return FaceLattice(p.dim, [Face(mask, dim) for mask, dim in dims.items()], covers)
+    """Full face lattice of p with its covers, swept top-down from the vertex
+    sets of p's facets."""
+    return FaceLattice(p.dim, p.n_vertices, [face.mask for face, _ in facets(p)])
 
 
 def polar_dual(p: VPolytope) -> VPolytope:

@@ -2,9 +2,10 @@
 
 Slicing a polytope by a hyperplane missing all vertices yields a polytope one
 dimension down whose faces correspond exactly to the faces of the base that the
-hyperplane cuts.  The slice lattice here is built from that correspondence
-(crossed edges become slice vertices), not by fresh facet enumeration, so the
-bijection is available by construction and stays exact under recursion.
+hyperplane cuts.  Crossed edges become slice vertices, and the slice's facets
+are the images of the cut facets, so the slice needs no fresh facet
+enumeration: its lattice is built from those facet masks like any other, and
+the bijection is available by construction and stays exact under recursion.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class SectionMap(NamedTuple):
     order; slice faces keep ambient coordinates (they live on the plane),
     with the slice's intrinsic dimension one below the base's.  ``phi`` maps
     the mask of each cut base face to the mask of its slice face (a mask
-    over crossed edges).
+    over crossed edges); the slice lattice is built from the images of the
+    cut facets.
     """
 
     slice_polytope: VPolytope
@@ -90,35 +92,25 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
             primitive([values[b] * x - values[a] * y for x, y in zip(rows[a], rows[b])])
         )
 
-    # Slice faces in bijection with the cut base faces, one dimension down.
-    # Crossed edge idx is slice vertex idx; the slice face of a larger cut
-    # face holds the crossed edges of its cut children, which come before it
-    # in lattice order.
+    # Cut base faces map to slice faces one dimension down.  Crossed edge
+    # idx is slice vertex idx; the slice face of a larger cut face holds the
+    # crossed edges of its cut children, which come before it in lattice
+    # order.
     phi = {e.mask: 1 << idx for idx, e in enumerate(crossed)}
-    cut_faces = [f for f in lattice.faces if is_cut(f)]
-    slice_faces = [Face(0, -1)]
-    for f in cut_faces:
-        if f.dim > 1:
+    for f in lattice.faces:
+        if f.dim > 1 and is_cut(f):
             cut_edges = 0
             for c in lattice.children(f):
                 cut_edges |= phi.get(c.mask, 0)
-            if not cut_edges:
-                raise SectionError(
-                    f"face {f.id!r} is cut but contains no crossed edge; "
-                    "base lattice is inconsistent"
-                )
             phi[f.mask] = cut_edges
-        slice_faces.append(Face(phi[f.mask], f.dim - 1))
 
     if len(set(phi.values())) != len(phi):
         raise SectionError("two cut faces produced the same slice face; degenerate cut")
 
-    # A face containing a cut face is cut too, so the base covers among cut
-    # faces are all of the slice's covers above its vertices.
-    covers = [(0, 1 << i) for i in range(len(crossed))]
-    for f in cut_faces:
-        covers += [(phi[f.mask], phi[parent.mask]) for parent in lattice.parents(f)]
-
+    # The slice's facets are the images of the cut facets.
+    slice_facets = [phi[f.mask] for f in lattice.faces_of_dim(lattice.dim - 1) if f.mask in phi]
     return SectionMap(
-        VPolytope(tuple(slice_rows)), FaceLattice(lattice.dim - 1, slice_faces, covers), phi
+        VPolytope(tuple(slice_rows)),
+        FaceLattice(lattice.dim - 1, len(crossed), slice_facets),
+        phi,
     )

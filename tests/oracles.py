@@ -8,11 +8,13 @@ these are the second route in every two-route check.  The Fraction
 routines the library's integer kernels replaced (elimination, the hyperplane
 through points, a point's side of a hyperplane, the segment crossing, the
 phase-1 simplex, the cutting-plane search) stay here as the second route for
-those kernels.  Here a point is a sequence of its rational coordinates;
-`rational_points` reads them off a polytope's integer rows.  The one
-exception reads the library's integer elimination: `hyperplane_through`,
-which `initial_cone_oracle` calls once per ray, the start of double
-description that `polytope._initial_cone` replaced.
+those kernels.  So does the walk `section` once used to build a slice's
+lattice, before every lattice came from one top-down sweep over its facets:
+`slice_lattice_oracle`.  Here a point is a sequence of its rational
+coordinates; `rational_points` reads them off a polytope's integer rows.
+The one exception reads the library's integer elimination:
+`hyperplane_through`, which `initial_cone_oracle` calls once per ray, the
+start of double description that `polytope._initial_cone` replaced.
 """
 
 from __future__ import annotations
@@ -495,6 +497,47 @@ def assert_section_isomorphism(
     }
     assert image == expected
     assert euler_characteristic_holds(slice_lattice)
+
+
+def slice_lattice_oracle(
+    p: VPolytope, lattice: FaceLattice, h: Hyperplane
+) -> tuple[list[Face], dict[int, list[Face]], dict[int, list[Face]]]:
+    """The slice of p by h as a face poset read off the base lattice: its
+    faces in lattice order, and per face mask its children and its parents,
+    each in lattice order.
+
+    Slice vertex i is the i-th crossed edge in lattice order; the slice face
+    of a larger cut face holds the crossed edges of its cut children.  A face
+    containing a cut face is cut too, so the base covers among the cut faces
+    are all of the slice's covers above its vertices, and every vertex covers
+    the empty face.
+    """
+    points = rational_points(p)
+
+    def is_cut(f: Face) -> bool:
+        return {side(h, points[i]) for i in f.vertex_set} == {-1, 1}
+
+    cut = [f for f in lattice.faces if is_cut(f)]
+    edges = [f for f in cut if f.dim == 1]
+    phi = {e.mask: 1 << i for i, e in enumerate(edges)}
+    for f in cut:
+        if f.dim > 1:
+            phi[f.mask] = 0
+            for c in lattice.children(f):
+                phi[f.mask] |= phi.get(c.mask, 0)
+    faces = sorted(
+        [Face(0, -1)] + [Face(phi[f.mask], f.dim - 1) for f in cut],
+        key=lambda f: (f.dim, f.vertex_set),
+    )
+    covers = [(0, phi[e.mask]) for e in edges]
+    covers += [(phi[f.mask], phi[q.mask]) for f in cut for q in lattice.parents(f)]
+    rank = {f.mask: i for i, f in enumerate(faces)}
+    children: dict[int, list[Face]] = {f.mask: [] for f in faces}
+    parents: dict[int, list[Face]] = {f.mask: [] for f in faces}
+    for c, q in sorted((rank[c], rank[q]) for c, q in covers):
+        children[faces[q].mask].append(faces[c])
+        parents[faces[c].mask].append(faces[q])
+    return faces, children, parents
 
 
 def euler_characteristic_holds(lattice: FaceLattice) -> bool:

@@ -41,6 +41,9 @@ INPUTS = {
     "flat_square.poly": "polytope 3 4\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n",
     "empty.poly": "",
     "zero_dim.poly": "polytope 0 3\n",
+    # The lowest grades a lattice or a slice can have.
+    "segment.poly": "polytope 1 2\n0\n1\n",
+    "triangle.poly": "polytope 2 3\n0 0\n1 0\n0 1\n",
 }
 
 # Per polytope: section plane and a ridge-path query with |B| = k = 2.
@@ -84,6 +87,11 @@ def _cases() -> dict[str, list[str]]:
         ]
     cases["nonvertex.lattice"] = ["lattice", "nonvertex.poly"]
     cases["flat_nonvertex.lattice"] = ["lattice", "flat_nonvertex.poly"]
+    # A segment's slice is a point (a 0-dimensional lattice); a triangle's
+    # is a segment.
+    for stem, plane in [("segment", "1;1/2"), ("triangle", "1,1;1/2")]:
+        cases[f"{stem}.lattice"] = ["lattice", f"{stem}.poly"]
+        cases[f"{stem}.section"] = ["section", f"{stem}.poly", "--plane", plane]
     # Outside input that each command refuses with exit code 2.
     cases["flat_square.dual"] = ["dual", "flat_square.poly"]
     cases["empty.lattice"] = ["lattice", "empty.poly"]

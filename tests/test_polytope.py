@@ -257,40 +257,11 @@ class TestFaceLattice:
         for child, parent in doc["inclusions"]:
             assert child in ids and parent in ids
 
-    def test_duplicate_ids_rejected(self):
-        v = Face(0b1, 0)
-        with pytest.raises(PolytopeError):
-            FaceLattice(1, [Face(0, -1), v, v, Face(0b11, 1)], [])
-
-    def test_malformed_cover_rejected(self):
-        faces = [Face(0, -1), Face(0b1, 0), Face(0b10, 0), Face(0b11, 1)]
-        for cover in [(0, 0b11), (0b1, 0b100)]:
-            with pytest.raises(PolytopeError):
-                FaceLattice(1, faces, [cover])
-
-    @pytest.mark.parametrize(
-        "faces",
-        [
-            [Face(0b1, 0), Face(0b10, 0), Face(0b11, 1)],
-            [Face(0, -1), Face(0b1, -1), Face(0b10, 0), Face(0b11, 1)],
-        ],
-        ids=["none", "two"],
-    )
-    def test_lattice_needs_exactly_one_empty_face(self, faces):
-        with pytest.raises(PolytopeError, match="^lattice must have exactly one face of dim -1$"):
-            FaceLattice(1, faces, [])
-
     @pytest.mark.parametrize("method", ["children", "parents"])
     def test_relations_of_a_face_not_in_the_lattice_refused(self, method):
         lat = lattice_of("cube", 3)
         with pytest.raises(PolytopeError, match="^unknown face 'v8'$"):
             getattr(lat, method)(Face(1 << 8, 0))
-
-    @pytest.mark.parametrize("dim", [5, -2])
-    def test_face_dimension_out_of_range_rejected(self, dim):
-        faces = [Face(0, -1), Face(0b1, dim), Face(0b10, 0), Face(0b11, 1)]
-        with pytest.raises(PolytopeError, match=rf"'v0' has dimension {dim} outside \[-1, 1\]"):
-            FaceLattice(1, faces, [])
 
 
 def assert_graded(lat: FaceLattice) -> None:

@@ -7,9 +7,9 @@ import pytest
 
 from facelab.generators import cube, random_polytope, simplex
 from facelab.geometry import Hyperplane, QVector
-from facelab.polytope import FaceLattice, face_lattice
+from facelab.polytope import face_lattice, parse_polytope
 from facelab.section import SectionError, parse_hyperplane, section
-from instances import instance, random_cutting_plane, section_battery
+from instances import FAMILY_GRID, instance, random_cutting_plane, section_battery
 from oracles import (
     affine_rank,
     assert_section_isomorphism,
@@ -17,6 +17,7 @@ from oracles import (
     rational_points,
     segment_hyperplane_intersection,
     side,
+    slice_lattice_oracle,
 )
 
 F = Fraction
@@ -146,15 +147,6 @@ class TestSection:
         with pytest.raises(SectionError):
             section(p, lat, plane("1,1,0;1"))
 
-    def test_inconsistent_lattice_rejected(self):
-        # Without the covers below the square itself, the square is cut but
-        # no cut child hands it a crossed edge.
-        p, lat = instance("cube", 2)
-        covers = [(c.mask, q.mask) for q in lat.faces[:-1] for c in lat.children(q)]
-        broken = FaceLattice(2, lat.faces, covers)
-        with pytest.raises(SectionError, match="contains no crossed edge"):
-            section(p, broken, plane("1,0;1/2"))
-
     def test_plane_missing_polytope_rejected(self):
         p, lat = instance("cube", 3)
         with pytest.raises(SectionError):
@@ -181,3 +173,49 @@ class TestSlicePointsAgainstOracle:
                 a, b = edge.vertex_set
                 point = segment_hyperplane_intersection(points[a], points[b], h)
                 assert sliced.rows[i] == QVector.of(point).row
+
+
+def assert_slice_matches_oracle(p, lat, h):
+    """The slice lattice `section` builds against the one read off the base
+    lattice's cut faces: the same faces and grades, and the same children
+    and parents of every face, in order."""
+    sliced = section(p, lat, h).slice_lattice
+    faces, children, parents = slice_lattice_oracle(p, lat, h)
+    assert list(sliced.faces) == faces
+    for k in range(-1, sliced.dim + 1):
+        assert sliced.faces_of_dim(k) == [f for f in faces if f.dim == k]
+    for f in faces:
+        assert sliced.children(f) == children[f.mask]
+        assert sliced.parents(f) == parents[f.mask]
+
+
+class TestSliceLatticeOracle:
+    def test_section_battery(self):
+        for p, lat, h in section_battery():
+            assert_slice_matches_oracle(p, lat, h)
+
+    @pytest.mark.parametrize("family,dim,n", FAMILY_GRID)
+    def test_one_slice_per_family(self, family, dim, n):
+        p, lat = instance(family, dim, n)
+        assert_slice_matches_oracle(p, lat, random_cutting_plane(p, random.Random(5)))
+
+    def test_cube4_sliced_twice(self):
+        p, lat = instance("cube", 4)
+        h = plane("1,0,0,0;1/2")
+        assert_slice_matches_oracle(p, lat, h)
+        first = section(p, lat, h)
+        assert_slice_matches_oracle(
+            first.slice_polytope, first.slice_lattice, plane("0,1,0,0;1/2")
+        )
+
+    @pytest.mark.parametrize(
+        "text,cut",
+        [
+            ("polytope 1 2\n0\n1\n", "1;1/2"),
+            ("polytope 2 3\n0 0\n1 0\n0 1\n", "1,1;1/2"),
+        ],
+        ids=["segment", "triangle"],
+    )
+    def test_lowest_grades(self, text, cut):
+        p = parse_polytope(text)
+        assert_slice_matches_oracle(p, face_lattice(p), plane(cut))
