@@ -7,7 +7,6 @@ which needs it only for `gen`) does not.
 """
 
 from .hypergraph import build_hypergraph, strong_connectivity
-from .polytope import face_lattice
 from .ridgepath import BlockedSet, solve_ridge_path, verify_ridge_path
 
 __version__ = "0.1.0"
@@ -16,7 +15,6 @@ __all__ = [
     "BlockedSet",
     "GeneratorSpec",
     "build_hypergraph",
-    "face_lattice",
     "generate",
     "solve_ridge_path",
     "strong_connectivity",

@@ -19,7 +19,6 @@ from .hypergraph import build_hypergraph, strong_connectivity
 from .polytope import (
     VPolytope,
     face_id,
-    face_lattice,
     indices_of,
     load_polytope,
     polar_dual,
@@ -86,11 +85,6 @@ def _vertices_json(p: VPolytope) -> list[list[str]]:
     return [format_point(row) for row in p.rows]
 
 
-def _load_with_lattice(path: str):
-    p = load_polytope(path)
-    return p, face_lattice(p)
-
-
 def _cmd_gen(ns) -> tuple[dict, int]:
     # Only gen loads the generators.
     from .generators import GeneratorSpec, generate
@@ -108,13 +102,11 @@ def _cmd_gen(ns) -> tuple[dict, int]:
 
 
 def _cmd_lattice(ns) -> tuple[dict, int]:
-    _, lattice = _load_with_lattice(ns.file)
-    return lattice.to_json_dict(), 0
+    return load_polytope(ns.file).lattice.to_json_dict(), 0
 
 
 def _cmd_hypergraph(ns) -> tuple[dict, int]:
-    _, lattice = _load_with_lattice(ns.file)
-    hg = build_hypergraph(lattice, ns.k)
+    hg = build_hypergraph(load_polytope(ns.file).lattice, ns.k)
     nodes = hg.nodes
     return {
         "k": hg.k,
@@ -127,7 +119,7 @@ def _cmd_hypergraph(ns) -> tuple[dict, int]:
 
 
 def _cmd_connectivity(ns) -> tuple[dict, int]:
-    _, lattice = _load_with_lattice(ns.file)
+    lattice = load_polytope(ns.file).lattice
     hg = build_hypergraph(lattice, ns.k)
     cap = ns.cap if ns.cap is not None else lattice.dim - ns.k
     report = strong_connectivity(hg, cap)
@@ -139,13 +131,13 @@ def _cmd_connectivity(ns) -> tuple[dict, int]:
 
 
 def _cmd_ridge_path(ns) -> tuple[dict, int]:
-    p, lattice = _load_with_lattice(ns.file)
+    p = load_polytope(ns.file)
     blocked_ids = [token for token in ns.blocked.split(",") if token]
     b = BlockedSet.of(ns.k, blocked_ids)
-    result = solve_ridge_path(p, lattice, b, ns.from_id, ns.to_id)
+    result = solve_ridge_path(p, b, ns.from_id, ns.to_id)
     verified = None
     if ns.verify:
-        verified = verify_ridge_path(lattice, b.k, b, result.path, ns.from_id, ns.to_id)
+        verified = verify_ridge_path(p.lattice, b.k, b, result.path, ns.from_id, ns.to_id)
     payload = {
         "path": list(result.path.faces),
         "ridges": list(result.path.ridges),
@@ -170,25 +162,27 @@ def _cmd_dual(ns) -> tuple[dict, int]:
 
 
 def _cmd_section(ns) -> tuple[dict, int]:
-    p, lattice = _load_with_lattice(ns.file)
+    p = load_polytope(ns.file)
     normal, offset = parse_hyperplane(ns.plane)
-    smap = section(p, lattice, Hyperplane.of(normal, offset))
+    smap = section(p, Hyperplane.of(normal, offset))
     phi = sorted(smap.phi.items(), key=lambda pair: indices_of(pair[0]))
+    sliced = smap.slice_polytope
     return {
         # The plane as the user gave it, each rational reduced.
         "plane": _plane_json(normal, offset),
         "slice": {
-            "dim": smap.slice_lattice.dim,
-            "n_vertices": smap.slice_polytope.n_vertices,
-            "vertices": _vertices_json(smap.slice_polytope),
-            "f_vector": list(smap.slice_lattice.f_vector),
+            # The lattice's dim: the polytope's would run an elimination.
+            "dim": sliced.lattice.dim,
+            "n_vertices": sliced.n_vertices,
+            "vertices": _vertices_json(sliced),
+            "f_vector": list(sliced.lattice.f_vector),
         },
         "phi": [[face_id(b), face_id(s)] for b, s in phi],
     }, 0
 
 
 def _cmd_verify_theorem(ns) -> tuple[dict, int]:
-    _, lattice = _load_with_lattice(ns.file)
+    lattice = load_polytope(ns.file).lattice
     d = lattice.dim
     ks = [ns.k] if ns.k is not None else list(range(d))
     results = []

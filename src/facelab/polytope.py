@@ -5,7 +5,8 @@ dimension; containment and intersection are mask operations, and face ids
 ('v0-v2-v5') are parsed and printed only at the edges.  Facets come from one
 exact double-description pass over integer rows.  A `FaceLattice`, of a
 polytope or of one of its sections alike, is built top-down from its vertex
-count and facet vertex sets alone.  All geometry is exact.
+count and facet vertex sets alone, and a polytope owns its lattice: it
+builds it on the first read of `lattice`.  All geometry is exact.
 """
 
 from __future__ import annotations
@@ -226,6 +227,11 @@ class VPolytope:
     @property
     def n_vertices(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def lattice(self) -> FaceLattice:
+        """The face lattice, built by `face_lattice` on first read."""
+        return face_lattice(self)
 
     def face_barycenter(self, face: Face) -> tuple[int, ...]:
         return barycenter([self.rows[i] for i in face.vertex_set])

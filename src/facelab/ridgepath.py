@@ -3,7 +3,8 @@
 The solver realizes an inductive construction: pick a blocked face R, find a
 hyperplane through relative-interior points of the endpoints that misses R and
 every vertex, slice, solve the smaller problem in the slice, and lift the
-answer back.  Each recursion level drops both k and the number of blocked
+answer back.  Each level reads the lattice of the polytope it is given, a
+slice's included.  Each recursion level drops both k and the number of blocked
 faces by one, so a blocked set of size at most k always bottoms out in a plain
 graph search.  A standalone verifier re-checks any claimed path against the
 lattice alone.
@@ -255,16 +256,17 @@ def _bfs_ridge_path(
 
 
 def _solve(
-    p: VPolytope, lattice: FaceLattice, blocked: tuple[Face, ...], f: Face, g: Face
+    p: VPolytope, blocked: tuple[Face, ...], f: Face, g: Face
 ) -> tuple[tuple[Face, ...], tuple[Face, ...], tuple[Hyperplane, ...]]:
     """The path's faces and ridges, and one cutting plane per level, outermost first.
 
-    The path's faces have dimension k = f.dim, and at most k are blocked."""
+    The faces are those of p's lattice; the path's have dimension k = f.dim,
+    and at most k are blocked."""
     if f == g:
         return (f,), (), ()
     # k = 0 blocks nothing (the budget); two vertices meet in the empty face.
     if f.dim == 1 or not blocked:
-        found = _bfs_ridge_path(lattice, blocked, f, g)
+        found = _bfs_ridge_path(p.lattice, blocked, f, g)
         if found is None:
             raise RidgePathError(
                 f"ridge graph of {f.dim}-faces is disconnected after removing "
@@ -274,23 +276,21 @@ def _solve(
 
     r = min(blocked, key=lambda b: b.vertex_set)
     h, _ = search_cutting_hyperplane(p, f, g, r)
-    smap = section(p, lattice, h)
-    phi = smap.phi
+    smap = section(p, h)
+    phi, slice_polytope = smap.phi, smap.slice_polytope
 
     def sliced(x: Face) -> Face:
-        return smap.slice_lattice.face_of_mask(phi[x.mask])
+        return slice_polytope.lattice.face_of_mask(phi[x.mask])
 
     # The plane passes through both barycenters, so f and g are cut, and misses
     # r.  Section maps distinct cut faces to distinct slice faces, so the slice
     # keeps f and g distinct and unblocked, with at most k - 1 blocked.
     blocked_slice = tuple(sliced(b) for b in blocked if b.mask in phi)
-    faces, ridges, planes = _solve(
-        smap.slice_polytope, smap.slice_lattice, blocked_slice, sliced(f), sliced(g)
-    )
+    faces, ridges, planes = _solve(slice_polytope, blocked_slice, sliced(f), sliced(g))
     lift = {s: b for b, s in phi.items()}
 
     def lifted(chain: tuple[Face, ...]) -> tuple[Face, ...]:
-        return tuple(lattice.face_of_mask(lift[x.mask]) for x in chain)
+        return tuple(p.lattice.face_of_mask(lift[x.mask]) for x in chain)
 
     return lifted(faces), lifted(ridges), (h,) + planes
 
@@ -321,9 +321,7 @@ def _resolve_request(
     return tuple(blocked), f, g
 
 
-def solve_ridge_path(
-    p: VPolytope, lattice: FaceLattice, b: BlockedSet, f_id: str, g_id: str
-) -> RidgePathResult:
+def solve_ridge_path(p: VPolytope, b: BlockedSet, f_id: str, g_id: str) -> RidgePathResult:
     """A path of b.k-faces from f to g through (b.k-1)-ridges avoiding b.
 
     The result also carries the cutting hyperplanes used, outermost first
@@ -331,8 +329,8 @@ def solve_ridge_path(
     a request always gives the same path and the same planes.  The path is
     not checked here; `verify_ridge_path` certifies it apart from the solver.
     """
-    blocked, f, g = _resolve_request(lattice, b, f_id, g_id)
-    faces, ridges, planes = _solve(p, lattice, blocked, f, g)
+    blocked, f, g = _resolve_request(p.lattice, b, f_id, g_id)
+    faces, ridges, planes = _solve(p, blocked, f, g)
     path = RidgePath(tuple(x.id for x in faces), tuple(x.id for x in ridges))
     return RidgePathResult(path, planes)
 

@@ -3,9 +3,9 @@
 Slicing a polytope by a hyperplane missing all vertices yields a polytope one
 dimension down whose faces correspond exactly to the faces of the base that the
 hyperplane cuts.  Crossed edges become slice vertices, and the slice's facets
-are the images of the cut facets, so the slice needs no fresh facet
-enumeration: its lattice is built from those facet masks like any other, and
-the bijection is available by construction and stays exact under recursion.
+are the images of the cut facets, so the slice polytope comes with its
+lattice, built from those facet masks like any other, and the bijection is
+available by construction and stays exact under recursion.
 """
 
 from __future__ import annotations
@@ -46,27 +46,34 @@ def parse_hyperplane(text: str) -> tuple[list[Rational], Rational]:
 
 
 class SectionMap(NamedTuple):
-    """A sliced polytope plus the face bijection with its base.
+    """A sliced polytope, which carries its lattice, plus the face bijection
+    with its base.
 
     Slice vertex i is the crossing point of the i-th crossed edge in lattice
     order; slice faces keep ambient coordinates (they live on the plane),
     with the slice's intrinsic dimension one below the base's.  ``phi`` maps
     the mask of each cut base face to the mask of its slice face (a mask
-    over crossed edges); the slice lattice is built from the images of the
-    cut facets.
+    over crossed edges), and is injective: a cut face's slice has its
+    relative interior inside the face's, so distinct faces give distinct
+    slices.
     """
 
     slice_polytope: VPolytope
-    slice_lattice: FaceLattice
     phi: dict[int, int]
 
+    @property
+    def slice_lattice(self) -> FaceLattice:
+        """The slice's lattice, under the name `perfbench/trace_entry.py` reads."""
+        return self.slice_polytope.lattice
 
-def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
+
+def section(p: VPolytope, h: Hyperplane) -> SectionMap:
     """Slice p by h; requires h to miss every vertex and meet the interior."""
     if h.dim != p.ambient_dim:
         raise SectionError(
             f"hyperplane dimension {h.dim} does not match ambient {p.ambient_dim}"
         )
+    lattice = p.lattice
     values = p.plane_values(h)
     for i, value in enumerate(values):
         if value == 0:
@@ -104,13 +111,9 @@ def section(p: VPolytope, lattice: FaceLattice, h: Hyperplane) -> SectionMap:
                 cut_edges |= phi.get(c.mask, 0)
             phi[f.mask] = cut_edges
 
-    if len(set(phi.values())) != len(phi):
-        raise SectionError("two cut faces produced the same slice face; degenerate cut")
-
-    # The slice's facets are the images of the cut facets.
+    # A flat slice cannot enumerate its own facets, so its lattice is filled
+    # in from the images of the cut facets.
     slice_facets = [phi[f.mask] for f in lattice.faces_of_dim(lattice.dim - 1) if f.mask in phi]
-    return SectionMap(
-        VPolytope(tuple(slice_rows)),
-        FaceLattice(lattice.dim - 1, len(crossed), slice_facets),
-        phi,
-    )
+    slice_polytope = VPolytope(tuple(slice_rows))
+    slice_polytope.__dict__["lattice"] = FaceLattice(lattice.dim - 1, len(crossed), slice_facets)
+    return SectionMap(slice_polytope, phi)

@@ -1,4 +1,8 @@
-"""Shared, memoized polytope instances so expensive lattices build once."""
+"""Shared, memoized polytope instances so expensive lattices build once.
+
+A lattice here is always `polytope(...).lattice`, the very object the
+section and ridge-path code reads, not a second copy built beside it.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from facelab.generators import GeneratorSpec, generate
-from facelab.polytope import FaceLattice, VPolytope, face_lattice, parse_polytope
+from facelab.polytope import FaceLattice, VPolytope, parse_polytope
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -25,9 +29,8 @@ def polytope(family: str, dim: int, n: int | None = None, seed: int | None = Non
     return generate(GeneratorSpec(family=family, dim=dim, n=n, seed=seed))
 
 
-@lru_cache(maxsize=None)
 def lattice_of(family: str, dim: int, n: int | None = None, seed: int | None = None) -> FaceLattice:
-    return face_lattice(polytope(family, dim, n, seed))
+    return polytope(family, dim, n, seed).lattice
 
 
 def golden_random_polytopes() -> list[VPolytope]:
@@ -40,7 +43,8 @@ def golden_random_polytopes() -> list[VPolytope]:
 def instance(
     family: str, dim: int, n: int | None = None, seed: int | None = None
 ) -> tuple[VPolytope, FaceLattice]:
-    return polytope(family, dim, n, seed), lattice_of(family, dim, n, seed)
+    p = polytope(family, dim, n, seed)
+    return p, p.lattice
 
 
 def random_cutting_plane(p: VPolytope, rng, max_tries: int = 500):
@@ -66,7 +70,7 @@ def random_cutting_plane(p: VPolytope, rng, max_tries: int = 500):
 
 
 def section_battery():
-    """The 100 seeded (polytope, lattice, cutting plane) triples of acceptance
+    """The 100 seeded (polytope, cutting plane) pairs of acceptance
     criterion 3: 60 random 3-polytopes and 40 random 4-polytopes."""
     rng = random.Random(2026)
     for trial in range(100):
@@ -75,4 +79,4 @@ def section_battery():
         else:
             d, n = 4, 6 + trial % 2
         p = polytope("random", d, n=n, seed=trial)
-        yield p, lattice_of("random", d, n=n, seed=trial), random_cutting_plane(p, rng)
+        yield p, random_cutting_plane(p, rng)

@@ -37,7 +37,7 @@ from facelab.hypergraph import (
     FaceHypergraph,
     build_hypergraph,
 )
-from facelab.polytope import Face, FaceLattice, VPolytope, face_lattice, facets, polar_dual
+from facelab.polytope import Face, FaceLattice, VPolytope, facets, polar_dual
 
 
 def det(matrix: list[list[Fraction]]) -> Fraction:
@@ -442,16 +442,14 @@ def chart_lattice(points: list[Point], normal: tuple[int, ...]) -> FaceLattice:
     """
     pivot = next(j for j, a in enumerate(normal) if a != 0)
     projected = [QVector.of([x for j, x in enumerate(v) if j != pivot]) for v in points]
-    return face_lattice(VPolytope.from_points(projected, validate=False))
+    return VPolytope.from_points(projected, validate=False).lattice
 
 
-def assert_section_isomorphism(
-    p: VPolytope, lattice: FaceLattice, h: Hyperplane, smap
-) -> None:
+def assert_section_isomorphism(p: VPolytope, h: Hyperplane, smap) -> None:
     """Full two-route audit of the slice of p by h: the combinatorial map must
     be a poset isomorphism onto the slice lattice, and the slice lattice must
     equal the geometric reconstruction from the slice points alone."""
-    slice_lattice = smap.slice_lattice
+    lattice, slice_lattice = p.lattice, smap.slice_polytope.lattice
     to_slice = {
         lattice.face_of_mask(b).id: slice_lattice.face_of_mask(s).id
         for b, s in smap.phi.items()
@@ -500,7 +498,7 @@ def assert_section_isomorphism(
 
 
 def slice_lattice_oracle(
-    p: VPolytope, lattice: FaceLattice, h: Hyperplane
+    p: VPolytope, h: Hyperplane
 ) -> tuple[list[Face], dict[int, list[Face]], dict[int, list[Face]]]:
     """The slice of p by h as a face poset read off the base lattice: its
     faces in lattice order, and per face mask its children and its parents,
@@ -512,7 +510,7 @@ def slice_lattice_oracle(
     are all of the slice's covers above its vertices, and every vertex covers
     the empty face.
     """
-    points = rational_points(p)
+    lattice, points = p.lattice, rational_points(p)
 
     def is_cut(f: Face) -> bool:
         return {side(h, points[i]) for i in f.vertex_set} == {-1, 1}
@@ -547,7 +545,7 @@ def euler_characteristic_holds(lattice: FaceLattice) -> bool:
     return total == 1 - (-1) ** lattice.dim
 
 
-def anti_isomorphism_oracle(p: VPolytope, lattice: FaceLattice) -> dict[Face, Face] | None:
+def anti_isomorphism_oracle(p: VPolytope) -> dict[Face, Face] | None:
     """The facet-incidence map from p's face lattice onto its polar dual's,
     or None when that map is not an anti-isomorphism.
 
@@ -559,7 +557,7 @@ def anti_isomorphism_oracle(p: VPolytope, lattice: FaceLattice) -> dict[Face, Fa
     with their covers, so this also carries its duality with the dual's
     (d-k-1)-skeleton.  Intended for desk-scale duals.
     """
-    dual_lattice = face_lattice(polar_dual(p))
+    lattice, dual_lattice = p.lattice, polar_dual(p).lattice
     facet_sets = [set(f.vertex_set) for f, _ in facets(p)]
     members = {f: set(f.vertex_set) for f in lattice.faces}
     images = {}
@@ -585,11 +583,12 @@ def anti_isomorphism_oracle(p: VPolytope, lattice: FaceLattice) -> dict[Face, Fa
     return images
 
 
-def assert_hypergraphs_are_dual(p: VPolytope, lattice: FaceLattice) -> None:
-    """The lattice is anti-isomorphic to the dual's, and each H_k's
+def assert_hypergraphs_are_dual(p: VPolytope) -> None:
+    """p's lattice is anti-isomorphic to its dual's, and each H_k's
     incidences are the dual's reversed: a k-face lies in a (k+1)-face
     exactly when the dual image of the larger lies in that of the smaller."""
-    images = anti_isomorphism_oracle(p, lattice)
+    lattice = p.lattice
+    images = anti_isomorphism_oracle(p)
     assert images is not None
     for k in range(lattice.dim):
         hg = build_hypergraph(lattice, k)

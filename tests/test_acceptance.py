@@ -96,9 +96,8 @@ def test_criterion_3_section_battery(capsys):
     """100 random slices all pass the poset-isomorphism battery."""
     with criterion(capsys, 3, "section poset isomorphism, 100 random pairs"):
         checked = 0
-        for p, lat, h in section_battery():
-            smap = section(p, lat, h)
-            assert_section_isomorphism(p, lat, h, smap)
+        for p, h in section_battery():
+            assert_section_isomorphism(p, h, section(p, h))
             checked += 1
         assert checked == 100
 
@@ -179,14 +178,14 @@ def test_criterion_5_ridge_path_solver(capsys):
             if oracle_path is None:
                 unreachable += 1
                 try:
-                    solve_ridge_path(p, lat, b, f_id, g_id)
+                    solve_ridge_path(p, b, f_id, g_id)
                     raise AssertionError(
                         f"solver found a path the oracle says cannot exist: {blocked}"
                     )
                 except RidgePathError:
                     pass
                 continue
-            res = solve_ridge_path(p, lat, b, f_id, g_id)
+            res = solve_ridge_path(p, b, f_id, g_id)
             assert verify_ridge_path(lat, k, b, res.path, f_id, g_id), (blocked, f_id, g_id)
             solved += 1
         assert solved + unreachable == 200
@@ -199,7 +198,7 @@ def test_criterion_6_duality_equivalence(capsys):
     """H_k matches the dual skeleton structure; lattices anti-isomorphic."""
     with criterion(capsys, 6, "duality equivalence on all families"):
         for family, dim, p, lat in grid_instances():
-            assert_hypergraphs_are_dual(p, lat)
+            assert_hypergraphs_are_dual(p)
 
 
 def test_criterion_7_structural_invariants(capsys):

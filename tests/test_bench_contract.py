@@ -22,7 +22,7 @@ import pytest
 from facelab.cli import run
 from facelab.generators import GeneratorSpec, generate
 from facelab.hypergraph import build_hypergraph, strong_connectivity
-from facelab.polytope import face_lattice, save_polytope
+from facelab.polytope import save_polytope
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -60,7 +60,7 @@ def polytopes(tmp_path_factory):
         p = generate(GeneratorSpec(family=family, dim=dim))
         path = directory / f"{stem}.poly"
         save_polytope(p, str(path))
-        out[stem] = (str(path), face_lattice(p))
+        out[stem] = (str(path), p.lattice)
     return out
 
 
@@ -132,6 +132,14 @@ def test_ridge_path_spans_are_recorded(polytopes, tmp_path):
         "ridge-path", polytopes["cube3"][0], "--k", str(k), "--blocked", ",".join(blocked),
         "--from", start, "--to", goal, "--verify",
     ]
-    names = {span[0] for span in _trace(tmp_path, argv)["spans"]}
+    spans = _trace(tmp_path, argv)["spans"]
+    names = {span[0] for span in spans}
     wanted = {"ridgepath.solve", "ridgepath.search", "ridgepath.verify", "section.slice"}
     assert wanted <= names
+    # The harness drops an attribute it cannot compute, and the per-layer
+    # counter built from it then reads 0; a renamed view fails here instead.
+    slices = [attrs for name, *_, attrs in spans if name == "section.slice"]
+    assert slices and all(a is not None and a["slice_faces"] > 0 for a in slices)
+    # One lattice per request, the loaded polytope's; a slice comes with its own.
+    lattices = [attrs for name, *_, attrs in spans if name == "polytope.face_lattice"]
+    assert lattices == [{"faces": len(polytopes["cube3"][1])}]

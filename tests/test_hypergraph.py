@@ -21,7 +21,7 @@ from facelab.hypergraph import (
 )
 from facelab.polytope import Face, face_lattice, indices_of, mask_of
 from facelab.symmetry import orbit_representatives
-from instances import FAMILY_GRID, golden_random_polytopes, instance, lattice_of
+from instances import FAMILY_GRID, golden_random_polytopes, lattice_of, polytope
 from oracles import (
     assert_hypergraphs_are_dual,
     connected_after_removal_oracle,
@@ -494,8 +494,8 @@ class TestIsolatingSet:
 class TestDualityEquivalence:
     def test_standard_families(self):
         for fam, d in [("cube", 3), ("cross", 3), ("simplex", 4)]:
-            assert_hypergraphs_are_dual(*instance(fam, d))
+            assert_hypergraphs_are_dual(polytope(fam, d))
 
     def test_random_3_polytope(self):
         p = random_polytope(3, 7, seed=2)
-        assert_hypergraphs_are_dual(p, face_lattice(p))
+        assert_hypergraphs_are_dual(p)

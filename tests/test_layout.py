@@ -7,11 +7,12 @@ function and every public method to be referenced somewhere in
 code: a name, an attribute or an imported name.  Comments and docstrings do
 not count.  Dunder methods are exempt: the interpreter calls them.  So are the
 entry points in USER_API, which only users call; each must be named in the
-README.  So are the views in HARNESS_API, which only the benchmark's checks
-in `perfbench/` read; each must be referenced there and nowhere in the
+README.  So are the views in HARNESS_API, which only the benchmark in
+`perfbench/` reads; each must be referenced there and nowhere in the
 library.  Every attribute a library class assigns as `self.<name>`, or
 writes as a key of `self.__dict__`, must likewise be read as `.<name>`
-somewhere in `src/facelab`.
+somewhere in `src/facelab`.  A polytope owns its face lattice, so no library
+function takes a `VPolytope` and a `FaceLattice` side by side.
 """
 
 import ast
@@ -23,8 +24,9 @@ LIBRARY = ROOT / "src" / "facelab"
 HARNESS = ROOT / "perfbench"
 # The reader of the packaged JSON schemas that describe the CLI output.
 USER_API = {"load_schema"}
-# Id views that only perfbench/checks.py reads, to re-check CLI output.
-HARNESS_API = {"hyperedges", "face_of_set"}
+# Views that only perfbench/ reads: the ids checks.py re-checks CLI output
+# with, and the slice lattice trace_entry.py counts for its section span.
+HARNESS_API = {"hyperedges", "face_of_set", "slice_lattice"}
 
 
 def definitions(tree: ast.Module):
@@ -92,6 +94,56 @@ def test_user_api_is_documented():
 def test_harness_api_is_read_by_the_harness_alone():
     assert HARNESS_API <= referenced_names(HARNESS)
     assert HARNESS_API & referenced_names(LIBRARY) == set()
+
+
+def annotation_names(annotation: ast.expr) -> set[str]:
+    """The names an annotation mentions, as names, attributes or inside
+    quotes."""
+    names = set()
+    for part in ast.walk(annotation):
+        if isinstance(part, ast.Name):
+            names.add(part.id)
+        elif isinstance(part, ast.Attribute):
+            names.add(part.attr)
+        elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+            names |= annotation_names(ast.parse(part.value, mode="eval").body)
+    return names
+
+
+def annotated_parameters(tree: ast.Module):
+    """(function name, line, names its parameter annotations mention) of
+    every function and method in the module, nested ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            names = set()
+            for param in params:
+                if param is not None and param.annotation is not None:
+                    names |= annotation_names(param.annotation)
+            yield node.name, node.lineno, names
+
+
+def test_annotated_parameters_sees_quotes_unions_and_attributes():
+    tree = ast.parse(
+        "def f(p: 'VPolytope', *, lat: 'FaceLattice | None' = None) -> FaceLattice: pass\n"
+        "class A:\n"
+        "    def g(self, p: polytope.VPolytope, k: int): pass\n"
+    )
+    assert [(name, names) for name, _, names in annotated_parameters(tree)] == [
+        ("f", {"VPolytope", "FaceLattice"}),
+        ("g", {"polytope", "VPolytope", "int"}),
+    ]
+
+
+def test_no_library_function_takes_a_polytope_and_a_lattice():
+    paired = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path, tree in parsed(LIBRARY).items()
+        for name, line, names in annotated_parameters(tree)
+        if {"VPolytope", "FaceLattice"} <= names
+    ]
+    assert paired == [], "read the lattice off the polytope instead: " + ", ".join(paired)
 
 
 def is_self(node: ast.AST) -> bool:
@@ -209,17 +261,17 @@ def fractions_held(value, seen: set[int]) -> list[str]:
 
 def test_points_planes_and_polytopes_hold_no_fractions():
     from facelab.geometry import Hyperplane, QVector, parse_rational
-    from facelab.polytope import face_lattice, facets, parse_polytope, polar_dual
+    from facelab.polytope import facets, parse_polytope, polar_dual
     from facelab.section import section
 
     # A pyramid over the unit square with its apex at (1/2, 1/2, 3/4).
     p = parse_polytope("polytope 3 5\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n1/2 1/2 3/4\n")
-    lattice = face_lattice(p)
     planes = [h for _, h in facets(p)]
-    slice_map = section(p, lattice, Hyperplane.of([0, 0, 1], Fraction(1, 3)))
+    slice_map = section(p, Hyperplane.of([0, 0, 1], Fraction(1, 3)))
     dual = polar_dual(p)
-    face_lattice(dual)
-    assert "_facet_rays" in vars(p) and "_cone" in vars(p)
+    dual.lattice
+    assert {"_facet_rays", "_cone", "lattice"} <= vars(p).keys()
+    assert "lattice" in vars(slice_map.slice_polytope)
     held = [
         QVector.of([parse_rational("1/2"), -3]),
         Hyperplane.of([Fraction(1, 2), 1], Fraction(1, 3)),

@@ -36,7 +36,6 @@ from facelab.section import section
 from instances import (
     FAMILY_GRID,
     golden_random_polytopes,
-    instance,
     lattice_of,
     polytope,
     random_cutting_plane,
@@ -293,10 +292,10 @@ class TestGradedLattice:
         [("simplex", 3, None), ("cube", 3, None), ("cross", 3, None), ("cyclic", 4, 7)],
     )
     def test_slice_lattices(self, family, dim, n):
-        p, lat = instance(family, dim, n)
-        smap = section(p, lat, random_cutting_plane(p, random.Random(dim)))
-        assert smap.slice_lattice.dim == dim - 1
-        assert_graded(smap.slice_lattice)
+        p = polytope(family, dim, n)
+        sliced = section(p, random_cutting_plane(p, random.Random(dim))).slice_polytope
+        assert sliced.lattice.dim == dim - 1
+        assert_graded(sliced.lattice)
 
 
 def assert_matches_brute_force(p: VPolytope) -> None:
@@ -522,9 +521,10 @@ class TestInitialCone:
             assert eliminations == [d + 1], shape
 
     def test_section_slice_eliminates_once_its_dim_is_read(self, eliminations):
-        p, lat = instance("cube", 3)
+        p = polytope("cube", 3)
         eliminations.clear()
-        smap = section(p, lat, Hyperplane.of([1, 1, 1], F(3, 2)))
+        smap = section(p, Hyperplane.of([1, 1, 1], F(3, 2)))
+        assert smap.slice_polytope.lattice.dim == 2
         assert eliminations == []
         assert smap.slice_polytope.dim == 2
         assert eliminations == [4]
@@ -609,7 +609,7 @@ class TestPolarDual:
     def test_dual_face_map_reverses_inclusion(self):
         p = cube(3)
         lat = face_lattice(p)
-        images = anti_isomorphism_oracle(p, lat)
+        images = anti_isomorphism_oracle(p)
         assert images is not None
         assert images[lat.face("v0")].vertex_set == (0, 1, 2)
         assert images[lat.full_face].vertex_set == ()
@@ -622,7 +622,7 @@ class TestPolarDual:
     def test_anti_isomorphism_random_3_polytope(self):
         p = random_polytope(3, 7, seed=5)
         lat = face_lattice(p)
-        images = anti_isomorphism_oracle(p, lat)
+        images = anti_isomorphism_oracle(p)
         assert images is not None
         # image sets must be exactly the dual faces, counted once each
         dlat = face_lattice(polar_dual(p))
@@ -632,7 +632,7 @@ class TestPolarDual:
 
     def test_anti_isomorphism_standard_families(self):
         for fam, d in [("cube", 3), ("cross", 3), ("simplex", 4)]:
-            assert anti_isomorphism_oracle(*instance(fam, d)) is not None
+            assert anti_isomorphism_oracle(polytope(fam, d)) is not None
 
 
 def lattice_of_dual(p: VPolytope) -> FaceLattice:

@@ -23,7 +23,7 @@ def records() -> dict:
     hg = build_hypergraph(lat, 1)
     report = strong_connectivity(hg, cap=3)
     blocked = BlockedSet.of(2, ["v0-v1-v4-v5", "v2-v3-v6-v7"])
-    result = solve_ridge_path(p, lat, blocked, "v0-v1-v2-v3", "v4-v5-v6-v7")
+    result = solve_ridge_path(p, blocked, "v0-v1-v2-v3", "v4-v5-v6-v7")
     return {
         "QVector": QVector.of([F(1, 2), -3]),
         "Hyperplane": result.hyperplanes[0],

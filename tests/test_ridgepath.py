@@ -2,24 +2,29 @@
 
 import json
 import random
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facelab import ridgepath
 from facelab.cli import build_parser
 from facelab.generators import random_polytope
-from facelab.polytope import face_lattice, load_polytope
+from facelab.hypergraph import _first_component, build_hypergraph
+from facelab.polytope import VPolytope, facets, indices_of, load_polytope, mask_of, polar_dual
 from facelab.ridgepath import (
     BlockedSet,
     RidgePath,
     RidgePathError,
+    _bfs_ridge_path,
     _clear_grazed_vertices,
     search_cutting_hyperplane,
     solve_ridge_path,
     verify_ridge_path,
 )
-from instances import FAMILY_GRID, GOLDEN, instance
+from instances import FAMILY_GRID, GOLDEN, golden_random_polytopes, instance, polytope
 from oracles import (
     bfs_ridge_path_oracle,
     coordinates,
@@ -139,13 +144,13 @@ class TestCuttingHyperplaneAgainstOracle:
 class TestSolver:
     def test_identity_path(self):
         p, lat = instance("cube", 3)
-        path = solve_ridge_path(p, lat, BlockedSet.of(1, []), "v0-v1", "v0-v1").path
+        path = solve_ridge_path(p, BlockedSet.of(1, []), "v0-v1", "v0-v1").path
         assert path.faces == ("v0-v1",) and path.ridges == ()
 
     def test_vertex_path_uses_empty_ridge(self):
         p, lat = instance("cube", 3)
         b = BlockedSet.of(0, [])
-        res = solve_ridge_path(p, lat, b, "v0", "v7")
+        res = solve_ridge_path(p, b, "v0", "v7")
         assert res.path.faces == ("v0", "v7")
         assert res.path.ridges == ("empty",)
         assert verify_ridge_path(lat, 0, b, res.path, "v0", "v7") and res.depth == 0
@@ -158,7 +163,7 @@ class TestSolver:
         p, lat = instance(family, dim, n=n)
         b = BlockedSet.of(0, [])
         for f_id, g_id in permutations([v.id for v in lat.faces_of_dim(0)], 2):
-            res = solve_ridge_path(p, lat, b, f_id, g_id)
+            res = solve_ridge_path(p, b, f_id, g_id)
             assert res.path == RidgePath((f_id, g_id), ("empty",))
             assert res.depth == 0 and res.hyperplanes == ()
             assert verify_ridge_path(lat, 0, b, res.path, f_id, g_id)
@@ -166,7 +171,7 @@ class TestSolver:
     def test_edges_around_blocked_edge(self):
         p, lat = instance("cube", 3)
         b = BlockedSet.of(1, ["v0-v1"])
-        res = solve_ridge_path(p, lat, b, "v0-v2", "v1-v3")
+        res = solve_ridge_path(p, b, "v0-v2", "v1-v3")
         assert verify_ridge_path(lat, 1, b, res.path, "v0-v2", "v1-v3")
         assert "v0-v1" not in res.path.faces
         assert res.depth == 0 and res.hyperplanes == ()
@@ -174,7 +179,7 @@ class TestSolver:
     def test_facets_around_blocked_pair_uses_section(self):
         p, lat = instance("cube", 3)
         b = BlockedSet.of(2, ["v0-v1-v4-v5", "v2-v3-v6-v7"])
-        res = solve_ridge_path(p, lat, b, "v0-v1-v2-v3", "v4-v5-v6-v7")
+        res = solve_ridge_path(p, b, "v0-v1-v2-v3", "v4-v5-v6-v7")
         assert res.depth == 1 and len(res.hyperplanes) == 1
         assert verify_ridge_path(lat, 2, b, res.path, "v0-v1-v2-v3", "v4-v5-v6-v7")
 
@@ -188,7 +193,7 @@ class TestSolver:
             rest = [fid for fid in facet_ids if fid not in blocked]
             for f_id, g_id in combinations(rest, 2):
                 b = BlockedSet.of(2, blocked)
-                res = solve_ridge_path(p, lat, b, f_id, g_id)
+                res = solve_ridge_path(p, b, f_id, g_id)
                 assert verify_ridge_path(lat, 2, b, res.path, f_id, g_id), (blocked, f_id, g_id)
                 count += 1
         assert count == 90
@@ -205,7 +210,7 @@ class TestSolver:
             oracle = bfs_ridge_path_oracle(lat, k, set(blocked), f_id, g_id)
             assert oracle is not None
             b = BlockedSet.of(k, blocked)
-            res = solve_ridge_path(p, lat, b, f_id, g_id)
+            res = solve_ridge_path(p, b, f_id, g_id)
             assert verify_ridge_path(lat, k, b, res.path, f_id, g_id)
 
     def test_plain_search_finds_the_oracle_path(self):
@@ -220,19 +225,19 @@ class TestSolver:
                     blocked = rng.sample(faces, 1) if k == 1 and len(faces) > 3 else []
                     f_id, g_id = rng.sample([x for x in faces if x not in blocked], 2)
                     expected = bfs_ridge_path_oracle(lat, k, set(blocked), f_id, g_id)
-                    res = solve_ridge_path(p, lat, BlockedSet.of(k, blocked), f_id, g_id)
+                    res = solve_ridge_path(p, BlockedSet.of(k, blocked), f_id, g_id)
                     assert list(res.path.faces) == expected, (family, d, k, blocked, f_id, g_id)
 
     def test_request_validation(self):
         p, lat = instance("cube", 3)
         with pytest.raises(RidgePathError):
-            solve_ridge_path(p, lat, BlockedSet.of(1, []), "v0-v1", "v0-v9")
+            solve_ridge_path(p, BlockedSet.of(1, []), "v0-v1", "v0-v9")
         with pytest.raises(RidgePathError):
-            solve_ridge_path(p, lat, BlockedSet.of(1, []), "v0", "v1")
+            solve_ridge_path(p, BlockedSet.of(1, []), "v0", "v1")
         with pytest.raises(RidgePathError):
-            solve_ridge_path(p, lat, BlockedSet.of(1, ["v0-v1"]), "v0-v1", "v2-v3")
+            solve_ridge_path(p, BlockedSet.of(1, ["v0-v1"]), "v0-v1", "v2-v3")
         with pytest.raises(RidgePathError, match=r"^k=3 out of range \[0, 2\]$"):
-            solve_ridge_path(p, lat, BlockedSet.of(3, []), "v0-v1", "v2-v3")
+            solve_ridge_path(p, BlockedSet.of(3, []), "v0-v1", "v2-v3")
 
     def test_malformed_blocked_ids_are_unknown(self):
         # Blocked ids are looked up in sorted order, so the error does not
@@ -242,7 +247,7 @@ class TestSolver:
         for blocked, bad in ((["x3", "v1-v0"], "v1-v0"), ([huge], huge)):
             b = BlockedSet.of(2, blocked)
             with pytest.raises(RidgePathError) as exc:
-                solve_ridge_path(p, lat, b, "v0-v1-v4-v5", "v0-v1-v2-v3")
+                solve_ridge_path(p, b, "v0-v1-v4-v5", "v0-v1-v2-v3")
             assert str(exc.value) == f"unknown face id {bad!r}"
 
     def test_blocked_set_size_limit(self):
@@ -258,7 +263,8 @@ class TestSolver:
 class TestRecursionInvariant:
     """Each nested `_solve` call, seen through a spy, gets a smaller blocked
     set than its caller, faces one dimension down, and distinct, unblocked
-    endpoints: what makes |B| <= k bottom out in a plain search."""
+    endpoints: what makes |B| <= k bottom out in a plain search.  Each of
+    those faces is a face of the lattice of the polytope the call gets."""
 
     @pytest.fixture()
     def depths(self, monkeypatch):
@@ -266,8 +272,9 @@ class TestRecursionInvariant:
         stack = []  # (number of blocked faces, k) per call in progress
         depths = []
 
-        def spy(p, lattice, blocked, f, g):
+        def spy(p, blocked, f, g):
             assert {x.dim for x in (g, *blocked)} <= {f.dim} and len(blocked) <= f.dim
+            assert all(p.lattice.face_of_mask(x.mask) == x for x in (f, g, *blocked))
             if stack:
                 caller_blocked, caller_k = stack[-1]
                 assert len(blocked) < caller_blocked and f.dim == caller_k - 1
@@ -275,7 +282,7 @@ class TestRecursionInvariant:
             depths.append(len(stack))
             stack.append((len(blocked), f.dim))
             try:
-                return real(p, lattice, blocked, f, g)
+                return real(p, blocked, f, g)
             finally:
                 stack.pop()
 
@@ -292,7 +299,7 @@ class TestRecursionInvariant:
                     blocked = rng.sample(faces, k)
                     f_id, g_id = rng.sample([x for x in faces if x not in blocked], 2)
                     b = BlockedSet.of(k, blocked)
-                    res = solve_ridge_path(p, lat, b, f_id, g_id)
+                    res = solve_ridge_path(p, b, f_id, g_id)
                     assert verify_ridge_path(lat, k, b, res.path, f_id, g_id)
         assert max(depths) == 2
 
@@ -305,7 +312,7 @@ class TestRecursionInvariant:
             ns = build_parser().parse_args(argv)
             p = load_polytope(str(GOLDEN / ns.file))
             b = BlockedSet.of(ns.k, [x for x in ns.blocked.split(",") if x])
-            res = solve_ridge_path(p, face_lattice(p), b, ns.from_id, ns.to_id)
+            res = solve_ridge_path(p, b, ns.from_id, ns.to_id)
             assert list(res.path.faces) == out["output"]["path"], case
             solved += 1
         assert solved == 8 and max(depths) == 2
@@ -317,7 +324,7 @@ class TestVerifier:
 
     def good(self) -> RidgePath:
         b = BlockedSet.of(1, ["v0-v1"])
-        return solve_ridge_path(self.p, self.lat, b, "v0-v2", "v1-v3").path
+        return solve_ridge_path(self.p, b, "v0-v2", "v1-v3").path
 
     def test_good_path_verifies(self):
         path = self.good()
@@ -409,7 +416,7 @@ class TestRandomInstances:
             if bfs_ridge_path_oracle(lat, k, set(blocked), f_id, g_id) is None:
                 continue
             b = BlockedSet.of(k, blocked)
-            res = solve_ridge_path(p, lat, b, f_id, g_id)
+            res = solve_ridge_path(p, b, f_id, g_id)
             assert verify_ridge_path(lat, k, b, res.path, f_id, g_id)
 
     def test_cube4_with_three_blocked_facets(self):
@@ -417,13 +424,13 @@ class TestRandomInstances:
         facet_ids = [f.id for f in lat.faces_of_dim(3)]
         b = BlockedSet.of(3, facet_ids[1:4])
         f_id, g_id = facet_ids[0], facet_ids[-1]
-        res = solve_ridge_path(p, lat, b, f_id, g_id)
+        res = solve_ridge_path(p, b, f_id, g_id)
         assert verify_ridge_path(lat, 3, b, res.path, f_id, g_id)
         assert res.depth >= 1
 
     def test_random_4_polytope(self):
         p = random_polytope(4, 7, seed=6)
-        lat = face_lattice(p)
+        lat = p.lattice
         faces = [f.id for f in lat.faces_of_dim(2)]
         rng = random.Random(3)
         blocked = rng.sample(faces, 2)
@@ -431,5 +438,97 @@ class TestRandomInstances:
         f_id, g_id = rng.sample(rest, 2)
         if bfs_ridge_path_oracle(lat, 2, set(blocked), f_id, g_id) is not None:
             b = BlockedSet.of(2, blocked)
-            res = solve_ridge_path(p, lat, b, f_id, g_id)
+            res = solve_ridge_path(p, b, f_id, g_id)
             assert verify_ridge_path(lat, 2, b, res.path, f_id, g_id)
+
+
+@lru_cache(maxsize=None)
+def dual_of(p: VPolytope) -> VPolytope:
+    return polar_dual(p)
+
+
+def ridge_components(p: VPolytope, k: int, blocked: list) -> set[frozenset[int]]:
+    """The components of the blocked ridge graph of p's k-faces, as sets of
+    face masks, found with the solver's own search."""
+    components: list[list] = []
+    for f in p.lattice.faces_of_dim(k):
+        if f in blocked:
+            continue
+        for component in components:
+            if _bfs_ridge_path(p.lattice, blocked, component[0], f) is not None:
+                component.append(f)
+                break
+        else:
+            components.append([f])
+    return {frozenset(f.mask for f in component) for component in components}
+
+
+def dual_components(p: VPolytope, k: int, blocked: list) -> set[frozenset[int]]:
+    """The components of H_{d-1-k} of p's polar dual minus the images of the
+    blocked faces, pulled back to p's k-faces.
+
+    A k-face F maps to the dual face on the facets of p that contain F;
+    dual vertex j is facet j in `facets(p)` order.
+    """
+    facet_masks = [f.mask for f, _ in facets(p)]
+
+    def image(mask: int) -> int:
+        return mask_of(j for j, m in enumerate(facet_masks) if mask & ~m == 0)
+
+    hg = build_hypergraph(dual_of(p).lattice, p.lattice.dim - 1 - k)
+    node = {f.mask: i for i, f in enumerate(hg.faces)}
+    pullback = {node[image(f.mask)]: f.mask for f in p.lattice.faces_of_dim(k)}
+    assert len(pullback) == hg.n_nodes
+    # A component is closed under live hyperedges, so removing it as well
+    # leaves the other components as they were.
+    seen = mask_of(node[image(b.mask)] for b in blocked)
+    components = set()
+    while seen != (1 << hg.n_nodes) - 1:
+        component = _first_component(hg.n_nodes, hg.edges, seen)
+        components.add(frozenset(pullback[i] for i in indices_of(component)))
+        seen |= component
+    return components
+
+
+def assert_ridge_graph_is_dual_hypergraph(p: VPolytope, k: int, blocked: list) -> None:
+    assert ridge_components(p, k, blocked) == dual_components(p, k, blocked), (
+        k,
+        [b.id for b in blocked],
+    )
+
+
+def assert_on_seeded_blocked_sets(p: VPolytope, seed: int, sizes) -> None:
+    """For every k, one seeded blocked set of each size in sizes(k), or of
+    all k-faces when there are fewer."""
+    rng = random.Random(seed)
+    for k in range(p.lattice.dim):
+        faces = p.lattice.faces_of_dim(k)
+        for size in sizes(k):
+            blocked = rng.sample(faces, min(size, len(faces)))
+            assert_ridge_graph_is_dual_hypergraph(p, k, blocked)
+
+
+class TestRidgeGraphIsDualHypergraph:
+    """The blocked ridge graph of k-faces of P, which the solver searches,
+    against H_{d-1-k} of the polar dual minus the blocked faces' images,
+    which the connectivity scan certifies: under the facet-incidence face
+    map their components agree, for blocked sets within the budget k and
+    above it.  A ridge dies inside a blocked face exactly when its dual
+    hyperedge holds a removed node."""
+
+    @pytest.mark.parametrize("family,dim,n", FAMILY_GRID)
+    def test_family_grid(self, family, dim, n):
+        assert_on_seeded_blocked_sets(polytope(family, dim, n), dim, lambda k: range(k + 3))
+
+    def test_golden_random_polytopes(self):
+        for seed, p in enumerate(golden_random_polytopes()):
+            assert_on_seeded_blocked_sets(p, seed, lambda k: (k, k + 2))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_blocked_sets(self, data):
+        p = polytope(*data.draw(st.sampled_from(FAMILY_GRID)))
+        k = data.draw(st.integers(0, p.lattice.dim - 1))
+        faces = p.lattice.faces_of_dim(k)
+        picks = data.draw(st.sets(st.sampled_from(range(len(faces))), max_size=k + 3))
+        assert_ridge_graph_is_dual_hypergraph(p, k, [faces[i] for i in sorted(picks)])

@@ -7,9 +7,9 @@ import pytest
 
 from facelab.generators import cube, random_polytope, simplex
 from facelab.geometry import Hyperplane, QVector
-from facelab.polytope import face_lattice, parse_polytope
+from facelab.polytope import FaceLattice, PolytopeError, VPolytope, parse_polytope
 from facelab.section import SectionError, parse_hyperplane, section
-from instances import FAMILY_GRID, instance, random_cutting_plane, section_battery
+from instances import FAMILY_GRID, instance, polytope, random_cutting_plane, section_battery
 from oracles import (
     affine_rank,
     assert_section_isomorphism,
@@ -44,16 +44,16 @@ class TestParseHyperplane:
 class TestCutsFace:
     def test_cube_examples(self):
         p, lat = instance("cube", 3)
-        smap = section(p, lat, plane("1,0,0;1/2"))
+        smap = section(p, plane("1,0,0;1/2"))
         assert lat.face("v0-v4").mask in smap.phi
         assert lat.full_face.mask in smap.phi
         assert lat.face("v0-v1-v2-v3").mask not in smap.phi
 
     def test_vertex_on_plane_is_an_error(self):
-        p, lat = instance("cube", 3)
+        p = polytope("cube", 3)
         h = plane("1,0,0;0")
         with pytest.raises(SectionError, match="vertex 0 lies on the hyperplane"):
-            section(p, lat, h)
+            section(p, h)
 
     def test_agrees_with_edge_crossing_oracle(self):
         rng = random.Random(31)
@@ -62,7 +62,7 @@ class TestCutsFace:
             points = rational_points(p)
             for _ in range(10):
                 h = random_cutting_plane(p, rng)
-                phi = section(p, lat, h).phi
+                phi = section(p, h).phi
                 edges = lat.faces_of_dim(1)
                 for f in lat.faces:
                     if f.dim < 1:
@@ -79,23 +79,23 @@ class TestCutsFace:
 
 class TestSection:
     def test_cube_slice_is_square(self):
-        p, lat = instance("cube", 3)
-        smap = section(p, lat, plane("1,0,0;1/2"))
-        assert smap.slice_lattice.f_vector == (4, 4)
+        p = polytope("cube", 3)
+        smap = section(p, plane("1,0,0;1/2"))
+        assert smap.slice_polytope.lattice.f_vector == (4, 4)
         assert smap.slice_polytope.n_vertices == 4
         h = plane("1,0,0;1/2")
         assert all(side(h, v) == 0 for v in rational_points(smap.slice_polytope))
 
     def test_simplex_slice_off_one_vertex_is_triangle(self):
-        p, lat = instance("simplex", 3)
-        smap = section(p, lat, plane("1,1,1;1/2"))
-        assert smap.slice_lattice.f_vector == (3, 3)
+        p = polytope("simplex", 3)
+        smap = section(p, plane("1,1,1;1/2"))
+        assert smap.slice_polytope.lattice.f_vector == (3, 3)
 
     def test_map_face_and_lift(self):
         p, lat = instance("cube", 3)
-        smap = section(p, lat, plane("1,0,0;1/2"))
+        smap = section(p, plane("1,0,0;1/2"))
         image = smap.phi[lat.face("v0-v1-v4-v5").mask]
-        assert smap.slice_lattice.face_of_mask(image).dim == 1
+        assert smap.slice_polytope.lattice.face_of_mask(image).dim == 1
         # The map is injective, so a slice face lifts to one base face.
         lifts = [lat.face_of_mask(base).id for base, sliced in smap.phi.items() if sliced == image]
         assert lifts == ["v0-v1-v4-v5"]
@@ -110,59 +110,58 @@ class TestSection:
             ("cross", 3, "1,1,1;1/2"),
             ("cube", 4, "1,0,0,0;1/2"),
         ]:
-            p, lat = instance(fam, d)
+            p = polytope(fam, d)
             h = plane(text)
-            assert_section_isomorphism(p, lat, h, section(p, lat, h))
+            assert_section_isomorphism(p, h, section(p, h))
 
     def test_full_battery_on_random_pairs(self):
         rng = random.Random(47)
         for seed in range(5):
             p = random_polytope(3, 7, seed=seed)
-            lat = face_lattice(p)
             for _ in range(3):
                 h = random_cutting_plane(p, rng)
-                assert_section_isomorphism(p, lat, h, section(p, lat, h))
+                assert_section_isomorphism(p, h, section(p, h))
 
     def test_slice_dims_equal_affine_rank(self):
         # The slice lattice takes each dim from its base face; check it
         # against the affine rank of the slice points.
-        for p, lat, h in section_battery():
-            smap = section(p, lat, h)
+        for p, h in section_battery():
+            smap = section(p, h)
             rows = smap.slice_polytope.rows
-            for f in smap.slice_lattice.faces:
+            for f in smap.slice_polytope.lattice.faces:
                 assert f.dim == affine_rank([rows[i] for i in f.vertex_set]), f.id
 
     def test_section_of_a_section(self):
-        p, lat = instance("cube", 4)
-        first = section(p, lat, plane("1,0,0,0;1/2"))
-        inner = section(first.slice_polytope, first.slice_lattice, plane("0,1,0,0;1/2"),
-        )
-        assert inner.slice_lattice.dim == 2
-        assert euler_characteristic_holds(inner.slice_lattice)
+        p = polytope("cube", 4)
+        first = section(p, plane("1,0,0,0;1/2"))
+        inner = section(first.slice_polytope, plane("0,1,0,0;1/2")).slice_polytope.lattice
+        assert inner.dim == 2
+        assert euler_characteristic_holds(inner)
 
     def test_vertex_on_plane_rejected(self):
-        p, lat = instance("cube", 3)
+        p = polytope("cube", 3)
         with pytest.raises(SectionError):
-            section(p, lat, plane("1,0,0;0"))
+            section(p, plane("1,0,0;0"))
         with pytest.raises(SectionError):
-            section(p, lat, plane("1,1,0;1"))
+            section(p, plane("1,1,0;1"))
 
     def test_plane_missing_polytope_rejected(self):
-        p, lat = instance("cube", 3)
+        p = polytope("cube", 3)
         with pytest.raises(SectionError):
-            section(p, lat, plane("1,0,0;5"))
+            section(p, plane("1,0,0;5"))
 
     def test_dim_mismatch_rejected(self):
-        p, lat = instance("cube", 3)
+        p = polytope("cube", 3)
         with pytest.raises(SectionError):
-            section(p, lat, Hyperplane.of([1, 0], F(1, 2)))
+            section(p, Hyperplane.of([1, 0], F(1, 2)))
 
 
 class TestSlicePointsAgainstOracle:
     def test_criterion_3_battery(self):
         """Homogeneous crossing rows against the Fraction line parameter."""
-        for p, lat, h in section_battery():
-            smap = section(p, lat, h)
+        for p, h in section_battery():
+            lat = p.lattice
+            smap = section(p, h)
             points = rational_points(p)
             sliced = smap.slice_polytope
             assert sliced.dim == lat.dim - 1
@@ -175,38 +174,38 @@ class TestSlicePointsAgainstOracle:
                 assert sliced.rows[i] == QVector.of(point).row
 
 
-def assert_slice_matches_oracle(p, lat, h):
-    """The slice lattice `section` builds against the one read off the base
-    lattice's cut faces: the same faces and grades, and the same children
-    and parents of every face, in order."""
-    sliced = section(p, lat, h).slice_lattice
-    faces, children, parents = slice_lattice_oracle(p, lat, h)
-    assert list(sliced.faces) == faces
-    for k in range(-1, sliced.dim + 1):
-        assert sliced.faces_of_dim(k) == [f for f in faces if f.dim == k]
+def assert_slice_matches_oracle(p, h):
+    """The slice lattice `section` builds against two others: the one read
+    off the base lattice's cut faces, and the one swept from the slice's own
+    double-description facets.  All three have the same faces and grades,
+    and the same children and parents of every face, in order."""
+    s = section(p, h).slice_polytope
+    sliced = s.lattice
+    faces, children, parents = slice_lattice_oracle(p, h)
+    swept = FaceLattice(s.dim, s.n_vertices, [m for m, _ in s._facet_rays])
+    assert list(sliced.faces) == faces == list(swept.faces)
+    for k in range(-1, s.dim + 1):
+        assert sliced.faces_of_dim(k) == [f for f in faces if f.dim == k] == swept.faces_of_dim(k)
     for f in faces:
-        assert sliced.children(f) == children[f.mask]
-        assert sliced.parents(f) == parents[f.mask]
+        assert sliced.children(f) == children[f.mask] == swept.children(f)
+        assert sliced.parents(f) == parents[f.mask] == swept.parents(f)
 
 
 class TestSliceLatticeOracle:
     def test_section_battery(self):
-        for p, lat, h in section_battery():
-            assert_slice_matches_oracle(p, lat, h)
+        for p, h in section_battery():
+            assert_slice_matches_oracle(p, h)
 
     @pytest.mark.parametrize("family,dim,n", FAMILY_GRID)
     def test_one_slice_per_family(self, family, dim, n):
-        p, lat = instance(family, dim, n)
-        assert_slice_matches_oracle(p, lat, random_cutting_plane(p, random.Random(5)))
+        p = polytope(family, dim, n)
+        assert_slice_matches_oracle(p, random_cutting_plane(p, random.Random(5)))
 
     def test_cube4_sliced_twice(self):
-        p, lat = instance("cube", 4)
+        p = polytope("cube", 4)
         h = plane("1,0,0,0;1/2")
-        assert_slice_matches_oracle(p, lat, h)
-        first = section(p, lat, h)
-        assert_slice_matches_oracle(
-            first.slice_polytope, first.slice_lattice, plane("0,1,0,0;1/2")
-        )
+        assert_slice_matches_oracle(p, h)
+        assert_slice_matches_oracle(section(p, h).slice_polytope, plane("0,1,0,0;1/2"))
 
     @pytest.mark.parametrize(
         "text,cut",
@@ -218,4 +217,13 @@ class TestSliceLatticeOracle:
     )
     def test_lowest_grades(self, text, cut):
         p = parse_polytope(text)
-        assert_slice_matches_oracle(p, face_lattice(p), plane(cut))
+        assert_slice_matches_oracle(p, plane(cut))
+
+    def test_flat_slice_refuses_a_lattice_of_its_own(self):
+        # The same rows without the lattice section set: facet enumeration
+        # needs a full-dimensional polytope, so no wrong lattice comes back.
+        s = section(polytope("cube", 3), plane("1,1,1;3/2")).slice_polytope
+        bare = VPolytope(s.rows)
+        assert bare == s
+        with pytest.raises(PolytopeError, match="needs a full-dimensional polytope"):
+            bare.lattice
