@@ -41,26 +41,18 @@ _INPUT_SKIP_KEYS = ("handler", "command_name", "pretty")
 class CommandResult(NamedTuple):
     command: str | None
     inputs: dict
-    output: dict | None
-    status: str
+    output: dict | None = None
     error: str | None = None
     exit_code: int = 0
     pretty: bool = False
 
     def to_json_dict(self) -> dict:
-        if self.status == "ok":
-            return {
-                "command": self.command,
-                "inputs": self.inputs,
-                "output": self.output,
-                "status": self.status,
-            }
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "status": self.status,
-            "error": self.error,
-        }
+        """The envelope; its status is "ok" exactly when there is no error."""
+        if self.error is None:
+            result = {"output": self.output, "status": "ok"}
+        else:
+            result = {"error": self.error, "status": "error"}
+        return {"command": self.command, "inputs": self.inputs, **result}
 
     def render(self) -> str:
         if self.pretty:
@@ -335,47 +327,27 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def run(argv: list[str]) -> CommandResult:
-    """Parse and execute one invocation; never raises on bad input."""
+    """Parse and execute one invocation; never raises on bad input.
+
+    Until the parse succeeds, the envelope names argv[0] unless it is an
+    option, echoes argv and stays compact."""
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    inputs, pretty = {"argv": list(argv)}, False
     try:
         ns = _parse(argv)
-    except CliError as exc:
-        command = argv[0] if argv and not argv[0].startswith("-") else None
-        return CommandResult(
-            command=command,
-            inputs={"argv": list(argv)},
-            output=None,
-            status="error",
-            error=str(exc),
-            exit_code=2,
-        )
-    if ns.command_name == "verify-theorem":
-        # Every k runs unless --k picks one, so echo what actually runs.
-        ns.all_k = ns.k is None
-    inputs = {
-        _INPUT_KEY_RENAMES.get(key, key): value
-        for key, value in vars(ns).items()
-        if key not in _INPUT_SKIP_KEYS
-    }
-    try:
+        command, pretty = ns.command_name, ns.pretty
+        if command == "verify-theorem":
+            # Every k runs unless --k picks one, so echo what actually runs.
+            ns.all_k = ns.k is None
+        inputs = {
+            _INPUT_KEY_RENAMES.get(key, key): value
+            for key, value in vars(ns).items()
+            if key not in _INPUT_SKIP_KEYS
+        }
         output, code = ns.handler(ns)
     except _HANDLED_ERRORS as exc:
-        return CommandResult(
-            command=ns.command_name,
-            inputs=inputs,
-            output=None,
-            status="error",
-            error=str(exc),
-            exit_code=2,
-            pretty=ns.pretty,
-        )
-    return CommandResult(
-        command=ns.command_name,
-        inputs=inputs,
-        output=output,
-        status="ok",
-        exit_code=code,
-        pretty=ns.pretty,
-    )
+        return CommandResult(command, inputs, error=str(exc), exit_code=2, pretty=pretty)
+    return CommandResult(command, inputs, output, exit_code=code, pretty=pretty)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -188,8 +188,10 @@ def search_cutting_hyperplane(
         raise RidgePathError("f, g, r must be three distinct faces")
     if not (g.dim == k and r.dim == k):
         raise RidgePathError("f, g, r must share one dimension")
-    if not (1 <= k <= p.dim - 1):
-        raise RidgePathError(f"face dimension {k} out of range [1, {p.dim - 1}]")
+    # The lattice's dim: a slice's polytope would run an elimination for it.
+    d = p.lattice.dim
+    if not (1 <= k <= d - 1):
+        raise RidgePathError(f"face dimension {k} out of range [1, {d - 1}]")
     bf = p.face_barycenter(f)
     w = _difference(p.face_barycenter(g), bf)
     diffs = [_difference(v, bf) for v in p.rows]
@@ -346,7 +348,7 @@ def verify_ridge_path(
     """Independent lattice-only check of a claimed path; False on any defect."""
     try:
         blocked = [lattice.face(fid) for fid in b.face_ids]
-        if b.k != k:
+        if b.k != k or k > lattice.dim - 1:
             return False
         if any(face.dim != k for face in blocked):
             return False

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from facelab import cli
@@ -15,6 +17,7 @@ from facelab.polytope import PolytopeError, load_polytope
 from facelab.ridgepath import RidgePathError
 from facelab.schemas import load_schema
 from facelab.section import SectionError
+from instances import GOLDEN
 
 ENVELOPE = Draft202012Validator(load_schema("envelope"))
 
@@ -362,3 +365,57 @@ class TestEnvelope:
         assert code == 0
         doc = json.loads(captured.out)
         assert doc["status"] == "ok"
+
+
+# A token alphabet for whole command lines.  `gen` and `--out` would write
+# files, and `-h`, `--help` or an abbreviation of it exits the process, so it
+# leaves them out; its polytopes are small, so any cap it can name stays fast.
+FILES = [str(GOLDEN / name) for name in ("cube3.poly", "segment.poly", "missing.poly")]
+VALUES = ["0", "1", "2", "-1", "one", "v0", "v0-v1", "v0-v1-v2-v3", "1,0,0;1/2", "1;1/2"]
+# Per command: its required flags, its optional flags that take a value, and
+# its switches besides --pretty.
+FLAGS = {
+    "lattice": ([], [], []),
+    "hypergraph": (["--k"], [], []),
+    "connectivity": (["--k"], ["--cap"], ["--witness"]),
+    "ridge-path": (["--k", "--from", "--to"], ["--blocked", "--seed"], ["--verify"]),
+    "dual": ([], [], []),
+    "section": (["--plane"], [], []),
+    "verify-theorem": ([], ["--k", "--cap-override"], ["--all-k"]),
+}
+TOKENS = sorted(
+    {*FLAGS, *FILES, *VALUES, "--pretty", "--family", "--dim", "--n", "--bound"}
+    | {flag for groups in FLAGS.values() for group in groups for flag in group}
+)
+
+
+@st.composite
+def _request(draw, command: str) -> list[str]:
+    """The command, a file, a value for each required flag, and some of its
+    optional flags and switches."""
+    required, optional, switches = FLAGS[command]
+    argv = [command, draw(st.sampled_from(FILES))]
+    if optional:
+        required = required + draw(st.lists(st.sampled_from(optional), max_size=2))
+    for flag in required:
+        argv += [flag, draw(st.sampled_from(VALUES))]
+    return argv + draw(st.lists(st.sampled_from(["--pretty", *switches]), max_size=2))
+
+
+# Half the draws are one command's own request, so that many parse and reach
+# a handler; the other half are any tokens at all.
+ARGVS = st.one_of(
+    st.sampled_from(sorted(FLAGS)).flatmap(_request),
+    st.lists(st.sampled_from(TOKENS), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGVS)
+def test_run_never_raises(argv):
+    """Every drawn command line gets a valid envelope, and exactly the error
+    envelopes exit with code 2."""
+    result = run(argv)
+    doc = json.loads(result.render())
+    ENVELOPE.validate(doc)
+    assert (doc["status"] == "error") == (result.exit_code == 2)

@@ -132,6 +132,18 @@ def _cases() -> dict[str, list[str]]:
     ]
     # --seed has no effect: only the inputs echo differs from the case without it.
     cases["pyramid4.ridge_path_seed7"] = cases["pyramid4.ridge_path"] + ["--seed", "7"]
+    # Command lines refused before any command runs: the envelope echoes argv.
+    cases["cli.no_command"] = []
+    cases["cli.unknown_command"] = ["nope", "cube3.poly"]
+    cases["cli.lattice_without_file"] = ["lattice"]
+    verify = ["verify-theorem", "cube3.poly"]
+    cases["cube3.verify_theorem_k_not_int"] = verify + ["--k", "one"]
+    cases["cube3.verify_theorem_k_and_all_k"] = verify + ["--k", "1", "--all-k"]
+    # --pretty indents only a parsed request; a refused command line stays compact.
+    cases["cube3.verify_theorem_k_not_int_pretty"] = verify + ["--k", "one", "--pretty"]
+    cases["cube3.hypergraph_k_out_of_range_pretty"] = (
+        cases["cube3.hypergraph_k_out_of_range"] + ["--pretty"]
+    )
     return cases
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from facelab import ridgepath
 from facelab.cli import build_parser
 from facelab.generators import random_polytope
+from facelab.geometry import eliminate
 from facelab.hypergraph import _first_component, build_hypergraph
 from facelab.polytope import VPolytope, facets, indices_of, load_polytope, mask_of, polar_dual
 from facelab.ridgepath import (
@@ -307,7 +308,7 @@ class TestRecursionInvariant:
         solved = 0
         for case, argv in GOLDEN_CASES.items():
             out = json.loads((GOLDEN / f"{case}.out").read_text(encoding="utf-8"))
-            if argv[0] != "ridge-path" or out["status"] != "ok":
+            if argv[:1] != ["ridge-path"] or out["status"] != "ok":
                 continue
             ns = build_parser().parse_args(argv)
             p = load_polytope(str(GOLDEN / ns.file))
@@ -382,6 +383,14 @@ class TestVerifier:
         b = BlockedSet.of(1, ["v0"])
         assert not verify_ridge_path(self.lat, 1, b, self.good(), "v0-v2", "v1-v3")
 
+    def test_k_the_solver_refuses_rejected(self):
+        # The polytope is its own one 3-face, but ridge paths stop at facets.
+        full = "-".join(f"v{i}" for i in range(8))
+        b = BlockedSet.of(3, [])
+        with pytest.raises(RidgePathError, match=r"^k=3 out of range \[0, 2\]$"):
+            solve_ridge_path(self.p, b, full, full)
+        assert not verify_ridge_path(self.lat, 3, b, RidgePath((full,), ()), full, full)
+
     @pytest.mark.parametrize(
         "path",
         [
@@ -393,6 +402,23 @@ class TestVerifier:
     def test_malformed_path_rejected(self, path):
         b = BlockedSet.of(1, ["v0-v1"])
         assert not verify_ridge_path(self.lat, 1, b, path, "v0-v2", "v1-v3")
+
+
+def test_slices_take_their_dimension_from_their_lattice(monkeypatch):
+    """A depth-2 solve bounds k on the slice by its lattice's dim, so it runs
+    no elimination once the polytope is loaded."""
+    p, lat = instance("cube", 4)
+    blocked = [x.id for x in lat.faces_of_dim(3)][:3]
+    eliminated = []
+
+    def spy(rows):
+        eliminated.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr("facelab.polytope.eliminate", spy)
+    f, g = "v0-v2-v4-v6-v8-v10-v12-v14", "v1-v3-v5-v7-v9-v11-v13-v15"
+    res = solve_ridge_path(p, BlockedSet.of(3, blocked), f, g)
+    assert len(res.hyperplanes) == 2 and eliminated == []
 
 
 class TestRandomInstances:
