@@ -183,6 +183,9 @@ def _cmd_verify_theorem(ns) -> tuple[dict, int]:
         hg = build_hypergraph(lattice, k)
         bound = d - k
         cap = ns.cap_override if ns.cap_override is not None else bound
+        # A scan capped below the bound reads as a failed certification.
+        if cap < bound:
+            raise CliError(f"--cap-override {cap} is below the bound dim - k = {bound} for k={k}")
         report = strong_connectivity(hg, cap)
         ok = report.alpha >= bound
         all_pass = all_pass and ok

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import FacelabError, Hyperplane, solve_nonnegative
-from .polytope import Face, FaceLattice, PolytopeError, VPolytope
+from .polytope import Face, FaceLattice, PolytopeError, VPolytope, face_id
 from .section import section
 
 
@@ -222,36 +222,31 @@ def _ridge_ok(ridge: Face, blocked: Sequence[Face]) -> bool:
 
 def _bfs_ridge_path(
     lattice: FaceLattice, blocked: Sequence[Face], f: Face, g: Face
-) -> tuple[tuple[Face, ...], tuple[Face, ...]] | None:
+) -> tuple[Face, ...] | None:
     """Breadth-first search on the pruned ridge graph of k-faces.
 
     Nodes are k-faces outside the blocked set; two are adjacent when their
     lattice meet has dimension k-1 and lies inside no blocked face.  So a
     face's neighbours are the other parents of its children that pass
-    `_ridge_ok`; each is reached through one ridge, their meet, and they are
-    queued in lattice order.
+    `_ridge_ok`, queued in lattice order.  None of them is blocked: a blocked
+    parent would contain the ridge.
     """
-    parent: dict[int, tuple[Face, Face] | None] = {f.mask: None}
+    parent: dict[int, Face | None] = {f.mask: None}
     queue = deque([f])
     while queue:
         current = queue.popleft()
         if current == g:
             faces = [current]
-            ridges = []
-            link = parent[current.mask]
-            while link is not None:
-                prev, ridge = link
-                faces.append(prev)
-                ridges.append(ridge)
-                link = parent[prev.mask]
-            return tuple(reversed(faces)), tuple(reversed(ridges))
+            while (current := parent[current.mask]) is not None:
+                faces.append(current)
+            return tuple(reversed(faces))
         fresh = []
         for ridge in lattice.children(current):
             if not _ridge_ok(ridge, blocked):
                 continue
             for node in lattice.parents(ridge):
-                if node.mask not in parent and node not in blocked:
-                    parent[node.mask] = (current, ridge)
+                if node.mask not in parent:
+                    parent[node.mask] = current
                     fresh.append(node)
         queue.extend(sorted(fresh, key=lambda x: x.vertex_set))
     return None
@@ -259,22 +254,19 @@ def _bfs_ridge_path(
 
 def _solve(
     p: VPolytope, blocked: tuple[Face, ...], f: Face, g: Face
-) -> tuple[tuple[Face, ...], tuple[Face, ...], tuple[Hyperplane, ...]]:
-    """The path's faces and ridges, and one cutting plane per level, outermost first.
+) -> tuple[tuple[Face, ...], tuple[Hyperplane, ...]]:
+    """The path's faces, and one cutting plane per level, outermost first.
 
     The faces are those of p's lattice; the path's have dimension k = f.dim,
-    and at most k are blocked."""
-    if f == g:
-        return (f,), (), ()
-    # k = 0 blocks nothing (the budget); two vertices meet in the empty face.
-    if f.dim == 1 or not blocked:
-        found = _bfs_ridge_path(p.lattice, blocked, f, g)
-        if found is None:
+    and at most k are blocked, so a k = 0 request goes to the plain search."""
+    if f == g or f.dim == 1 or not blocked:
+        faces = _bfs_ridge_path(p.lattice, blocked, f, g)
+        if faces is None:
             raise RidgePathError(
                 f"ridge graph of {f.dim}-faces is disconnected after removing "
                 f"{sorted(b.id for b in blocked)}; this contradicts the connectivity bound"
             )
-        return found[0], found[1], ()
+        return faces, ()
 
     r = min(blocked, key=lambda b: b.vertex_set)
     h, _ = search_cutting_hyperplane(p, f, g, r)
@@ -288,13 +280,9 @@ def _solve(
     # r.  Section maps distinct cut faces to distinct slice faces, so the slice
     # keeps f and g distinct and unblocked, with at most k - 1 blocked.
     blocked_slice = tuple(sliced(b) for b in blocked if b.mask in phi)
-    faces, ridges, planes = _solve(slice_polytope, blocked_slice, sliced(f), sliced(g))
+    faces, planes = _solve(slice_polytope, blocked_slice, sliced(f), sliced(g))
     lift = {s: b for b, s in phi.items()}
-
-    def lifted(chain: tuple[Face, ...]) -> tuple[Face, ...]:
-        return tuple(p.lattice.face_of_mask(lift[x.mask]) for x in chain)
-
-    return lifted(faces), lifted(ridges), (h,) + planes
+    return tuple(p.lattice.face_of_mask(lift[x.mask]) for x in faces), (h,) + planes
 
 
 def _resolve_request(
@@ -332,9 +320,11 @@ def solve_ridge_path(p: VPolytope, b: BlockedSet, f_id: str, g_id: str) -> Ridge
     not checked here; `verify_ridge_path` certifies it apart from the solver.
     """
     blocked, f, g = _resolve_request(p.lattice, b, f_id, g_id)
-    faces, ridges, planes = _solve(p, blocked, f, g)
-    path = RidgePath(tuple(x.id for x in faces), tuple(x.id for x in ridges))
-    return RidgePathResult(path, planes)
+    faces, planes = _solve(p, blocked, f, g)
+    # phi is injective, keeps order both ways and drops dimension by one, so a
+    # lifted ridge is a (k-1)-face of both neighbours: their meet, empty at k = 0.
+    ridges = tuple(face_id(x.mask & y.mask) for x, y in zip(faces, faces[1:]))
+    return RidgePathResult(RidgePath(tuple(x.id for x in faces), ridges), planes)
 
 
 def verify_ridge_path(

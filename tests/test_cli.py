@@ -332,6 +332,20 @@ class TestVerifyTheorem:
         doc, code = invoke("verify-theorem", cube3_file)
         assert len(doc["output"]["results"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ((), "--cap-override 1 is below the bound dim - k = 3 for k=0"),
+            (("--k", "1"), "--cap-override 1 is below the bound dim - k = 2 for k=1"),
+            (("--k", "2"), None),
+        ],
+    )
+    def test_cap_override_may_only_raise_the_cap(self, cube3_file, argv, error):
+        # A scan capped below dim - k finds no disconnecting set, so it is
+        # refused up front instead of reported as a failed certification.
+        doc, code = invoke("verify-theorem", cube3_file, "--cap-override", "1", *argv)
+        assert (code, doc.get("error")) == ((0, None) if error is None else (2, error))
+
     def test_all_k_echo_matches_the_ks_run(self, cube3_file):
         for argv, all_k in [((), True), (("--all-k",), True), (("--k", "1"), False)]:
             doc, _ = invoke("verify-theorem", cube3_file, *argv)

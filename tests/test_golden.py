@@ -139,6 +139,10 @@ def _cases() -> dict[str, list[str]]:
     verify = ["verify-theorem", "cube3.poly"]
     cases["cube3.verify_theorem_k_not_int"] = verify + ["--k", "one"]
     cases["cube3.verify_theorem_k_and_all_k"] = verify + ["--k", "1", "--all-k"]
+    # The override may only raise the cap: below dim - k = 3 at k = 0 it is
+    # refused, and at k = 2 a cap of 1 is the bound itself.
+    cases["cube3.verify_theorem_cap_below_bound"] = verify + ["--cap-override", "1"]
+    cases["cube3.verify_theorem_cap_at_bound"] = verify + ["--k", "2", "--cap-override", "1"]
     # --pretty indents only a parsed request; a refused command line stays compact.
     cases["cube3.verify_theorem_k_not_int_pretty"] = verify + ["--k", "one", "--pretty"]
     cases["cube3.hypergraph_k_out_of_range_pretty"] = (

@@ -13,7 +13,12 @@ from facelab import ridgepath
 from facelab.cli import build_parser
 from facelab.generators import random_polytope
 from facelab.geometry import eliminate
-from facelab.hypergraph import _first_component, build_hypergraph
+from facelab.hypergraph import (
+    ConnectivityReport,
+    _first_component,
+    build_hypergraph,
+    strong_connectivity,
+)
 from facelab.polytope import VPolytope, facets, indices_of, load_polytope, mask_of, polar_dual
 from facelab.ridgepath import (
     BlockedSet,
@@ -489,9 +494,9 @@ def ridge_components(p: VPolytope, k: int, blocked: list) -> set[frozenset[int]]
     return {frozenset(f.mask for f in component) for component in components}
 
 
-def dual_components(p: VPolytope, k: int, blocked: list) -> set[frozenset[int]]:
-    """The components of H_{d-1-k} of p's polar dual minus the images of the
-    blocked faces, pulled back to p's k-faces.
+def dual_hypergraph(p: VPolytope, k: int):
+    """H_{d-1-k} of p's polar dual, and per node the mask of the k-face of p
+    it is the image of.
 
     A k-face F maps to the dual face on the facets of p that contain F;
     dual vertex j is facet j in `facets(p)` order.
@@ -505,9 +510,17 @@ def dual_components(p: VPolytope, k: int, blocked: list) -> set[frozenset[int]]:
     node = {f.mask: i for i, f in enumerate(hg.faces)}
     pullback = {node[image(f.mask)]: f.mask for f in p.lattice.faces_of_dim(k)}
     assert len(pullback) == hg.n_nodes
+    return hg, pullback
+
+
+def dual_components(p: VPolytope, k: int, blocked: list) -> set[frozenset[int]]:
+    """The components of H_{d-1-k} of p's polar dual minus the images of the
+    blocked faces, pulled back to p's k-faces."""
+    hg, pullback = dual_hypergraph(p, k)
+    node = {mask: i for i, mask in pullback.items()}
     # A component is closed under live hyperedges, so removing it as well
     # leaves the other components as they were.
-    seen = mask_of(node[image(b.mask)] for b in blocked)
+    seen = mask_of(node[b.mask] for b in blocked)
     components = set()
     while seen != (1 << hg.n_nodes) - 1:
         component = _first_component(hg.n_nodes, hg.edges, seen)
@@ -558,3 +571,44 @@ class TestRidgeGraphIsDualHypergraph:
         faces = p.lattice.faces_of_dim(k)
         picks = data.draw(st.sets(st.sampled_from(range(len(faces))), max_size=k + 3))
         assert_ridge_graph_is_dual_hypergraph(p, k, [faces[i] for i in sorted(picks)])
+
+
+# Per polytope, for k = 1, 2, ...: the largest blocked set of k-faces that
+# every ridge-path request survives, alpha(H_{d-1-k}(P*)) - 1.  It exceeds
+# the solver's budget k on cube3 and cube4 from k = 2, and on pyramid4 at k = 3.
+RIDGE_BUDGETS = [
+    ("cube", 3, None, (1, 3)),
+    ("cube", 4, None, (1, 3, 5)),
+    ("cross", 3, None, (1, 2)),
+    ("cross", 4, None, (1, 2, 3)),
+    ("prism", 4, None, (1, 2, 3)),
+    ("cyclic", 4, 8, (1, 2, 3)),
+    ("pyramid", 4, None, (1, 2, 4)),
+    ("simplex", 4, None, (1, 2)),
+]
+
+
+class TestExactRidgeBudgets:
+    @pytest.mark.parametrize("family,dim,n,budgets", RIDGE_BUDGETS)
+    def test_budget_is_dual_alpha_minus_one(self, family, dim, n, budgets):
+        p = polytope(family, dim, n)
+        for k, budget in enumerate(budgets, start=1):
+            hg, pullback = dual_hypergraph(p, k)
+            report = strong_connectivity(hg, budget + 2)
+            assert (report.alpha, report.capped) == (budget + 1, False), k
+            # Read back in P, the witness is a blocked set that splits the
+            # ridge graph the solver searches.
+            nodes = hg.nodes
+            blocked = [
+                p.lattice.face_of_mask(pullback[nodes.index(fid)])
+                for fid in report.witness.removed
+            ]
+            assert len(ridge_components(p, k, blocked)) > 1, k
+
+    def test_complete_dual_graph_survives_all_but_the_endpoints(self):
+        # simplex4 at k = 3: the dual of its facets is the complete graph on
+        # five vertices, so blocking any three facets leaves the other two
+        # joined.
+        hg, _ = dual_hypergraph(polytope("simplex", 4), 3)
+        cap = hg.n_nodes - 1
+        assert strong_connectivity(hg, cap) == ConnectivityReport(0, cap, True, None)
