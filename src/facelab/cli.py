@@ -10,12 +10,12 @@ verification failure, 2 malformed input or a violated precondition.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from typing import NamedTuple
 
 from .geometry import FacelabError, Hyperplane, format_point, format_rational
-from .hypergraph import build_hypergraph, strong_connectivity
 from .polytope import (
     VPolytope,
     face_id,
@@ -24,8 +24,25 @@ from .polytope import (
     polar_dual,
     save_polytope,
 )
-from .ridgepath import BlockedSet, solve_ridge_path, verify_ridge_path
-from .section import parse_hyperplane, section
+
+
+def _lazy(name: str):
+    """The submodule `name`, registered now and run on its first attribute read."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# Registered, not run: perfbench/trace_entry.py wraps only modules in sys.modules after
+# `import facelab.cli`.  Plain local imports once --stats replaces it (ROADMAP item 2).
+hypergraph = _lazy("hypergraph")
+section = _lazy("section")
+ridgepath = _lazy("ridgepath")
 
 
 class CliError(FacelabError):
@@ -98,7 +115,7 @@ def _cmd_lattice(ns) -> tuple[dict, int]:
 
 
 def _cmd_hypergraph(ns) -> tuple[dict, int]:
-    hg = build_hypergraph(load_polytope(ns.file).lattice, ns.k)
+    hg = hypergraph.build_hypergraph(load_polytope(ns.file).lattice, ns.k)
     nodes = hg.nodes
     return {
         "k": hg.k,
@@ -112,9 +129,9 @@ def _cmd_hypergraph(ns) -> tuple[dict, int]:
 
 def _cmd_connectivity(ns) -> tuple[dict, int]:
     lattice = load_polytope(ns.file).lattice
-    hg = build_hypergraph(lattice, ns.k)
+    hg = hypergraph.build_hypergraph(lattice, ns.k)
     cap = ns.cap if ns.cap is not None else lattice.dim - ns.k
-    report = strong_connectivity(hg, cap)
+    report = hypergraph.strong_connectivity(hg, cap)
     payload = report.to_json_dict()
     payload["cap"] = cap
     if not ns.witness:
@@ -125,11 +142,13 @@ def _cmd_connectivity(ns) -> tuple[dict, int]:
 def _cmd_ridge_path(ns) -> tuple[dict, int]:
     p = load_polytope(ns.file)
     blocked_ids = [token for token in ns.blocked.split(",") if token]
-    b = BlockedSet.of(ns.k, blocked_ids)
-    result = solve_ridge_path(p, b, ns.from_id, ns.to_id)
+    b = ridgepath.BlockedSet.of(ns.k, blocked_ids)
+    result = ridgepath.solve_ridge_path(p, b, ns.from_id, ns.to_id)
     verified = None
     if ns.verify:
-        verified = verify_ridge_path(p.lattice, b.k, b, result.path, ns.from_id, ns.to_id)
+        verified = ridgepath.verify_ridge_path(
+            p.lattice, b.k, b, result.path, ns.from_id, ns.to_id
+        )
     payload = {
         "path": list(result.path.faces),
         "ridges": list(result.path.ridges),
@@ -155,8 +174,8 @@ def _cmd_dual(ns) -> tuple[dict, int]:
 
 def _cmd_section(ns) -> tuple[dict, int]:
     p = load_polytope(ns.file)
-    normal, offset = parse_hyperplane(ns.plane)
-    smap = section(p, Hyperplane.of(normal, offset))
+    normal, offset = section.parse_hyperplane(ns.plane)
+    smap = section.section(p, Hyperplane.of(normal, offset))
     phi = sorted(smap.phi.items(), key=lambda pair: indices_of(pair[0]))
     sliced = smap.slice_polytope
     return {
@@ -180,13 +199,13 @@ def _cmd_verify_theorem(ns) -> tuple[dict, int]:
     results = []
     all_pass = True
     for k in ks:
-        hg = build_hypergraph(lattice, k)
+        hg = hypergraph.build_hypergraph(lattice, k)
         bound = d - k
         cap = ns.cap_override if ns.cap_override is not None else bound
         # A scan capped below the bound reads as a failed certification.
         if cap < bound:
             raise CliError(f"--cap-override {cap} is below the bound dim - k = {bound} for k={k}")
-        report = strong_connectivity(hg, cap)
+        report = hypergraph.strong_connectivity(hg, cap)
         ok = report.alpha >= bound
         all_pass = all_pass and ok
         results.append(
@@ -217,9 +236,9 @@ def _file_argument(parser: _Parser) -> None:
     parser.add_argument("file")
 
 
-def _hypergraph_arguments(hypergraph: _Parser) -> None:
-    hypergraph.add_argument("file")
-    hypergraph.add_argument("--k", required=True, type=int)
+def _hypergraph_arguments(parser: _Parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--k", required=True, type=int)
 
 
 def _connectivity_arguments(connectivity: _Parser) -> None:
@@ -255,9 +274,9 @@ def _dual_arguments(dual: _Parser) -> None:
     dual.add_argument("--out", default=None, help="also write the dual as a polytope file")
 
 
-def _section_arguments(section_cmd: _Parser) -> None:
-    section_cmd.add_argument("file")
-    section_cmd.add_argument(
+def _section_arguments(parser: _Parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument(
         "--plane", required=True, help="hyperplane as 'a1,...,ad;c' with rational entries"
     )
 

@@ -53,7 +53,13 @@ class BlockedSet(_BlockedSetFields):
 
     @classmethod
     def of(cls, k: int, ids: Iterable[str]) -> BlockedSet:
-        return cls(k, frozenset(ids))
+        """The blocked set of the listed ids; an id listed twice is refused."""
+        ids = list(ids)
+        b = cls(k, frozenset(ids))
+        if len(b.face_ids) < len(ids):
+            repeated = next(x for i, x in enumerate(ids) if ids.index(x) < i)
+            raise RidgePathError(f"blocked face {repeated} is listed twice")
+        return b
 
 
 class RidgePath(NamedTuple):

@@ -1,6 +1,11 @@
 """CLI envelopes, schemas, exit codes, and determinism."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -433,3 +438,55 @@ def test_run_never_raises(argv):
     doc = json.loads(result.render())
     ENVELOPE.validate(doc)
     assert (doc["status"] == "error") == (result.exit_code == 2)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script_target() -> str:
+    """The `facelab` script's `module:function`, as pyproject.toml names it."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^facelab = "(.+)"$', text, re.MULTILINE).group(1)
+
+
+# The two ways a request gets a process: `python -m facelab`, and the
+# script's target called the way the installed script wrapper calls it.
+LAUNCHERS = {
+    "module": ["-m", "facelab"],
+    "script": [
+        "-c",
+        "import sys; from importlib import import_module; "
+        "m, f = sys.argv.pop(1).split(':'); getattr(import_module(m), f)()",
+        _script_target(),
+    ],
+}
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+@pytest.mark.parametrize(
+    "case, argv, code",
+    [
+        ("cube3.lattice", ["lattice", "cube3.poly"], 0),
+        (
+            "cube3.ridge_path_negative_k",
+            ["ridge-path", "cube3.poly", "--k", "-1", "--from", "v0", "--to", "v7"],
+            2,
+        ),
+    ],
+)
+def test_process_entry_prints_the_golden_bytes(launcher, case, argv, code):
+    proc = subprocess.run(
+        [sys.executable, *LAUNCHERS[launcher], *argv],
+        cwd=GOLDEN,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+    )
+    assert (proc.stdout, proc.stderr) == ((GOLDEN / f"{case}.out").read_bytes(), b"")
+    assert proc.returncode == code
+
+
+def test_script_target_is_the_module_entry():
+    from facelab import __main__ as entry
+
+    module, _, name = _script_target().partition(":")
+    assert getattr(import_module(module), name) is entry.main

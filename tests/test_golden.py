@@ -107,6 +107,10 @@ def _cases() -> dict[str, list[str]]:
     cases["cube3.ridge_path_blocked_endpoint"] = ridge + [
         "--blocked", "v0-v1-v2-v3", "--from", "v0-v1-v2-v3", "--to", "v4-v5-v6-v7",
     ]
+    cases["cube3.ridge_path_repeated_blocked"] = [
+        "ridge-path", "cube3.poly", "--k", "1", "--blocked", "v0-v1,v0-v1",
+        "--from", "v0-v2", "--to", "v1-v3",
+    ]
     cases["cube3.ridge_path_negative_k"] = [
         "ridge-path", "cube3.poly", "--k", "-1", "--from", "v0", "--to", "v7",
     ]

@@ -15,7 +15,7 @@ from facelab.geometry import GeometryError, Hyperplane, QVector
 from facelab.hypergraph import build_hypergraph, strong_connectivity
 from facelab.polytope import VPolytope, save_polytope
 from facelab.ridgepath import BlockedSet, RidgePathError, solve_ridge_path
-from instances import instance
+from instances import GOLDEN, instance
 
 
 def records() -> dict:
@@ -102,7 +102,7 @@ def test_replace_runs_the_constructor_checks():
 
 def test_cli_import_leaves_out_the_pool_and_dataclasses(tmp_path):
     # A fresh interpreter, so modules other tests imported do not count.
-    # `import facelab.cli` loads the five traced modules, and none of the
+    # `import facelab.cli` registers the five traced modules, and none of the
     # generators (only `gen` needs them), `fractions` or `decimal`.  Nor
     # does it load the automorphism search, which only the commands that
     # build hypergraphs need: a ridge-path request leaves it out, and a
@@ -136,3 +136,41 @@ def test_cli_import_leaves_out_the_pool_and_dataclasses(tmp_path):
         check=True,
     ).stdout
     assert out.splitlines() == ["[]", "[]", "False", "0 False", "0 True", "[]"]
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (["lattice", "cube3.poly"], []),
+        (["verify-theorem", "cube3.poly", "--k", "1"], ["hypergraph"]),
+        (
+            ["ridge-path", "cube3.poly", "--k", "1", "--from", "v0-v2", "--to", "v1-v3"],
+            ["section", "ridgepath"],
+        ),
+    ],
+)
+def test_a_request_runs_only_its_commands_modules(argv, executed):
+    # A fresh interpreter.  `import facelab` registers no submodule, and
+    # `import facelab.cli` registers the command modules without running
+    # them, on the package too, as an import would: until a module's first
+    # attribute read it is not a plain module.
+    commands = ["hypergraph", "section", "ridgepath"]
+    probe = (
+        "import sys, types, facelab\n"
+        "print([m for m in sys.modules if m.startswith('facelab.')])\n"
+        "import facelab.cli\n"
+        f"print(all(getattr(facelab, m) is sys.modules['facelab.' + m] for m in {commands!r}))\n"
+        f"print(facelab.cli.run({argv!r}).exit_code)\n"
+        f"print([m for m in {commands!r}"
+        " if type(sys.modules['facelab.' + m]) is types.ModuleType])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=GOLDEN,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines() == ["[]", "True", "0", repr(executed)]
