@@ -376,7 +376,3 @@ def main(argv: list[str] | None = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
     print(result.render())
     return result.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

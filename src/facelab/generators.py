@@ -12,7 +12,7 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from .geometry import FacelabError, QVector, barycenter
+from .geometry import FacelabError, QVector, interior_point
 from .polytope import PolytopeError, VPolytope
 
 
@@ -191,7 +191,8 @@ def _all_independent(vectors: list, size: int, prev: int = 1) -> bool:
 
 def _in_general_position(rows: list[tuple[int, ...]], d: int) -> bool:
     # No d+1 of the points affinely dependent, that is no d+1 of their
-    # homogeneous rows linearly dependent; implies full rank for n > d.
+    # homogeneous rows linearly dependent; implies full rank for n > d, and
+    # n > d distinct points, as d+1 rows holding one twice are dependent.
     return _all_independent(rows, d + 1)
 
 
@@ -199,8 +200,8 @@ def random_polytope(d: int, n: int, seed: int, bound: int = _DEFAULT_BOUND) -> V
     """n distinct integer points in [-bound, bound]^d, all vertices, general position.
 
     Each attempt draws a fresh batch from random.Random(seed + attempt * 1000003)
-    via randint per coordinate; a batch with coincident points, an affine
-    degeneracy, or a non-vertex point is discarded whole and redrawn.  The
+    via randint per coordinate; a batch with an affine degeneracy (coincident
+    points are one) or a non-vertex point is discarded whole and redrawn.  The
     constant stride keeps attempt streams disjoint for neighboring seeds.
     """
     GeneratorSpec("random", d, n, seed, bound)
@@ -209,8 +210,6 @@ def random_polytope(d: int, n: int, seed: int, bound: int = _DEFAULT_BOUND) -> V
         points = [
             QVector.of([rng.randint(-bound, bound) for _ in range(d)]) for _ in range(n)
         ]
-        if len(set(points)) != n:
-            continue
         if not _in_general_position([v.row for v in points], d):
             continue
         try:
@@ -224,11 +223,12 @@ def random_polytope(d: int, n: int, seed: int, bound: int = _DEFAULT_BOUND) -> V
 
 
 def pyramid_over(base: VPolytope) -> VPolytope:
-    """Apex over the base's barycenter, one dimension up."""
+    """Apex at height 1 over the base's `interior_point`, one dimension up:
+    the base's barycenter when its rows share one x0, as integer points do."""
     if base.dim != base.ambient_dim:
         raise GeneratorError("pyramid base must be full-dimensional")
     # Rows (x0, x) gain a last entry: 0 at the base, x0 (height 1) at the apex.
-    apex = barycenter(base.rows)
+    apex = interior_point(base.rows)
     rows = [(*row, 0) for row in base.rows] + [(*apex, apex[0])]
     return VPolytope.from_points([QVector(row) for row in rows])
 

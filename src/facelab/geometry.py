@@ -185,24 +185,20 @@ def eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
     return mat, pivots
 
 
-def barycenter(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The coordinate-wise average of points given as homogeneous rows, as one;
-    a relative-interior point of their hull.
+def interior_point(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """A relative-interior point of the hull of points given as homogeneous
+    rows, as one: the primitive sum of the rows.
 
-    With L the lcm of the x0, the average is sum(x L / x0) / (n L).
+    The sum (sum x0, sum x) stands for the convex combination of the points
+    x / x0 with weights x0 / sum x0, all positive, so it lies in the relative
+    interior; when the rows share one x0 it is the average.
     """
     if not rows:
-        raise GeometryError("barycenter of an empty point list")
+        raise GeometryError("interior point of an empty point list")
     width = len(rows[0])
     if any(len(row) != width for row in rows):
-        raise GeometryError("barycenter over points of mixed dimension")
-    scale = lcm(*(row[0] for row in rows))
-    totals = [len(rows) * scale] + [0] * (width - 1)
-    for row in rows:
-        factor = scale // row[0]
-        for j in range(1, width):
-            totals[j] += factor * row[j]
-    return primitive(totals)
+        raise GeometryError("interior point over points of mixed dimension")
+    return primitive([sum(column) for column in zip(*rows)])
 
 
 def solve_nonnegative(

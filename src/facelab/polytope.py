@@ -20,9 +20,9 @@ from .geometry import (
     GeometryError,
     Hyperplane,
     QVector,
-    barycenter,
     eliminate,
     format_point,
+    interior_point,
     parse_rational,
     primitive,
 )
@@ -233,9 +233,6 @@ class VPolytope:
         """The face lattice, built by `face_lattice` on first read."""
         return face_lattice(self)
 
-    def face_barycenter(self, face: Face) -> tuple[int, ...]:
-        return barycenter([self.rows[i] for i in face.vertex_set])
-
 
 def facets(p: VPolytope) -> list[tuple[Face, Hyperplane]]:
     """All (d-1)-faces with supporting hyperplanes oriented so a.v <= c holds.
@@ -398,14 +395,15 @@ def face_lattice(p: VPolytope) -> FaceLattice:
 
 
 def polar_dual(p: VPolytope) -> VPolytope:
-    """Polar dual after translating the vertex barycenter to the origin.
+    """Polar dual after translating the interior point of the vertex rows,
+    `interior_point(p.rows)`, to the origin.
 
     Vertex j of the dual corresponds to the j-th facet of p in canonical
     order (`facets(p)`; a translation keeps every facet's vertex set); the
     face lattices are anti-isomorphic.  `facets` refuses a polytope that is
     not full-dimensional.
     """
-    center = barycenter(p.rows)
+    center = interior_point(p.rows)
     dual_points = []
     for _, h in facets(p):
         # Facet a.x <= c of p is a.x <= c - a.z/z0 after moving the center

@@ -17,7 +17,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import FacelabError, Hyperplane, solve_nonnegative
+from .geometry import FacelabError, Hyperplane, interior_point, solve_nonnegative
 from .polytope import Face, FaceLattice, PolytopeError, VPolytope, face_id
 from .section import section
 
@@ -131,10 +131,12 @@ def _clear_grazed_vertices(
     the first s with u.(v - b) != 0 at every vertex v on the plane is taken.
     u.(v - b) = u0(s).P(v - b), P that projection, is a polynomial in s of
     degree below D.  It is not the zero polynomial, because no vertex lies on
-    the line through the two barycenters: one barycenter would then lie inside
-    a segment from v to the other, and its face would contain both f and g.
-    So it vanishes at fewer than D values of s, and with m offending vertices
-    some s <= m (D - 1) + 1 clears them all.
+    the line through the two interior points: with v on it, one point would
+    lie inside a segment from v to the other, and the least face holding
+    that point, its own face, would hold the segment, so the other point and
+    its face; two distinct k-faces cannot nest.  So it vanishes at fewer
+    than D values of s, and with m offending vertices some s <= m (D - 1) + 1
+    clears them all.
 
     The nudge is a + t u, and t the least |a.(v - b)| / (2 (|u.(v - b)| + 1))
     over the vertices v off the plane.  That step is strictly below every
@@ -178,16 +180,17 @@ def search_cutting_hyperplane(
     g: Face,
     r: Face,
 ) -> tuple[Hyperplane, int]:
-    """A hyperplane through the barycenters of f and g, missing r and all vertices.
+    """A hyperplane through interior points of f and g, missing r and all vertices.
 
-    Normals orthogonal to the barycenter difference keep both barycenters on
-    the plane.  One exact phase-1 solve finds such a normal with every vertex
-    of r strictly on one side; if the plane still grazes other vertices, a
-    nudge along moment-curve directions in the same orthogonal space moves it
-    off them without flipping any strict side.  Exact sign tests confirm the
-    result.  Returns the plane and the number of candidates tried: the solve
-    plus each nudge direction, at most 2 + m (D - 1) with m the grazed
-    vertices and D the ambient dimension.
+    The points are `interior_point` of each face's rows, each in its face's
+    relative interior, and normals orthogonal to their difference keep both
+    on the plane.  One exact phase-1 solve finds such a normal with every
+    vertex of r strictly on one side; if the plane still grazes other
+    vertices, a nudge along moment-curve directions in the same orthogonal
+    space moves it off them without flipping any strict side.  Exact sign
+    tests confirm the result.  Returns the plane and the number of
+    candidates tried: the solve plus each nudge direction, at most
+    2 + m (D - 1) with m the grazed vertices and D the ambient dimension.
     """
     k = f.dim
     if len({f, g, r}) != 3:
@@ -198,8 +201,8 @@ def search_cutting_hyperplane(
     d = p.lattice.dim
     if not (1 <= k <= d - 1):
         raise RidgePathError(f"face dimension {k} out of range [1, {d - 1}]")
-    bf = p.face_barycenter(f)
-    w = _difference(p.face_barycenter(g), bf)
+    bf, bg = (interior_point([p.rows[i] for i in x.vertex_set]) for x in (f, g))
+    w = _difference(bg, bf)
     diffs = [_difference(v, bf) for v in p.rows]
     attempts = 1
     a = _feasible_orthogonal_normal(w, [diffs[i] for i in r.vertex_set])
@@ -213,9 +216,9 @@ def search_cutting_hyperplane(
         if all(values) and len({values[i] > 0 for i in r.vertex_set}) == 1:
             return h, attempts
     # By Farkas, the solve is infeasible exactly when the line through the two
-    # barycenters meets r.  It never does: the line meets P only in the segment
-    # between them, and a face holding any point of it contains f or g, which
-    # r, another k-face, cannot.
+    # interior points meets r.  It never does: the line meets P only in the
+    # segment between them, and a face holding any point of it contains f or
+    # g, which r, another k-face, cannot.
     raise RidgePathError(
         f"no cutting hyperplane found for f={f.id}, g={g.id}, r={r.id}; "
         "one always exists, so this is a bug"
@@ -282,9 +285,10 @@ def _solve(
     def sliced(x: Face) -> Face:
         return slice_polytope.lattice.face_of_mask(phi[x.mask])
 
-    # The plane passes through both barycenters, so f and g are cut, and misses
-    # r.  Section maps distinct cut faces to distinct slice faces, so the slice
-    # keeps f and g distinct and unblocked, with at most k - 1 blocked.
+    # The plane passes through interior points of f and g, so both are cut,
+    # and misses r.  Section maps distinct cut faces to distinct slice faces,
+    # so the slice keeps f and g distinct and unblocked, with at most k - 1
+    # blocked.
     blocked_slice = tuple(sliced(b) for b in blocked if b.mask in phi)
     faces, planes = _solve(slice_polytope, blocked_slice, sliced(f), sliced(g))
     lift = {s: b for b, s in phi.items()}

@@ -787,25 +787,30 @@ def bfs_ridge_path_oracle(
     return None
 
 
+def interior_point_oracle(p: VPolytope, vertices: Sequence[int]) -> Point:
+    """The point sum(x_i) / sum(x0_i) over the rows (x0_i, x_i) of the given
+    vertices, in Fractions: their convex combination with weights
+    x0_i / sum(x0), each positive, so a relative-interior point of their hull."""
+    rows = [p.rows[i] for i in vertices]
+    total = sum(row[0] for row in rows)
+    return tuple(Fraction(sum(column), total) for column in list(zip(*rows))[1:])
+
+
 def hyperplane_conditions_oracle(
     p: VPolytope, f_vertices: tuple[int, ...], g_vertices: tuple[int, ...],
     r_vertices: tuple[int, ...], normal: Point, offset: Fraction,
 ) -> bool:
-    """The three acceptance conditions for a cutting hyperplane, from scratch."""
+    """The three acceptance conditions for a cutting hyperplane, from scratch:
+    through `interior_point_oracle` of f and of g, off every vertex, and
+    with r's vertices on one side."""
     points = rational_points(p)
 
     def value(v: Point) -> Fraction:
         return _dot(normal, v) - offset
 
-    def mean(indices: tuple[int, ...]) -> Point:
-        m = Fraction(len(indices))
-        return tuple(
-            sum((points[i][j] for i in indices), Fraction(0)) / m
-            for j in range(p.ambient_dim)
-        )
-
-    if value(mean(f_vertices)) != 0 or value(mean(g_vertices)) != 0:
-        return False
+    for face in (f_vertices, g_vertices):
+        if value(interior_point_oracle(p, face)) != 0:
+            return False
     if any(value(v) == 0 for v in points):
         return False
     r_signs = {value(points[i]) > 0 for i in r_vertices}
@@ -820,9 +825,9 @@ def cutting_hyperplane_oracle(
     where it must fail.
 
     One phase-1 solve (Fraction tableau) for a normal a with a.w = 0, w the
-    barycenter difference of g and f, and a.(v - b) >= 1 on r's vertices, b
-    f's barycenter; then, if the plane through b grazes a vertex, the
-    moment-curve nudge: for s = 1, 2, ... up to m (d - 1) + 1, m the grazed
+    difference of g's and f's `interior_point_oracle`, and a.(v - b) >= 1 on
+    r's vertices, b f's point; then, if the plane through b grazes a vertex,
+    the moment-curve nudge: for s = 1, 2, ... up to m (d - 1) + 1, m the grazed
     vertices, takes u0 = (1, s, ..., s^(d-1)), projects it to u = (w.w) u0 -
     (u0.w) w, and at the first u off every grazed vertex steps a + t u with t
     the least |a.(v - b)| / (2 (|u.(v - b)| + 1)) over the vertices off the
@@ -830,15 +835,8 @@ def cutting_hyperplane_oracle(
     """
     d = p.ambient_dim
     points = rational_points(p)
-
-    def mean(face: Face) -> tuple[Fraction, ...]:
-        m = len(face.vertex_set)
-        return tuple(
-            sum((points[i][j] for i in face.vertex_set), Fraction(0)) / m for j in range(d)
-        )
-
-    b = mean(f)
-    w = tuple(x - y for x, y in zip(mean(g), b))
+    b = interior_point_oracle(p, f.vertex_set)
+    w = tuple(x - y for x, y in zip(interior_point_oracle(p, g.vertex_set), b))
     diffs = [tuple(x - y for x, y in zip(v, b)) for v in points]
     n_slack = len(r.vertex_set)
     rows = [[*w, *(-c for c in w)] + [Fraction(0)] * n_slack]

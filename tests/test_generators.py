@@ -169,6 +169,17 @@ class TestRandomPolytopes:
                 "_distinct_directions": comb(n - 2, d - 1),
             }
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_general_position_refuses_a_repeated_point(self, d):
+        """random_polytope's only check for coincident points: n >= d+1, and
+        any d+1 rows that hold one point twice are dependent."""
+        for n in range(d + 1, d + 4):
+            rows = [(1, *(t**e for e in range(1, d + 1))) for t in range(1, n + 1)]
+            assert generators._in_general_position(rows, d)
+            for i, j in combinations(range(n), 2):
+                repeated = rows[:j] + [rows[i]] + rows[j + 1 :]
+                assert not generators._in_general_position(repeated, d), (n, i, j)
+
     def test_every_point_is_a_vertex(self):
         p = random_polytope(4, 7, seed=3)
         # from_points(validate=True) re-runs the hull check on every point

@@ -4,6 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import math
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,12 +15,13 @@ from facelab.geometry import (
     Hyperplane,
     QVector,
     Rational,
-    barycenter,
     format_rational,
+    interior_point,
     parse_rational,
     solve_nonnegative,
 )
-from instances import polytope
+from facelab.polytope import VPolytope, facets, polar_dual
+from instances import FAMILY_GRID, golden_random_polytopes, polytope
 from oracles import (
     affine_chart_oracle,
     affine_rank,
@@ -120,7 +122,7 @@ class TestQVector:
         with pytest.raises(GeometryError):
             QVector.of([])
         with pytest.raises(GeometryError):
-            barycenter([R([1, 2]), R([1, 2, 3])])
+            interior_point([R([1, 2]), R([1, 2, 3])])
 
     @given(rationals, rationals, rationals)
     def test_distributivity_is_exact(self, a, b, c):
@@ -205,18 +207,51 @@ class TestAffineRank:
         assert affine_rank([R(pts[i]) for i in perm]) == r
 
 
-class TestBarycenter:
+def assert_interior_points_are_relatively_interior(p: VPolytope) -> None:
+    """`interior_point` of each nonempty face's rows is tight on exactly the
+    facets that contain the face and strictly inside every other facet."""
+    planes = facets(p)
+    for face in p.lattice.faces:
+        if not face.mask:
+            continue
+        point = interior_point([p.rows[i] for i in face.vertex_set])
+        for facet, h in planes:
+            # The row product is x0 (a.x - c) with x0 > 0: the side's sign.
+            value = sum(map(mul, h.row, point))
+            expected = 0 if face.mask & ~facet.mask == 0 else -1
+            assert (value > 0) - (value < 0) == expected, (face.id, facet.id)
+
+
+class TestInteriorPoint:
     def test_examples(self):
-        assert barycenter([R([0, 0]), R([1, 0])]) == R([F(1, 2), F(0)])
+        assert interior_point([R([0, 0]), R([1, 0])]) == R([F(1, 2), F(0)])
         square = [R([0, 0]), R([1, 0]), R([0, 1]), R([1, 1])]
-        assert barycenter(square) == R([F(1, 2), F(1, 2)])
-        assert barycenter([R([0, 0]), R([0, 1]), R([3, 0])]) == R([F(1), F(1, 3)])
-        # Rows with x0 > 1: the mean of (1/2, 1/3) and (1/4, 0).
-        assert barycenter([R([F(1, 2), F(1, 3)]), R([F(1, 4), 0])]) == R([F(3, 8), F(1, 6)])
+        assert interior_point(square) == R([F(1, 2), F(1, 2)])
+        assert interior_point([R([0, 0]), R([0, 1]), R([3, 0])]) == R([F(1), F(1, 3)])
+        # Rows (6, 3, 2) and (4, 1, 0) with x0 > 1: (1/2, 1/3) and (1/4, 0)
+        # weighted 6/10 and 4/10, not their mean (3/8, 1/6).
+        rows = [R([F(1, 2), F(1, 3)]), R([F(1, 4), 0])]
+        assert interior_point(rows) == R([F(2, 5), F(1, 5)])
 
     def test_empty_rejected(self):
         with pytest.raises(GeometryError):
-            barycenter([])
+            interior_point([])
+
+    @pytest.mark.parametrize("family,dim,n", FAMILY_GRID)
+    def test_relative_interior_on_family_grid(self, family, dim, n):
+        assert_interior_points_are_relatively_interior(polytope(family, dim, n))
+
+    def test_relative_interior_on_golden_random_polytopes(self):
+        for p in golden_random_polytopes():
+            assert_interior_points_are_relatively_interior(p)
+
+    def test_relative_interior_with_unequal_x0(self):
+        """The 4-pyramid's apex row has x0 = 2, and the rows of its dual and
+        of a cyclic polytope's dual mix their x0 too."""
+        pyramid = polytope("pyramid", 4)
+        for p in (pyramid, polar_dual(pyramid), polar_dual(polytope("cyclic", 4, 7))):
+            assert len({row[0] for row in p.rows}) > 1
+            assert_interior_points_are_relatively_interior(p)
 
 
 class TestSegmentIntersection:

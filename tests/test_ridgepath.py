@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from facelab import ridgepath
 from facelab.cli import build_parser
 from facelab.generators import random_polytope
-from facelab.geometry import eliminate
+from facelab.geometry import eliminate, interior_point
 from facelab.hypergraph import (
     ConnectivityReport,
     _first_component,
@@ -61,9 +61,10 @@ class TestCuttingHyperplane:
         r = lat.face("v0-v1-v4-v5")
         h, _ = search_cutting_hyperplane(p, f, g, r)
         assert oracle_ok(p, lat, f, g, r, h)
-        # barycenters of f and g really sit on the plane
-        assert side(h, coordinates(p.face_barycenter(f))) == 0
-        assert side(h, coordinates(p.face_barycenter(g))) == 0
+        # the interior points of f and g really sit on the plane
+        for face in (f, g):
+            point = interior_point([p.rows[i] for i in face.vertex_set])
+            assert side(h, coordinates(point)) == 0
 
     def test_deterministic(self):
         p, lat = instance("cube", 3)
@@ -145,6 +146,29 @@ class TestCuttingHyperplaneAgainstOracle:
             assert (h.row, attempts) == expected, (trial, f.id, g.id, r.id)
             nudged += attempts > 1
         assert nudged >= 20
+
+
+class TestPlaneBitLength:
+    """Deep requests keep their planes small.  Each level cuts through the
+    row sums of the endpoints' vertex rows, so no lcm of the slice vertices'
+    x0 multiplies the coefficients from one level to the next."""
+
+    def test_cyclic_7_14_at_k_6(self):
+        p, lat = instance("cyclic", 7, n=14)
+        k = 6
+        faces = [f.id for f in lat.faces_of_dim(k)]
+        rng = random.Random(5)
+        depths, bits = [], []
+        for _ in range(2):
+            blocked = rng.sample(faces, k)
+            f_id, g_id = rng.sample([x for x in faces if x not in blocked], 2)
+            b = BlockedSet.of(k, blocked)
+            res = solve_ridge_path(p, b, f_id, g_id)
+            assert verify_ridge_path(lat, k, b, res.path, f_id, g_id)
+            depths.append(res.depth)
+            bits.append(max(abs(c).bit_length() for h in res.hyperplanes for c in h.row))
+        # The largest coefficient's bit length, pinned; the inputs have 27.
+        assert (depths, bits) == ([4, 5], [528, 1821])
 
 
 class TestSolver:
