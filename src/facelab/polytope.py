@@ -3,17 +3,17 @@
 A face is the bitmask of the polytope vertices lying on it, plus its
 dimension; containment and intersection are mask operations, and face ids
 ('v0-v2-v5') are parsed and printed only at the edges.  Facets come from one
-exact double-description pass over integer rows.  A `FaceLattice`, of a
-polytope or of one of its sections alike, is built top-down from its vertex
-count and facet vertex sets alone, and a polytope owns its lattice: it
-builds it on the first read of `lattice`.  All geometry is exact.
+exact double-description pass over integer rows.  A `FaceLattice` is one
+top-down walk over a cover rule: the sweep over a polytope's facet vertex
+sets, or a section's restriction of its base lattice.  A polytope owns its
+lattice: it builds it on the first read of `lattice`.  All geometry is exact.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .geometry import (
     FacelabError,
@@ -254,27 +254,26 @@ def facets(p: VPolytope) -> list[tuple[Face, Hyperplane]]:
 class FaceLattice:
     """The graded lattice of all faces, from the empty face up to the polytope.
 
-    Built from the polytope's dimension, vertex count and facet vertex masks
-    by one top-down sweep (Kaibel & Pfetsch 2002): the faces a face F covers
-    are the inclusion-maximal sets among F & G over the facets G not
-    containing F, so the level gives each face its dimension and the sweep
-    gives its covers.  Every vertex covers the empty face.  Faces are kept
-    by dimension, each grade sorted by vertex set; `faces` runs through the
-    grades from the empty face up, which is the lattice order, and each
-    face's children and parents are filed in that order.
+    Built by one top-down walk from the full face over a cover rule: from
+    the mask of a face above the vertices, the masks of the faces it covers.
+    The level gives each face its dimension, and every vertex covers the
+    empty face.  `face_lattice` passes the facet sweep, `section` the
+    restriction of the base lattice.  Faces are kept by dimension, each
+    grade sorted by vertex set; `faces` runs through the grades from the
+    empty face up, which is the lattice order, and each face's children and
+    parents are filed in that order, whatever order the rule gives them in.
     """
 
-    def __init__(self, dim: int, n_vertices: int, facet_masks: Sequence[int]):
+    def __init__(self, dim: int, n_vertices: int, covered: Callable[[int], Sequence[int]]):
         self.dim = dim
         self.n_vertices = n_vertices
         # levels[i] holds the masks of the faces of dimension dim - i, and
         # below[mask] the masks of the faces that face covers.
         level = [(1 << n_vertices) - 1]
-        below: dict[int, list[int]] = {}
+        below: dict[int, Sequence[int]] = {}
         levels = [level]
         for _ in range(dim):
-            for face in level:
-                below[face] = _maximal({face & g for g in facet_masks if face & ~g})
+            below.update((face, covered(face)) for face in level)
             level = list({c for face in level for c in below[face]})
             levels.append(level)
         # The last level is the vertices, which cover the empty face.
@@ -389,9 +388,10 @@ def _maximal(masks: Iterable[int]) -> list[int]:
 
 
 def face_lattice(p: VPolytope) -> FaceLattice:
-    """Full face lattice of p with its covers, swept top-down from the vertex
-    sets of p's facets."""
-    return FaceLattice(p.dim, p.n_vertices, [face.mask for face, _ in facets(p)])
+    """Full face lattice of p, swept over its facets (Kaibel & Pfetsch 2002): a
+    face F covers the inclusion-maximal sets F & G, G a facet not containing F."""
+    masks = [face.mask for face, _ in facets(p)]
+    return FaceLattice(p.dim, p.n_vertices, lambda f: _maximal({f & g for g in masks if f & ~g}))
 
 
 def polar_dual(p: VPolytope) -> VPolytope:

@@ -2,14 +2,16 @@
 
 Slicing a polytope by a hyperplane missing all vertices yields a polytope one
 dimension down whose faces correspond exactly to the faces of the base that the
-hyperplane cuts.  Crossed edges become slice vertices, and the slice's facets
-are the images of the cut facets, so the slice polytope comes with its
-lattice, built from those facet masks like any other, and the bijection is
-available by construction and stays exact under recursion.
+hyperplane cuts.  Crossed edges become slice vertices, and the slice's covers
+are the images of the covers between cut faces, so the slice polytope comes
+with its lattice, the base lattice restricted to the cut faces, and the
+bijection is available by construction and stays exact under recursion.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .geometry import (
@@ -98,22 +100,20 @@ def section(p: VPolytope, h: Hyperplane) -> SectionMap:
         slice_rows.append(
             primitive([values[b] * x - values[a] * y for x, y in zip(rows[a], rows[b])])
         )
+    slice_polytope = VPolytope(tuple(slice_rows))
 
     # Cut base faces map to slice faces one dimension down.  Crossed edge
     # idx is slice vertex idx; the slice face of a larger cut face holds the
     # crossed edges of its cut children, which come before it in lattice
-    # order.
+    # order and so are in phi, and covers exactly their images.
     phi = {e.mask: 1 << idx for idx, e in enumerate(crossed)}
+    below: dict[int, list[int]] = {}
     for f in lattice.faces:
         if f.dim > 1 and is_cut(f):
-            cut_edges = 0
-            for c in lattice.children(f):
-                cut_edges |= phi.get(c.mask, 0)
-            phi[f.mask] = cut_edges
-
-    # A flat slice cannot enumerate its own facets, so its lattice is filled
-    # in from the images of the cut facets.
-    slice_facets = [phi[f.mask] for f in lattice.faces_of_dim(lattice.dim - 1) if f.mask in phi]
-    slice_polytope = VPolytope(tuple(slice_rows))
-    slice_polytope.__dict__["lattice"] = FaceLattice(lattice.dim - 1, len(crossed), slice_facets)
+            cut = [phi[c.mask] for c in lattice.children(f) if c.mask in phi]
+            phi[f.mask] = image = reduce(or_, cut)
+            below[image] = cut
+    slice_polytope.__dict__["lattice"] = FaceLattice(
+        lattice.dim - 1, len(crossed), below.__getitem__
+    )
     return SectionMap(slice_polytope, phi)

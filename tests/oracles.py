@@ -8,9 +8,10 @@ these are the second route in every two-route check.  The Fraction
 routines the library's integer kernels replaced (elimination, the hyperplane
 through points, a point's side of a hyperplane, the segment crossing, the
 phase-1 simplex, the cutting-plane search) stay here as the second route for
-those kernels.  So does the walk `section` once used to build a slice's
-lattice, before every lattice came from one top-down sweep over its facets:
-`slice_lattice_oracle`.  Here a point is a sequence of its rational
+those kernels.  `slice_lattice_oracle` is the second route for the
+restriction `section` gives a slice's lattice: it takes each vertex's side in
+Fractions, not from the integer `plane_values`, and reads the base covers
+through `parents`, not `children`.  Here a point is a sequence of its rational
 coordinates; `rational_points` reads them off a polytope's integer rows.
 The one exception reads the library's integer elimination:
 `hyperplane_through`, which `initial_cone_oracle` calls once per ray, the

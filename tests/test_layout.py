@@ -12,7 +12,8 @@ README.  So are the views in HARNESS_API, which only the benchmark in
 library.  Every attribute a library class assigns as `self.<name>`, or
 writes as a key of `self.__dict__`, must likewise be read as `.<name>`
 somewhere in `src/facelab`.  A polytope owns its face lattice, so no library
-function takes a `VPolytope` and a `FaceLattice` side by side.
+function takes a `VPolytope` and a `FaceLattice` side by side, and a lattice
+is constructed only by its two producers, `face_lattice` and `section`.
 """
 
 import ast
@@ -144,6 +145,48 @@ def test_no_library_function_takes_a_polytope_and_a_lattice():
         if {"VPolytope", "FaceLattice"} <= names
     ]
     assert paired == [], "read the lattice off the polytope instead: " + ", ".join(paired)
+
+
+def call_sites(tree: ast.Module, callee: str):
+    """The enclosing module-level function or `Class.method` (`Class.` in a
+    class body, `<module>` elsewhere) of each call to the name `callee` in
+    the module."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.{getattr(item, 'name', '')}", item) for item in node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes = [(node.name, node)]
+        else:
+            scopes = [("<module>", node)]
+        for scope, body in scopes:
+            for sub in ast.walk(body):
+                if isinstance(sub, ast.Call):
+                    func = sub.func
+                    if getattr(func, "attr", getattr(func, "id", None)) == callee:
+                        yield scope
+
+
+def test_call_sites_sees_methods_lambdas_and_attributes():
+    tree = ast.parse(
+        "x = polytope.FaceLattice(0, 1, f)\n"
+        "def make(masks):\n"
+        "    return (lambda: FaceLattice(1, 2, masks.get))()\n"
+        "class A:\n"
+        "    def build(self): return FaceLattice\n"
+        "    def other(self): self.FaceLattice(2, 3, g)\n"
+    )
+    assert list(call_sites(tree, "FaceLattice")) == ["<module>", "make", "A.other"]
+
+
+def test_face_lattice_has_two_producers():
+    """A lattice is built in exactly two places, one per cover rule: the
+    facet sweep in `face_lattice` and the restriction in `section`."""
+    sites = [
+        f"{path.relative_to(LIBRARY).as_posix()} {scope}"
+        for path, tree in parsed(LIBRARY).items()
+        for scope in call_sites(tree, "FaceLattice")
+    ]
+    assert sites == ["polytope.py face_lattice", "section.py section"]
 
 
 def is_self(node: ast.AST) -> bool:

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from facelab import ridgepath
 from facelab.generators import cube, random_polytope, simplex
 from facelab.geometry import Hyperplane, QVector
-from facelab.polytope import FaceLattice, PolytopeError, VPolytope, parse_polytope
+from facelab.polytope import FaceLattice, PolytopeError, VPolytope, _maximal, parse_polytope
+from facelab.ridgepath import BlockedSet, solve_ridge_path
 from facelab.section import SectionError, parse_hyperplane, section
 from instances import FAMILY_GRID, instance, polytope, random_cutting_plane, section_battery
 from oracles import (
@@ -175,14 +177,16 @@ class TestSlicePointsAgainstOracle:
 
 
 def assert_slice_matches_oracle(p, h):
-    """The slice lattice `section` builds against two others: the one read
-    off the base lattice's cut faces, and the one swept from the slice's own
+    """The slice lattice `section` restricts from the base against two
+    others: the one read off the base lattice's cut faces, and the one the
+    facet sweep, passed as the cover rule here, builds from the slice's own
     double-description facets.  All three have the same faces and grades,
     and the same children and parents of every face, in order."""
     s = section(p, h).slice_polytope
     sliced = s.lattice
     faces, children, parents = slice_lattice_oracle(p, h)
-    swept = FaceLattice(s.dim, s.n_vertices, [m for m, _ in s._facet_rays])
+    masks = [m for m, _ in s._facet_rays]
+    swept = FaceLattice(s.dim, s.n_vertices, lambda f: _maximal({f & g for g in masks if f & ~g}))
     assert list(sliced.faces) == faces == list(swept.faces)
     for k in range(-1, s.dim + 1):
         assert sliced.faces_of_dim(k) == [f for f in faces if f.dim == k] == swept.faces_of_dim(k)
@@ -207,6 +211,30 @@ class TestSliceLatticeOracle:
         assert_slice_matches_oracle(p, h)
         assert_slice_matches_oracle(section(p, h).slice_polytope, plane("0,1,0,0;1/2"))
 
+    @pytest.mark.parametrize("family,dim,n", [("cyclic", 6, 12), ("cross", 6, None)])
+    def test_slices_met_in_deep_ridge_solves(self, family, dim, n, monkeypatch):
+        """Every (polytope, plane) the ridge recursion slices while solving
+        the first five `random.Random(5)` requests at k = 5, slices of slices
+        down to depth 4 among them."""
+        met = []
+
+        def recording(p, h):
+            met.append((p, h))
+            return section(p, h)
+
+        monkeypatch.setattr(ridgepath, "section", recording)
+        p, k = polytope(family, dim, n), 5
+        faces = [f.id for f in p.lattice.faces_of_dim(k)]
+        rng = random.Random(5)
+        for _ in range(5):
+            blocked = rng.sample(faces, k)
+            f_id, g_id = rng.sample([x for x in faces if x not in blocked], 2)
+            solve_ridge_path(p, BlockedSet.of(k, blocked), f_id, g_id)
+        monkeypatch.undo()
+        assert min(q.lattice.dim for q, _ in met) == dim - 3
+        for q, h in dict.fromkeys(met):
+            assert_slice_matches_oracle(q, h)
+
     @pytest.mark.parametrize(
         "text,cut",
         [
@@ -227,3 +255,31 @@ class TestSliceLatticeOracle:
         assert bare == s
         with pytest.raises(PolytopeError, match="needs a full-dimensional polytope"):
             bare.lattice
+
+
+class TestSliceRunsNoSweep:
+    """A slice's faces come only from `phi`: once the base lattice is built,
+    `section` runs no facet sweep, so a `_maximal` that raises is never
+    reached."""
+
+    @staticmethod
+    def refuse_sweeps(monkeypatch):
+        def sweep(masks):
+            raise AssertionError("section swept facets")
+
+        monkeypatch.setattr("facelab.polytope._maximal", sweep)
+
+    @pytest.mark.parametrize("family,dim,n", FAMILY_GRID)
+    def test_one_plane_per_family(self, family, dim, n, monkeypatch):
+        p = polytope(family, dim, n)
+        h = random_cutting_plane(p, random.Random(5))
+        p.lattice
+        self.refuse_sweeps(monkeypatch)
+        assert section(p, h).slice_lattice.dim == dim - 1
+
+    def test_cube4_sliced_twice(self, monkeypatch):
+        p = polytope("cube", 4)
+        p.lattice
+        self.refuse_sweeps(monkeypatch)
+        first = section(p, plane("1,0,0,0;1/2")).slice_polytope
+        assert section(first, plane("0,1,0,0;1/2")).slice_lattice.f_vector == (4, 4)
