@@ -283,11 +283,7 @@ def _section_arguments(parser: _Parser) -> None:
 
 def _verify_theorem_arguments(verify: _Parser) -> None:
     verify.add_argument("file")
-    group = verify.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int, default=None)
-    group.add_argument(
-        "--all-k", action="store_true", help="all k from 0 to dim-1 (the default)"
-    )
+    verify.add_argument("--k", type=int, default=None, help="default: every k from 0 to dim-1")
     verify.add_argument(
         "--cap-override", type=int, default=None, help="search cap instead of dim - k"
     )
@@ -358,9 +354,6 @@ def run(argv: list[str]) -> CommandResult:
     try:
         ns = _parse(argv)
         command, pretty = ns.command_name, ns.pretty
-        if command == "verify-theorem":
-            # Every k runs unless --k picks one, so echo what actually runs.
-            ns.all_k = ns.k is None
         inputs = {
             _INPUT_KEY_RENAMES.get(key, key): value
             for key, value in vars(ns).items()

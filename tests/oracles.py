@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from scratch against the definitions,
 not by calling the code under test: determinant ranks instead of elimination,
-evenness-condition facets instead of hyperplane enumeration, union-find
-connectivity instead of the library's search, and so on.  Keep it that way;
-these are the second route in every two-route check.  The Fraction
+evenness-condition facets instead of hyperplane enumeration, union-find and
+depth-first component searches instead of the library's, and so on.  Keep it
+that way; these are the second route in every two-route check.  The Fraction
 routines the library's integer kernels replaced (elimination, the hyperplane
 through points, a point's side of a hyperplane, the segment crossing, the
 phase-1 simplex, the cutting-plane search) stay here as the second route for
@@ -648,28 +648,40 @@ def connected_after_removal_oracle(
 
 def first_disconnecting_set_oracle(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
     """The report of a plain scan: every removal set of size below cap, in
-    `combinations` order by size, through the union-find oracle.  The
-    witness splits the survivors into the component of the first one and
-    the rest, each in node order."""
+    `combinations` order by size.  Each set gets its own depth-first search
+    on node bitmasks read off the id views: from the first survivor, each
+    reached node's hyperedges that hold no removed node add their members.
+    The witness splits the survivors into that component and the rest, each
+    in node order."""
     nodes = list(hg.nodes)
-    hyperedges = list(hg.hyperedges)
+    index = {node: i for i, node in enumerate(nodes)}
+    edges = [sum(1 << index[node] for node in members) for _, members in hg.hyperedges]
+    incident = {1 << i: [edge for edge in edges if edge >> i & 1] for i in range(len(nodes))}
+    everyone = (1 << len(nodes)) - 1
     for size in range(min(cap, len(nodes) + 1)):
-        for removed in combinations(nodes, size):
-            if connected_after_removal_oracle(nodes, hyperedges, set(removed)):
+        for removed in combinations(range(len(nodes)), size):
+            gone = sum(1 << i for i in removed)
+            survivors = everyone & ~gone
+            if survivors & (survivors - 1) == 0:
+                continue  # at most one survivor
+            component = survivors & -survivors
+            todo = [component]  # masks of reached nodes still to expand
+            while todo and component != survivors:
+                mask = todo.pop()
+                node = mask & -mask
+                if mask != node:
+                    todo.append(mask ^ node)
+                for edge in incident[node]:
+                    new = edge & ~component
+                    if new and not edge & gone:
+                        component |= new
+                        todo.append(new)
+            if component == survivors:
                 continue
-            survivors = [n for n in nodes if n not in removed]
-            component = {survivors[0]}
-            grew = True
-            while grew:
-                grew = False
-                for _, members in hyperedges:
-                    if members & component and not members & set(removed):
-                        grew |= not members <= component
-                        component |= members
             witness = DisconnectionWitness(
-                removed,
-                tuple(n for n in survivors if n in component),
-                tuple(n for n in survivors if n not in component),
+                tuple(nodes[i] for i in removed),
+                tuple(n for i, n in enumerate(nodes) if component >> i & 1),
+                tuple(n for i, n in enumerate(nodes) if (survivors & ~component) >> i & 1),
             )
             return ConnectivityReport(hg.k, size, False, witness)
     return ConnectivityReport(hg.k, cap, True, None)

@@ -61,7 +61,7 @@ def test_criterion_1_connectivity_certification(capsys, tmp_path):
         for family, dim, p, lat in grid_instances():
             path = str(tmp_path / f"{family}{dim}.poly")
             save_polytope(p, path)
-            result = run(["verify-theorem", path, "--all-k"])
+            result = run(["verify-theorem", path])
             assert result.exit_code == 0, (family, dim, result.error)
             doc = json.loads(result.render())
             rows = doc["output"]["results"]

@@ -130,10 +130,10 @@ class TestParse:
         ["connectivity", "p.poly", "--k", "1", "--cap", "3", "--witness"],
         ["ridge-path", "p.poly", "--k", "2", "--blocked", "a,b", "--from", "f", "--to", "g"],
         ["section", "p.poly", "--plane", "1,0;1/2"],
-        ["verify-theorem", "p.poly", "--all-k", "--cap-override", "2"],
+        ["verify-theorem", "p.poly", "--cap-override", "2"],
         ["dual", "p.poly", "--out", "d.poly"],
         ["hypergraph", "p.poly", "--k", "1"],
-        ["verify-theorem", "p.poly", "--k", "1", "--all-k"],
+        ["verify-theorem", "p.poly", "--k", "1"],
         ["gen", "--family", "dodecahedron", "--dim", "3", "--out", "x"],
         ["lattice"],
         ["lattice", "p.poly", "extra"],
@@ -318,16 +318,6 @@ class TestSection:
 
 
 class TestVerifyTheorem:
-    def test_all_k_passes(self, cube3_file):
-        doc, code = invoke("verify-theorem", cube3_file, "--all-k")
-        assert code == 0
-        check_output(doc, "verify_theorem")
-        rows = doc["output"]["results"]
-        assert [r["k"] for r in rows] == [0, 1, 2]
-        assert all(r["pass"] for r in rows)
-        for r in rows:
-            assert r["bound"] == 3 - r["k"]
-
     def test_single_k(self, cube3_file):
         doc, code = invoke("verify-theorem", cube3_file, "--k", "1")
         rows = doc["output"]["results"]
@@ -335,7 +325,13 @@ class TestVerifyTheorem:
 
     def test_default_is_all_k(self, cube3_file):
         doc, code = invoke("verify-theorem", cube3_file)
-        assert len(doc["output"]["results"]) == 3
+        assert code == 0
+        check_output(doc, "verify_theorem")
+        rows = doc["output"]["results"]
+        assert [r["k"] for r in rows] == [0, 1, 2]
+        assert all(r["pass"] for r in rows)
+        for r in rows:
+            assert r["bound"] == 3 - r["k"]
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -352,9 +348,12 @@ class TestVerifyTheorem:
         assert (code, doc.get("error")) == ((0, None) if error is None else (2, error))
 
     def test_all_k_echo_matches_the_ks_run(self, cube3_file):
-        for argv, all_k in [((), True), (("--all-k",), True), (("--k", "1"), False)]:
+        # "k": null in the echo is what says every k ran.
+        for argv in [(), ("--k", "1"), ("--k", "0")]:
             doc, _ = invoke("verify-theorem", cube3_file, *argv)
-            assert doc["inputs"]["all_k"] is all_k, argv
+            ks = [r["k"] for r in doc["output"]["results"]]
+            assert "all_k" not in doc["inputs"], argv
+            assert (doc["inputs"]["k"] is None) == (ks == [0, 1, 2]), argv
 
 
 class TestEnvelope:
@@ -400,7 +399,7 @@ FLAGS = {
     "ridge-path": (["--k", "--from", "--to"], ["--blocked", "--seed"], ["--verify"]),
     "dual": ([], [], []),
     "section": (["--plane"], [], []),
-    "verify-theorem": ([], ["--k", "--cap-override"], ["--all-k"]),
+    "verify-theorem": ([], ["--k", "--cap-override"], []),
 }
 TOKENS = sorted(
     {*FLAGS, *FILES, *VALUES, "--pretty", "--family", "--dim", "--n", "--bound"}

@@ -142,7 +142,8 @@ def _cases() -> dict[str, list[str]]:
     cases["cli.lattice_without_file"] = ["lattice"]
     verify = ["verify-theorem", "cube3.poly"]
     cases["cube3.verify_theorem_k_not_int"] = verify + ["--k", "one"]
-    cases["cube3.verify_theorem_k_and_all_k"] = verify + ["--k", "1", "--all-k"]
+    # Leaving out --k asks for every k, so there is no flag for it.
+    cases["cube3.verify_theorem_all_k_refused"] = verify + ["--all-k"]
     # The override may only raise the cap: below dim - k = 3 at k = 0 it is
     # refused, and at k = 2 a cap of 1 is the bound itself.
     cases["cube3.verify_theorem_cap_below_bound"] = verify + ["--cap-override", "1"]

@@ -346,13 +346,12 @@ def count_exact_checks(monkeypatch) -> list:
     return checks
 
 
-# Higher caps scan 85k to 760k removal sets on these H_k, which takes the
-# union-find oracle from seconds to minutes (cross5 at k=1 and cap 6: about
-# 155 s), so they stop lower.
 # Polytopes whose vertex graph H_0 is complete.
 NEIGHBORLY = [("simplex", d, None) for d in (3, 4, 5)] + [("cyclic", 4, n) for n in (7, 8)]
 
-ORACLE_CAP_LIMITS = {("cube", 5, 1): 3, ("cross", 5, 1): 4, ("cross", 5, 2): 3}
+# At cap 6 the oracle checks all 760k sets of at most 5 of cross5's 40 edges,
+# about 15 s, so its H_1 stops one lower.
+ORACLE_CAP_LIMITS = {("cross", 5, 1): 5}
 
 
 def reports_by_cap(top, top_cap: int) -> dict[int, object]:
