@@ -141,8 +141,7 @@ def _cmd_connectivity(ns) -> tuple[dict, int]:
 
 def _cmd_ridge_path(ns) -> tuple[dict, int]:
     p = load_polytope(ns.file)
-    blocked_ids = [token for token in ns.blocked.split(",") if token]
-    b = ridgepath.BlockedSet.of(ns.k, blocked_ids)
+    b = ridgepath.BlockedSet.of(ns.k, ns.blocked.split(",") if ns.blocked else [])
     result = ridgepath.solve_ridge_path(p, b, ns.from_id, ns.to_id)
     verified = None
     if ns.verify:
@@ -201,23 +200,11 @@ def _cmd_verify_theorem(ns) -> tuple[dict, int]:
     for k in ks:
         hg = hypergraph.build_hypergraph(lattice, k)
         bound = d - k
-        cap = ns.cap_override if ns.cap_override is not None else bound
-        # A scan capped below the bound reads as a failed certification.
-        if cap < bound:
-            raise CliError(f"--cap-override {cap} is below the bound dim - k = {bound} for k={k}")
-        report = hypergraph.strong_connectivity(hg, cap)
-        ok = report.alpha >= bound
+        # Capped at the bound, the scan reports alpha = bound exactly when it passes.
+        alpha = hypergraph.strong_connectivity(hg, bound).alpha
+        ok = alpha >= bound
         all_pass = all_pass and ok
-        results.append(
-            {
-                "k": k,
-                "bound": bound,
-                "cap": cap,
-                "alpha": report.alpha,
-                "capped": report.capped,
-                "pass": ok,
-            }
-        )
+        results.append({"k": k, "bound": bound, "alpha": alpha, "pass": ok})
     return {"dim": d, "results": results, "pass": all_pass}, 0 if all_pass else 1
 
 
@@ -284,9 +271,6 @@ def _section_arguments(parser: _Parser) -> None:
 def _verify_theorem_arguments(verify: _Parser) -> None:
     verify.add_argument("file")
     verify.add_argument("--k", type=int, default=None, help="default: every k from 0 to dim-1")
-    verify.add_argument(
-        "--cap-override", type=int, default=None, help="search cap instead of dim - k"
-    )
 
 
 # Each command's summary, argument builder and handler, in help order.

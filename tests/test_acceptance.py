@@ -69,7 +69,7 @@ def test_criterion_1_connectivity_certification(capsys, tmp_path):
             for row in rows:
                 assert row["bound"] == dim - row["k"]
                 assert row["pass"] is True, (family, dim, row)
-                assert row["alpha"] >= dim - row["k"]
+                assert row["alpha"] == row["bound"]
 
 
 def test_criterion_2_cube_tightness(capsys):

@@ -4,7 +4,8 @@
 `FaceHypergraph.nodes` and hyperedge id sets with witness ids, reads
 `Face.vertex_set`, looks faces up with `FaceLattice.face_of_set`, `face` and
 `faces_of_dim`, and re-runs `verify_ridge_path` with `BlockedSet.of` and
-`RidgePath` built from ids.  This module imports `perfbench/checks.py` and
+`RidgePath` built from ids.  It also requires every k of a `verify-theorem`
+response to pass at its bound.  This module imports `perfbench/checks.py` and
 `perfbench/trace_entry.py` unchanged and runs them on real responses, so a
 renamed or retyped name fails here rather than in a benchmark run.
 """
@@ -73,10 +74,12 @@ def _output(checks, argv: list[str]) -> dict:
 @pytest.mark.parametrize("stem", sorted(CASES))
 def test_checks_pass_on_live_output(stem, bench, polytopes):
     checks, _ = bench
-    family, _, (k, cap, alpha), (rk, blocked, start, goal) = CASES[stem]
+    family, dim, (k, cap, alpha), (rk, blocked, start, goal) = CASES[stem]
     path, lattice = polytopes[stem]
 
     assert checks.check_lattice(_output(checks, ["lattice", path]), family) == []
+
+    assert checks.check_verify(_output(checks, ["verify-theorem", path]), dim) == []
 
     argv = ["connectivity", path, "--k", str(k), "--cap", str(cap), "--witness"]
     out = _output(checks, argv)

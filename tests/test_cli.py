@@ -130,7 +130,7 @@ class TestParse:
         ["connectivity", "p.poly", "--k", "1", "--cap", "3", "--witness"],
         ["ridge-path", "p.poly", "--k", "2", "--blocked", "a,b", "--from", "f", "--to", "g"],
         ["section", "p.poly", "--plane", "1,0;1/2"],
-        ["verify-theorem", "p.poly", "--cap-override", "2"],
+        ["verify-theorem", "p.poly"],
         ["dual", "p.poly", "--out", "d.poly"],
         ["hypergraph", "p.poly", "--k", "1"],
         ["verify-theorem", "p.poly", "--k", "1"],
@@ -333,26 +333,12 @@ class TestVerifyTheorem:
         for r in rows:
             assert r["bound"] == 3 - r["k"]
 
-    @pytest.mark.parametrize(
-        "argv, error",
-        [
-            ((), "--cap-override 1 is below the bound dim - k = 3 for k=0"),
-            (("--k", "1"), "--cap-override 1 is below the bound dim - k = 2 for k=1"),
-            (("--k", "2"), None),
-        ],
-    )
-    def test_cap_override_may_only_raise_the_cap(self, cube3_file, argv, error):
-        # A scan capped below dim - k finds no disconnecting set, so it is
-        # refused up front instead of reported as a failed certification.
-        doc, code = invoke("verify-theorem", cube3_file, "--cap-override", "1", *argv)
-        assert (code, doc.get("error")) == ((0, None) if error is None else (2, error))
-
     def test_all_k_echo_matches_the_ks_run(self, cube3_file):
         # "k": null in the echo is what says every k ran.
         for argv in [(), ("--k", "1"), ("--k", "0")]:
             doc, _ = invoke("verify-theorem", cube3_file, *argv)
             ks = [r["k"] for r in doc["output"]["results"]]
-            assert "all_k" not in doc["inputs"], argv
+            assert set(doc["inputs"]) == {"file", "k"}, argv
             assert (doc["inputs"]["k"] is None) == (ks == [0, 1, 2]), argv
 
 
@@ -399,7 +385,7 @@ FLAGS = {
     "ridge-path": (["--k", "--from", "--to"], ["--blocked", "--seed"], ["--verify"]),
     "dual": ([], [], []),
     "section": (["--plane"], [], []),
-    "verify-theorem": ([], ["--k", "--cap-override"], []),
+    "verify-theorem": ([], ["--k"], []),
 }
 TOKENS = sorted(
     {*FLAGS, *FILES, *VALUES, "--pretty", "--family", "--dim", "--n", "--bound"}

@@ -107,6 +107,10 @@ def _cases() -> dict[str, list[str]]:
     cases["cube3.ridge_path_blocked_endpoint"] = ridge + [
         "--blocked", "v0-v1-v2-v3", "--from", "v0-v1-v2-v3", "--to", "v4-v5-v6-v7",
     ]
+    # "" is the empty blocked set, but an empty item in a list is no face id.
+    cases["cube3.ridge_path_empty_blocked_item"] = ridge + [
+        "--blocked", "v0-v1-v4-v5,", "--from", "v0-v1-v2-v3", "--to", "v4-v5-v6-v7",
+    ]
     cases["cube3.ridge_path_repeated_blocked"] = [
         "ridge-path", "cube3.poly", "--k", "1", "--blocked", "v0-v1,v0-v1",
         "--from", "v0-v2", "--to", "v1-v3",
@@ -144,10 +148,9 @@ def _cases() -> dict[str, list[str]]:
     cases["cube3.verify_theorem_k_not_int"] = verify + ["--k", "one"]
     # Leaving out --k asks for every k, so there is no flag for it.
     cases["cube3.verify_theorem_all_k_refused"] = verify + ["--all-k"]
-    # The override may only raise the cap: below dim - k = 3 at k = 0 it is
-    # refused, and at k = 2 a cap of 1 is the bound itself.
-    cases["cube3.verify_theorem_cap_below_bound"] = verify + ["--cap-override", "1"]
-    cases["cube3.verify_theorem_cap_at_bound"] = verify + ["--k", "2", "--cap-override", "1"]
+    # Each k is scanned at cap dim - k; exact alpha is `connectivity --cap`'s job.
+    cases["cube3.verify_theorem_cap_override_refused"] = verify + ["--cap-override", "1"]
+    cases["cube3.verify_theorem_k2"] = verify + ["--k", "2"]
     # --pretty indents only a parsed request; a refused command line stays compact.
     cases["cube3.verify_theorem_k_not_int_pretty"] = verify + ["--k", "one", "--pretty"]
     cases["cube3.hypergraph_k_out_of_range_pretty"] = (
@@ -208,6 +211,14 @@ def test_seed_leaves_ridge_path_output_unchanged():
         return json.loads((GOLDEN / f"{case}.out").read_text(encoding="utf-8"))["output"]
 
     assert output("pyramid4.ridge_path_seed7") == output("pyramid4.ridge_path")
+
+
+def test_readme_verify_theorem_example_is_the_golden():
+    # The README wraps the envelope over several indented lines.
+    readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("$ facelab verify-theorem cube3.poly\n", 1)[1].split("```", 1)[0]
+    joined = "".join(line.strip() for line in example.splitlines()) + "\n"
+    assert joined == (GOLDEN / "cube3.verify_theorem.out").read_text(encoding="utf-8")
 
 
 def test_random_polytopes_match_pins():

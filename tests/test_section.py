@@ -248,8 +248,9 @@ class TestSliceLatticeOracle:
         assert_slice_matches_oracle(p, plane(cut))
 
     def test_flat_slice_refuses_a_lattice_of_its_own(self):
-        # The same rows without the lattice section set: facet enumeration
-        # needs a full-dimensional polytope, so no wrong lattice comes back.
+        # The same rows without the lattice section set: `facets` refuses a
+        # flat polytope, whose supporting planes are not unique, so no wrong
+        # lattice comes back.
         s = section(polytope("cube", 3), plane("1,1,1;3/2")).slice_polytope
         bare = VPolytope(s.rows)
         assert bare == s
