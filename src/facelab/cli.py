@@ -52,7 +52,7 @@ class CliError(FacelabError):
 _HANDLED_ERRORS = (FacelabError, OSError)
 
 _INPUT_KEY_RENAMES = {"from_id": "from", "to_id": "to"}
-_INPUT_SKIP_KEYS = ("handler", "command_name", "pretty")
+_INPUT_SKIP_KEYS = ("handler", "command_name")
 
 
 class CommandResult(NamedTuple):
@@ -61,7 +61,6 @@ class CommandResult(NamedTuple):
     output: dict | None = None
     error: str | None = None
     exit_code: int = 0
-    pretty: bool = False
 
     def to_json_dict(self) -> dict:
         """The envelope; its status is "ok" exactly when there is no error."""
@@ -72,8 +71,6 @@ class CommandResult(NamedTuple):
         return {"command": self.command, "inputs": self.inputs, **result}
 
     def render(self) -> str:
-        if self.pretty:
-            return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
@@ -315,7 +312,6 @@ def build_parser(command: str | None = None) -> _Parser:
     for name, (summary, add_arguments, handler) in _SUBCOMMANDS.items():
         if command in (None, name):
             subparser = sub.add_parser(name, help=summary)
-            subparser.add_argument("--pretty", action="store_true", help="indent the JSON output")
             add_arguments(subparser)
             subparser.set_defaults(handler=handler)
     return parser
@@ -331,13 +327,13 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute one invocation; never raises on bad input.
 
-    Until the parse succeeds, the envelope names argv[0] unless it is an
-    option, echoes argv and stays compact."""
+    Until the parse succeeds, the envelope echoes argv and names argv[0],
+    unless argv[0] is an option."""
     command = argv[0] if argv and not argv[0].startswith("-") else None
-    inputs, pretty = {"argv": list(argv)}, False
+    inputs = {"argv": list(argv)}
     try:
         ns = _parse(argv)
-        command, pretty = ns.command_name, ns.pretty
+        command = ns.command_name
         inputs = {
             _INPUT_KEY_RENAMES.get(key, key): value
             for key, value in vars(ns).items()
@@ -345,8 +341,8 @@ def run(argv: list[str]) -> CommandResult:
         }
         output, code = ns.handler(ns)
     except _HANDLED_ERRORS as exc:
-        return CommandResult(command, inputs, error=str(exc), exit_code=2, pretty=pretty)
-    return CommandResult(command, inputs, output, exit_code=code, pretty=pretty)
+        return CommandResult(command, inputs, error=str(exc), exit_code=2)
+    return CommandResult(command, inputs, output, exit_code=code)
 
 
 def main(argv: list[str] | None = None) -> int:

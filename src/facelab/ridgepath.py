@@ -58,7 +58,7 @@ class BlockedSet(_BlockedSetFields):
         b = cls(k, frozenset(ids))
         if len(b.face_ids) < len(ids):
             repeated = next(x for i, x in enumerate(ids) if ids.index(x) < i)
-            raise RidgePathError(f"blocked face {repeated} is listed twice")
+            raise RidgePathError(f"blocked face {repeated!r} is listed twice")
         return b
 
 

@@ -348,13 +348,6 @@ class TestEnvelope:
         b = run(["lattice", cube3_file]).render()
         assert a == b
 
-    def test_pretty_only_changes_whitespace(self, cube3_file):
-        compact = run(["lattice", cube3_file]).render()
-        pretty = run(["lattice", cube3_file, "--pretty"]).render()
-        assert compact != pretty
-        assert json.loads(compact) == json.loads(pretty)
-        assert "pretty" not in json.loads(compact)["inputs"]
-
     def test_error_envelope_has_no_output(self):
         doc, code = invoke("lattice", "/nonexistent/p.poly")
         assert "output" not in doc and doc["error"]
@@ -377,7 +370,7 @@ class TestEnvelope:
 FILES = [str(GOLDEN / name) for name in ("cube3.poly", "segment.poly", "missing.poly")]
 VALUES = ["0", "1", "2", "-1", "one", "v0", "v0-v1", "v0-v1-v2-v3", "1,0,0;1/2", "1;1/2"]
 # Per command: its required flags, its optional flags that take a value, and
-# its switches besides --pretty.
+# its switches.
 FLAGS = {
     "lattice": ([], [], []),
     "hypergraph": (["--k"], [], []),
@@ -403,7 +396,9 @@ def _request(draw, command: str) -> list[str]:
         required = required + draw(st.lists(st.sampled_from(optional), max_size=2))
     for flag in required:
         argv += [flag, draw(st.sampled_from(VALUES))]
-    return argv + draw(st.lists(st.sampled_from(["--pretty", *switches]), max_size=2))
+    if switches:
+        argv += draw(st.lists(st.sampled_from(switches), max_size=2))
+    return argv
 
 
 # Half the draws are one command's own request, so that many parse and reach

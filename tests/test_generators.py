@@ -1,9 +1,13 @@
 """Instance generator families: shapes, determinism, and validation."""
 
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -255,18 +259,23 @@ class TestGeneratorSpec:
         spec = GeneratorSpec("random", 3, n=6, seed=4)
         assert generate(spec).rows == random_polytope(3, 6, seed=4).rows
 
-    def test_package_root_resolves_the_generator_names(self):
-        # The root resolves these two on first access (module __getattr__).
-        import facelab
-
-        assert facelab.GeneratorSpec is GeneratorSpec
-        assert facelab.generate is generate
-        with pytest.raises(AttributeError):
-            facelab.nope
-        star = {}
-        exec("from facelab import *", star)
-        assert set(facelab.__all__) <= star.keys()
-        assert all(star[name] is getattr(facelab, name) for name in facelab.__all__)
+    def test_package_root_names_no_generator(self):
+        # The generators are imported from their module.  A fresh interpreter,
+        # so modules other tests imported do not count: the root loads none.
+        probe = (
+            "import sys, facelab\n"
+            "print([m for m in sys.modules if m.startswith('facelab.')])\n"
+            "print(hasattr(facelab, 'generate'))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.splitlines() == ["[]", "False"]
 
     @pytest.mark.parametrize("kwargs", INVALID_SPECS)
     def test_invalid_specs_rejected(self, kwargs):

@@ -20,6 +20,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -111,6 +113,10 @@ def _cases() -> dict[str, list[str]]:
     cases["cube3.ridge_path_empty_blocked_item"] = ridge + [
         "--blocked", "v0-v1-v4-v5,", "--from", "v0-v1-v2-v3", "--to", "v4-v5-v6-v7",
     ]
+    # "," is two empty items, refused as a repeat before either is looked up.
+    cases["cube3.ridge_path_blank_blocked_items"] = ridge + [
+        "--blocked", ",", "--from", "v0-v1-v2-v3", "--to", "v4-v5-v6-v7",
+    ]
     cases["cube3.ridge_path_repeated_blocked"] = [
         "ridge-path", "cube3.poly", "--k", "1", "--blocked", "v0-v1,v0-v1",
         "--from", "v0-v2", "--to", "v1-v3",
@@ -151,11 +157,8 @@ def _cases() -> dict[str, list[str]]:
     # Each k is scanned at cap dim - k; exact alpha is `connectivity --cap`'s job.
     cases["cube3.verify_theorem_cap_override_refused"] = verify + ["--cap-override", "1"]
     cases["cube3.verify_theorem_k2"] = verify + ["--k", "2"]
-    # --pretty indents only a parsed request; a refused command line stays compact.
-    cases["cube3.verify_theorem_k_not_int_pretty"] = verify + ["--k", "one", "--pretty"]
-    cases["cube3.hypergraph_k_out_of_range_pretty"] = (
-        cases["cube3.hypergraph_k_out_of_range"] + ["--pretty"]
-    )
+    # The output is compact JSON; `python3 -m json.tool` indents it.
+    cases["cube3.lattice_pretty_refused"] = ["lattice", "cube3.poly", "--pretty"]
     return cases
 
 
@@ -213,12 +216,30 @@ def test_seed_leaves_ridge_path_output_unchanged():
     assert output("pyramid4.ridge_path_seed7") == output("pyramid4.ridge_path")
 
 
-def test_readme_verify_theorem_example_is_the_golden():
-    # The README wraps the envelope over several indented lines.
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """Each `$ facelab` example in README.md: its argv, and its output with
+    the lines stripped and joined, as the README wraps them."""
     readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")
-    example = readme.split("$ facelab verify-theorem cube3.poly\n", 1)[1].split("```", 1)[0]
-    joined = "".join(line.strip() for line in example.splitlines()) + "\n"
-    assert joined == (GOLDEN / "cube3.verify_theorem.out").read_text(encoding="utf-8")
+    examples = []
+    for block in readme.split("```")[1::2]:
+        if block.startswith("\n$ facelab "):
+            command, _, output = block.strip().replace("\\\n", " ").partition("\n")
+            joined = "".join(line.strip() for line in output.splitlines())
+            examples.append((shlex.split(command)[2:], joined))
+    return examples
+
+
+def test_readme_cli_examples_match_live_output(tmp_path, monkeypatch):
+    # Between the `...` marks an example is stdout verbatim; without them,
+    # all of it.  `gen` writes the file the others read.
+    monkeypatch.chdir(tmp_path)
+    examples = sorted(_readme_examples(), key=lambda example: example[0][0] != "gen")
+    for argv, joined in examples:
+        pattern = ".*".join(re.escape(fragment) for fragment in joined.split("..."))
+        assert re.fullmatch(pattern + "\n", _stdout(argv), re.DOTALL), argv
+    from facelab.cli import _SUBCOMMANDS
+
+    assert sorted(argv[0] for argv, _ in examples) == sorted(_SUBCOMMANDS)
 
 
 def test_random_polytopes_match_pins():

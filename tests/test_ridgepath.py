@@ -292,7 +292,7 @@ class TestSolver:
     def test_repeated_blocked_id_is_refused(self):
         # A repeat is most likely a typo for another face; the budget check,
         # which counts distinct ids, comes first.
-        with pytest.raises(RidgePathError, match=r"^blocked face v0-v1 is listed twice$"):
+        with pytest.raises(RidgePathError, match=r"^blocked face 'v0-v1' is listed twice$"):
             BlockedSet.of(2, ["v0-v1", "v2-v3", "v0-v1"])
         with pytest.raises(RidgePathError, match=r"^blocked set of size 2 exceeds"):
             BlockedSet.of(1, ["v0-v1", "v2-v3", "v0-v1"])
