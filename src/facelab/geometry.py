@@ -1,13 +1,12 @@
-"""Exact geometry on integer rows: points, hyperplanes, ranks, feasibility.
+"""Exact geometry on integer rows: points, hyperplanes, ranks.
 
 A point is its primitive homogeneous row (x0, x) with x0 > 0, standing for
 x / x0, and a hyperplane a.x = c is its primitive row (-c, a); nothing in
 this package touches floating point.  Rationals meet the rows only at the
 edge, as reduced integer pairs: `parse_rational` and `QVector.of` on the way
-in, `format_rational` on the way out.  Elimination and the simplex are
-fraction-free (Bareiss 1968; Edmonds 1967), so every division is exact.  All
-predicates (sidedness, rank, feasibility) are therefore exact sign tests,
-which the rest of the library relies on.
+in, `format_rational` on the way out.  Elimination is fraction-free (Bareiss
+1968), so every division is exact.  All predicates (sidedness, rank) are
+therefore exact sign tests, which the rest of the library relies on.
 """
 
 from __future__ import annotations
@@ -199,63 +198,3 @@ def interior_point(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     if any(len(row) != width for row in rows):
         raise GeometryError("interior point over points of mixed dimension")
     return primitive([sum(column) for column in zip(*rows)])
-
-
-def solve_nonnegative(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[list[int], int] | None:
-    """Find x >= 0 with rows . x = rhs over the integers, as (D x, D) with
-    D > 0, or None when the system is infeasible.
-
-    Exact phase-1 simplex.  Bland's pivoting rule (smallest entering index,
-    smallest basic variable on ratio ties) rules out cycling, so the
-    iteration is finite without any perturbation.  The tableau holds D times
-    the rational tableau, D > 0 the determinant of the basis: each pivot
-    divides by the previous D exactly (Edmonds 1967).  Scaling the whole
-    system by one positive factor leaves every pivot as it is.  The
-    artificial columns are not kept: an artificial variable starts basic and
-    never re-enters once it leaves.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau: list[list[int]] = []
-    for row, b in zip(rows, rhs):
-        tableau.append([-v for v in (*row, b)] if b < 0 else [*row, b])
-    basis = list(range(n, n + m))
-    # Reduced costs of minimizing the artificial sum: the sum of all rows.
-    objective = [sum(column) for column in zip(*tableau)] if m else [0]
-    det = 1
-    while True:
-        entering = next((j for j in range(n) if objective[j] > 0 and j not in basis), None)
-        if entering is None:
-            break
-        leaving = None
-        for i, row in enumerate(tableau):
-            coeff = row[entering]
-            if coeff > 0:
-                if leaving is None:
-                    leaving, best_b, best_coeff = i, row[-1], coeff
-                    continue
-                # Compare the ratios row[-1] / coeff and best_b / best_coeff.
-                here, there = row[-1] * best_coeff, best_b * coeff
-                if here < there or (here == there and basis[i] < basis[leaving]):
-                    leaving, best_b, best_coeff = i, row[-1], coeff
-        if leaving is None:
-            return None
-        top = tableau[leaving]
-        pivot = top[entering]
-        for i, row in enumerate(tableau):
-            if i != leaving:
-                factor = row[entering]
-                tableau[i] = [(pivot * a - factor * b) // det for a, b in zip(row, top)]
-        factor = objective[entering]
-        objective = [(pivot * a - factor * b) // det for a, b in zip(objective, top)]
-        det = pivot
-        basis[leaving] = entering
-    if objective[-1] != 0:
-        return None
-    solution = [0] * n
-    for row, var in zip(tableau, basis):
-        if var < n:
-            solution[var] = row[-1]
-    return solution, det

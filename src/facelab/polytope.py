@@ -210,6 +210,17 @@ class VPolytope:
         """
         return _double_description(self.rows, self._cone)
 
+    @cached_property
+    def facet_rows(self) -> dict[int, tuple[int, ...]]:
+        """Each facet's vertex mask and its row R: R.v <= 0 on every vertex
+        row v, with equality exactly on the facet.
+
+        The facet c - a.v >= 0 of a double-description ray (c, -a) has row
+        (-c, a).  `section` sets a slice's rows to its base's, which stay
+        valid there, so a slice runs no double description.
+        """
+        return {mask: tuple(-x for x in ray) for mask, ray in self._facet_rays}
+
     def _check_vertices(self) -> None:
         """Point i is a vertex iff the facets through it meet in {i} alone."""
         everything = (1 << self.n_vertices) - 1
@@ -237,7 +248,7 @@ class VPolytope:
 def facets(p: VPolytope) -> list[tuple[Face, Hyperplane]]:
     """All (d-1)-faces with supporting hyperplanes oriented so a.v <= c holds.
 
-    Read off the double-description rays; sorted by vertex set.
+    Read off `p.facet_rows`; sorted by vertex set.
     """
     d = p.ambient_dim
     if p.dim != d:
@@ -245,8 +256,7 @@ def facets(p: VPolytope) -> list[tuple[Face, Hyperplane]]:
             f"facet enumeration needs a full-dimensional polytope "
             f"(dim {p.dim} in ambient {d})"
         )
-    # The facet c - a.v >= 0 has row (-c, a) = -ray.
-    out = [(Face(mask, d - 1), Hyperplane([-x for x in ray])) for mask, ray in p._facet_rays]
+    out = [(Face(mask, d - 1), Hyperplane(row)) for mask, row in p.facet_rows.items()]
     out.sort(key=lambda pair: pair[0].vertex_set)
     return out
 

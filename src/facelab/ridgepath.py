@@ -13,11 +13,10 @@ lattice alone.
 from __future__ import annotations
 
 from collections import deque
-from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import FacelabError, Hyperplane, interior_point, solve_nonnegative
+from .geometry import FacelabError, Hyperplane, interior_point
 from .polytope import Face, FaceLattice, PolytopeError, VPolytope, face_id
 from .section import section
 
@@ -89,36 +88,37 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def _feasible_orthogonal_normal(
-    w: tuple[list[int], int], diffs: list[tuple[list[int], int]]
+def _closed_form_normal(
+    p: VPolytope, r: Face, bf: Sequence[int], bg: Sequence[int]
 ) -> list[int] | None:
-    """A normal a with a.w = 0 and a.diff >= 1 for every given difference,
-    up to a positive factor.
+    """A row N with N.bf = N.bg = 0 and N.v of one strict sign on every
+    vertex v of r, from at most two facet rows; None only for a bug.
 
-    Exact feasibility solve: split a into nonnegative parts and require
-    a.(v - b) >= 1 per vertex v of the face to miss (scale-invariant
-    normalization of strictness), which a phase-1 simplex settles
-    deterministically.  The rational system is scaled by one common positive
-    factor, so every pivot is the one of the rational system.  The other
-    side needs no second solve: -a satisfies it exactly when a satisfies
-    this one.
+    C, the sum of the rows of the facets holding r, is negative off r and
+    zero on it.  When the line through bf and bg is parallel to C.x = 0,
+    N = bf0 C - (C.bf) e0.  Otherwise it meets that plane at
+    q = (C.bg) bf - (C.bf) bg, outside the polytope, so some facet row A has
+    A.q q0 > 0; A is the first in lattice order, and N = alpha C + beta A +
+    gamma e0 with (alpha, beta, gamma) the cross product of
+    (C.bf, A.bf, bf0) and (C.bg, A.bg, bg0).
     """
-    (w_vec, w_den), n_slack = w, len(diffs)
-    scale = lcm(w_den, *(den for _, den in diffs))
-    factor = scale // w_den
-    rows = [[factor * c for c in w_vec] + [-factor * c for c in w_vec] + [0] * n_slack]
-    rhs = [0]
-    for idx, (diff, den) in enumerate(diffs):
-        factor = scale // den
-        slack = [0] * n_slack
-        slack[idx] = -scale
-        rows.append([factor * c for c in diff] + [-factor * c for c in diff] + slack)
-        rhs.append(scale)
-    solved = solve_nonnegative(rows, rhs)
-    if solved is None:
+    rows = p.facet_rows
+    c = [sum(column) for column in zip(*(row for on, row in rows.items() if r.mask & ~on == 0))]
+    cf, cg = _dot(c, bf), _dot(c, bg)
+    q0 = cg * bf[0] - cf * bg[0]
+    if q0 == 0:
+        return [bf[0] * c[0] - cf, *(bf[0] * x for x in c[1:])]
+    q = [cg * x - cf * y for x, y in zip(bf, bg)]
+    facets = p.lattice.faces_of_dim(p.lattice.dim - 1)
+    a = next((rows[x.mask] for x in facets if _dot(rows[x.mask], q) * q0 > 0), None)
+    if a is None:
         return None
-    x, d = solved[0], len(w_vec)
-    return [x[j] - x[d + j] for j in range(d)]
+    af, ag = _dot(a, bf), _dot(a, bg)
+    alpha, gamma = af * bg[0] - bf[0] * ag, cf * ag - af * cg
+    # beta = bf0 (C.bg) - (C.bf) bg0 is q0.
+    n = [alpha * x + q0 * y for x, y in zip(c, a)]
+    n[0] += gamma
+    return n
 
 
 def _clear_grazed_vertices(
@@ -183,14 +183,14 @@ def search_cutting_hyperplane(
     """A hyperplane through interior points of f and g, missing r and all vertices.
 
     The points are `interior_point` of each face's rows, each in its face's
-    relative interior, and normals orthogonal to their difference keep both
-    on the plane.  One exact phase-1 solve finds such a normal with every
-    vertex of r strictly on one side; if the plane still grazes other
-    vertices, a nudge along moment-curve directions in the same orthogonal
-    space moves it off them without flipping any strict side.  Exact sign
-    tests confirm the result.  Returns the plane and the number of
-    candidates tried: the solve plus each nudge direction, at most
-    2 + m (D - 1) with m the grazed vertices and D the ambient dimension.
+    relative interior.  `_closed_form_normal` combines at most two facet
+    rows into a plane through both that puts every vertex of r strictly on
+    one side; if it still grazes other vertices, a nudge along moment-curve
+    directions orthogonal to the line through the points moves it off them
+    without flipping any strict side.  Exact sign tests confirm the result.
+    Returns the plane and the number of candidates tried: the closed form
+    plus each nudge direction, at most 2 + m (D - 1) with m the grazed
+    vertices and D the ambient dimension.
     """
     k = f.dim
     if len({f, g, r}) != 3:
@@ -205,9 +205,9 @@ def search_cutting_hyperplane(
     w = _difference(bg, bf)
     diffs = [_difference(v, bf) for v in p.rows]
     attempts = 1
-    a = _feasible_orthogonal_normal(w, [diffs[i] for i in r.vertex_set])
+    a = _closed_form_normal(p, r, bf, bg)
     if a is not None:
-        a, tried = _clear_grazed_vertices(w, diffs, a)
+        a, tried = _clear_grazed_vertices(w, diffs, a[1:])
         attempts += tried
     if a is not None:
         # The plane a.x = a.b through b = bf[1:] / bf[0].
@@ -215,10 +215,11 @@ def search_cutting_hyperplane(
         values = p.plane_values(h)
         if all(values) and len({values[i] > 0 for i in r.vertex_set}) == 1:
             return h, attempts
-    # By Farkas, the solve is infeasible exactly when the line through the two
-    # interior points meets r.  It never does: the line meets P only in the
-    # segment between them, and a face holding any point of it contains f or
-    # g, which r, another k-face, cannot.
+    # The closed form always applies.  The line through the two interior
+    # points meets P only in the segment between them, and a face holding
+    # any point of it contains f or g, which r, another k-face, cannot; so
+    # C.bf, C.bg < 0, q lies outside P and some row A exists, and
+    # beta = q0 != 0 keeps r off the plane.
     raise RidgePathError(
         f"no cutting hyperplane found for f={f.id}, g={g.id}, r={r.id}; "
         "one always exists, so this is a bug"

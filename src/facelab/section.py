@@ -5,7 +5,8 @@ dimension down whose faces correspond exactly to the faces of the base that the
 hyperplane cuts.  Crossed edges become slice vertices, and the slice's covers
 are the images of the covers between cut faces, so the slice polytope comes
 with its lattice, the base lattice restricted to the cut faces, and the
-bijection is available by construction and stays exact under recursion.
+bijection is available by construction and stays exact under recursion.  Its
+facets are the images of the cut facets, and it keeps their rows.
 """
 
 from __future__ import annotations
@@ -116,4 +117,9 @@ def section(p: VPolytope, h: Hyperplane) -> SectionMap:
     slice_polytope.__dict__["lattice"] = FaceLattice(
         lattice.dim - 1, len(crossed), below.__getitem__
     )
+    # A cut facet's row is zero on a crossing point exactly when the crossed
+    # edge lies in the facet, so it is the row of the facet's image.
+    slice_polytope.__dict__["facet_rows"] = {
+        phi[mask]: row for mask, row in p.facet_rows.items() if mask in phi
+    }
     return SectionMap(slice_polytope, phi)

@@ -7,7 +7,7 @@ depth-first component searches instead of the library's, and so on.  Keep it
 that way; these are the second route in every two-route check.  The Fraction
 routines the library's integer kernels replaced (elimination, the hyperplane
 through points, a point's side of a hyperplane, the segment crossing, the
-phase-1 simplex, the cutting-plane search) stay here as the second route for
+cutting-plane search) stay here as the second route for
 those kernels.  `slice_lattice_oracle` is the second route for the
 restriction `section` gives a slice's lattice: it takes each vertex's side in
 Fractions, not from the integer `plane_values`, and reads the base covers
@@ -21,6 +21,7 @@ start of double description that `polytope._initial_cone` replaced.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -260,78 +261,6 @@ def segment_hyperplane_intersection(p: Point, q: Point, h: Hyperplane) -> Point:
     aq = _dot(h.row[1:], q)
     t = (-h.row[0] - ap) / (aq - ap)
     return tuple(a + t * (b - a) for a, b in zip(p, q))
-
-
-def solve_nonnegative_oracle(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Phase-1 simplex on a Fraction tableau with Bland's rule.
-
-    The pivots of `geometry.solve_nonnegative`, but on the rational tableau
-    itself, with every artificial column kept and banned once it leaves, so
-    the two must return the same basic solution.
-    """
-    zero, one = Fraction(0), Fraction(1)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        artificial = [zero] * m
-        artificial[i] = one
-        tableau.append(row + artificial + [b])
-    basis = list(range(n, n + m))
-    # Reduced-cost row for minimizing the artificial sum: the sum of all
-    # constraint rows, with the (basic) artificial columns zeroed out.
-    objective = [sum((tableau[i][j] for i in range(m)), zero) for j in range(n + m + 1)]
-    for j in range(n, n + m):
-        objective[j] = zero
-    banned: set[int] = set()
-    while True:
-        entering = next(
-            (
-                j
-                for j in range(n + m)
-                if j not in banned and j not in basis and objective[j] > 0
-            ),
-            None,
-        )
-        if entering is None:
-            break
-        leaving = None
-        best: Fraction | None = None
-        for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            return None
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot for v in tableau[leaving]]
-        for i in range(m):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [a - factor * b for a, b in zip(tableau[i], tableau[leaving])]
-        if objective[entering] != 0:
-            factor = objective[entering]
-            objective = [a - factor * b for a, b in zip(objective, tableau[leaving])]
-        if basis[leaving] >= n:
-            banned.add(basis[leaving])
-        basis[leaving] = entering
-    if objective[-1] != 0:
-        return None
-    solution = [zero] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            solution[var] = tableau[i][-1]
-    return solution
 
 
 def hull_membership_oracle(points: list[Point], p: Point) -> bool:
@@ -830,6 +759,12 @@ def hyperplane_conditions_oracle(
     return len(r_signs) == 1
 
 
+@lru_cache(maxsize=None)
+def _facets_oracle(p: VPolytope) -> list[tuple[tuple[int, ...], Hyperplane]]:
+    """`brute_force_facets`, once per polytope."""
+    return brute_force_facets(p)
+
+
 def cutting_hyperplane_oracle(
     p: VPolytope, f: Face, g: Face, r: Face
 ) -> tuple[tuple[int, ...], int] | None:
@@ -837,35 +772,44 @@ def cutting_hyperplane_oracle(
     (-c, a) of the plane a.x = c it returns and its attempt count, or None
     where it must fail.
 
-    One phase-1 solve (Fraction tableau) for a normal a with a.w = 0, w the
-    difference of g's and f's `interior_point_oracle`, and a.(v - b) >= 1 on
-    r's vertices, b f's point; then, if the plane through b grazes a vertex,
-    the moment-curve nudge: for s = 1, 2, ... up to m (d - 1) + 1, m the grazed
-    vertices, takes u0 = (1, s, ..., s^(d-1)), projects it to u = (w.w) u0 -
-    (u0.w) w, and at the first u off every grazed vertex steps a + t u with t
-    the least |a.(v - b)| / (2 (|u.(v - b)| + 1)) over the vertices off the
-    plane.
+    The closed form, with points as rows (1, x): bf and bg the
+    `interior_point_oracle` of f and g, each facet's row (-c, a) from
+    `brute_force_facets`, and C the sum of the rows of the facets holding r.
+    With q0 = C.bg - C.bf zero the normal row is C - (C.bf) e0.  Otherwise A
+    is the first facet row, by vertex set, with A.q q0 > 0 at
+    q = (C.bg) bf - (C.bf) bg, and the row is alpha C + beta A + gamma e0,
+    (alpha, beta, gamma) = (C.bf, A.bf, 1) x (C.bg, A.bg, 1).  Then, if the
+    plane grazes a vertex, the moment-curve nudge of a, the row's last d
+    entries: for s = 1, 2, ... up to m (d - 1) + 1, m the grazed vertices,
+    it takes u0 = (1, s, ..., s^(d-1)), projects it to u = (w.w) u0 -
+    (u0.w) w, w = bg - bf, and at the first u off every grazed vertex steps
+    a + t u with t the least |a.(v - b)| / (2 (|u.(v - b)| + 1)) over the
+    vertices off the plane, b f's point.
     """
     d = p.ambient_dim
     points = rational_points(p)
-    b = interior_point_oracle(p, f.vertex_set)
-    w = tuple(x - y for x, y in zip(interior_point_oracle(p, g.vertex_set), b))
-    diffs = [tuple(x - y for x, y in zip(v, b)) for v in points]
-    n_slack = len(r.vertex_set)
-    rows = [[*w, *(-c for c in w)] + [Fraction(0)] * n_slack]
-    rhs = [Fraction(0)]
-    for idx, i in enumerate(r.vertex_set):
-        slack = [Fraction(0)] * n_slack
-        slack[idx] = Fraction(-1)
-        rows.append([*diffs[i], *(-c for c in diffs[i])] + slack)
-        rhs.append(Fraction(1))
-    x = solve_nonnegative_oracle(rows, rhs)
-    if x is None:
-        return None
-    a = [x[j] - x[d + j] for j in range(d)]
-    if not any(a):
-        return None
+    b, bg_point = (interior_point_oracle(p, x.vertex_set) for x in (f, g))
+    w = tuple(x - y for x, y in zip(bg_point, b))
+    bf, bg = (Fraction(1), *b), (Fraction(1), *bg_point)
+    facet_rows = [h.row for _, h in _facets_oracle(p)]
+    holding = [h.row for on, h in _facets_oracle(p) if set(r.vertex_set) <= set(on)]
+    total = [sum(column) for column in zip(*holding)]
+    cf, cg = _dot(total, bf), _dot(total, bg)
+    q0 = cg - cf
+    if q0 == 0:
+        normal = [total[0] - cf, *total[1:]]
+    else:
+        crossing = [cg * x - cf * y for x, y in zip(bf, bg)]
+        found = [row for row in facet_rows if _dot(row, crossing) * q0 > 0]
+        if not found:
+            return None
+        af, ag = _dot(found[0], bf), _dot(found[0], bg)
+        alpha, beta, gamma = af - ag, q0, cf * ag - af * cg
+        normal = [alpha * x + beta * y for x, y in zip(total, found[0])]
+        normal[0] += gamma
+    a = normal[1:]
     attempts = 1
+    diffs = [tuple(x - y for x, y in zip(v, b)) for v in points]
     values = [_dot(a, diff) for diff in diffs]
     if not all(values):
         offenders = [i for i, value in enumerate(values) if value == 0]

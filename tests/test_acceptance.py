@@ -121,8 +121,8 @@ def test_criterion_4_cutting_hyperplane(capsys):
                 continue
             f, g, r = rng.sample(faces, 3)
             h, attempts = search_cutting_hyperplane(p, f, g, r)
-            # one solve plus at most m (D - 1) + 1 nudge directions, where the
-            # m vertices on the solved plane number at most n - |r|
+            # the closed form plus at most m (D - 1) + 1 nudge directions,
+            # where the m vertices on its plane number at most n - |r|
             grazed = len(p.rows) - len(r.vertex_set)
             assert 1 <= attempts <= 2 + grazed * (p.ambient_dim - 1)
             assert hyperplane_conditions_oracle(

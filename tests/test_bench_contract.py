@@ -117,9 +117,10 @@ def _trace(tmp_path, argv: list[str]) -> dict:
     )
     doc = json.loads(trace.read_text(encoding="utf-8"))
     # Double description takes all its initial rays from one elimination, so
-    # the library no longer has `hyperplane_through`; the harness's counter
-    # for it records it as absent until the harness drops that counter.
-    assert doc["absent"] == ["hyperplane_through"]
+    # the library no longer has `hyperplane_through`, and the cutting plane
+    # comes in closed form, so it no longer has `solve_nonnegative`.  The
+    # harness records each as absent, its spans first, until it drops them.
+    assert doc["absent"] == ["solve_nonnegative", "hyperplane_through"]
     return doc
 
 

@@ -18,7 +18,6 @@ from facelab.geometry import (
     format_rational,
     interior_point,
     parse_rational,
-    solve_nonnegative,
 )
 from facelab.polytope import VPolytope, facets, polar_dual
 from instances import FAMILY_GRID, golden_random_polytopes, polytope
@@ -32,7 +31,6 @@ from oracles import (
     rational_points,
     segment_hyperplane_intersection,
     side,
-    solve_nonnegative_oracle,
 )
 
 import random
@@ -349,115 +347,30 @@ class TestKernelsAgainstFractionOracles:
         assert planes >= 300 and deficient >= 100
 
 
-def _random_system(rng: random.Random) -> tuple[list[list[F]], list[F]]:
-    """A small system; a third are feasible by construction from a sparse
-    x >= 0, and a third repeat or add rows with zero right-hand sides, which
-    makes them degenerate."""
-    m, n = rng.randint(1, 5), rng.randint(1, 7)
-    rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
-    rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
-    kind = rng.randrange(3)
-    if kind == 1:
-        x = [F(rng.randint(0, 3), rng.randint(1, 2)) * (rng.random() < 0.5) for _ in range(n)]
-        rhs = [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
-    elif kind == 2:
-        rhs = [F(0) if rng.random() < 0.7 else b for b in rhs]
-        if m >= 2:
-            i, j = rng.sample(range(m), 2)
-            if rng.random() < 0.5:
-                rows[j], rhs[j] = list(rows[i]), rhs[i]
-            else:
-                rows[j] = [a + b for a, b in zip(rows[i], rows[j])]
-                rhs[j] = rhs[i] + rhs[j]
-    return rows, rhs
-
-
-def solve(rows: list[list[F]], rhs: list[F], factor: int = 1) -> list[F] | None:
-    """`solve_nonnegative` on the rational system times the lcm of its
-    denominators and a further factor, with its solution as Fractions."""
-    denominators = [v.denominator for row in rows for v in row] + [b.denominator for b in rhs]
-    scale = factor * math.lcm(*denominators)
-    solved = solve_nonnegative(
-        [[int(v * scale) for v in row] for row in rows], [int(b * scale) for b in rhs]
-    )
-    if solved is None:
-        return None
-    x, den = solved
-    assert den > 0
-    return [F(v, den) for v in x]
-
-
-class TestSolveNonnegativeAgainstOracle:
-    """The integer tableau against the Fraction tableau, pivot for pivot."""
-
-    def test_seeded_systems(self):
-        rng = random.Random(31)
-        outcomes = {True: 0, False: 0}
-        for _ in range(2500):
-            rows, rhs = _random_system(rng)
-            x = solve(rows, rhs)
-            assert x == solve_nonnegative_oracle(rows, rhs)
-            # One positive factor on the whole system keeps every pivot.
-            assert solve(rows, rhs, factor=6) == x
-            outcomes[x is not None] += 1
-            if x is not None:
-                assert all(v >= 0 for v in x)
-                for row, b in zip(rows, rhs):
-                    assert sum((a * v for a, v in zip(row, x)), F(0)) == b
-        assert outcomes[True] >= 500 and outcomes[False] >= 500
-
-    def test_beale_cycling_example(self):
-        # Beale (1955): textbook pivoting cycles on these degenerate rows;
-        # Bland's rule must not.  Slack columns make them equalities.
-        rows = [
-            [F(1, 4), F(-8), F(-1), F(9), F(1), F(0), F(0)],
-            [F(1, 2), F(-12), F(-1, 2), F(3), F(0), F(1), F(0)],
-            [F(0), F(0), F(1), F(0), F(0), F(0), F(1)],
-        ]
-        cost = [F(-3, 4), F(20), F(-1, 2), F(6), F(0), F(0), F(0)]
-        systems = [(rows, [F(0), F(0), F(1)])]
-        for value in (F(-5, 4), F(-1, 20), F(0), F(1), F(-2)):
-            systems.append((rows + [cost], [F(0), F(0), F(1), value]))
-        for rows_, rhs in systems:
-            assert solve(rows_, rhs) == solve_nonnegative_oracle(rows_, rhs)
-        assert solve(*systems[0]) is not None
-
-
-def hull_weights(points, target):
-    """Nonnegative weights summing to one that express target, from the LP;
-    None when target is outside the hull."""
-    rows = [[p[j] for p in points] for j in range(len(target))]
-    rows.append([F(1)] * len(points))
-    return solve(rows, list(target) + [F(1)])
-
-
-def in_hull_by_lp(points, target) -> bool:
-    return hull_weights(points, target) is not None
+def in_hull(points, target) -> bool:
+    """The library's route: target lies in the hull of the points when it
+    lies in their affine hull and every facet row, from double description
+    on the points' rows, is nonpositive at it."""
+    rows = list(dict.fromkeys(R(x) for x in points))
+    t = R(target)
+    if affine_rank(rows + [t]) != affine_rank(rows):
+        return False
+    return all(sum(map(mul, row, t)) <= 0 for row in VPolytope(tuple(rows)).facet_rows.values())
 
 
 class TestHullMembership:
     def test_examples(self):
         square = [Q([0, 0]), Q([1, 0]), Q([0, 1]), Q([1, 1])]
-        assert in_hull_by_lp(square, Q([F(1, 2), F(1, 2)]))
-        assert not in_hull_by_lp(square, Q([2, 0]))
+        assert in_hull(square, Q([F(1, 2), F(1, 2)]))
+        assert not in_hull(square, Q([2, 0]))
         tri = [Q([0, 0]), Q([4, 0]), Q([0, 4])]
-        assert in_hull_by_lp(tri, Q([1, 1]))
-        assert not in_hull_by_lp(tri, Q([3, 3]))
-
-    def test_weights_reproduce_point(self):
-        tri = [Q([0, 0]), Q([2, 0]), Q([0, 2])]
-        target = Q([F(1, 2), F(1, 2)])
-        weights = hull_weights(tri, target)
-        assert weights is not None
-        assert weights == [F(1, 2), F(1, 4), F(1, 4)]
-        assert sum(weights) == 1
-        mix = Q([sum(w * p[j] for w, p in zip(weights, tri)) for j in range(2)])
-        assert mix == target
+        assert in_hull(tri, Q([1, 1]))
+        assert not in_hull(tri, Q([3, 3]))
 
     def test_boundary_and_vertex_are_inside(self):
         tri = [Q([0, 0]), Q([2, 0]), Q([0, 2])]
-        assert in_hull_by_lp(tri, Q([1, 0]))
-        assert in_hull_by_lp(tri, Q([0, 2]))
+        assert in_hull(tri, Q([1, 0]))
+        assert in_hull(tri, Q([0, 2]))
 
     def test_matches_caratheodory_oracle_on_random_sets(self):
         rng = random.Random(23)
@@ -465,4 +378,4 @@ class TestHullMembership:
             d = rng.choice([2, 3])
             pts = [Q([rng.randint(-2, 2) for _ in range(d)]) for _ in range(rng.randint(d + 1, d + 4))]
             probe = Q([F(rng.randint(-4, 4), 2) for _ in range(d)])
-            assert in_hull_by_lp(pts, probe) == hull_membership_oracle(pts, probe)
+            assert in_hull(pts, probe) == hull_membership_oracle(pts, probe)

@@ -82,9 +82,9 @@ class TestCuttingHyperplane:
             search_cutting_hyperplane(p, lat.face("v0"), lat.face("v3"), lat.face("v5"))
 
     def test_infeasible_solve_is_reported_as_a_bug(self, monkeypatch):
-        """The solve is never infeasible for a valid triple; if it were, the
-        search says so instead of returning a plane."""
-        monkeypatch.setattr(ridgepath, "solve_nonnegative", lambda rows, rhs: None)
+        """The closed form always finds its facet row for a valid triple; if
+        it did not, the search says so instead of returning a plane."""
+        monkeypatch.setattr(ridgepath, "_closed_form_normal", lambda p, r, bf, bg: None)
         p, lat = instance("cube", 3)
         f, g, r = lat.face("v0-v1"), lat.face("v6-v7"), lat.face("v0-v2")
         with pytest.raises(RidgePathError, match="one always exists, so this is a bug$"):
@@ -99,8 +99,8 @@ class TestCuttingHyperplane:
                 faces = lat.faces_of_dim(k)
                 f, g, r = rng.sample(faces, 3)
                 h, attempts = search_cutting_hyperplane(p, f, g, r)
-                # The solve, plus at most m (D - 1) + 1 moment-curve
-                # directions, m <= n - |r| the vertices on the solved plane.
+                # The closed form, plus at most m (D - 1) + 1 moment-curve
+                # directions, m <= n - |r| the vertices on its plane.
                 grazed = len(p.rows) - len(r.vertex_set)
                 assert 1 <= attempts <= 2 + grazed * (p.ambient_dim - 1)
                 assert oracle_ok(p, lat, f, g, r, h)
@@ -144,14 +144,20 @@ class TestCuttingHyperplaneAgainstOracle:
                 continue
             h, attempts = search_cutting_hyperplane(p, f, g, r)
             assert (h.row, attempts) == expected, (trial, f.id, g.id, r.id)
+            assert oracle_ok(p, lat, f, g, r, h)
+            grazed = len(p.rows) - len(r.vertex_set)
+            assert attempts <= 2 + grazed * (p.ambient_dim - 1)
             nudged += attempts > 1
         assert nudged >= 20
 
 
 class TestPlaneBitLength:
-    """Deep requests keep their planes small.  Each level cuts through the
-    row sums of the endpoints' vertex rows, so no lcm of the slice vertices'
-    x0 multiplies the coefficients from one level to the next."""
+    """The largest plane coefficient of deep requests, pinned.  Each level's
+    normal combines facet rows that every slice keeps from the base, and its
+    plane goes through the row sums of the endpoints' vertex rows, so no lcm
+    of the slice vertices' x0 multiplies the coefficients from one level to
+    the next.  They still grow with the slice vertices' own entries, about
+    2-3 times in bits per level."""
 
     def test_cyclic_7_14_at_k_6(self):
         p, lat = instance("cyclic", 7, n=14)
@@ -168,7 +174,7 @@ class TestPlaneBitLength:
             depths.append(res.depth)
             bits.append(max(abs(c).bit_length() for h in res.hyperplanes for c in h.row))
         # The largest coefficient's bit length, pinned; the inputs have 27.
-        assert (depths, bits) == ([4, 5], [528, 1821])
+        assert (depths, bits) == ([5, 3], [1429, 172])
 
 
 class TestSolver:

@@ -2,13 +2,22 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from facelab import ridgepath
 from facelab.generators import cube, random_polytope, simplex
 from facelab.geometry import Hyperplane, QVector
-from facelab.polytope import FaceLattice, PolytopeError, VPolytope, _maximal, parse_polytope
+from facelab.polytope import (
+    FaceLattice,
+    PolytopeError,
+    VPolytope,
+    _double_description as double_description,
+    _maximal,
+    mask_of,
+    parse_polytope,
+)
 from facelab.ridgepath import BlockedSet, solve_ridge_path
 from facelab.section import SectionError, parse_hyperplane, section
 from instances import FAMILY_GRID, instance, polytope, random_cutting_plane, section_battery
@@ -195,6 +204,27 @@ def assert_slice_matches_oracle(p, h):
         assert sliced.parents(f) == parents[f.mask] == swept.parents(f)
 
 
+def deep_solve_sections(monkeypatch, p, k):
+    """Every (polytope, plane, section) the ridge recursion makes while
+    solving the first five `random.Random(5)` requests for k-faces of p."""
+    met = []
+
+    def recording(q, h):
+        smap = section(q, h)
+        met.append((q, h, smap))
+        return smap
+
+    monkeypatch.setattr(ridgepath, "section", recording)
+    faces = [f.id for f in p.lattice.faces_of_dim(k)]
+    rng = random.Random(5)
+    for _ in range(5):
+        blocked = rng.sample(faces, k)
+        f_id, g_id = rng.sample([x for x in faces if x not in blocked], 2)
+        solve_ridge_path(p, BlockedSet.of(k, blocked), f_id, g_id)
+    monkeypatch.undo()
+    return met
+
+
 class TestSliceLatticeOracle:
     def test_section_battery(self):
         for p, h in section_battery():
@@ -216,23 +246,9 @@ class TestSliceLatticeOracle:
         """Every (polytope, plane) the ridge recursion slices while solving
         the first five `random.Random(5)` requests at k = 5, slices of slices
         down to depth 4 among them."""
-        met = []
-
-        def recording(p, h):
-            met.append((p, h))
-            return section(p, h)
-
-        monkeypatch.setattr(ridgepath, "section", recording)
-        p, k = polytope(family, dim, n), 5
-        faces = [f.id for f in p.lattice.faces_of_dim(k)]
-        rng = random.Random(5)
-        for _ in range(5):
-            blocked = rng.sample(faces, k)
-            f_id, g_id = rng.sample([x for x in faces if x not in blocked], 2)
-            solve_ridge_path(p, BlockedSet.of(k, blocked), f_id, g_id)
-        monkeypatch.undo()
-        assert min(q.lattice.dim for q, _ in met) == dim - 3
-        for q, h in dict.fromkeys(met):
+        met = deep_solve_sections(monkeypatch, polytope(family, dim, n), 5)
+        assert min(q.lattice.dim for q, _, _ in met) == dim - 3
+        for q, h in dict.fromkeys((q, h) for q, h, _ in met):
             assert_slice_matches_oracle(q, h)
 
     @pytest.mark.parametrize(
@@ -276,11 +292,58 @@ class TestSliceRunsNoSweep:
         h = random_cutting_plane(p, random.Random(5))
         p.lattice
         self.refuse_sweeps(monkeypatch)
-        assert section(p, h).slice_lattice.dim == dim - 1
+        assert section(p, h).slice_polytope.lattice.dim == dim - 1
 
     def test_cube4_sliced_twice(self, monkeypatch):
         p = polytope("cube", 4)
         p.lattice
         self.refuse_sweeps(monkeypatch)
         first = section(p, plane("1,0,0,0;1/2")).slice_polytope
-        assert section(first, plane("0,1,0,0;1/2")).slice_lattice.f_vector == (4, 4)
+        second = section(first, plane("0,1,0,0;1/2")).slice_polytope
+        assert second.lattice.f_vector == (4, 4)
+
+    def test_depth_two_solve_runs_double_description_once(self, monkeypatch):
+        """A slice takes its facet rows from `section`, so a depth-2 ridge
+        solve runs double description once: on the base, to load it."""
+        runs = []
+
+        def spy(rows, cone):
+            runs.append(rows)
+            return double_description(rows, cone)
+
+        monkeypatch.setattr("facelab.polytope._double_description", spy)
+        p = cube(4)
+        blocked = [x.id for x in p.lattice.faces_of_dim(3)][:3]
+        f, g = "v0-v2-v4-v6-v8-v10-v12-v14", "v1-v3-v5-v7-v9-v11-v13-v15"
+        res = solve_ridge_path(p, BlockedSet.of(3, blocked), f, g)
+        assert res.depth == 2 and runs == [p.rows]
+
+
+DEEP_SOLVES = [("cyclic", 6, 12, 5), ("cross", 6, None, 5), ("cube", 5, None, 4)]
+
+
+class TestSliceFacetRows:
+    """`section` gives a slice the rows of the base facets it cuts, under
+    their images.  On every slice a deep ridge solve makes, they are the
+    slice's own facets: the masks are those double description finds on the
+    slice's rows and those of its lattice's facet grade, and each row is
+    nonpositive on every slice vertex and zero exactly on its mask.  They are
+    the base's rows, so they do not grow with depth."""
+
+    @pytest.mark.parametrize("family,dim,n,k", DEEP_SOLVES)
+    def test_slices_met_in_deep_ridge_solves(self, family, dim, n, k, monkeypatch):
+        p = polytope(family, dim, n)
+        met = deep_solve_sections(monkeypatch, p, k)
+        assert max(p.lattice.dim - s.slice_polytope.lattice.dim for _, _, s in met) >= 3
+        for _, _, smap in met:
+            s = smap.slice_polytope
+            assert "facet_rows" in s.__dict__
+            rows = s.facet_rows
+            swept = [mask for mask, _ in VPolytope(s.rows)._facet_rays]
+            grade = [f.mask for f in s.lattice.faces_of_dim(s.lattice.dim - 1)]
+            assert sorted(rows) == sorted(swept) == sorted(grade)
+            assert set(rows.values()) <= set(p.facet_rows.values())
+            for mask, row in rows.items():
+                values = [sum(map(mul, row, v)) for v in s.rows]
+                assert max(values) <= 0
+                assert mask_of(i for i, value in enumerate(values) if value == 0) == mask
