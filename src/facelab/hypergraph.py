@@ -4,19 +4,22 @@ The hypergraph at level k has the k-faces as nodes and the (k+1)-faces as
 hyperedges.  Removing a node kills every hyperedge containing it; survivors
 are adjacent when they share a surviving hyperedge.  Connectivity is certified
 by exhaustive removal-set enumeration, which also yields witnesses and keeps
-the nonstandard removal rule exact; per-node detours (see
-`strong_connectivity`) accept most sets without a component search, and the
-polytope's automorphisms leave out sets that one of them maps onto a
-scanned set.
+the nonstandard removal rule exact.  The polytope's automorphisms leave out
+sets that one of them maps onto a scanned set, and the exact check is
+bit-sliced: one pass over the hyperedges decides a batch of up to `_LANES`
+removal sets, one per bit of an int.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import NamedTuple, Sequence
+from itertools import combinations, islice
+from typing import Iterator, NamedTuple, Sequence
 
 from .geometry import FacelabError
 from .polytope import Face, FaceLattice, face_id, indices_of, mask_of
+
+# The most removal sets one bit-sliced check takes at once.
+_LANES = 4096
 
 
 class HypergraphError(FacelabError):
@@ -127,108 +130,100 @@ def _first_component(n_nodes: int, edge_masks: Sequence[int], removed: int) -> i
     return comp
 
 
-def _detour(edge_masks: Sequence[int], y: int) -> int | None:
-    """Footprint of a hyperedge tree joining y's neighbours in H - y.
+def _removal_sets(
+    n_nodes: int, size: int, representatives: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Every set of `size` nodes, in canonical order, whose lowest member is
+    its orbit's representative and whose other members lie in orbits with
+    representatives no lower.  With every node its own representative that
+    is every set; size 0 gives the empty set."""
+    if size == 0:
+        yield ()
+        return
+    for first in range(n_nodes):
+        if representatives[first] != first:
+            continue
+        later = [i for i in range(first + 1, n_nodes) if representatives[i] >= first]
+        for rest in combinations(later, size - 1):
+            yield (first, *rest)
 
-    The neighbours are the other nodes of y's hyperedges.  A breadth-first
-    search over the hyperedges missing y starts at the lowest neighbour and
-    runs until it has reached them all; the hyperedges on the search-tree
-    paths back from the neighbours form the tree.  Returns the neighbours
-    plus every node of those hyperedges (never y itself), or None when the
-    neighbours are not all joined, that is, when removing y disconnects a
-    connected hypergraph.
+
+def _first_disconnected(
+    n_nodes: int, members: Sequence[Sequence[int]], sets: Sequence[Sequence[int]]
+) -> int | None:
+    """Index of the first set whose removal disconnects the hypergraph whose
+    hyperedges have the given member lists; None if there is none.
+
+    Bit-sliced: bit i of each int below is lane i, the removal of sets[i].
+    Each lane's search starts at its lowest survivor, and a pass over the
+    hyperedges lets each one that holds no removed node of a lane join its
+    members' reached lanes.  Passes alternate direction until every lane has
+    reached all its survivors or a pass reaches nothing new.  A lane is
+    disconnected when some survivor is left unreached.
     """
-    bit = 1 << y
-    near = 0
-    live = []
-    for m in edge_masks:
-        if m & bit:
-            near |= m
-        else:
-            live.append(m)
-    near &= ~bit
-    start = reached = frontier = near & -near
-    via: dict[int, tuple[int, int]] = {}  # node bit -> (hyperedge, parent bit)
-    missing = near & ~start
-    while missing:
-        if not frontier:
+    lanes = len(sets)
+    full = (1 << lanes) - 1
+    bitmaps = [bytearray((lanes + 7) >> 3) for _ in range(n_nodes)]
+    for lane, nodes in enumerate(sets):
+        byte, bit = lane >> 3, 1 << (lane & 7)
+        for u in nodes:
+            bitmaps[u][byte] |= bit
+    removed = [int.from_bytes(bitmap, "little") for bitmap in bitmaps]
+    reached = []
+    unstarted = full  # the lanes that remove every node so far
+    for gone in removed:
+        reached.append(unstarted & ~gone)
+        unstarted &= gone
+    edges = []
+    for nodes in members:
+        dead = 0
+        for u in nodes:
+            dead |= removed[u]
+        if dead != full:
+            edges.append((nodes, full ^ dead))
+    count = -1
+    while True:
+        for nodes, alive in edges:
+            touch = 0
+            for u in nodes:
+                touch |= reached[u]
+            touch &= alive
+            for u in nodes:
+                reached[u] |= touch
+        unreached = 0
+        for gone, got in zip(removed, reached):
+            unreached |= full ^ (gone | got)
+        if not unreached:
             return None
-        layer = 0
-        rest = []
-        for m in live:
-            touch = m & frontier
-            if not touch:
-                rest.append(m)
-                continue
-            fresh = m & ~reached
-            if not fresh:
-                continue
-            reached |= fresh
-            layer |= fresh
-            entry = (m, touch & -touch)
-            missing &= ~fresh
-            while fresh:
-                low = fresh & -fresh
-                via[low] = entry
-                fresh ^= low
-            if not missing:
-                break
-        frontier = layer
-        live = rest
-    footprint = near
-    traced = start
-    pending = near & ~start
-    while pending:
-        node = pending & -pending
-        pending ^= node
-        while not node & traced:
-            traced |= node
-            m, node = via[node]
-            footprint |= m
-    return footprint
+        grown = sum(map(int.bit_count, reached))
+        if grown == count:
+            return (unreached & -unreached).bit_length() - 1
+        count = grown
+        edges.reverse()
 
 
 def _first_disconnecting_subset(
     n_nodes: int,
     edge_masks: Sequence[int],
-    detours: list[int],
+    members: Sequence[Sequence[int]],
     size: int,
     representatives: Sequence[int],
 ) -> tuple[int, int] | None:
-    """The first disconnecting set of `size` nodes, in canonical order, among
-    those whose lowest member is its orbit's representative and whose other
-    members lie in orbits with representatives no lower, as its mask and the
-    mask of the lowest survivor's component; None if there is none.  With
-    every node its own representative that is every set.
+    """The first disconnecting set among `_removal_sets`, as its mask and the
+    mask of the lowest survivor's component; None if there is none.
 
-    A nonempty set is accepted unsearched when some member y has `removed &
-    detours[y] == 0`: its detour misses every other removed node (see
-    `strong_connectivity`).  Only the other sets get the exact check.
+    The sets go to `_first_disconnected` in batches of 64 lanes, each batch
+    twice the last up to `_LANES`: an early witness costs one small batch,
+    and a scan holds at most one batch.
     """
-    full = (1 << n_nodes) - 1
-    if size == 0:
-        component = _first_component(n_nodes, edge_masks, 0)
-        return None if component == full else (0, component)
-    bits = [1 << i for i in range(n_nodes)]
-    for first in range(n_nodes):
-        if representatives[first] != first:
-            continue
-        head = bits[first]
-        head_detour = detours[first]
-        later = [i for i in range(first + 1, n_nodes) if representatives[i] >= first]
-        for rest in combinations(later, size - 1):
-            removed = head
-            for i in rest:
-                removed |= bits[i]
-            if not removed & head_detour:
-                continue
-            for i in rest:
-                if not removed & detours[i]:
-                    break
-            else:
-                component = _first_component(n_nodes, edge_masks, removed)
-                if component != full & ~removed:
-                    return removed, component
+    sets = _removal_sets(n_nodes, size, representatives)
+    lanes = 64
+    while batch := list(islice(sets, lanes)):
+        lane = _first_disconnected(n_nodes, members, batch)
+        if lane is not None:
+            removed = mask_of(batch[lane])
+            return removed, _first_component(n_nodes, edge_masks, removed)
+        lanes = min(2 * lanes, _LANES)
     return None
 
 
@@ -252,26 +247,19 @@ def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
     itself.  So alpha, `capped` and the witness are those of the scan of
     every set, and a group with missing generators only slows the scan.
 
-    From size 2 on, detours accept most sets without a search.  When every
-    smaller removal leaves H connected and y is in S, each component of
-    H - S holds a neighbour of y: the last node before y on a shortest path
-    in H - (S - y).  So if the detour of y (a hyperedge tree joining y's
-    neighbours without y) meets no other node of S, H - S is connected.
-    A set that no member's detour accepts gets the exact check.
+    Each size's sets are checked in bit-sliced batches
+    (`_first_disconnecting_subset`), so one pass over the hyperedges serves
+    up to `_LANES` sets; only the first disconnecting set gets a scalar
+    component search, for its witness.
     """
     if cap < 1:
         raise HypergraphError("cap must be >= 1")
     n = hg.n_nodes
-    # A detour never holds its own node, so the full mask accepts nothing:
-    # it stands in while the lemma does not apply yet, and for a node with
-    # no detour (None; an empty one cannot occur once H is connected).
     full = (1 << n) - 1
-    detours = [full] * n
+    members = [indices_of(m) for m in hg.edges]
     representatives = hg.representatives or range(n)
     for size in range(0, min(cap, n + 1)):
-        if size == 2:
-            detours = [_detour(hg.edges, y) or full for y in range(n)]
-        hit = _first_disconnecting_subset(n, hg.edges, detours, size, representatives)
+        hit = _first_disconnecting_subset(n, hg.edges, members, size, representatives)
         if hit is None:
             continue
         removed, first = hit

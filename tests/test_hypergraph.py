@@ -2,9 +2,10 @@
 
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facelab import hypergraph
@@ -14,8 +15,9 @@ from facelab.hypergraph import (
     DisconnectionWitness,
     FaceHypergraph,
     HypergraphError,
-    _detour,
     _first_component,
+    _first_disconnected,
+    _removal_sets,
     build_hypergraph,
     strong_connectivity,
 )
@@ -205,16 +207,25 @@ class TestStrongConnectivity:
         assert oracle_connects(hg, w.removed) is False
 
     def test_sequential_scan_holds_no_subset_list(self):
-        hg = hub_hypergraph()
+        # A scan holds at most one batch of removal sets.  The hub stops in
+        # its first batch of pairs; the plain scan of the 5-cube's 80 edges
+        # at cap 4 checks all 82,160 triples, 19 batches of them at the full
+        # 4,096 lanes, whose list alone would take about 7 MB.
+        cube = build_hypergraph(lattice_of("cube", 5), 1)._replace(representatives=None)
         tracemalloc.start()
         try:
-            report = strong_connectivity(hg, cap=3)
-            _, peak = tracemalloc.get_traced_memory()
+            report = strong_connectivity(hub_hypergraph(), cap=3)
+            _, hub_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            capped = strong_connectivity(cube, cap=4)
+            _, cube_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert report.alpha == 2 and report.witness.removed == ("v0", "v2")
         assert report.witness.component_a == ("v1",)
-        assert peak < 1_000_000
+        assert hub_peak < 1_000_000
+        assert capped == ConnectivityReport(1, 4, True, None)
+        assert cube_peak < 1_500_000
 
     def test_single_node_is_never_disconnected(self):
         lat = lattice_of("simplex", 3)
@@ -250,100 +261,213 @@ class TestStrongConnectivity:
         assert set(doc["witness"]) == {"removed", "component_a", "component_b"}
 
 
-def assert_detour_is_sound(hg: FaceHypergraph, y: int) -> None:
-    """`_detour` against the union-find oracle on a connected hypergraph."""
-    nodes, hyperedges = list(hg.nodes), list(hg.hyperedges)
-    mask = _detour(hg.edges, y)
-    cut = not connected_after_removal_oracle(nodes, hyperedges, {nodes[y]})
-    assert (mask is None) == cut
-    if mask is None:
-        return
-    bit = 1 << y
-    neighbours = 0
-    for m in hg.edges:
-        if m & bit:
-            neighbours |= m & ~bit
-    assert not mask & bit
-    assert neighbours & ~mask == 0
-    # The hyperedges inside the mask join all of it, neighbours included.
-    inside = [nodes[i] for i in indices_of(mask)]
-    inside_edges = [(e, m) for e, m in hyperedges if m <= set(inside)]
-    assert connected_after_removal_oracle(inside, inside_edges, set())
-
-
 class TestDetour:
-    def test_standard_grid(self):
-        for family, d, n in FAMILY_GRID:
-            lat = lattice_of(family, d, n)
-            for k in range(d):
-                hg = build_hypergraph(lat, k)
-                for y in range(hg.n_nodes):
-                    assert_detour_is_sound(hg, y)
-
-    def test_cut_node_has_none(self):
-        edge_masks = toy_path().edges
-        assert _detour(edge_masks, 1) is None
-        assert _detour(edge_masks, 0) == 0b010
-
-    @given(abstract_hypergraphs(), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_abstract_hypergraphs(self, hg, data):
-        assume(connected_after_removal_oracle(list(hg.nodes), list(hg.hyperedges), set()))
-        assert_detour_is_sound(hg, data.draw(st.integers(0, hg.n_nodes - 1)))
+    """The batches of removal sets the scan hands to the bit-sliced check:
+    every set it takes, in lanes of 64 doubling per batch within a size, and
+    fewer under the orbit rule."""
 
     def test_certificate_skips_exact_checks(self, monkeypatch):
         # The 4-cube's edge hypergraph at cap 3, every node its own orbit:
-        # sizes 0 and 1 take 33 exact checks, and the detours accept 230 of
-        # the 496 pairs unsearched.
-        checks = count_exact_checks(monkeypatch)
+        # 1 + 32 + 496 sets, each size's in batches of 64 lanes doubling.
+        batches = count_exact_checks(monkeypatch)
         hg = build_hypergraph(lattice_of("cube", 4), 1)._replace(representatives=None)
         report = strong_connectivity(hg, cap=3)
         assert report.capped and report.alpha == 3
-        assert len(checks) == 33 + 266
+        assert batches == [1, 32, 64, 128, 256, 48]
 
     def test_orbits_skip_more_exact_checks(self, monkeypatch):
         # The same scan up to the 4-cube's 384 automorphisms, which are
         # transitive on its 32 edges: one set of size 0, one of size 1 and
-        # the 31 pairs that hold edge 0, of which detours accept 12.
-        checks = count_exact_checks(monkeypatch)
+        # the 31 pairs that hold edge 0.
+        batches = count_exact_checks(monkeypatch)
         hg = build_hypergraph(lattice_of("cube", 4), 1)
         assert hg.representatives == (0,) * 32
         report = strong_connectivity(hg, cap=3)
         assert report.capped and report.alpha == 3
-        assert len(checks) == 1 + 1 + 19
+        assert batches == [1, 1, 31]
 
 
 class TestWitnessSearch:
-    """The witness takes its component from the check that found the set."""
+    """The witness takes its component from one scalar search of the first
+    disconnecting set."""
 
     def test_disconnected_hypergraph_has_an_empty_removal(self, monkeypatch):
-        checks = count_exact_checks(monkeypatch)
+        batches = count_exact_checks(monkeypatch)
+        searches = count_component_searches(monkeypatch)
         hg = FaceHypergraph(0, vertex_faces((1, 2, 3)), (0b011, 0b100))
         report = strong_connectivity(hg, cap=3)
         assert report == ConnectivityReport(
             0, 0, False, DisconnectionWitness((), ("v1", "v2"), ("v3",))
         )
-        assert len(checks) == 1
+        assert batches == [1] and len(searches) == 1
 
     def test_cut_node_is_searched_once(self, monkeypatch):
-        # Size 0 and both single removals up to the cut node v2.
-        checks = count_exact_checks(monkeypatch)
+        # Size 0, then all three single removals in one batch; the cut node
+        # v2 alone gets a component search.
+        batches = count_exact_checks(monkeypatch)
+        searches = count_component_searches(monkeypatch)
         report = strong_connectivity(toy_path(), cap=3)
         assert report.witness == DisconnectionWitness(("v2",), ("v1",), ("v3",))
-        assert len(checks) == 3
+        assert batches == [1, 3]
+        assert searches == [(3, toy_path().edges, 0b010)]
 
 
-def count_exact_checks(monkeypatch) -> list:
-    """The argument tuples of every exact component check from now on."""
-    checks = []
-    exact = hypergraph._first_component
+def count_exact_checks(monkeypatch) -> list[int]:
+    """The number of lanes in every batch handed to the bit-sliced check
+    from now on."""
+    batches = []
+    check = hypergraph._first_disconnected
+
+    def counted(n_nodes, members, sets):
+        batches.append(len(sets))
+        return check(n_nodes, members, sets)
+
+    monkeypatch.setattr(hypergraph, "_first_disconnected", counted)
+    return batches
+
+
+def count_component_searches(monkeypatch) -> list:
+    """The argument tuples of every scalar component search from now on."""
+    searches = []
+    search = hypergraph._first_component
 
     def counted(*args):
-        checks.append(args)
-        return exact(*args)
+        searches.append(args)
+        return search(*args)
 
     monkeypatch.setattr(hypergraph, "_first_component", counted)
-    return checks
+    return searches
+
+
+def first_disconnected_by_scalar_check(hg: FaceHypergraph, sets) -> int | None:
+    """Index of the first set whose removal `_first_component` finds
+    disconnecting; None if there is none."""
+    full = (1 << hg.n_nodes) - 1
+    for i, nodes in enumerate(sets):
+        removed = mask_of(nodes)
+        if _first_component(hg.n_nodes, hg.edges, removed) != full & ~removed:
+            return i
+    return None
+
+
+def assert_lanes_match_scalar_check(hg: FaceHypergraph, sets) -> None:
+    """`_first_disconnected` finds the first disconnected lane, and then,
+    on the lanes after it, the next one, until none is left."""
+    members = [indices_of(m) for m in hg.edges]
+    while True:
+        lane = _first_disconnected(hg.n_nodes, members, sets)
+        assert lane == first_disconnected_by_scalar_check(hg, sets)
+        if lane is None:
+            return
+        sets = sets[lane + 1 :]
+
+
+@st.composite
+def removal_batches(draw, n_nodes: int) -> list[tuple[int, ...]]:
+    """1-200 removal sets, among them at times the empty set and the set of
+    every node."""
+    drawn = st.lists(st.integers(0, n_nodes - 1), unique=True, max_size=n_nodes)
+    sets = st.one_of(st.just(()), st.just(tuple(range(n_nodes))), drawn.map(sorted).map(tuple))
+    return draw(st.lists(sets, min_size=1, max_size=200))
+
+
+class TestBitSlicedCheck:
+    """`_first_disconnected` against one scalar component search per lane."""
+
+    @pytest.mark.parametrize("family, d, n", FAMILY_GRID)
+    def test_every_batch_of_the_grid_scans(self, family, d, n, monkeypatch):
+        # Every batch a plain or orbit scan at cap d - k + 1 builds, up to
+        # and including the one that holds the first disconnecting set.
+        batches = []
+        check = hypergraph._first_disconnected
+
+        def recorded(n_nodes, members, sets):
+            batches.append(sets)
+            return check(n_nodes, members, sets)
+
+        monkeypatch.setattr(hypergraph, "_first_disconnected", recorded)
+        lat = lattice_of(family, d, n)
+        for k in range(d):
+            hg = build_hypergraph(lat, k)
+            members = [indices_of(m) for m in hg.edges]
+            for scanned in (hg, hg._replace(representatives=None)):
+                batches.clear()
+                strong_connectivity(scanned, d - k + 1)
+                assert batches
+                for sets in batches:
+                    expected = first_disconnected_by_scalar_check(hg, sets)
+                    assert check(hg.n_nodes, members, sets) == expected
+
+    @given(abstract_hypergraphs(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_abstract_hypergraphs(self, hg, isolated, data):
+        if isolated:
+            n = hg.n_nodes
+            hg = hg._replace(faces=vertex_faces(range(n + 1)))
+            assert not any(m >> n for m in hg.edges)
+        assert_lanes_match_scalar_check(hg, data.draw(removal_batches(hg.n_nodes)))
+
+    def test_edge_cases(self):
+        # No removal, every node removed, one survivor, and an isolated v4.
+        hg = FaceHypergraph(0, vertex_faces(range(5)), (0b0011, 0b0110, 0b1100))
+        sets = [(), (0, 1, 2, 3, 4), (0, 1, 2, 3), (4,), (1,), (0, 4)]
+        members = [indices_of(m) for m in hg.edges]
+        assert _first_disconnected(hg.n_nodes, members, sets) == 0
+        assert _first_disconnected(hg.n_nodes, members, sets[1:]) == 3
+        assert _first_disconnected(hg.n_nodes, members, sets[1:4]) is None
+        assert_lanes_match_scalar_check(hg, sets)
+
+
+def pendant_cycle(position: int, n_nodes: int = 200) -> FaceHypergraph:
+    """A cycle through every node but the last, which hangs off node
+    position - 1 alone: that node is the only cut node, so the first
+    disconnecting set sits at the given 1-based position among the single
+    removals."""
+    ring = n_nodes - 1
+    edges = [1 << i | 1 << (i + 1) % ring for i in range(ring)]
+    edges.append(1 << (position - 1) | 1 << ring)
+    return FaceHypergraph(0, vertex_faces(range(n_nodes)), tuple(edges))
+
+
+class TestBatchBoundaries:
+    # 64 is the last lane of the first batch of 64, 65 the first lane of the
+    # second (128 lanes), 193 the first lane of the third.
+    @pytest.mark.parametrize("position", [1, 63, 64, 65, 192, 193, 199])
+    def test_first_cut_node_at_position(self, position, monkeypatch):
+        hg = pendant_cycle(position)
+        sets = list(_removal_sets(hg.n_nodes, 1, range(hg.n_nodes)))
+        assert sets[position - 1] == (position - 1,)
+        batches = count_exact_checks(monkeypatch)
+        report = strong_connectivity(hg, 3)
+        assert report == first_disconnecting_set_oracle(hg, 3)
+        assert report.alpha == 1 and report.witness.removed == (f"v{position - 1}",)
+        assert report.witness.component_b == ("v199",)
+        assert batches == [1] + [64, 128, 8][: 1 + (position > 64) + (position > 192)]
+
+    def test_removal_sets_are_the_canonical_order(self):
+        assert list(_removal_sets(4, 0, range(4))) == [()]
+        assert list(_removal_sets(4, 2, range(4))) == list(combinations(range(4), 2))
+        # Nodes 1 and 3 lie in node 0's orbit: a set led by 1 or 3 is left
+        # out, and so is one led by 2 with a later member of a lower orbit.
+        assert list(_removal_sets(4, 2, (0, 0, 2, 0))) == [(0, 1), (0, 2), (0, 3)]
+        assert list(_removal_sets(4, 1, (0, 0, 2, 0))) == [(0,), (2,)]
+        assert list(_removal_sets(4, 5, range(4))) == []
+
+
+# The heaviest polytopes of the benchmark's `verify` plan: random(5,10)
+# seed 4 has a nontrivial group.
+VERIFY_HEAVIEST = [("cyclic", 5, 10, None), ("cyclic", 5, 11, None), ("random", 5, 10, 4)]
+
+
+class TestScanAgainstOracleOnVerifyPlan:
+    @pytest.mark.parametrize("family, d, n, seed", VERIFY_HEAVIEST)
+    def test_caps_at_and_above_the_bound(self, family, d, n, seed):
+        lat = lattice_of(family, d, n, seed)
+        for k in range(d):
+            hg = build_hypergraph(lat, k)
+            top = first_disconnecting_set_oracle(hg, d - k + 1)
+            for cap in (d - k, d - k + 1):
+                assert strong_connectivity(hg, cap) == reports_by_cap(top, d - k + 1)[cap], (k, cap)
 
 
 # Polytopes whose vertex graph H_0 is complete.
