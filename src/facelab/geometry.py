@@ -12,6 +12,7 @@ therefore exact sign tests, which the rest of the library relies on.
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -43,7 +44,11 @@ def parse_rational(text: str) -> Rational:
     match = _RATIONAL_RE.match(token)
     if not match:
         raise GeometryError(f"invalid rational literal {token!r} (expected 'p' or 'p/q')")
-    numerator, denominator = int(match[1]), int(match[2] or 1)
+    try:
+        numerator, denominator = int(match[1]), int(match[2] or 1)
+    except ValueError:  # longer than int() takes from a string
+        limit = f"more than {sys.get_int_max_str_digits()} digits"
+        raise GeometryError(f"invalid rational literal {token!r} ({limit})") from None
     if not denominator:
         raise GeometryError(f"invalid rational literal {token!r} (zero denominator)")
     g = gcd(numerator, denominator)

@@ -101,35 +101,6 @@ def build_hypergraph(lattice: FaceLattice, k: int) -> FaceHypergraph:
     return FaceHypergraph(k, tuple(faces), edges, representatives)
 
 
-def _first_component(n_nodes: int, edge_masks: Sequence[int], removed: int) -> int:
-    """Node mask of the lowest survivor's component; 0 when none survives.
-
-    The component grows by absorbing every live hyperedge (one missing the
-    removed nodes) that touches it, until a pass over the remaining
-    hyperedges absorbs nothing new.  The first pass drops the killed
-    hyperedges.  Passes alternate direction, so a chain of hyperedges is
-    absorbed in one or two passes whichever way it runs, and the search
-    stops as soon as the component holds every survivor.
-    """
-    survivors = ((1 << n_nodes) - 1) & ~removed
-    comp = survivors & -survivors
-    grown = None
-    while grown != comp:
-        grown = comp
-        rest = []
-        for m in edge_masks:
-            if m & removed:
-                continue
-            if m & comp:
-                comp |= m
-                if comp == survivors:
-                    return comp
-            else:
-                rest.append(m)
-        edge_masks = rest[::-1]
-    return comp
-
-
 def _removal_sets(
     n_nodes: int, size: int, representatives: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
@@ -150,16 +121,19 @@ def _removal_sets(
 
 def _first_disconnected(
     n_nodes: int, members: Sequence[Sequence[int]], sets: Sequence[Sequence[int]]
-) -> int | None:
+) -> tuple[int, int] | None:
     """Index of the first set whose removal disconnects the hypergraph whose
-    hyperedges have the given member lists; None if there is none.
+    hyperedges have the given member lists, and the node mask of its lowest
+    survivor's component; None if there is none.
 
     Bit-sliced: bit i of each int below is lane i, the removal of sets[i].
     Each lane's search starts at its lowest survivor, and a pass over the
     hyperedges lets each one that holds no removed node of a lane join its
     members' reached lanes.  Passes alternate direction until every lane has
     reached all its survivors or a pass reaches nothing new.  A lane is
-    disconnected when some survivor is left unreached.
+    disconnected when some survivor is left unreached.  After a pass that
+    reached nothing new, each lane's reached nodes are closed under its live
+    hyperedges, so they are its component.
     """
     lanes = len(sets)
     full = (1 << lanes) - 1
@@ -197,17 +171,14 @@ def _first_disconnected(
             return None
         grown = sum(map(int.bit_count, reached))
         if grown == count:
-            return (unreached & -unreached).bit_length() - 1
+            lane = (unreached & -unreached).bit_length() - 1
+            return lane, mask_of(u for u, got in enumerate(reached) if got >> lane & 1)
         count = grown
         edges.reverse()
 
 
 def _first_disconnecting_subset(
-    n_nodes: int,
-    edge_masks: Sequence[int],
-    members: Sequence[Sequence[int]],
-    size: int,
-    representatives: Sequence[int],
+    n_nodes: int, members: Sequence[Sequence[int]], size: int, representatives: Sequence[int]
 ) -> tuple[int, int] | None:
     """The first disconnecting set among `_removal_sets`, as its mask and the
     mask of the lowest survivor's component; None if there is none.
@@ -219,10 +190,9 @@ def _first_disconnecting_subset(
     sets = _removal_sets(n_nodes, size, representatives)
     lanes = 64
     while batch := list(islice(sets, lanes)):
-        lane = _first_disconnected(n_nodes, members, batch)
-        if lane is not None:
-            removed = mask_of(batch[lane])
-            return removed, _first_component(n_nodes, edge_masks, removed)
+        if hit := _first_disconnected(n_nodes, members, batch):
+            lane, component = hit
+            return mask_of(batch[lane]), component
         lanes = min(2 * lanes, _LANES)
     return None
 
@@ -249,8 +219,8 @@ def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
 
     Each size's sets are checked in bit-sliced batches
     (`_first_disconnecting_subset`), so one pass over the hyperedges serves
-    up to `_LANES` sets; only the first disconnecting set gets a scalar
-    component search, for its witness.
+    up to `_LANES` sets, and the check that finds the first disconnecting
+    set also gives its witness's component.
     """
     if cap < 1:
         raise HypergraphError("cap must be >= 1")
@@ -259,7 +229,7 @@ def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
     members = [indices_of(m) for m in hg.edges]
     representatives = hg.representatives or range(n)
     for size in range(0, min(cap, n + 1)):
-        hit = _first_disconnecting_subset(n, hg.edges, members, size, representatives)
+        hit = _first_disconnecting_subset(n, members, size, representatives)
         if hit is None:
             continue
         removed, first = hit

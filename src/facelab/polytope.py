@@ -446,7 +446,10 @@ def parse_polytope(text: str) -> VPolytope:
     # int() would also take '+4', '0_4' and non-ASCII digits.
     if not all(t.isascii() and t.removeprefix("-").isdecimal() for t in header[1:]):
         raise PolytopeError("bad header: dimensions must be integers")
-    d, n = int(header[1]), int(header[2])
+    try:
+        d, n = int(header[1]), int(header[2])
+    except ValueError:  # longer than int() takes from a string
+        raise PolytopeError("bad header: dimensions too large") from None
     if d < 1 or n < 1:
         raise PolytopeError("bad header: need d >= 1 and n >= 1")
     if len(lines) - 1 != n:
@@ -464,9 +467,14 @@ def parse_polytope(text: str) -> VPolytope:
 
 
 def load_polytope(path: str) -> VPolytope:
-    # utf-8-sig drops a leading byte-order mark, which would spoil the header.
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_polytope(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # A leading byte-order mark would spoil the header.
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise PolytopeError(f"not UTF-8: invalid byte at offset {exc.start}") from None
+    return parse_polytope(text)
 
 
 def save_polytope(p: VPolytope, path: str) -> None:

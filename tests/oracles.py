@@ -8,7 +8,11 @@ that way; these are the second route in every two-route check.  The Fraction
 routines the library's integer kernels replaced (elimination, the hyperplane
 through points, a point's side of a hyperplane, the segment crossing, the
 cutting-plane search) stay here as the second route for
-those kernels.  `slice_lattice_oracle` is the second route for the
+those kernels, and so does the scalar component search the bit-sliced
+connectivity check replaced: `first_component_oracle` grows one removal's
+component from its lowest survivor, hyperedge mask by hyperedge mask, where
+`hypergraph._first_disconnected` grows up to 4,096 removals' components at
+once, one per bit.  `slice_lattice_oracle` is the second route for the
 restriction `section` gives a slice's lattice: it takes each vertex's side in
 Fractions, not from the integer `plane_values`, and reads the base covers
 through `parents`, not `children`.  Here a point is a sequence of its rational
@@ -573,6 +577,35 @@ def connected_after_removal_oracle(
             union(first, other)
     roots = {find(n) for n in survivors}
     return len(roots) == 1
+
+
+def first_component_oracle(n_nodes: int, edge_masks: Sequence[int], removed: int) -> int:
+    """Node mask of the lowest survivor's component; 0 when none survives.
+
+    The component grows by absorbing every live hyperedge (one missing the
+    removed nodes) that touches it, until a pass over the remaining
+    hyperedges absorbs nothing new.  The first pass drops the killed
+    hyperedges.  Passes alternate direction, so a chain of hyperedges is
+    absorbed in one or two passes whichever way it runs, and the search
+    stops as soon as the component holds every survivor.
+    """
+    survivors = ((1 << n_nodes) - 1) & ~removed
+    comp = survivors & -survivors
+    grown = None
+    while grown != comp:
+        grown = comp
+        rest = []
+        for m in edge_masks:
+            if m & removed:
+                continue
+            if m & comp:
+                comp |= m
+                if comp == survivors:
+                    return comp
+            else:
+                rest.append(m)
+        edge_masks = rest[::-1]
+    return comp
 
 
 def first_disconnecting_set_oracle(hg: FaceHypergraph, cap: int) -> ConnectivityReport:

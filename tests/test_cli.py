@@ -204,6 +204,37 @@ class TestLattice:
         assert code == 2 and doc["status"] == "error"
         assert doc["error"].startswith("row 2: invalid rational literal")
 
+    def test_non_utf8_file_is_refused(self, tmp_path):
+        path = tmp_path / "bad.poly"
+        path.write_bytes(b"polytope 2 3\n0 0\n1 0\n0 \xff\n")
+        doc, code = invoke("lattice", str(path))
+        assert code == 2 and doc["status"] == "error"
+        assert doc["error"] == "not UTF-8: invalid byte at offset 23"
+        proc = subprocess.run(
+            [sys.executable, "-m", "facelab", "lattice", str(path)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+        )
+        assert (proc.returncode, proc.stderr) == (2, b"")
+        assert json.loads(proc.stdout) == doc
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("polytope 1 2\n0\n" + "7" * 5001, "row 2: invalid rational literal '777"),
+            ("polytope 1 2\n0\n1/" + "7" * 5001, "row 2: invalid rational literal '1/777"),
+            ("polytope " + "1" * 5001 + " 2\n0\n1", "bad header: dimensions too large"),
+        ],
+        ids=["coordinate", "denominator", "header"],
+    )
+    def test_overlong_integers_are_refused(self, tmp_path, text, error):
+        # Past sys.get_int_max_str_digits(), int() refuses a digit string.
+        path = tmp_path / "long.poly"
+        path.write_text(text, encoding="utf-8")
+        doc, code = invoke("lattice", str(path))
+        assert code == 2 and doc["status"] == "error"
+        assert doc["error"].startswith(error)
+
     def test_byte_order_mark_is_skipped(self, cube3_file, tmp_path):
         plain = Path(cube3_file).read_bytes()
         assert not plain.startswith(b"\xef\xbb\xbf")
@@ -316,6 +347,12 @@ class TestSection:
         doc, code = invoke("section", cube3_file, "--plane", "1,0,0;0")
         assert code == 2 and doc["status"] == "error"
 
+    def test_overlong_offset_is_refused(self, cube3_file):
+        doc, code = invoke("section", cube3_file, "--plane", "1,0,0;1/" + "7" * 5001)
+        assert code == 2 and doc["status"] == "error"
+        assert doc["error"].startswith("malformed hyperplane '1,0,0;1/777")
+        assert doc["error"].endswith(f"(more than {sys.get_int_max_str_digits()} digits)")
+
 
 class TestVerifyTheorem:
     def test_single_k(self, cube3_file):
@@ -415,6 +452,46 @@ def test_run_never_raises(argv):
     """Every drawn command line gets a valid envelope, and exactly the error
     envelopes exit with code 2."""
     result = run(argv)
+    doc = json.loads(result.render())
+    ENVELOPE.validate(doc)
+    assert (doc["status"] == "error") == (result.exit_code == 2)
+
+
+# Polytope-file tokens: short integers and fractions, and digit runs on both
+# sides of the 4,300 digits int() takes from a string by default.
+DIGIT_RUNS = st.builds(str.__mul__, st.sampled_from("123456789"), st.integers(4290, 4310))
+FILE_TOKENS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1/2", "-3/4", "x", "polytope"]),
+    DIGIT_RUNS,
+    DIGIT_RUNS.map("1/".__add__),
+)
+
+
+@st.composite
+def _polytope_text(draw) -> bytes:
+    """n rows of d tokens, 1 <= d, n <= 3, under a 'polytope d n' header;
+    at times a header token is drawn from FILE_TOKENS instead."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    header = [draw(st.one_of(st.just(str(x)), st.just(str(x)), FILE_TOKENS)) for x in (d, n)]
+    rows = draw(st.lists(st.lists(FILE_TOKENS, min_size=d, max_size=d), min_size=n, max_size=n))
+    lines = [" ".join(["polytope", *header]), *(" ".join(row) for row in rows)]
+    return "\n".join(lines).encode()
+
+
+@pytest.fixture(scope="module")
+def drawn_file(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("drawn") / "drawn.poly"
+
+
+@settings(max_examples=200, deadline=None)
+@given(contents=st.one_of(st.binary(max_size=64), _polytope_text()))
+def test_any_polytope_file_gets_an_envelope(drawn_file, contents):
+    """Every drawn file's bytes, valid UTF-8 or not, with digit runs past
+    int()'s limit or not, get a valid envelope, and exactly the error
+    envelopes exit with code 2."""
+    drawn_file.write_bytes(contents)
+    result = run(["lattice", str(drawn_file)])
     doc = json.loads(result.render())
     ENVELOPE.validate(doc)
     assert (doc["status"] == "error") == (result.exit_code == 2)

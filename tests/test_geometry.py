@@ -4,6 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import math
+import sys
 from operator import mul
 
 import pytest
@@ -74,6 +75,13 @@ class TestRationalText:
         # str.isdigit but not the documented syntax.
         with pytest.raises(GeometryError):
             parse_rational(text)
+
+    @pytest.mark.parametrize("template", ["{}", "-{}", "1/{}", "{}/7"])
+    def test_parse_refuses_more_digits_than_int_takes(self, template):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(template.format("7" * limit)).numerator
+        with pytest.raises(GeometryError, match=rf"\(more than {limit} digits\)$"):
+            parse_rational(template.format("7" * (limit + 1)))
 
     def test_format_is_reduced(self):
         assert format_rational(6, 4) == "3/2"

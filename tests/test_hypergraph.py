@@ -15,7 +15,6 @@ from facelab.hypergraph import (
     DisconnectionWitness,
     FaceHypergraph,
     HypergraphError,
-    _first_component,
     _first_disconnected,
     _removal_sets,
     build_hypergraph,
@@ -28,6 +27,7 @@ from oracles import (
     assert_hypergraphs_are_dual,
     connected_after_removal_oracle,
     find_isolating_set,
+    first_component_oracle,
     first_disconnecting_set_oracle,
     hypergraph_oracle,
 )
@@ -44,12 +44,12 @@ def toy_path() -> FaceHypergraph:
     return FaceHypergraph(k=0, faces=vertex_faces((1, 2, 3)), edges=(0b011, 0b110))
 
 
-def first_component_connects(hg: FaceHypergraph, removed) -> bool:
-    """The scan's exact check: does the component of the lowest survivor
-    hold every survivor once the given node ids are removed?"""
-    mask = mask_of(hg.nodes.index(r) for r in removed)
-    survivors = ((1 << hg.n_nodes) - 1) & ~mask
-    return _first_component(hg.n_nodes, hg.edges, mask) == survivors
+def exact_check_connects(hg: FaceHypergraph, removed) -> bool:
+    """The scan's exact check on one lane: is the hypergraph still connected
+    once the given node ids are removed?"""
+    members = [indices_of(m) for m in hg.edges]
+    nodes = [hg.nodes.index(r) for r in removed]
+    return _first_disconnected(hg.n_nodes, members, [nodes]) is None
 
 
 def oracle_connects(hg: FaceHypergraph, removed) -> bool:
@@ -162,16 +162,16 @@ class TestIdViews:
 class TestRemoval:
     def test_toy_path(self):
         hg = toy_path()
-        assert first_component_connects(hg, []) is True
-        assert first_component_connects(hg, ["v2"]) is False
-        assert first_component_connects(hg, ["v1", "v3"]) is True
-        assert first_component_connects(hg, ["v1", "v2"]) is True
+        assert exact_check_connects(hg, []) is True
+        assert exact_check_connects(hg, ["v2"]) is False
+        assert exact_check_connects(hg, ["v1", "v3"]) is True
+        assert exact_check_connects(hg, ["v1", "v2"]) is True
 
     def test_cube_edge_graph_examples(self):
         hg = build_hypergraph(lattice_of("cube", 3), 1)
         # the two other edges at vertex v0 isolate edge v0-v4
-        assert first_component_connects(hg, ["v0-v1", "v0-v2"]) is False
-        assert first_component_connects(hg, ["v0-v1"]) is True
+        assert exact_check_connects(hg, ["v0-v1", "v0-v2"]) is False
+        assert exact_check_connects(hg, ["v0-v1"]) is True
 
     def test_agrees_with_union_find_oracle(self):
         rng = random.Random(13)
@@ -180,18 +180,18 @@ class TestRemoval:
             for _ in range(40):
                 size = rng.randint(0, min(4, hg.n_nodes))
                 removed = rng.sample(list(hg.nodes), size)
-                assert first_component_connects(hg, removed) == oracle_connects(hg, removed)
+                assert exact_check_connects(hg, removed) == oracle_connects(hg, removed)
 
     def test_removal_is_monotone(self):
         # once disconnected with both witnesses alive, more removals never help
         hg = build_hypergraph(lattice_of("cube", 3), 1)
         base = ["v0-v1", "v0-v2"]
-        assert first_component_connects(hg, base) is False
+        assert exact_check_connects(hg, base) is False
         rng = random.Random(5)
         alive = [n for n in hg.nodes if n not in base and n != "v0-v4"]
         for _ in range(10):
             extra = rng.sample(alive, 2)
-            assert first_component_connects(hg, base + extra) is False
+            assert exact_check_connects(hg, base + extra) is False
 
 
 class TestStrongConnectivity:
@@ -288,28 +288,25 @@ class TestDetour:
 
 
 class TestWitnessSearch:
-    """The witness takes its component from one scalar search of the first
+    """The witness takes its component from the batch that finds the first
     disconnecting set."""
 
     def test_disconnected_hypergraph_has_an_empty_removal(self, monkeypatch):
         batches = count_exact_checks(monkeypatch)
-        searches = count_component_searches(monkeypatch)
         hg = FaceHypergraph(0, vertex_faces((1, 2, 3)), (0b011, 0b100))
         report = strong_connectivity(hg, cap=3)
         assert report == ConnectivityReport(
             0, 0, False, DisconnectionWitness((), ("v1", "v2"), ("v3",))
         )
-        assert batches == [1] and len(searches) == 1
+        assert batches == [1]
 
     def test_cut_node_is_searched_once(self, monkeypatch):
-        # Size 0, then all three single removals in one batch; the cut node
-        # v2 alone gets a component search.
+        # Size 0, then all three single removals in one batch, which finds
+        # the cut node v2 and its witness.
         batches = count_exact_checks(monkeypatch)
-        searches = count_component_searches(monkeypatch)
         report = strong_connectivity(toy_path(), cap=3)
         assert report.witness == DisconnectionWitness(("v2",), ("v1",), ("v3",))
         assert batches == [1, 3]
-        assert searches == [(3, toy_path().edges, 0b010)]
 
 
 def count_exact_checks(monkeypatch) -> list[int]:
@@ -326,40 +323,29 @@ def count_exact_checks(monkeypatch) -> list[int]:
     return batches
 
 
-def count_component_searches(monkeypatch) -> list:
-    """The argument tuples of every scalar component search from now on."""
-    searches = []
-    search = hypergraph._first_component
-
-    def counted(*args):
-        searches.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(hypergraph, "_first_component", counted)
-    return searches
-
-
-def first_disconnected_by_scalar_check(hg: FaceHypergraph, sets) -> int | None:
-    """Index of the first set whose removal `_first_component` finds
-    disconnecting; None if there is none."""
+def first_disconnected_by_scalar_check(hg: FaceHypergraph, sets) -> tuple[int, int] | None:
+    """Index of the first set whose removal `first_component_oracle` finds
+    disconnecting, and that component; None if there is none."""
     full = (1 << hg.n_nodes) - 1
     for i, nodes in enumerate(sets):
         removed = mask_of(nodes)
-        if _first_component(hg.n_nodes, hg.edges, removed) != full & ~removed:
-            return i
+        component = first_component_oracle(hg.n_nodes, hg.edges, removed)
+        if component != full & ~removed:
+            return i, component
     return None
 
 
 def assert_lanes_match_scalar_check(hg: FaceHypergraph, sets) -> None:
-    """`_first_disconnected` finds the first disconnected lane, and then,
-    on the lanes after it, the next one, until none is left."""
+    """`_first_disconnected` finds the first disconnected lane and its
+    component, and then, on the lanes after it, the next one, until none is
+    left."""
     members = [indices_of(m) for m in hg.edges]
     while True:
-        lane = _first_disconnected(hg.n_nodes, members, sets)
-        assert lane == first_disconnected_by_scalar_check(hg, sets)
-        if lane is None:
+        hit = _first_disconnected(hg.n_nodes, members, sets)
+        assert hit == first_disconnected_by_scalar_check(hg, sets)
+        if hit is None:
             return
-        sets = sets[lane + 1 :]
+        sets = sets[hit[0] + 1 :]
 
 
 @st.composite
@@ -372,7 +358,7 @@ def removal_batches(draw, n_nodes: int) -> list[tuple[int, ...]]:
 
 
 class TestBitSlicedCheck:
-    """`_first_disconnected` against one scalar component search per lane."""
+    """`_first_disconnected` against one oracle component search per lane."""
 
     @pytest.mark.parametrize("family, d, n", FAMILY_GRID)
     def test_every_batch_of_the_grid_scans(self, family, d, n, monkeypatch):
@@ -412,8 +398,8 @@ class TestBitSlicedCheck:
         hg = FaceHypergraph(0, vertex_faces(range(5)), (0b0011, 0b0110, 0b1100))
         sets = [(), (0, 1, 2, 3, 4), (0, 1, 2, 3), (4,), (1,), (0, 4)]
         members = [indices_of(m) for m in hg.edges]
-        assert _first_disconnected(hg.n_nodes, members, sets) == 0
-        assert _first_disconnected(hg.n_nodes, members, sets[1:]) == 3
+        assert _first_disconnected(hg.n_nodes, members, sets) == (0, 0b01111)
+        assert _first_disconnected(hg.n_nodes, members, sets[1:]) == (3, 0b00001)
         assert _first_disconnected(hg.n_nodes, members, sets[1:4]) is None
         assert_lanes_match_scalar_check(hg, sets)
 

@@ -15,7 +15,6 @@ from facelab.generators import random_polytope
 from facelab.geometry import eliminate, interior_point
 from facelab.hypergraph import (
     ConnectivityReport,
-    _first_component,
     build_hypergraph,
     strong_connectivity,
 )
@@ -35,6 +34,7 @@ from oracles import (
     bfs_ridge_path_oracle,
     coordinates,
     cutting_hyperplane_oracle,
+    first_component_oracle,
     hyperplane_conditions_oracle,
     side,
 )
@@ -561,7 +561,7 @@ def dual_components(p: VPolytope, k: int, blocked: list) -> set[frozenset[int]]:
     seen = mask_of(node[b.mask] for b in blocked)
     components = set()
     while seen != (1 << hg.n_nodes) - 1:
-        component = _first_component(hg.n_nodes, hg.edges, seen)
+        component = first_component_oracle(hg.n_nodes, hg.edges, seen)
         components.add(frozenset(pullback[i] for i in indices_of(component)))
         seen |= component
     return components
