@@ -51,6 +51,9 @@ class CliError(FacelabError):
 
 _HANDLED_ERRORS = (FacelabError, OSError)
 
+# argparse quotes a bad argument whole; its messages are cut past this many chars.
+_MESSAGE_LIMIT = 200
+
 _INPUT_KEY_RENAMES = {"from_id": "from", "to_id": "to"}
 _INPUT_SKIP_KEYS = ("handler", "command_name")
 
@@ -76,6 +79,8 @@ class CommandResult(NamedTuple):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
+        if len(message) > _MESSAGE_LIMIT:
+            message = f"{message[:_MESSAGE_LIMIT]}... ({len(message)} chars)"
         raise CliError(message)
 
 

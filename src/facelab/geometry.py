@@ -18,6 +18,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
+_QUOTE_LIMIT = 40
+
 
 class FacelabError(ValueError):
     """Base of every library error; the CLI reports each with exit code 2."""
@@ -38,19 +40,27 @@ class Rational(NamedTuple):
     denominator: int
 
 
+def quote(text: str) -> str:
+    """User text as a diagnostic quotes it: its repr, or past _QUOTE_LIMIT
+    chars the repr of its first _QUOTE_LIMIT and its full length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} chars)"
+
+
 def parse_rational(text: str) -> Rational:
     """Parse the text syntax ``p/q`` or ``p`` into an exact rational."""
     token = text.strip()
     match = _RATIONAL_RE.match(token)
     if not match:
-        raise GeometryError(f"invalid rational literal {token!r} (expected 'p' or 'p/q')")
+        raise GeometryError(f"invalid rational literal {quote(token)} (expected 'p' or 'p/q')")
     try:
         numerator, denominator = int(match[1]), int(match[2] or 1)
     except ValueError:  # longer than int() takes from a string
         limit = f"more than {sys.get_int_max_str_digits()} digits"
-        raise GeometryError(f"invalid rational literal {token!r} ({limit})") from None
+        raise GeometryError(f"invalid rational literal {quote(token)} ({limit})") from None
     if not denominator:
-        raise GeometryError(f"invalid rational literal {token!r} (zero denominator)")
+        raise GeometryError(f"invalid rational literal {quote(token)} (zero denominator)")
     g = gcd(numerator, denominator)
     return Rational(numerator // g, denominator // g)
 

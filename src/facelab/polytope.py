@@ -25,6 +25,7 @@ from .geometry import (
     interior_point,
     parse_rational,
     primitive,
+    quote,
 )
 
 
@@ -78,13 +79,13 @@ def _initial_cone(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[
     """The first linearly independent rows, in input order, rank-many, and
     the extreme rays of the simplicial cone they cut out.
 
-    Ray j is zero on every chosen row but row j, and positive on row j.  One
-    fraction-free elimination of [rows^T | I] gives them all: right-block row
-    j dotted with row i is left-block entry (j, i), and the left-block pivot
-    columns are the chosen rows.  Rows that do not span their space go on to
-    pivot in the right block; that adds vectors zero on every row to the top
-    rows and may scale them by a negative factor, so each ray takes the sign
-    of its own pivot entry.
+    Ray j is zero on every chosen row but row j, and negative on row j, the
+    sign of a facet row.  One fraction-free elimination of [rows^T | I] gives
+    them all: right-block row j dotted with row i is left-block entry (j, i),
+    and the left-block pivot columns are the chosen rows.  Rows that do not
+    span their space go on to pivot in the right block; that adds vectors
+    zero on every row to the top rows and may scale them by a negative
+    factor, so each ray takes the opposite sign of its own pivot entry.
     """
     n, size = len(rows), len(rows[0])
     augmented = [
@@ -93,24 +94,25 @@ def _initial_cone(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[
     mat, pivots = eliminate(augmented)
     chosen = [c for c in pivots if c < n]
     rays = [
-        primitive([x if row[c] > 0 else -x for x in row[n:]]) for row, c in zip(mat, chosen)
+        primitive([-x if row[c] > 0 else x for x in row[n:]]) for row, c in zip(mat, chosen)
     ]
     return chosen, rays
 
 
 def _double_description(
     rows: Sequence[Sequence[int]], cone: tuple[list[int], list[tuple[int, ...]]]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Extreme rays of the cone {x : row . x >= 0 for every row}, each up to
+) -> dict[int, tuple[int, ...]]:
+    """Extreme rays of the cone {x : row . x <= 0 for every row}, each up to
     the lineality space {x : row . x = 0 for every row}.
 
     Starting from the simplicial cone on the first independent rows, given
     by `_initial_cone(rows)`, each remaining row is added in input order:
-    rays on its nonnegative side stay, and each (+, -) pair of adjacent rays
+    rays on its nonpositive side stay, and each (-, +) pair of adjacent rays
     is combined into a new ray on the row's hyperplane.  Adjacency is the
     combinatorial test: the pair's common zero set has at least size-2 rows,
     size the rank of the rows, and no other ray's zero set contains it.
-    Returns (zero-set bitmask over row indices, primitive integer ray) pairs.
+    Maps each ray's zero set, a bitmask over row indices, to the ray, a
+    primitive integer vector; on vertex rows these are the facet rows.
     """
     chosen, rays = cone
     size = len(chosen)
@@ -123,23 +125,23 @@ def _double_description(
         values = [sum(map(mul, row, ray)) for ray in rays]
         positive = [k for k, v in enumerate(values) if v > 0]
         negative = [k for k, v in enumerate(values) if v < 0]
-        new_rays = [ray for ray, v in zip(rays, values) if v >= 0]
-        new_masks = [m | bit if v == 0 else m for m, v in zip(masks, values) if v >= 0]
-        for a in positive:
-            for b in negative:
+        new_rays = [ray for ray, v in zip(rays, values) if v <= 0]
+        new_masks = [m | bit if v == 0 else m for m, v in zip(masks, values) if v <= 0]
+        for a in negative:
+            for b in positive:
                 common = masks[a] & masks[b]
                 if common.bit_count() < size - 2:
                     continue
                 # Only a and b themselves may have zero sets containing it.
                 if sum(1 for m in masks if common & m == common) > 2:
                     continue
-                va, vb = values[a], -values[b]
+                va, vb = -values[a], values[b]
                 new_rays.append(
                     primitive([va * y + vb * x for x, y in zip(rays[a], rays[b])])
                 )
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-    return list(zip(masks, rays))
+    return dict(zip(masks, rays))
 
 
 class VPolytope:
@@ -201,33 +203,24 @@ class VPolytope:
         return len(self._cone[0]) - 1
 
     @cached_property
-    def _facet_rays(self) -> list[tuple[int, tuple[int, ...]]]:
-        """The facets, by double description on the vertex rows (x0, x).
-
-        A returned (mask, ray) pair is a facet c - a.v >= 0 with ray = (c, -a)
-        and mask the set of points on it; for a lower-dimensional polytope the
-        ray is fixed only up to a vector zero on every row.
-        """
-        return _double_description(self.rows, self._cone)
-
-    @cached_property
     def facet_rows(self) -> dict[int, tuple[int, ...]]:
         """Each facet's vertex mask and its row R: R.v <= 0 on every vertex
         row v, with equality exactly on the facet.
 
-        The facet c - a.v >= 0 of a double-description ray (c, -a) has row
-        (-c, a).  `section` sets a slice's rows to its base's, which stay
-        valid there, so a slice runs no double description.
+        The rays of double description on the vertex rows; a facet a.x <= c
+        has row (-c, a), and for a lower-dimensional polytope the row is
+        fixed only up to a vector zero on every vertex row.  `section` sets a
+        slice's rows to its base's, which stay valid there, so a slice runs
+        no double description.
         """
-        return {mask: tuple(-x for x in ray) for mask, ray in self._facet_rays}
+        return _double_description(self.rows, self._cone)
 
     def _check_vertices(self) -> None:
         """Point i is a vertex iff the facets through it meet in {i} alone."""
         everything = (1 << self.n_vertices) - 1
-        masks = [mask for mask, _ in self._facet_rays]
         for i in range(self.n_vertices):
             tight = everything
-            for mask in masks:
+            for mask in self.facet_rows:
                 if mask >> i & 1:
                     tight &= mask
             if tight != 1 << i:
@@ -324,7 +317,7 @@ class FaceLattice:
                 face = self._by_mask.get(mask_of(indices))
                 if face is not None and face.id == fid:
                     return face
-        raise PolytopeError(f"unknown face id {fid!r}")
+        raise PolytopeError(f"unknown face id {quote(str(fid))}")
 
     def face_of_mask(self, mask: int) -> Face | None:
         return self._by_mask.get(mask)
@@ -440,9 +433,7 @@ def parse_polytope(text: str) -> VPolytope:
         raise PolytopeError("empty polytope file")
     header = lines[0].split()
     if len(header) != 3 or header[0] != "polytope":
-        raise PolytopeError(
-            "bad header: expected 'polytope <d> <n>', got " + repr(lines[0])
-        )
+        raise PolytopeError(f"bad header: expected 'polytope <d> <n>', got {quote(lines[0])}")
     # int() would also take '+4', '0_4' and non-ASCII digits.
     if not all(t.isascii() and t.removeprefix("-").isdecimal() for t in header[1:]):
         raise PolytopeError("bad header: dimensions must be integers")

@@ -16,7 +16,7 @@ from collections import deque
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import FacelabError, Hyperplane, interior_point
+from .geometry import FacelabError, Hyperplane, interior_point, quote
 from .polytope import Face, FaceLattice, PolytopeError, VPolytope, face_id
 from .section import section
 
@@ -57,7 +57,7 @@ class BlockedSet(_BlockedSetFields):
         b = cls(k, frozenset(ids))
         if len(b.face_ids) < len(ids):
             repeated = next(x for i, x in enumerate(ids) if ids.index(x) < i)
-            raise RidgePathError(f"blocked face {repeated!r} is listed twice")
+            raise RidgePathError(f"blocked face {quote(repeated)} is listed twice")
         return b
 
 

@@ -22,6 +22,7 @@ from .geometry import (
     Rational,
     parse_rational,
     primitive,
+    quote,
 )
 from .polytope import Face, FaceLattice, VPolytope, mask_of
 
@@ -36,7 +37,7 @@ def parse_hyperplane(text: str) -> tuple[list[Rational], Rational]:
     parts = text.split(";")
     if len(parts) != 2:
         raise SectionError(
-            f"malformed hyperplane {text!r}: expected 'a1,...,ad;c'"
+            f"malformed hyperplane {quote(text)}: expected 'a1,...,ad;c'"
         )
     try:
         normal = [parse_rational(t) for t in parts[0].split(",")]
@@ -44,7 +45,7 @@ def parse_hyperplane(text: str) -> tuple[list[Rational], Rational]:
         if not any(a.numerator for a in normal):
             raise GeometryError("hyperplane normal must be nonzero")
     except GeometryError as exc:
-        raise SectionError(f"malformed hyperplane {text!r}: {exc}") from None
+        raise SectionError(f"malformed hyperplane {quote(text)}: {exc}") from None
     return normal, offset
 
 

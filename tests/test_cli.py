@@ -497,6 +497,68 @@ def test_any_polytope_file_gets_an_envelope(drawn_file, contents):
     assert (doc["status"] == "error") == (result.exit_code == 2)
 
 
+# Characters a token keeps whole in every slot below: no whitespace, which
+# would split a file line, and no ',' or ';', which split --plane and --blocked.
+TOKEN_CHARS = st.characters(exclude_categories=("Cs",)).filter(
+    lambda c: not c.isspace() and c not in ",;"
+)
+
+
+@st.composite
+def _long_token(draw) -> str:
+    """A drawn piece repeated to a drawn length of 1 to 10,000 chars."""
+    fixed = st.sampled_from(["7", "0", "v0", "-"])
+    piece = draw(st.one_of(fixed, st.text(TOKEN_CHARS, min_size=1, max_size=6)))
+    n = draw(st.integers(1, 10_000))
+    return (piece * n)[:n]
+
+
+def _slot_requests(token: str, directory: Path) -> dict[str, list[str]]:
+    """One request per slot with the token in it, each refused whatever the
+    token is: a valid coordinate makes two equal vertices, a valid plane has
+    the wrong dimension, a valid --from leaves --to unknown, a blocked item
+    is listed twice, and a valid --k meets a polytope with no facets."""
+    files = {
+        "coordinate": f"polytope 1 2\n{token}\n{token}\n",
+        "header": f"polytope 1 2 {token}\n0\n1\n",
+        "segment": "polytope 1 2\n0\n1\n",
+        "point": "polytope 1 1\n0\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = str(directory / f"{name}.poly")
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    segment = paths["segment"]
+    return {
+        "coordinate": ["lattice", paths["coordinate"]],
+        "header": ["lattice", paths["header"]],
+        "normal": ["section", segment, f"--plane={token},0;1"],
+        "offset": ["section", segment, f"--plane=1,0;{token}"],
+        "from": ["ridge-path", segment, "--k=0", f"--from={token}", "--to=x"],
+        "blocked": [
+            "ridge-path", segment, "--k=2", f"--blocked={token},{token}", "--from=v0", "--to=v1",
+        ],
+        "k": ["verify-theorem", paths["point"], f"--k={token}"],
+    }
+
+
+@pytest.fixture(scope="module")
+def slot_directory(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("slots")
+
+
+@settings(max_examples=60, deadline=None)
+@given(token=_long_token())
+def test_long_tokens_get_bounded_diagnostics(slot_directory, token):
+    """A token of up to 10,000 chars in any slot of a request is refused
+    with a diagnostic of at most 1,000 chars: it quotes a bounded excerpt."""
+    for slot, argv in _slot_requests(token, slot_directory).items():
+        result = run(argv)
+        doc = json.loads(result.render())
+        assert (result.exit_code, doc["status"]) == (2, "error"), slot
+        assert len(doc["error"]) <= 1000, slot
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -19,6 +19,7 @@ from facelab.geometry import (
     format_rational,
     interior_point,
     parse_rational,
+    quote,
 )
 from facelab.polytope import VPolytope, facets, polar_dual
 from instances import FAMILY_GRID, golden_random_polytopes, polytope
@@ -82,6 +83,16 @@ class TestRationalText:
         assert parse_rational(template.format("7" * limit)).numerator
         with pytest.raises(GeometryError, match=rf"\(more than {limit} digits\)$"):
             parse_rational(template.format("7" * (limit + 1)))
+
+    def test_diagnostics_quote_a_bounded_excerpt(self):
+        assert quote("x" * 40) == repr("x" * 40)
+        assert quote("x" * 41) == repr("x" * 40) + "... (41 chars)"
+        with pytest.raises(GeometryError) as caught:
+            parse_rational("1/" + "7" * 9999)
+        assert str(caught.value) == (
+            f"invalid rational literal {'1/' + '7' * 38!r}... (10001 chars) "
+            f"(more than {sys.get_int_max_str_digits()} digits)"
+        )
 
     def test_format_is_reduced(self):
         assert format_rational(6, 4) == "3/2"

@@ -313,7 +313,7 @@ def test_points_planes_and_polytopes_hold_no_fractions():
     slice_map = section(p, Hyperplane.of([0, 0, 1], Fraction(1, 3)))
     dual = polar_dual(p)
     dual.lattice
-    assert {"_facet_rays", "_cone", "lattice"} <= vars(p).keys()
+    assert {"facet_rows", "_cone", "lattice"} <= vars(p).keys()
     assert "lattice" in vars(slice_map.slice_polytope)
     held = [
         QVector.of([parse_rational("1/2"), -3]),

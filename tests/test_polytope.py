@@ -421,13 +421,20 @@ def chart_rows(p: VPolytope) -> list[list[int]]:
     return [[row[c] for c in columns] for row in p.rows]
 
 
-def double_description_on_oracle_cone(rows) -> list:
-    """The library's double description, started from `initial_cone_oracle`."""
-    return _double_description(rows, initial_cone_oracle(rows))
+def facet_row_cone_oracle(rows) -> tuple[list[int], list[tuple[int, ...]]]:
+    """`initial_cone_oracle` with its rays negated: each negative on its own
+    row, the sign of a facet row."""
+    chosen, rays = initial_cone_oracle(rows)
+    return chosen, [tuple(-x for x in ray) for ray in rays]
+
+
+def double_description_on_oracle_cone(rows) -> dict:
+    """The library's double description, started from the oracle's cone."""
+    return _double_description(rows, facet_row_cone_oracle(rows))
 
 
 def assert_cone_matches_oracle(rows) -> None:
-    assert _initial_cone(rows) == initial_cone_oracle(rows)
+    assert _initial_cone(rows) == facet_row_cone_oracle(rows)
 
 
 @st.composite
@@ -457,15 +464,16 @@ def eliminations(monkeypatch) -> list[int]:
 
 class TestInitialCone:
     """All initial rays from one elimination of [rows^T | I], against one
-    elimination per ray (`oracles.initial_cone_oracle`), and the double
-    description started from each; a lower-dimensional polytope against the
-    oracle's run on its affine chart."""
+    elimination per ray (`oracles.initial_cone_oracle`, its rays negated to
+    the facet-row sign), and the double description started from each; a
+    lower-dimensional polytope against the oracle's run on its affine
+    chart."""
 
     @pytest.mark.parametrize("family,dim,n", FAMILY_GRID)
     def test_grid(self, family, dim, n):
         p = polytope(family, dim, n)
         assert_cone_matches_oracle(p.rows)
-        assert p._facet_rays == double_description_on_oracle_cone(p.rows)
+        assert p.facet_rows == double_description_on_oracle_cone(p.rows)
 
     def test_golden_random_polytopes(self):
         found = golden_random_polytopes()
@@ -483,17 +491,16 @@ class TestInitialCone:
     def test_drawn_lower_dimensional_point_sets(self, points):
         """Rays stay in full homogeneous coordinates, each up to a vector zero
         on every row: the chosen rows and the masks are the chart's, and each
-        ray is nonnegative on every row and zero exactly on its mask."""
+        ray is nonpositive on every row and zero exactly on its mask."""
         p = VPolytope.from_points([Q(v) for v in points], validate=False)
         rows = chart_rows(p)
         assert p.dim == affine_rank_oracle(points) == len(rows[0]) - 1
         assert_cone_matches_oracle(rows)
         assert p._cone[0] == initial_cone_oracle(rows)[0]
-        masks = [mask for mask, _ in p._facet_rays]
-        assert masks == [mask for mask, _ in double_description_on_oracle_cone(rows)]
-        for mask, ray in p._facet_rays:
+        assert list(p.facet_rows) == list(double_description_on_oracle_cone(rows))
+        for mask, ray in p.facet_rows.items():
             values = [sum(map(mul, row, ray)) for row in p.rows]
-            assert min(values) >= 0
+            assert max(values) <= 0
             assert mask_of(i for i, v in enumerate(values) if v == 0) == mask
 
     @pytest.mark.parametrize("d", range(1, 7))
@@ -511,13 +518,13 @@ class TestInitialCone:
         for shape, points in shapes.items():
             eliminations.clear()
             p = VPolytope.from_points([Q(v) for v in points], validate=True)
-            assert p.dim == d and len(p._facet_rays) > d, shape
+            assert p.dim == d and len(p.facet_rows) > d, shape
             assert eliminations == [d + 1], shape
             eliminations.clear()
             assert parse_polytope(format_polytope(p)) == p
             assert eliminations == [d + 1], shape
             eliminations.clear()
-            assert polar_dual(p).n_vertices == len(p._facet_rays), shape
+            assert polar_dual(p).n_vertices == len(p.facet_rows), shape
             assert eliminations == [d + 1], shape
 
     def test_section_slice_eliminates_once_its_dim_is_read(self, eliminations):

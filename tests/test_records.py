@@ -45,7 +45,7 @@ RECORDS = records()
 def test_the_cases_carry_what_they_name():
     assert RECORDS["ConnectivityReport"].witness is not None
     assert RECORDS["RidgePathResult"].depth == 1
-    assert "_facet_rays" in vars(RECORDS["VPolytope"])
+    assert "facet_rows" in vars(RECORDS["VPolytope"])
 
 
 def test_ridge_path_result_stores_depth_once():

@@ -277,14 +277,16 @@ class TestSolver:
 
     def test_malformed_blocked_ids_are_unknown(self):
         # Blocked ids are looked up in sorted order, so the error does not
-        # depend on set iteration order, and no index is converted unbounded.
+        # depend on set iteration order, and no index is converted unbounded;
+        # a long id is quoted by its first 40 chars and its length.
         p, lat = instance("cube", 3)
         huge = "v" + "9" * 5000
-        for blocked, bad in ((["x3", "v1-v0"], "v1-v0"), ([huge], huge)):
+        excerpt = "'v" + "9" * 39 + "'... (5001 chars)"
+        for blocked, quoted in ((["x3", "v1-v0"], "'v1-v0'"), ([huge], excerpt)):
             b = BlockedSet.of(2, blocked)
             with pytest.raises(RidgePathError) as exc:
                 solve_ridge_path(p, b, "v0-v1-v4-v5", "v0-v1-v2-v3")
-            assert str(exc.value) == f"unknown face id {bad!r}"
+            assert str(exc.value) == f"unknown face id {quoted}"
 
     def test_blocked_set_size_limit(self):
         with pytest.raises(RidgePathError):

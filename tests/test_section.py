@@ -194,7 +194,7 @@ def assert_slice_matches_oracle(p, h):
     s = section(p, h).slice_polytope
     sliced = s.lattice
     faces, children, parents = slice_lattice_oracle(p, h)
-    masks = [m for m, _ in s._facet_rays]
+    masks = list(VPolytope(s.rows).facet_rows)
     swept = FaceLattice(s.dim, s.n_vertices, lambda f: _maximal({f & g for g in masks if f & ~g}))
     assert list(sliced.faces) == faces == list(swept.faces)
     for k in range(-1, s.dim + 1):
@@ -339,7 +339,7 @@ class TestSliceFacetRows:
             s = smap.slice_polytope
             assert "facet_rows" in s.__dict__
             rows = s.facet_rows
-            swept = [mask for mask, _ in VPolytope(s.rows)._facet_rays]
+            swept = list(VPolytope(s.rows).facet_rows)
             grade = [f.mask for f in s.lattice.faces_of_dim(s.lattice.dim - 1)]
             assert sorted(rows) == sorted(swept) == sorted(grade)
             assert set(rows.values()) <= set(p.facet_rows.values())
