@@ -332,9 +332,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute one invocation; never raises on bad input.
 
-    Until the parse succeeds, the envelope echoes argv and names argv[0],
-    unless argv[0] is an option."""
-    command = argv[0] if argv and not argv[0].startswith("-") else None
+    Until the parse succeeds, the envelope echoes argv, and names argv[0]
+    only when it is a command."""
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     inputs = {"argv": list(argv)}
     try:
         ns = _parse(argv)

@@ -5,9 +5,9 @@ hyperedges.  Removing a node kills every hyperedge containing it; survivors
 are adjacent when they share a surviving hyperedge.  Connectivity is certified
 by exhaustive removal-set enumeration, which also yields witnesses and keeps
 the nonstandard removal rule exact.  The polytope's automorphisms leave out
-sets that one of them maps onto a scanned set, and the exact check is
-bit-sliced: one pass over the hyperedges decides a batch of up to `_LANES`
-removal sets, one per bit of an int.
+sets that one of them maps onto a scanned set.  The sets of every size form
+one stream, and the exact check is bit-sliced: one pass over the hyperedges
+decides a batch of up to `_LANES` of them, one per bit of an int.
 """
 
 from __future__ import annotations
@@ -102,21 +102,21 @@ def build_hypergraph(lattice: FaceLattice, k: int) -> FaceHypergraph:
 
 
 def _removal_sets(
-    n_nodes: int, size: int, representatives: Sequence[int]
+    n_nodes: int, cap: int, representatives: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
-    """Every set of `size` nodes, in canonical order, whose lowest member is
+    """The empty set, then by increasing size below `cap` (at most n_nodes)
+    every set, in canonical order within its size, whose lowest member is
     its orbit's representative and whose other members lie in orbits with
     representatives no lower.  With every node its own representative that
-    is every set; size 0 gives the empty set."""
-    if size == 0:
-        yield ()
-        return
-    for first in range(n_nodes):
-        if representatives[first] != first:
-            continue
-        later = [i for i in range(first + 1, n_nodes) if representatives[i] >= first]
-        for rest in combinations(later, size - 1):
-            yield (first, *rest)
+    is every set."""
+    yield ()
+    for size in range(1, min(cap, n_nodes + 1)):
+        for first in range(n_nodes):
+            if representatives[first] != first:
+                continue
+            later = [i for i in range(first + 1, n_nodes) if representatives[i] >= first]
+            for rest in combinations(later, size - 1):
+                yield (first, *rest)
 
 
 def _first_disconnected(
@@ -177,26 +177,6 @@ def _first_disconnected(
         edges.reverse()
 
 
-def _first_disconnecting_subset(
-    n_nodes: int, members: Sequence[Sequence[int]], size: int, representatives: Sequence[int]
-) -> tuple[int, int] | None:
-    """The first disconnecting set among `_removal_sets`, as its mask and the
-    mask of the lowest survivor's component; None if there is none.
-
-    The sets go to `_first_disconnected` in batches of 64 lanes, each batch
-    twice the last up to `_LANES`: an early witness costs one small batch,
-    and a scan holds at most one batch.
-    """
-    sets = _removal_sets(n_nodes, size, representatives)
-    lanes = 64
-    while batch := list(islice(sets, lanes)):
-        if hit := _first_disconnected(n_nodes, members, batch):
-            lane, component = hit
-            return mask_of(batch[lane]), component
-        lanes = min(2 * lanes, _LANES)
-    return None
-
-
 def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
     """Exhaustively certify connectivity under all removals of size < cap.
 
@@ -217,24 +197,26 @@ def strong_connectivity(hg: FaceHypergraph, cap: int) -> ConnectivityReport:
     itself.  So alpha, `capped` and the witness are those of the scan of
     every set, and a group with missing generators only slows the scan.
 
-    Each size's sets are checked in bit-sliced batches
-    (`_first_disconnecting_subset`), so one pass over the hyperedges serves
-    up to `_LANES` sets, and the check that finds the first disconnecting
-    set also gives its witness's component.
+    The sets go to `_first_disconnected` as one stream, in batches of 64
+    lanes, each batch twice the last up to `_LANES`: an early witness costs
+    one small batch, and a scan holds at most one batch.  A batch may span
+    sizes; as the stream grows by size, the first disconnected lane of the
+    first batch that has one is the first disconnecting set, and the check
+    that finds it also gives its witness's component.
     """
     if cap < 1:
         raise HypergraphError("cap must be >= 1")
     n = hg.n_nodes
-    full = (1 << n) - 1
     members = [indices_of(m) for m in hg.edges]
-    representatives = hg.representatives or range(n)
-    for size in range(0, min(cap, n + 1)):
-        hit = _first_disconnecting_subset(n, members, size, representatives)
-        if hit is None:
-            continue
-        removed, first = hit
-        rest = full & ~removed & ~first
-        parts = (tuple(hg.faces[i].id for i in indices_of(m)) for m in (removed, first, rest))
-        witness = DisconnectionWitness(*parts)
-        return ConnectivityReport(k=hg.k, alpha=size, capped=False, witness=witness)
+    sets = _removal_sets(n, cap, hg.representatives or range(n))
+    lanes = 64
+    while batch := list(islice(sets, lanes)):
+        if hit := _first_disconnected(n, members, batch):
+            lane, first = hit
+            removed = mask_of(batch[lane])
+            rest = (1 << n) - 1 & ~removed & ~first
+            parts = (tuple(hg.faces[i].id for i in indices_of(m)) for m in (removed, first, rest))
+            witness = DisconnectionWitness(*parts)
+            return ConnectivityReport(k=hg.k, alpha=len(batch[lane]), capped=False, witness=witness)
+        lanes = min(2 * lanes, _LANES)
     return ConnectivityReport(k=hg.k, alpha=cap, capped=True, witness=None)

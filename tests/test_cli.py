@@ -393,6 +393,19 @@ class TestEnvelope:
         doc, code = invoke()
         assert code == 2 and doc["status"] == "error"
 
+    def test_unknown_command_is_echoed_once(self):
+        # A word that names no command stays in the argv echo alone: the
+        # envelope names no command, and the diagnostic quotes an excerpt.
+        word = "x" * 5000
+        doc, code = invoke(word, "cube3.poly")
+        assert code == 2 and doc["command"] is None
+        assert doc["inputs"] == {"argv": [word, "cube3.poly"]}
+        assert run([word, "cube3.poly"]).render().count(word) == 1
+
+    def test_schema_names_the_commands(self):
+        ok, error = (branch["properties"]["command"]["enum"] for branch in ENVELOPE.schema["oneOf"])
+        assert ok == list(cli._SUBCOMMANDS) and error == [*ok, None]
+
     def test_main_prints_and_returns(self, cube3_file, capsys):
         code = main(["lattice", cube3_file])
         captured = capsys.readouterr()

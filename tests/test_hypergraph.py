@@ -208,9 +208,10 @@ class TestStrongConnectivity:
 
     def test_sequential_scan_holds_no_subset_list(self):
         # A scan holds at most one batch of removal sets.  The hub stops in
-        # its first batch of pairs; the plain scan of the 5-cube's 80 edges
-        # at cap 4 checks all 82,160 triples, 19 batches of them at the full
-        # 4,096 lanes, whose list alone would take about 7 MB.
+        # its third batch, at its second pair; the plain scan of the 5-cube's
+        # 80 edges at cap 4 checks all 85,401 sets of at most three edges, 19
+        # batches of them at the full 4,096 lanes, whose list alone would
+        # take about 7 MB.
         cube = build_hypergraph(lattice_of("cube", 5), 1)._replace(representatives=None)
         tracemalloc.start()
         try:
@@ -263,28 +264,28 @@ class TestStrongConnectivity:
 
 class TestDetour:
     """The batches of removal sets the scan hands to the bit-sliced check:
-    every set it takes, in lanes of 64 doubling per batch within a size, and
-    fewer under the orbit rule."""
+    every set it takes, as one stream across sizes in lanes of 64 doubling
+    per batch, and fewer under the orbit rule."""
 
     def test_certificate_skips_exact_checks(self, monkeypatch):
         # The 4-cube's edge hypergraph at cap 3, every node its own orbit:
-        # 1 + 32 + 496 sets, each size's in batches of 64 lanes doubling.
+        # 1 + 32 + 496 = 529 sets, in batches of 64 lanes doubling.
         batches = count_exact_checks(monkeypatch)
         hg = build_hypergraph(lattice_of("cube", 4), 1)._replace(representatives=None)
         report = strong_connectivity(hg, cap=3)
         assert report.capped and report.alpha == 3
-        assert batches == [1, 32, 64, 128, 256, 48]
+        assert batches == [64, 128, 256, 81]
 
     def test_orbits_skip_more_exact_checks(self, monkeypatch):
         # The same scan up to the 4-cube's 384 automorphisms, which are
         # transitive on its 32 edges: one set of size 0, one of size 1 and
-        # the 31 pairs that hold edge 0.
+        # the 31 pairs that hold edge 0, all in one batch.
         batches = count_exact_checks(monkeypatch)
         hg = build_hypergraph(lattice_of("cube", 4), 1)
         assert hg.representatives == (0,) * 32
         report = strong_connectivity(hg, cap=3)
         assert report.capped and report.alpha == 3
-        assert batches == [1, 1, 31]
+        assert batches == [33]
 
 
 class TestWitnessSearch:
@@ -298,15 +299,15 @@ class TestWitnessSearch:
         assert report == ConnectivityReport(
             0, 0, False, DisconnectionWitness((), ("v1", "v2"), ("v3",))
         )
-        assert batches == [1]
+        assert batches == [7]
 
     def test_cut_node_is_searched_once(self, monkeypatch):
-        # Size 0, then all three single removals in one batch, which finds
-        # the cut node v2 and its witness.
+        # The empty set, the three single removals and the three pairs in
+        # one batch, which finds the cut node v2 and its witness.
         batches = count_exact_checks(monkeypatch)
         report = strong_connectivity(toy_path(), cap=3)
         assert report.witness == DisconnectionWitness(("v2",), ("v1",), ("v3",))
-        assert batches == [1, 3]
+        assert batches == [7]
 
 
 def count_exact_checks(monkeypatch) -> list[int]:
@@ -416,28 +417,45 @@ def pendant_cycle(position: int, n_nodes: int = 200) -> FaceHypergraph:
 
 
 class TestBatchBoundaries:
-    # 64 is the last lane of the first batch of 64, 65 the first lane of the
-    # second (128 lanes), 193 the first lane of the third.
-    @pytest.mark.parametrize("position", [1, 63, 64, 65, 192, 193, 199])
+    # The empty set holds lane 0, so the single removal at position p holds
+    # lane p: 63 is the last lane of the first batch of 64, 64 the first of
+    # the second (128 lanes), 191 its last and 192 the first of the third.
+    @pytest.mark.parametrize("position", [1, 63, 64, 65, 191, 192, 193, 199])
     def test_first_cut_node_at_position(self, position, monkeypatch):
         hg = pendant_cycle(position)
-        sets = list(_removal_sets(hg.n_nodes, 1, range(hg.n_nodes)))
-        assert sets[position - 1] == (position - 1,)
+        sets = list(_removal_sets(hg.n_nodes, 2, range(hg.n_nodes)))
+        assert sets[position] == (position - 1,)
         batches = count_exact_checks(monkeypatch)
         report = strong_connectivity(hg, 3)
         assert report == first_disconnecting_set_oracle(hg, 3)
         assert report.alpha == 1 and report.witness.removed == (f"v{position - 1}",)
         assert report.witness.component_b == ("v199",)
-        assert batches == [1] + [64, 128, 8][: 1 + (position > 64) + (position > 192)]
+        assert batches == [64, 128, 256][: 1 + (position >= 64) + (position >= 192)]
+
+    def test_batch_across_sizes_gives_its_first_disconnecting_set(self, monkeypatch):
+        # A 6-cycle at cap 4: the empty set, 6 single removals, 15 pairs and
+        # 20 triples share one batch.  No single removal cuts the cycle, the
+        # pair (v0, v2) is the first set that does, and later triples do too.
+        cycle = tuple(1 << i | 1 << (i + 1) % 6 for i in range(6))
+        hg = FaceHypergraph(0, vertex_faces(range(6)), cycle)
+        batches = count_exact_checks(monkeypatch)
+        report = strong_connectivity(hg, 4)
+        assert batches == [42]
+        assert report == first_disconnecting_set_oracle(hg, 4)
+        assert report.witness == DisconnectionWitness(("v0", "v2"), ("v1",), ("v3", "v4", "v5"))
+        assert report.alpha == 2
 
     def test_removal_sets_are_the_canonical_order(self):
-        assert list(_removal_sets(4, 0, range(4))) == [()]
-        assert list(_removal_sets(4, 2, range(4))) == list(combinations(range(4), 2))
+        # The empty set, then each size's sets in canonical order, up to the
+        # node count whatever the cap.
+        assert list(_removal_sets(4, 1, range(4))) == [()]
+        every = [c for size in range(5) for c in combinations(range(4), size)]
+        assert list(_removal_sets(4, 3, range(4))) == every[:11]
+        assert list(_removal_sets(4, 9, range(4))) == every
         # Nodes 1 and 3 lie in node 0's orbit: a set led by 1 or 3 is left
         # out, and so is one led by 2 with a later member of a lower orbit.
-        assert list(_removal_sets(4, 2, (0, 0, 2, 0))) == [(0, 1), (0, 2), (0, 3)]
-        assert list(_removal_sets(4, 1, (0, 0, 2, 0))) == [(0,), (2,)]
-        assert list(_removal_sets(4, 5, range(4))) == []
+        orbits = (0, 0, 2, 0)
+        assert list(_removal_sets(4, 3, orbits)) == [(), (0,), (2,), (0, 1), (0, 2), (0, 3)]
 
 
 # The heaviest polytopes of the benchmark's `verify` plan: random(5,10)
