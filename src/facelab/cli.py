@@ -322,23 +322,15 @@ def build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with only the subparser argv[0] names, or with the full parser
-    when argv[0] names no command."""
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    return build_parser(command).parse_args(argv)
-
-
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute one invocation; never raises on bad input.
 
-    Until the parse succeeds, the envelope echoes argv, and names argv[0]
-    only when it is a command."""
+    The lookup that names the envelope's command also picks the parser:
+    argv[0]'s subparser alone, or the full one when argv[0] names none."""
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     inputs = {"argv": list(argv)}
     try:
-        ns = _parse(argv)
-        command = ns.command_name
+        ns = build_parser(command).parse_args(argv)
         inputs = {
             _INPUT_KEY_RENAMES.get(key, key): value
             for key, value in vars(ns).items()

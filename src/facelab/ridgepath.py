@@ -280,8 +280,7 @@ def _solve(
 
     r = min(blocked, key=lambda b: b.vertex_set)
     h, _ = search_cutting_hyperplane(p, f, g, r)
-    smap = section(p, h)
-    phi, slice_polytope = smap.phi, smap.slice_polytope
+    slice_polytope, phi = section(p, h)
 
     def sliced(x: Face) -> Face:
         return slice_polytope.lattice.face_of_mask(phi[x.mask])

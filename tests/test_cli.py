@@ -147,17 +147,22 @@ class TestParse:
         [],
     ]
 
-    @staticmethod
-    def outcome(parse, argv):
-        try:
-            return vars(parse(argv))
-        except CliError as exc:
-            return str(exc)
-
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-    def test_same_parse_as_the_full_parser(self, argv):
-        full = self.outcome(build_parser().parse_args, argv)
-        assert self.outcome(cli._parse, argv) == full
+    def test_same_parse_as_the_full_parser(self, argv, monkeypatch):
+        recorded = []
+        for name, (summary, add_arguments, _) in cli._SUBCOMMANDS.items():
+            def record(ns):
+                recorded.append(vars(ns))
+                return {}, 0
+
+            monkeypatch.setitem(cli._SUBCOMMANDS, name, (summary, add_arguments, record))
+        result = run(argv)
+        try:
+            full = vars(build_parser().parse_args(argv))
+        except CliError as exc:
+            assert (result.error, recorded) == (str(exc), [])
+        else:
+            assert (result.command, recorded) == (argv[0], [full])
 
     def test_builds_only_the_named_subparser(self, monkeypatch):
         built = []
@@ -167,8 +172,11 @@ class TestParse:
                 add_arguments(parser)
 
             monkeypatch.setitem(cli._SUBCOMMANDS, name, (summary, recorded, handler))
-        cli._parse(["verify-theorem", "p.poly", "--k", "1"])
+        run(["verify-theorem", "p.poly", "--k", "1"])
         assert built == ["verify-theorem"]
+        built.clear()
+        run(["nope", "p.poly"])
+        assert built == list(cli._SUBCOMMANDS)
 
     @pytest.mark.parametrize(
         "argv", [["-h"], ["lattice", "--help"], ["gen", "-h"], ["section", "p.poly", "--he"]]
@@ -462,10 +470,21 @@ ARGVS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(argv=ARGVS)
 def test_run_never_raises(argv):
-    """Every drawn command line gets a valid envelope, and exactly the error
-    envelopes exit with code 2."""
-    result = run(argv)
+    """Every drawn command line gets a valid envelope from one parser, and
+    exactly the error envelopes exit with code 2.  An ok envelope names
+    argv[0]."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return build_parser(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", counted)
+        result = run(argv)
     doc = json.loads(result.render())
+    assert len(built) == 1
+    assert doc["status"] == "error" or doc["command"] == argv[0]
     ENVELOPE.validate(doc)
     assert (doc["status"] == "error") == (result.exit_code == 2)
 
