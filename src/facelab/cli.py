@@ -183,8 +183,7 @@ def _cmd_section(ns) -> tuple[dict, int]:
         # The plane as the user gave it, each rational reduced.
         "plane": _plane_json(normal, offset),
         "slice": {
-            # The lattice's dim: the polytope's would run an elimination.
-            "dim": sliced.lattice.dim,
+            "dim": sliced.dim,
             "n_vertices": sliced.n_vertices,
             "vertices": _vertices_json(sliced),
             "f_vector": list(sliced.lattice.f_vector),

@@ -12,7 +12,7 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from .geometry import FacelabError, QVector, interior_point
+from .geometry import CheckedRecord, FacelabError, QVector, interior_point
 from .polytope import PolytopeError, VPolytope
 
 
@@ -46,7 +46,7 @@ class _GeneratorSpecFields(NamedTuple):
     bound: int | None
 
 
-class GeneratorSpec(_GeneratorSpecFields):
+class GeneratorSpec(CheckedRecord, _GeneratorSpecFields):
     """A generator family with its parameters, checked when constructed.
 
     This is the one place the generator rules live: each family function
@@ -93,11 +93,6 @@ class GeneratorSpec(_GeneratorSpecFields):
         if self.family in ("pyramid", "prism") and self.dim < 2:
             raise GeneratorError(f"family {self.family!r} needs dimension >= 2")
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make; route it through the checks too.
-        return cls(*iterable)
 
 
 def generate(spec: GeneratorSpec) -> VPolytope:

@@ -117,11 +117,23 @@ class QVector(NamedTuple):
         return cls(primitive(row))
 
 
+class CheckedRecord:
+    """Base of the named tuples whose constructor checks their fields; list
+    it before the fields class.  `_replace` builds through `_make`, so this
+    routes it through the checks too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _HyperplaneFields(NamedTuple):
     row: tuple[int, ...]
 
 
-class Hyperplane(_HyperplaneFields):
+class Hyperplane(CheckedRecord, _HyperplaneFields):
     """The set ``{x : a.x = c}`` as its primitive integer row (-c, a); a must be
     nonzero.
 
@@ -136,11 +148,6 @@ class Hyperplane(_HyperplaneFields):
         if not any(row[1:]):
             raise GeometryError("hyperplane normal must be nonzero")
         return super().__new__(cls, primitive(row))
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make; route it through the checks too.
-        return cls(*iterable)
 
     @classmethod
     def of(cls, normal: Iterable, offset) -> Hyperplane:

@@ -198,8 +198,9 @@ class VPolytope:
         the rows."""
         return _initial_cone(self.rows)
 
-    @property
+    @cached_property
     def dim(self) -> int:
+        """The rank of the rows less one; `section` sets a slice's from its lattice."""
         return len(self._cone[0]) - 1
 
     @cached_property

@@ -16,7 +16,7 @@ from collections import deque
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import FacelabError, Hyperplane, interior_point, quote
+from .geometry import CheckedRecord, FacelabError, Hyperplane, interior_point, quote
 from .polytope import Face, FaceLattice, PolytopeError, VPolytope, face_id
 from .section import section
 
@@ -30,7 +30,7 @@ class _BlockedSetFields(NamedTuple):
     face_ids: frozenset[str]
 
 
-class BlockedSet(_BlockedSetFields):
+class BlockedSet(CheckedRecord, _BlockedSetFields):
     """A request's record of k and of the budget: the k-faces a path must
     avoid, at most k of them."""
 
@@ -44,11 +44,6 @@ class BlockedSet(_BlockedSetFields):
                 f"blocked set of size {len(face_ids)} exceeds the budget k={k}"
             )
         return super().__new__(cls, k, face_ids)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make; route it through the checks too.
-        return cls(*iterable)
 
     @classmethod
     def of(cls, k: int, ids: Iterable[str]) -> BlockedSet:
@@ -109,7 +104,7 @@ def _closed_form_normal(
     if q0 == 0:
         return [bf[0] * c[0] - cf, *(bf[0] * x for x in c[1:])]
     q = [cg * x - cf * y for x, y in zip(bf, bg)]
-    facets = p.lattice.faces_of_dim(p.lattice.dim - 1)
+    facets = p.lattice.faces_of_dim(p.dim - 1)
     a = next((rows[x.mask] for x in facets if _dot(rows[x.mask], q) * q0 > 0), None)
     if a is None:
         return None
@@ -197,8 +192,7 @@ def search_cutting_hyperplane(
         raise RidgePathError("f, g, r must be three distinct faces")
     if not (g.dim == k and r.dim == k):
         raise RidgePathError("f, g, r must share one dimension")
-    # The lattice's dim: a slice's polytope would run an elimination for it.
-    d = p.lattice.dim
+    d = p.dim
     if not (1 <= k <= d - 1):
         raise RidgePathError(f"face dimension {k} out of range [1, {d - 1}]")
     bf, bg = (interior_point([p.rows[i] for i in x.vertex_set]) for x in (f, g))

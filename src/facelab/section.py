@@ -115,12 +115,12 @@ def section(p: VPolytope, h: Hyperplane) -> SectionMap:
             cut = [phi[c.mask] for c in lattice.children(f) if c.mask in phi]
             phi[f.mask] = image = reduce(or_, cut)
             below[image] = cut
-    slice_polytope.__dict__["lattice"] = FaceLattice(
-        lattice.dim - 1, len(crossed), below.__getitem__
-    )
+    dim = lattice.dim - 1
     # A cut facet's row is zero on a crossing point exactly when the crossed
     # edge lies in the facet, so it is the row of the facet's image.
-    slice_polytope.__dict__["facet_rows"] = {
-        phi[mask]: row for mask, row in p.facet_rows.items() if mask in phi
-    }
+    slice_polytope.__dict__.update(
+        dim=dim,
+        lattice=FaceLattice(dim, len(crossed), below.__getitem__),
+        facet_rows={phi[mask]: row for mask, row in p.facet_rows.items() if mask in phi},
+    )
     return SectionMap(slice_polytope, phi)

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import permutations, product
 from pathlib import Path
 
 from facelab.generators import GeneratorSpec, generate
+from facelab.geometry import QVector
 from facelab.polytope import FaceLattice, VPolytope, parse_polytope
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -22,6 +24,55 @@ FAMILY_GRID = (
     + [("cross", d, None) for d in (2, 3, 4)]
     + [("cyclic", 3, 6), ("cyclic", 4, 7)]
 )
+
+
+def _hull(points) -> VPolytope:
+    """The polytope on these integer points, each checked to be a vertex."""
+    return VPolytope.from_points([QVector.of(v) for v in points])
+
+
+def hypersimplex(n: int, k: int) -> VPolytope:
+    """Delta(n, k): the 0/1 vectors with k ones, the last coordinate dropped."""
+    return _hull(v[:-1] for v in product((0, 1), repeat=n) if sum(v) == k)
+
+
+def permutahedron(n: int) -> VPolytope:
+    """Pi_n: the permutations of (1, ..., n), the last coordinate dropped."""
+    return _hull(v[:-1] for v in permutations(range(1, n + 1)))
+
+
+def cell24() -> VPolytope:
+    """The 24-cell: the vectors with two entries +-1 and two entries 0."""
+    return _hull(v for v in product((-1, 0, 1), repeat=4) if sum(map(abs, v)) == 2)
+
+
+def birkhoff(n: int) -> VPolytope:
+    """B_n: the n x n permutation matrices, cut to their top-left
+    (n-1) x (n-1) block."""
+    return _hull(
+        [int(perm[i] == j) for i in range(n - 1) for j in range(n - 1)]
+        for perm in permutations(range(n))
+    )
+
+
+# Classical families with large groups, most of them neither simple nor
+# simplicial (Ziegler 1995, Lecture 0).  Each is projected to full dimension
+# by dropping coordinates, an affine map injective on the affine hull, so
+# the face lattice is unchanged.  Name: (constructor, its f-vector).
+CLASSICAL = {
+    "hypersimplex(5,2)": (lambda: hypersimplex(5, 2), (10, 30, 30, 10)),
+    "hypersimplex(6,2)": (lambda: hypersimplex(6, 2), (15, 60, 80, 45, 12)),
+    "hypersimplex(6,3)": (lambda: hypersimplex(6, 3), (20, 90, 120, 60, 12)),
+    "permutahedron(4)": (lambda: permutahedron(4), (24, 36, 14)),
+    "permutahedron(5)": (lambda: permutahedron(5), (120, 240, 150, 30)),
+    "24-cell": (cell24, (24, 96, 96, 24)),
+    "birkhoff(3)": (lambda: birkhoff(3), (6, 15, 18, 9)),
+}
+
+
+@lru_cache(maxsize=None)
+def classical(name: str) -> VPolytope:
+    return CLASSICAL[name][0]()
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,13 @@ from facelab.hypergraph import (
 )
 from facelab.polytope import Face, face_lattice, indices_of, mask_of
 from facelab.symmetry import orbit_representatives
-from instances import FAMILY_GRID, golden_random_polytopes, lattice_of, polytope
+from instances import (
+    FAMILY_GRID,
+    classical,
+    golden_random_polytopes,
+    lattice_of,
+    polytope,
+)
 from oracles import (
     assert_hypergraphs_are_dual,
     connected_after_removal_oracle,
@@ -584,6 +590,20 @@ def assert_witness_disconnects(hg: FaceHypergraph, witness, size: int) -> None:
     assert not any(m & a and m & b for _, m in hyperedges if not m & removed)
 
 
+# delta_k, the least number of hyperedges through a node of H_k, at each k
+# of the classical families in `instances.CLASSICAL`.  At k = 0 it exceeds d
+# on the hypersimplices and the 24-cell.
+CLASSICAL_DEGREES = {
+    "hypersimplex(5,2)": (6, 3, 2, 1),
+    "hypersimplex(6,2)": (8, 4, 3, 2, 1),
+    "hypersimplex(6,3)": (9, 4, 3, 2, 1),
+    "permutahedron(4)": (3, 2, 1),
+    "permutahedron(5)": (4, 3, 2, 1),
+    "24-cell": (8, 3, 2, 1),
+    "birkhoff(3)": (5, 3, 2, 1),
+}
+
+
 class TestExactAlpha:
     @pytest.mark.parametrize("family, d, n, k, alpha", EXACT_ALPHA)
     def test_witness_at_exact_alpha(self, family, d, n, k, alpha):
@@ -591,6 +611,24 @@ class TestExactAlpha:
         report = strong_connectivity(hg, alpha + 1)
         assert (report.alpha, report.capped) == (alpha, False)
         assert_witness_disconnects(hg, report.witness, alpha)
+
+    @pytest.mark.parametrize(
+        "name, k", [(name, k) for name, ds in CLASSICAL_DEGREES.items() for k in range(len(ds))]
+    )
+    def test_classical_families_meet_the_least_degree(self, name, k):
+        """Scanned at cap delta_k + 1, alpha_k = delta_k with a witness.  The
+        exception is B_3 at k = 0: its graph is K_6, where isolating a vertex
+        leaves no second component, so the scan reaches its cap."""
+        hg = build_hypergraph(classical(name).lattice, k)
+        delta = CLASSICAL_DEGREES[name][k]
+        assert min(sum(e >> i & 1 for e in hg.edges) for i in range(hg.n_nodes)) == delta
+        report = strong_connectivity(hg, delta + 1)
+        if (name, k) == ("birkhoff(3)", 0):
+            assert (hg.n_nodes, len(hg.edges)) == (6, 15)
+            assert report == ConnectivityReport(0, delta + 1, True, None)
+        else:
+            assert (report.alpha, report.capped) == (delta, False)
+            assert_witness_disconnects(hg, report.witness, delta)
 
     @pytest.mark.parametrize("family, d, n", NEIGHBORLY)
     def test_complete_vertex_graph_is_capped(self, family, d, n):

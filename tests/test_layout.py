@@ -14,6 +14,7 @@ writes as a key of `self.__dict__`, must likewise be read as `.<name>`
 somewhere in `src/facelab`.  A polytope owns its face lattice, so no library
 function takes a `VPolytope` and a `FaceLattice` side by side, and a lattice
 is constructed only by its two producers, `face_lattice` and `section`.
+The checked records share one `_make`, on their base `CheckedRecord`.
 """
 
 import ast
@@ -187,6 +188,25 @@ def test_face_lattice_has_two_producers():
         for scope in call_sites(tree, "FaceLattice")
     ]
     assert sites == ["polytope.py face_lattice", "section.py section"]
+
+
+def test_checked_records_share_one_make():
+    """`_replace` builds through `_make`, so the records whose constructor
+    checks their fields route it back through the checks.  That rule is
+    written once, on `geometry.CheckedRecord`, and each checked record lists
+    that base."""
+    makes, owners, bases = 0, [], {}
+    for path, tree in parsed(LIBRARY).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_make":
+                makes += 1
+            elif isinstance(node, ast.ClassDef):
+                bases[node.name] = [getattr(b, "id", None) for b in node.bases]
+                if any(getattr(item, "name", None) == "_make" for item in node.body):
+                    owners.append(f"{path.relative_to(LIBRARY).as_posix()} {node.name}")
+    assert (makes, owners) == (1, ["geometry.py CheckedRecord"])
+    for record in ("Hyperplane", "BlockedSet", "GeneratorSpec"):
+        assert "CheckedRecord" in bases[record], record
 
 
 def is_self(node: ast.AST) -> bool:

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, factorial
 from operator import mul
 
 import pytest
@@ -34,7 +35,9 @@ from facelab.polytope import (
 )
 from facelab.section import section
 from instances import (
+    CLASSICAL,
     FAMILY_GRID,
+    classical,
     golden_random_polytopes,
     lattice_of,
     polytope,
@@ -527,14 +530,14 @@ class TestInitialCone:
             assert polar_dual(p).n_vertices == len(p.facet_rows), shape
             assert eliminations == [d + 1], shape
 
-    def test_section_slice_eliminates_once_its_dim_is_read(self, eliminations):
+    def test_section_slice_reads_its_dim_without_an_elimination(self, eliminations):
+        """`section` sets a slice's dim with its lattice, so reading either
+        runs no elimination."""
         p = polytope("cube", 3)
         eliminations.clear()
         smap = section(p, Hyperplane.of([1, 1, 1], F(3, 2)))
-        assert smap.slice_polytope.lattice.dim == 2
+        assert smap.slice_polytope.dim == smap.slice_polytope.lattice.dim == 2
         assert eliminations == []
-        assert smap.slice_polytope.dim == 2
-        assert eliminations == [4]
 
 
 def assert_diamond(lat: FaceLattice) -> None:
@@ -596,6 +599,48 @@ class TestLargeLattices:
         lat = lattice_of(family, dim, n)
         assert euler_characteristic_holds(lat)
         assert_diamond(lat)
+
+
+def stirling2(n: int, k: int) -> int:
+    """The Stirling number of the second kind: partitions of n things into
+    k nonempty blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+class TestClassicalFamilies:
+    """Hypersimplices, permutahedra, the 24-cell and the Birkhoff polytope
+    B_3, against their closed-form counts (Ziegler 1995, Lecture 0)."""
+
+    @pytest.mark.parametrize("name", list(CLASSICAL))
+    def test_f_vector_euler_and_diamond(self, name):
+        lat = classical(name).lattice
+        assert lat.f_vector == CLASSICAL[name][1]
+        assert lat.dim == len(lat.f_vector) == classical(name).dim
+        assert euler_characteristic_holds(lat)
+        assert_diamond(lat)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_permutahedron_has_stirling_many_faces(self, n):
+        # A k-face of Pi_n is an ordered partition of {1..n} into n - k blocks.
+        f_vector = classical(f"permutahedron({n})").lattice.f_vector
+        assert f_vector == tuple(factorial(n - k) * stirling2(n, n - k) for k in range(n - 1))
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3)])
+    def test_hypersimplex_vertices_and_facets(self, n, k):
+        # Facets x_i = 0 and x_i = 1, one pair per coordinate, for 2 <= k <= n - 2.
+        f_vector = classical(f"hypersimplex({n},{k})").lattice.f_vector
+        assert (f_vector[0], f_vector[-1]) == (comb(n, k), 2 * n)
+
+    def test_24_cell_and_birkhoff(self):
+        assert classical("24-cell").lattice.f_vector == (24, 96, 96, 24)
+        # B_n for n >= 3: the n! permutation matrices, and a facet x_ij = 0
+        # per entry.
+        f_vector = classical("birkhoff(3)").lattice.f_vector
+        assert (f_vector[0], f_vector[-1]) == (factorial(3), 3**2)
 
 
 class TestPolarDual:

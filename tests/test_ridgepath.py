@@ -450,8 +450,8 @@ class TestVerifier:
 
 
 def test_slices_take_their_dimension_from_their_lattice(monkeypatch):
-    """A depth-2 solve bounds k on the slice by its lattice's dim, so it runs
-    no elimination once the polytope is loaded."""
+    """A depth-2 solve bounds k on the slice by the dim `section` set with
+    its lattice, so it runs no elimination once the polytope is loaded."""
     p, lat = instance("cube", 4)
     blocked = [x.id for x in lat.faces_of_dim(3)][:3]
     eliminated = []

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from facelab import ridgepath
+from facelab import cli, ridgepath
 from facelab.generators import cube, random_polytope, simplex
 from facelab.geometry import Hyperplane, QVector
 from facelab.polytope import (
@@ -20,7 +20,14 @@ from facelab.polytope import (
 )
 from facelab.ridgepath import BlockedSet, solve_ridge_path
 from facelab.section import SectionError, parse_hyperplane, section
-from instances import FAMILY_GRID, instance, polytope, random_cutting_plane, section_battery
+from instances import (
+    FAMILY_GRID,
+    GOLDEN,
+    instance,
+    polytope,
+    random_cutting_plane,
+    section_battery,
+)
 from oracles import (
     affine_rank,
     assert_section_isomorphism,
@@ -30,6 +37,7 @@ from oracles import (
     side,
     slice_lattice_oracle,
 )
+from test_golden import CASES
 
 F = Fraction
 
@@ -277,7 +285,7 @@ class TestSliceLatticeOracle:
 class TestSliceRunsNoSweep:
     """A slice's faces come only from `phi`: once the base lattice is built,
     `section` runs no facet sweep, so a `_maximal` that raises is never
-    reached."""
+    reached.  Nor does a slice eliminate: it carries its dim and facet rows."""
 
     @staticmethod
     def refuse_sweeps(monkeypatch):
@@ -301,6 +309,27 @@ class TestSliceRunsNoSweep:
         first = section(p, plane("1,0,0,0;1/2")).slice_polytope
         second = section(first, plane("0,1,0,0;1/2")).slice_polytope
         assert second.lattice.f_vector == (4, 4)
+
+    @pytest.mark.parametrize(
+        "case", ["cube3.section", "cube3.ridge_path", "cross4.ridge_path_depth2"]
+    )
+    def test_golden_requests_need_no_cone_past_the_base(self, case, monkeypatch):
+        """With the base loaded, `section` and `ridge-path --verify` requests
+        give their golden bytes through `cli.run` while `_initial_cone`
+        raises: no slice eliminates, for its dim or anything else.  The
+        depth-2 request searches a cutting plane on a slice."""
+        argv = CASES[case]
+        base = parse_polytope((GOLDEN / argv[1]).read_text(encoding="utf-8"))
+        base.lattice
+
+        def cone(rows):
+            raise AssertionError("a slice ran an elimination")
+
+        monkeypatch.setattr("facelab.polytope._initial_cone", cone)
+        monkeypatch.setattr("facelab.cli.load_polytope", lambda path: base)
+        monkeypatch.chdir(GOLDEN)
+        golden = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+        assert cli.run(argv).render() + "\n" == golden
 
     def test_depth_two_solve_runs_double_description_once(self, monkeypatch):
         """A slice takes its facet rows from `section`, so a depth-2 ridge
