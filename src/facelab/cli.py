@@ -55,7 +55,6 @@ _HANDLED_ERRORS = (FacelabError, OSError)
 _MESSAGE_LIMIT = 200
 
 _INPUT_KEY_RENAMES = {"from_id": "from", "to_id": "to"}
-_INPUT_SKIP_KEYS = ("handler", "command_name")
 
 
 class CommandResult(NamedTuple):
@@ -313,19 +312,18 @@ def build_parser(command: str | None = None) -> _Parser:
         "certificates, and ridge-path construction.",
     )
     sub = parser.add_subparsers(dest="command_name", required=True, parser_class=_Parser)
-    for name, (summary, add_arguments, handler) in _SUBCOMMANDS.items():
+    for name, (summary, add_arguments, _) in _SUBCOMMANDS.items():
         if command in (None, name):
-            subparser = sub.add_parser(name, help=summary)
-            add_arguments(subparser)
-            subparser.set_defaults(handler=handler)
+            add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute one invocation; never raises on bad input.
 
-    The lookup that names the envelope's command also picks the parser:
-    argv[0]'s subparser alone, or the full one when argv[0] names none."""
+    The lookup that names the envelope's command also picks the parser,
+    argv[0]'s subparser alone or the full one when argv[0] names none, and
+    the handler: a parse that succeeds has named a command."""
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     inputs = {"argv": list(argv)}
     try:
@@ -333,9 +331,9 @@ def run(argv: list[str]) -> CommandResult:
         inputs = {
             _INPUT_KEY_RENAMES.get(key, key): value
             for key, value in vars(ns).items()
-            if key not in _INPUT_SKIP_KEYS
+            if key != "command_name"
         }
-        output, code = ns.handler(ns)
+        output, code = _SUBCOMMANDS[command][2](ns)
     except _HANDLED_ERRORS as exc:
         return CommandResult(command, inputs, error=str(exc), exit_code=2)
     return CommandResult(command, inputs, output, exit_code=code)

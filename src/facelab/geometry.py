@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import sys
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
@@ -158,6 +159,11 @@ class Hyperplane(CheckedRecord, _HyperplaneFields):
     @property
     def dim(self) -> int:
         return len(self.row) - 1
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """The dot product of two integer vectors, exact."""
+    return sum(map(mul, u, v))
 
 
 def primitive(vector: Sequence[int]) -> tuple[int, ...]:

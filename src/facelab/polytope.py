@@ -12,7 +12,6 @@ lattice: it builds it on the first read of `lattice`.  All geometry is exact.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .geometry import (
@@ -20,6 +19,7 @@ from .geometry import (
     GeometryError,
     Hyperplane,
     QVector,
+    dot,
     eliminate,
     format_point,
     interior_point,
@@ -122,7 +122,7 @@ def _double_description(
         if i in skip:
             continue
         bit = 1 << i
-        values = [sum(map(mul, row, ray)) for ray in rays]
+        values = [dot(row, ray) for ray in rays]
         positive = [k for k, v in enumerate(values) if v > 0]
         negative = [k for k, v in enumerate(values) if v < 0]
         new_rays = [ray for ray, v in zip(rays, values) if v <= 0]
@@ -189,8 +189,7 @@ class VPolytope:
         Their signs are the vertices' sides of h; a zero is a vertex on h.
         Each is the dot product of h's row with the vertex's row.
         """
-        form = h.row
-        return [sum(map(mul, form, row)) for row in self.rows]
+        return [dot(h.row, row) for row in self.rows]
 
     @cached_property
     def _cone(self) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -414,7 +413,7 @@ def polar_dual(p: VPolytope) -> VPolytope:
         # (z0, z) to the origin, and c - a.z/z0 = -(h.row . center) / z0.  The
         # center is interior, so that offset is positive; the dual vertex
         # a / offset is the row (offset z0, a z0).
-        offset = -sum(map(mul, h.row, center))
+        offset = -dot(h.row, center)
         if offset <= 0:
             raise PolytopeError("unexpected non-positive facet offset after centering")
         dual_points.append(QVector(primitive([offset, *(center[0] * a for a in h.row[1:])])))

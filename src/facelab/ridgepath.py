@@ -13,10 +13,9 @@ lattice alone.
 from __future__ import annotations
 
 from collections import deque
-from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import CheckedRecord, FacelabError, Hyperplane, interior_point, quote
+from .geometry import CheckedRecord, FacelabError, Hyperplane, dot, interior_point, quote
 from .polytope import Face, FaceLattice, PolytopeError, VPolytope, face_id
 from .section import section
 
@@ -79,41 +78,35 @@ def _difference(v: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
     return [b[0] * x - v[0] * y for x, y in zip(v[1:], b[1:])], v[0] * b[0]
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
-
-
 def _closed_form_normal(
     p: VPolytope, r: Face, bf: Sequence[int], bg: Sequence[int]
 ) -> list[int] | None:
-    """A row N with N.bf = N.bg = 0 and N.v of one strict sign on every
-    vertex v of r, from at most two facet rows; None only for a bug.
+    """The normal N, D entries, of a plane through bf and bg with every
+    vertex of r strictly on one side, from at most two facet rows; None only
+    for a bug.  X' is a row X without its e0 entry.
 
     C, the sum of the rows of the facets holding r, is negative off r and
     zero on it.  When the line through bf and bg is parallel to C.x = 0,
-    N = bf0 C - (C.bf) e0.  Otherwise it meets that plane at
-    q = (C.bg) bf - (C.bf) bg, outside the polytope, so some facet row A has
-    A.q q0 > 0; A is the first in lattice order, and N = alpha C + beta A +
-    gamma e0 with (alpha, beta, gamma) the cross product of
-    (C.bf, A.bf, bf0) and (C.bg, A.bg, bg0).
+    N = C'.  Otherwise it meets that plane at q = (C.bg) bf - (C.bf) bg,
+    outside the polytope, so some facet row A has A.q q0 > 0; A is the first
+    in lattice order, and N = alpha C' + q0 A' with
+    alpha = (A.bf) bg0 - bf0 (A.bg).  That is the full row alpha C + q0 A +
+    gamma e0, the cross product of (C.bf, A.bf, bf0) and (C.bg, A.bg, bg0),
+    which vanishes at bf and bg, less its e0 entry gamma.
     """
     rows = p.facet_rows
     c = [sum(column) for column in zip(*(row for on, row in rows.items() if r.mask & ~on == 0))]
-    cf, cg = _dot(c, bf), _dot(c, bg)
+    cf, cg = dot(c, bf), dot(c, bg)
     q0 = cg * bf[0] - cf * bg[0]
     if q0 == 0:
-        return [bf[0] * c[0] - cf, *(bf[0] * x for x in c[1:])]
+        return c[1:]
     q = [cg * x - cf * y for x, y in zip(bf, bg)]
     facets = p.lattice.faces_of_dim(p.dim - 1)
-    a = next((rows[x.mask] for x in facets if _dot(rows[x.mask], q) * q0 > 0), None)
+    a = next((rows[x.mask] for x in facets if dot(rows[x.mask], q) * q0 > 0), None)
     if a is None:
         return None
-    af, ag = _dot(a, bf), _dot(a, bg)
-    alpha, gamma = af * bg[0] - bf[0] * ag, cf * ag - af * cg
-    # beta = bf0 (C.bg) - (C.bf) bg0 is q0.
-    n = [alpha * x + q0 * y for x, y in zip(c, a)]
-    n[0] += gamma
-    return n
+    alpha = dot(a, bf) * bg[0] - bf[0] * dot(a, bg)
+    return [alpha * x + q0 * y for x, y in zip(c[1:], a[1:])]
 
 
 def _clear_grazed_vertices(
@@ -144,19 +137,19 @@ def _clear_grazed_vertices(
     bound, which a correct caller never reaches) and the number of directions
     tried.
     """
-    values = [_dot(a, diff) for diff, _ in diffs]
+    values = [dot(a, diff) for diff, _ in diffs]
     if all(values):
         return a, 0
     offenders = [i for i, val in enumerate(values) if val == 0]
     w_vec, w_den = w
-    ww, z = _dot(w_vec, w_vec), w_den * w_den
+    ww, z = dot(w_vec, w_vec), w_den * w_den
     bound = len(offenders) * (len(a) - 1) + 1
     for s in range(1, bound + 1):
         u0 = [s**i for i in range(len(a))]
         # u = (w.w) u0 - (u0.w) w, which is U / w_den**2.
-        uw = _dot(u0, w_vec)
+        uw = dot(u0, w_vec)
         u = [ww * c - uw * wc for c, wc in zip(u0, w_vec)]
-        pair = [_dot(u, diff) for diff, _ in diffs]
+        pair = [dot(u, diff) for diff, _ in diffs]
         if any(pair[i] == 0 for i in offenders):
             continue
         num, den = 0, 0
@@ -201,11 +194,11 @@ def search_cutting_hyperplane(
     attempts = 1
     a = _closed_form_normal(p, r, bf, bg)
     if a is not None:
-        a, tried = _clear_grazed_vertices(w, diffs, a[1:])
+        a, tried = _clear_grazed_vertices(w, diffs, a)
         attempts += tried
     if a is not None:
         # The plane a.x = a.b through b = bf[1:] / bf[0].
-        h = Hyperplane([-_dot(a, bf[1:]), *(bf[0] * c for c in a)])
+        h = Hyperplane([-dot(a, bf[1:]), *(bf[0] * c for c in a)])
         values = p.plane_values(h)
         if all(values) and len({values[i] > 0 for i in r.vertex_set}) == 1:
             return h, attempts

@@ -67,6 +67,7 @@ CLASSICAL = {
     "permutahedron(5)": (lambda: permutahedron(5), (120, 240, 150, 30)),
     "24-cell": (cell24, (24, 96, 96, 24)),
     "birkhoff(3)": (lambda: birkhoff(3), (6, 15, 18, 9)),
+    "birkhoff(4)": (lambda: birkhoff(4), (24, 240, 978, 1968, 2176, 1392, 528, 120, 16)),
 }
 
 

@@ -149,10 +149,12 @@ class TestParse:
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
     def test_same_parse_as_the_full_parser(self, argv, monkeypatch):
+        """`run` calls the handler in the `_SUBCOMMANDS` entry of the command
+        it parsed, with the full parser's namespace, which holds no handler."""
         recorded = []
         for name, (summary, add_arguments, _) in cli._SUBCOMMANDS.items():
-            def record(ns):
-                recorded.append(vars(ns))
+            def record(ns, name=name):
+                recorded.append((name, vars(ns)))
                 return {}, 0
 
             monkeypatch.setitem(cli._SUBCOMMANDS, name, (summary, add_arguments, record))
@@ -162,7 +164,8 @@ class TestParse:
         except CliError as exc:
             assert (result.error, recorded) == (str(exc), [])
         else:
-            assert (result.command, recorded) == (argv[0], [full])
+            assert (result.command, recorded) == (argv[0], [(argv[0], full)])
+            assert "handler" not in full
 
     def test_builds_only_the_named_subparser(self, monkeypatch):
         built = []

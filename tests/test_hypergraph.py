@@ -630,6 +630,19 @@ class TestExactAlpha:
             assert (report.alpha, report.capped) == (delta, False)
             assert_witness_disconnects(hg, report.witness, delta)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_birkhoff4_least_degree_is_d_minus_k(self, k):
+        """On B_4, d = 9, delta_k = d - k at every k >= 1; at k = 6, 7, 8,
+        scanned at cap delta_k + 1, alpha_k = delta_k with a witness.  The
+        scans below k = 6 take seconds (2.6 s at k = 5), so they are left out."""
+        hg = build_hypergraph(classical("birkhoff(4)").lattice, k)
+        delta = 9 - k
+        assert min(sum(e >> i & 1 for e in hg.edges) for i in range(hg.n_nodes)) == delta
+        if k >= 6:
+            report = strong_connectivity(hg, delta + 1)
+            assert (report.alpha, report.capped) == (delta, False)
+            assert_witness_disconnects(hg, report.witness, delta)
+
     @pytest.mark.parametrize("family, d, n", NEIGHBORLY)
     def test_complete_vertex_graph_is_capped(self, family, d, n):
         # Every pair of vertices spans an edge, so no removal below n - 1

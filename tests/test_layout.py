@@ -300,6 +300,23 @@ def test_only_generators_import_random():
     assert library_importers("random") == ["generators.py"]
 
 
+def test_only_geometry_imports_operator_mul():
+    """The exact dot product has one owner, `geometry.dot`: no other library
+    module takes `operator.mul` to build its own."""
+    importers = []
+    for path in sorted(LIBRARY.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "operator":
+                names = [node.attr]
+            else:
+                continue
+            if "mul" in names:
+                importers.append(path.relative_to(LIBRARY).as_posix())
+    assert importers == ["geometry.py"]
+
+
 def fractions_held(value, seen: set[int]) -> list[str]:
     """Every Fraction reachable from value through containers, instance
     dictionaries and slots."""

@@ -612,8 +612,8 @@ def stirling2(n: int, k: int) -> int:
 
 
 class TestClassicalFamilies:
-    """Hypersimplices, permutahedra, the 24-cell and the Birkhoff polytope
-    B_3, against their closed-form counts (Ziegler 1995, Lecture 0)."""
+    """Hypersimplices, permutahedra, the 24-cell and the Birkhoff polytopes
+    B_3 and B_4, against their closed-form counts (Ziegler 1995, Lecture 0)."""
 
     @pytest.mark.parametrize("name", list(CLASSICAL))
     def test_f_vector_euler_and_diamond(self, name):
@@ -638,8 +638,9 @@ class TestClassicalFamilies:
     def test_birkhoff_vertices_and_facets(self):
         # B_n for n >= 3: the n! permutation matrices, and a facet x_ij = 0
         # per entry.  The 24-cell's closed form is its f-vector in CLASSICAL.
-        f_vector = classical("birkhoff(3)").lattice.f_vector
-        assert (f_vector[0], f_vector[-1]) == (factorial(3), 3**2)
+        for n in (3, 4):
+            f_vector = classical(f"birkhoff({n})").lattice.f_vector
+            assert (f_vector[0], f_vector[-1]) == (factorial(n), n**2)
 
 
 class TestPolarDual:

@@ -4,6 +4,7 @@ import json
 import random
 from functools import lru_cache
 from itertools import permutations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from facelab.generators import random_polytope
 from facelab.geometry import eliminate, interior_point
 from facelab.hypergraph import (
     ConnectivityReport,
+    FaceHypergraph,
     build_hypergraph,
     strong_connectivity,
 )
@@ -29,7 +31,15 @@ from facelab.ridgepath import (
     solve_ridge_path,
     verify_ridge_path,
 )
-from instances import FAMILY_GRID, GOLDEN, golden_random_polytopes, instance, polytope
+from facelab.symmetry import orbit_representatives
+from instances import (
+    FAMILY_GRID,
+    GOLDEN,
+    classical,
+    golden_random_polytopes,
+    instance,
+    polytope,
+)
 from oracles import (
     bfs_ridge_path_oracle,
     coordinates,
@@ -121,7 +131,9 @@ class TestCuttingHyperplane:
 class TestCuttingHyperplaneAgainstOracle:
     """The search against its Fraction route, plane and attempt count."""
 
-    def test_seeded_battery(self):
+    @staticmethod
+    def seeded_triples():
+        """(trial, p, lattice, f, g, r) for the battery's 400 seeded draws."""
         cases = [
             instance("cube", 4),
             instance("cross", 4),
@@ -130,13 +142,17 @@ class TestCuttingHyperplaneAgainstOracle:
             instance("cyclic", 4, n=8),
         ]
         rng = random.Random(1)
-        nudged = 0
         for trial in range(400):
             p, lat = cases[trial % len(cases)]
             k = rng.randint(1, lat.dim - 1)
             f, g, r = rng.sample(lat.faces_of_dim(k), 3)
             # This draw once seeded the nudge; it keeps the triples unchanged.
             rng.randrange(1000)
+            yield trial, p, lat, f, g, r
+
+    def test_seeded_battery(self):
+        nudged = 0
+        for trial, p, lat, f, g, r in self.seeded_triples():
             expected = cutting_hyperplane_oracle(p, f, g, r)
             if expected is None:
                 with pytest.raises(RidgePathError):
@@ -149,6 +165,26 @@ class TestCuttingHyperplaneAgainstOracle:
             assert attempts <= 2 + grazed * (p.ambient_dim - 1)
             nudged += attempts > 1
         assert nudged >= 20
+
+    def test_closed_form_returns_the_normal_of_a_plane_through_bf(self):
+        """On the battery's triples the closed form's normal has D entries;
+        its plane through bf holds bg and puts every vertex of r strictly on
+        one side.  Both branches occur: the line through bf and bg parallel
+        to C.x = 0, where the normal is C', and not."""
+        parallel = []
+        for _, p, _, f, g, r in self.seeded_triples():
+            bf, bg = (interior_point([p.rows[i] for i in x.vertex_set]) for x in (f, g))
+            normal = ridgepath._closed_form_normal(p, r, bf, bg)
+            assert len(normal) == p.ambient_dim
+            along = [bf[0] * y - bg[0] * x for x, y in zip(bf[1:], bg[1:])]
+            assert sum(map(mul, normal, along)) == 0
+            plane = [-sum(map(mul, normal, bf[1:])), *(bf[0] * a for a in normal)]
+            values = [sum(map(mul, plane, p.rows[i])) for i in r.vertex_set]
+            assert all(values) and len({v > 0 for v in values}) == 1
+            on_r = [row for mask, row in p.facet_rows.items() if r.mask & ~mask == 0]
+            c = [sum(column) for column in zip(*on_r)]
+            parallel.append(sum(map(mul, c, bf)) * bg[0] == sum(map(mul, c, bg)) * bf[0])
+        assert 0 < sum(parallel) < len(parallel)
 
 
 class TestPlaneBitLength:
@@ -627,6 +663,35 @@ RIDGE_BUDGETS = [
     ("simplex", 4, None, (1, 2)),
 ]
 
+# The same budgets for the classical instances of `instances.CLASSICAL`.
+# On these rows and on RIDGE_BUDGETS each is the fewest (k-1)-faces of a
+# k-face, minus one.
+CLASSICAL_BUDGETS = {
+    "hypersimplex(5,2)": (1, 2, 3),
+    "hypersimplex(6,2)": (1, 2, 3, 4),
+    "hypersimplex(6,3)": (1, 2, 3, 9),
+    "permutahedron(4)": (1, 3),
+    "permutahedron(5)": (1, 3, 7),
+    "24-cell": (1, 2, 7),
+    "birkhoff(3)": (1, 2, 3),
+}
+
+
+def downward_hypergraph(p: VPolytope, k: int) -> FaceHypergraph:
+    """D_k, for 1 <= k <= d - 1: the k-faces are its nodes, and each
+    (k-1)-face R gives the hyperedge of the k-faces above R.  Removing a
+    blocked face kills exactly the ridges inside it, so D_k minus a blocked
+    set is the ridge graph the solver searches.  An automorphism maps D_k
+    onto itself, so the scan may skip sets by the polytope's group."""
+    faces = p.lattice.faces_of_dim(k)
+    index = {f.mask: i for i, f in enumerate(faces)}
+    edges = tuple(
+        mask_of(index[q.mask] for q in p.lattice.parents(r))
+        for r in p.lattice.faces_of_dim(k - 1)
+    )
+    representatives = orbit_representatives(p.lattice.automorphisms, list(index))
+    return FaceHypergraph(k, tuple(faces), edges, representatives)
+
 
 class TestExactRidgeBudgets:
     @pytest.mark.parametrize("family,dim,n,budgets", RIDGE_BUDGETS)
@@ -652,3 +717,23 @@ class TestExactRidgeBudgets:
         hg, _ = dual_hypergraph(polytope("simplex", 4), 3)
         cap = hg.n_nodes - 1
         assert strong_connectivity(hg, cap) == ConnectivityReport(0, cap, True, None)
+
+    @pytest.mark.parametrize(
+        "key, budgets",
+        [((family, dim, n), budgets) for family, dim, n, budgets in RIDGE_BUDGETS]
+        + list(CLASSICAL_BUDGETS.items()),
+        ids=lambda value: value if isinstance(value, str) else "-".join(map(str, value)),
+    )
+    def test_downward_budget_is_the_dual_budget(self, key, budgets):
+        """alpha(D_k) - 1 is the budget, as alpha(H_{d-1-k}(P*)) - 1 is, and
+        D_k's witness splits the ridge graph."""
+        p = classical(key) if isinstance(key, str) else polytope(*key)
+        for k, budget in enumerate(budgets, start=1):
+            fewest = min(len(p.lattice.children(f)) for f in p.lattice.faces_of_dim(k))
+            assert fewest - 1 == budget, k
+            report = strong_connectivity(downward_hypergraph(p, k), budget + 2)
+            assert (report.alpha, report.capped) == (budget + 1, False), k
+            dual = strong_connectivity(dual_hypergraph(p, k)[0], budget + 2)
+            assert (dual.alpha, dual.capped) == (report.alpha, False), k
+            blocked = [p.lattice.face(fid) for fid in report.witness.removed]
+            assert len(ridge_components(p, k, blocked)) > 1, k

@@ -7,7 +7,7 @@ import pytest
 from facelab.generators import random_polytope
 from facelab.polytope import face_lattice, indices_of
 from facelab.symmetry import automorphism_generators, orbit_representatives
-from instances import FAMILY_GRID, lattice_of
+from instances import CLASSICAL, FAMILY_GRID, classical, lattice_of
 from oracles import automorphisms_oracle, group_closure
 
 # (family, d, n) -> the order of the combinatorial automorphism group.
@@ -21,6 +21,22 @@ CLOSED_FORMS = {
     **{("prism", d, None): 2 * factorial(d) for d in (3, 4, 5)},
     **{("cyclic", 5, n): 4 for n in (9, 10, 11)},
     ("cyclic", 4, 10): 20,
+}
+
+# The classical instances' orders (`instances.CLASSICAL`).  Delta(n, k) has
+# the coordinate permutations, and at k = n/2 also x -> 1 - x; Pi_n has the
+# coordinate permutations and x -> (n + 1) - x; B_n has the row and the
+# column permutations and the transpose; the 24-cell's group is the Weyl
+# group F_4.
+CLASSICAL_ORDERS = {
+    "hypersimplex(5,2)": factorial(5),
+    "hypersimplex(6,2)": factorial(6),
+    "hypersimplex(6,3)": 2 * factorial(6),
+    "permutahedron(4)": 2 * factorial(4),
+    "permutahedron(5)": 2 * factorial(5),
+    "24-cell": 1152,
+    "birkhoff(3)": 2 * factorial(3) ** 2,
+    "birkhoff(4)": 2 * factorial(4) ** 2,
 }
 
 
@@ -57,6 +73,16 @@ def test_group_order_matches_the_closed_form(family, d, n):
     lattice = lattice_of(family, d, n)
     group = group_closure(lattice.automorphisms, lattice.n_vertices)
     assert len(group) == CLOSED_FORMS[family, d, n]
+
+
+@pytest.mark.parametrize("name", list(CLASSICAL_ORDERS))
+def test_classical_group_order_matches_the_closed_form(name):
+    lattice = classical(name).lattice
+    assert len(group_closure(lattice.automorphisms, lattice.n_vertices)) == CLASSICAL_ORDERS[name]
+
+
+def test_every_classical_instance_has_its_order():
+    assert CLASSICAL_ORDERS.keys() == CLASSICAL.keys()
 
 
 @pytest.mark.parametrize("name", list(SMALL))
